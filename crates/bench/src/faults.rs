@@ -20,7 +20,7 @@
 use crate::runner::run_indexed;
 use crate::{Config, Geometry};
 use cheri_cap::{CapException, CapPipe, Perms};
-use cheri_simt::{CheriMode, CheriOpts, RunError, Sm, SmConfig, Trap, TrapCause, TrapPolicy};
+use cheri_simt::{CheriMode, CheriOpts, Device, RunError, SmConfig, Trap, TrapCause, TrapPolicy};
 use nocl::{Gpu, LaunchError};
 use nocl_suite::{catalog, BenchError, NoclBench, Scale};
 use simt_isa::asm::Assembler;
@@ -260,18 +260,19 @@ pub fn run_probes(seed: u64) -> Vec<ProbeResult> {
     out
 }
 
-/// A 1-warp CHERI SM with an almighty data capability in `GLOBAL` and a
+/// A 1-warp, 1-SM CHERI device with an almighty data capability in `GLOBAL` and a
 /// full-perms victim capability resident at `VICTIM`; `setup` sabotages
 /// memory after reset, exactly like the GPU pre-launch hook.
 fn probe_sm(prog: Vec<u32>, setup: impl FnOnce(&mut MainMemory)) -> Result<(), RunError> {
-    let mut sm = Sm::new(SmConfig::with_geometry(1, 4, CheriMode::On(CheriOpts::optimised())));
-    sm.load_program(&prog);
-    sm.set_scr(scr::GLOBAL, CapPipe::almighty().and_perm(Perms::data()).to_mem());
+    let cfg = SmConfig::with_geometry(1, 4, CheriMode::On(CheriOpts::optimised()));
+    let mut dev = Device::new(cfg, 1);
+    dev.load_program(&prog);
+    dev.set_scr(scr::GLOBAL, CapPipe::almighty().and_perm(Perms::data()).to_mem());
     let victim = CapPipe::almighty().set_addr(VICTIM).set_bounds(256).0;
-    sm.memory_mut().write_cap(VICTIM, victim.to_mem()).expect("victim slot is mapped");
-    sm.reset();
-    setup(sm.memory_mut());
-    sm.run(PROBE_MAX_CYCLES).map(|_| ())
+    dev.memory_mut().write_cap(VICTIM, victim.to_mem()).expect("victim slot is mapped");
+    dev.reset();
+    setup(dev.memory_mut());
+    dev.run(PROBE_MAX_CYCLES).map(|_| ())
 }
 
 /// Program prologue: load the (sabotaged) victim capability into `A0`

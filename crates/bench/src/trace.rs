@@ -120,7 +120,7 @@ pub fn trace_suite(
 /// so cross-SM interleaving is visible on separate tracks. The
 /// *concatenation* of the per-SM streams is reconciled against the
 /// combined device statistics (per-SM statistics cannot reconcile alone:
-/// the DRAM and tag-cache counters live in the shared subsystem), and each
+/// the DRAM and tag-cache counters live in the device memory system), and each
 /// per-SM cell carries those combined statistics. With `sms == 1` this is
 /// exactly [`trace_suite`], byte-identical labels included.
 ///

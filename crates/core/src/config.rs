@@ -147,13 +147,6 @@ pub struct SmConfig {
     pub stack_cache: bool,
     /// What to do when a warp traps (default: abort the kernel).
     pub trap_policy: TrapPolicy,
-    /// Pre-decode the program into a micro-op ROM at load time and let
-    /// converged warps retire straight-line basic blocks without
-    /// re-entering the per-issue dispatcher. A host-model speed knob like
-    /// [`crate::Sm::set_scalarise`]: statistics, trace events and memory
-    /// contents are bit-identical either way (the differential suite pins
-    /// this). On by default.
-    pub predecode: bool,
 }
 
 impl SmConfig {
@@ -182,7 +175,6 @@ impl SmConfig {
             timing: Timing::default(),
             stack_cache: false,
             trap_policy: TrapPolicy::default(),
-            predecode: true,
         }
     }
 

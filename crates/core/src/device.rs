@@ -1,28 +1,28 @@
 //! The device layer: N streaming multiprocessors sharing one memory
-//! subsystem.
+//! system.
 //!
-//! A [`Device`] owns `sms` copies of [`Sm`] plus — when `sms > 1` — a
-//! single *shared* memory subsystem (functional DRAM, the DRAM channel
-//! timing model, and the tag controller) that the SMs arbitrate for. Each
-//! SM keeps its own scratchpad, coalescing unit and register files, exactly
-//! like SIMTight's per-core local resources.
+//! A [`Device`] owns `sms` copies of [`Sm`] plus the one [`MemSystem`]
+//! behind them (functional DRAM, the DRAM channel timing model, and the
+//! tag controller). Each SM keeps its own scratchpad, coalescing unit and
+//! register files, exactly like SIMTight's per-core local resources; the
+//! memory system is lent to whichever SM is stepping.
 //!
-//! **Single-SM devices are bit-identical to a bare [`Sm`]**: with `sms ==
-//! 1` there is no shared state, no arbitration, and every call delegates
-//! straight to the one SM — the golden-stats regression test in
-//! `crates/bench` pins this down for the whole benchmark suite.
+//! There is one run loop for every SM count. A single-SM device is the
+//! degenerate case — one SM always wins the arbitration, nothing contends —
+//! and the golden-stats regression test in `crates/bench` pins its
+//! statistics to the pre-`Device` model for the whole benchmark suite.
 //!
 //! # Arbitration model
 //!
-//! For `sms > 1` the device interleaves the SMs at instruction granularity:
-//! each step it picks the *not-yet-finished SM with the smallest local
-//! cycle* and advances it by one scheduler step with the shared subsystem
-//! installed. The DRAM channel's `free_at` horizon and the tag cache's
-//! line state therefore carry across SMs, which is what creates
-//! contention: an SM whose transactions queue behind another SM's pays
-//! real cycles, visible in `DramStats::cross_sm_wait_cycles` and the tag
-//! cache's cross-SM conflict evictions. Because the pick is deterministic
-//! (lowest SM index wins ties), a multi-SM run is exactly reproducible.
+//! The device interleaves the SMs at instruction granularity: each step it
+//! picks the *not-yet-finished SM with the smallest local cycle* and
+//! advances it by one scheduler step over the memory system. The DRAM
+//! channel's `free_at` horizon and the tag cache's line state therefore
+//! carry across SMs, which is what creates contention: an SM whose
+//! transactions queue behind another SM's pays real cycles, visible in
+//! `DramStats::cross_sm_wait_cycles` and the tag cache's cross-SM conflict
+//! evictions. Because the pick is deterministic (lowest SM index wins
+//! ties), a multi-SM run is exactly reproducible.
 //!
 //! # Work distribution
 //!
@@ -34,31 +34,40 @@
 //! SMs).
 
 use crate::config::SmConfig;
-use crate::counters::KernelStats;
+use crate::counters::{FaultStats, KernelStats, StallBreakdown};
 use crate::pipeline::StepOutcome;
 use crate::sm::Sm;
 use crate::trap::RunError;
 use cheri_cap::CapMem;
 use simt_mem::{map, Dram, MainMemory, TagController};
 
-/// The subsystem the SMs share: functional DRAM contents, the DRAM channel
-/// timing model, and the tag controller. Parked here between steps and
-/// swap-installed into whichever SM is about to execute.
+/// The memory system behind the SMs' coalescing units: functional DRAM
+/// contents, the DRAM channel timing model, and the tag controller. Owned
+/// by the [`Device`] and borrowed by [`Sm::step`] for one scheduler step at
+/// a time.
 #[derive(Debug)]
-struct Shared {
-    mem: MainMemory,
-    dram: Dram,
-    tags: TagController,
+pub(crate) struct MemSystem {
+    pub(crate) mem: MainMemory,
+    pub(crate) dram: Dram,
+    pub(crate) tags: TagController,
 }
 
-/// A GPU device: N SMs plus (for N > 1) an arbitrated shared memory
-/// subsystem. See the module documentation for the arbitration model.
+impl MemSystem {
+    pub(crate) fn new(cfg: &SmConfig) -> Self {
+        MemSystem {
+            mem: MainMemory::new(map::DRAM_BASE, cfg.dram_size),
+            dram: Dram::new(cfg.dram),
+            tags: TagController::new(cfg.tag_cache, cfg.cheri.enabled()),
+        }
+    }
+}
+
+/// A GPU device: N SMs arbitrating for one memory system. See the module
+/// documentation for the arbitration model.
 #[derive(Debug)]
 pub struct Device {
     sms: Vec<Sm>,
-    /// `Some` iff `sms.len() > 1`; holds the shared subsystem whenever it
-    /// is not installed in an SM (i.e. always, outside [`Device::run`]).
-    shared: Option<Shared>,
+    mem_system: MemSystem,
     /// Per-SM end-of-run statistics from the last completed run.
     sm_stats: Vec<Option<KernelStats>>,
     /// Combined device statistics from the last completed run.
@@ -66,9 +75,8 @@ pub struct Device {
 }
 
 impl Device {
-    /// Build a device of `sms` identical SMs. With `sms == 1` this is
-    /// exactly a bare [`Sm`]; with more, the SMs share DRAM and the tag
-    /// controller and split the grid via their hart-id placement.
+    /// Build a device of `sms` identical SMs sharing DRAM and the tag
+    /// controller; the SMs split the grid via their hart-id placement.
     ///
     /// # Panics
     ///
@@ -85,22 +93,13 @@ impl Device {
             // per scheduler step: basic-block runs stay single-SM only.
             sm.block_runs = sms == 1;
         }
-        let shared = (sms > 1).then(|| {
-            // Move SM 0's subsystem out as the shared one and park stubs in
-            // every SM; the stubs are swapped out before any SM executes.
-            let mem = std::mem::replace(&mut cores[0].mem, MainMemory::new(map::DRAM_BASE, 0));
-            let dram = std::mem::replace(&mut cores[0].dram, Dram::new(cfg.dram));
-            let tags = std::mem::replace(
-                &mut cores[0].tags,
-                TagController::new(cfg.tag_cache, cfg.cheri.enabled()),
-            );
-            for sm in &mut cores[1..] {
-                sm.mem = MainMemory::new(map::DRAM_BASE, 0);
-            }
-            Shared { mem, dram, tags }
-        });
         let n = cores.len();
-        Device { sms: cores, shared, sm_stats: vec![None; n], stats: KernelStats::default() }
+        Device {
+            sms: cores,
+            mem_system: MemSystem::new(&cfg),
+            sm_stats: vec![None; n],
+            stats: KernelStats::default(),
+        }
     }
 
     /// Number of SMs.
@@ -118,27 +117,21 @@ impl Device {
         &self.sms[k]
     }
 
-    /// Mutable SM `k` (panics if out of range). Note that on a multi-SM
-    /// device an SM's own `memory()` is a parked stub — use
-    /// [`Device::memory`] for the real DRAM contents.
+    /// Mutable SM `k` (panics if out of range): per-SM knobs such as the
+    /// event sink. Device memory is reached through [`Device::memory`].
     pub fn sm_mut(&mut self, k: usize) -> &mut Sm {
         &mut self.sms[k]
     }
 
-    /// The device's functional DRAM (the shared one on a multi-SM device).
+    /// The device's functional DRAM (host-side access for buffer setup and
+    /// readback).
     pub fn memory(&self) -> &MainMemory {
-        match &self.shared {
-            Some(sh) => &sh.mem,
-            None => self.sms[0].memory(),
-        }
+        &self.mem_system.mem
     }
 
     /// Mutable device DRAM.
     pub fn memory_mut(&mut self) -> &mut MainMemory {
-        match &mut self.shared {
-            Some(sh) => &mut sh.mem,
-            None => self.sms[0].memory_mut(),
-        }
+        &mut self.mem_system.mem
     }
 
     /// Load the kernel program into every SM's instruction memory.
@@ -176,48 +169,16 @@ impl Device {
         }
     }
 
-    /// Enable or disable program pre-decoding on every SM (see
-    /// [`Sm::set_predecode`]). A host-model speed knob: results are
-    /// bit-identical either way.
-    pub fn set_predecode(&mut self, enabled: bool) {
-        for sm in &mut self.sms {
-            sm.set_predecode(enabled);
-        }
-    }
-
-    /// Reset every SM and the shared subsystem's statistics for a fresh
-    /// launch (memory contents are preserved).
+    /// Reset every SM and the memory system's statistics for a fresh launch
+    /// (memory contents are preserved).
     pub fn reset(&mut self) {
         for sm in &mut self.sms {
             sm.reset();
         }
-        if let Some(sh) = &mut self.shared {
-            sh.dram.reset_stats();
-            sh.tags.reset();
-        }
+        self.mem_system.dram.reset_stats();
+        self.mem_system.tags.reset();
         self.sm_stats = vec![None; self.sms.len()];
         self.stats = KernelStats::default();
-    }
-
-    /// Swap the shared subsystem into SM `k` (and point the contention
-    /// accounting at it). Must be balanced by [`Device::uninstall`].
-    fn install(&mut self, k: usize) {
-        let sh = self.shared.as_mut().expect("install() is multi-SM only");
-        sh.dram.set_accessor(k as u32);
-        sh.tags.set_accessor(k as u32);
-        let sm = &mut self.sms[k];
-        std::mem::swap(&mut sm.mem, &mut sh.mem);
-        std::mem::swap(&mut sm.dram, &mut sh.dram);
-        std::mem::swap(&mut sm.tags, &mut sh.tags);
-    }
-
-    /// Swap the shared subsystem back out of SM `k`.
-    fn uninstall(&mut self, k: usize) {
-        let sh = self.shared.as_mut().expect("uninstall() is multi-SM only");
-        let sm = &mut self.sms[k];
-        std::mem::swap(&mut sm.mem, &mut sh.mem);
-        std::mem::swap(&mut sm.dram, &mut sh.dram);
-        std::mem::swap(&mut sm.tags, &mut sh.tags);
     }
 
     /// Run every SM to completion and return the combined device
@@ -226,70 +187,49 @@ impl Device {
     /// # Errors
     ///
     /// The first SM to trap, dead-lock or time out aborts the whole run
-    /// with its error (deterministic, because the arbitration is). A
-    /// trapped device stays queryable: every SM that ran — including the
-    /// trapped one — has its partial statistics snapshotted, so
-    /// [`Device::sm_stats`] and [`Device::stats`] report the state at the
-    /// moment of the fault instead of panicking.
+    /// with its error (deterministic, because the arbitration is):
+    /// [`RunError::Trap`] on a thread fault, [`RunError::Timeout`] if the
+    /// watchdog expires, and [`RunError::Deadlock`] when only
+    /// barrier-blocked warps remain. A trapped device stays queryable:
+    /// every SM that ran — including the trapped one — has its partial
+    /// statistics snapshotted, so [`Device::sm_stats`] and
+    /// [`Device::stats`] report the state at the moment of the fault
+    /// instead of panicking.
     pub fn run(&mut self, max_cycles: u64) -> Result<KernelStats, RunError> {
-        if self.shared.is_none() {
-            // Single SM: the classic path, bit-identical to `Sm::run`.
-            let stats = match self.sms[0].run(max_cycles) {
-                Ok(s) => s,
-                Err(e) => {
-                    // Snapshot the partial counters so the device stays
-                    // queryable after the trap.
-                    let partial = self.sms[0].finalise();
-                    self.sm_stats[0] = Some(partial.clone());
-                    self.stats = partial;
-                    return Err(e);
+        let mut live: Vec<usize> = (0..self.sms.len()).collect();
+        let mut result = Ok(());
+        // Deterministic arbitration: the live SM with the smallest local
+        // cycle steps next; ties go to the lowest index.
+        while let Some(&k) = live.iter().min_by_key(|&&k| (self.sms[k].cycle(), k)) {
+            self.mem_system.dram.set_accessor(k as u32);
+            self.mem_system.tags.set_accessor(k as u32);
+            match self.sms[k].step(&mut self.mem_system, max_cycles) {
+                Ok(StepOutcome::Progress) => {}
+                Ok(StepOutcome::Done) => {
+                    // The per-SM snapshot reads the memory system's
+                    // counters as they stand at this SM's completion.
+                    self.sm_stats[k] = Some(self.sms[k].finalise(&self.mem_system));
+                    live.retain(|&x| x != k);
                 }
-            };
-            self.sm_stats[0] = Some(stats.clone());
-            self.stats = stats.clone();
-            return Ok(stats);
-        }
-        let n = self.sms.len();
-        let mut live: Vec<usize> = (0..n).collect();
-        while !live.is_empty() {
-            // Deterministic arbitration: the live SM with the smallest
-            // local cycle steps next; ties go to the lowest index.
-            let k = *live.iter().min_by_key(|&&k| (self.sms[k].cycle(), k)).expect("nonempty");
-            self.install(k);
-            let outcome = match self.sms[k].step(max_cycles) {
-                Ok(o) => o,
                 Err(e) => {
-                    // Finalise the trapped SM while the shared subsystem is
-                    // still installed (its snapshot sees the live
-                    // counters), then take partial snapshots of the other
-                    // still-running SMs so the whole device is queryable.
-                    self.sm_stats[k] = Some(self.sms[k].finalise());
-                    self.uninstall(k);
-                    for &other in &live {
-                        if other != k {
-                            self.sm_stats[other] = Some(self.sms[other].finalise());
-                        }
-                    }
-                    self.stats = self.combine();
-                    return Err(e);
+                    result = Err(e);
+                    break;
                 }
-            };
-            if outcome == StepOutcome::Done {
-                // Finalise while the shared subsystem is still installed so
-                // the per-SM snapshot sees the live counters.
-                self.sm_stats[k] = Some(self.sms[k].finalise());
-                live.retain(|&x| x != k);
             }
-            self.uninstall(k);
+        }
+        // An aborted run snapshots the partial counters of every SM still
+        // running (the failed one included) so the device stays queryable.
+        for k in live {
+            self.sm_stats[k] = Some(self.sms[k].finalise(&self.mem_system));
         }
         self.stats = self.combine();
-        Ok(self.stats.clone())
+        result.map(|()| self.stats.clone())
     }
 
     /// Per-SM statistics of the last completed run (`None` before any run).
     /// On a multi-SM device the `dram`/`tag_cache` sub-structs are
-    /// snapshots of the *shared* subsystem at that SM's completion time —
-    /// use the combined device statistics for end-of-run totals.
+    /// snapshots of the *shared* memory system at that SM's completion time
+    /// — use the combined device statistics for end-of-run totals.
     pub fn sm_stats(&self, k: usize) -> Option<&KernelStats> {
         self.sm_stats[k].as_ref()
     }
@@ -300,62 +240,91 @@ impl Device {
     }
 
     /// Combine per-SM statistics into device totals: pipeline counters
-    /// sum, `cycles` is the slowest SM (the SMs run concurrently),
-    /// residency averages are issue-weighted, peaks take the maximum, and
-    /// the shared `dram`/`tag_cache` counters are read once from the
-    /// shared subsystem rather than summed across per-SM snapshots.
-    /// Tolerates missing per-SM snapshots (an aborted run combines only
-    /// the SMs that have one).
+    /// sum, `cycles` is the slowest SM (the SMs run concurrently), peaks
+    /// take the maximum, the residency averages divide the SMs' summed
+    /// integer accumulators once (so a one-SM device reports exactly its
+    /// SM's own average), and the `dram`/`tag_cache` counters are read from
+    /// the memory system rather than summed across per-SM snapshots. SMs
+    /// without a snapshot (before any run) contribute nothing.
+    ///
+    /// Every `KernelStats` field is named here: a new field fails to
+    /// compile until it is given a combining rule.
     fn combine(&self) -> KernelStats {
         let mut out = KernelStats::default();
-        let mut weighted_data = 0.0;
-        let mut weighted_meta = 0.0;
-        for s in self.sm_stats.iter().flatten() {
-            out.cycles = out.cycles.max(s.cycles);
-            out.instrs += s.instrs;
-            out.thread_instrs += s.thread_instrs;
-            out.scalarised_issues += s.scalarised_issues;
-            for (k, v) in &s.cheri_histogram {
+        let (mut sum_data, mut sum_meta, mut samples) = (0u64, 0u64, 0u64);
+        for (sm, s) in self.sms.iter().zip(&self.sm_stats) {
+            let Some(s) = s else { continue };
+            let KernelStats {
+                cycles,
+                instrs,
+                thread_instrs,
+                cheri_histogram,
+                stalls:
+                    StallBreakdown {
+                        csc_serialisation,
+                        shared_vrf_conflict,
+                        spill_fill,
+                        cap_multi_flit,
+                        idle,
+                    },
+                dram: _,
+                tag_cache: _,
+                scratch,
+                data_rf,
+                meta_rf,
+                avg_data_vrf_resident: _,
+                avg_meta_vrf_resident: _,
+                peak_data_vrf_resident,
+                peak_meta_vrf_resident,
+                cap_regs_used,
+                cap_regs_mask,
+                sfu_requests,
+                barriers,
+                stack_cache_hits,
+                scalarised_issues,
+                faults: FaultStats { traps, faulting_lanes, suppressed },
+            } = s;
+            out.cycles = out.cycles.max(*cycles);
+            out.instrs += instrs;
+            out.thread_instrs += thread_instrs;
+            for (k, v) in cheri_histogram {
                 *out.cheri_histogram.entry(k).or_insert(0) += v;
             }
-            out.stalls.csc_serialisation += s.stalls.csc_serialisation;
-            out.stalls.shared_vrf_conflict += s.stalls.shared_vrf_conflict;
-            out.stalls.spill_fill += s.stalls.spill_fill;
-            out.stalls.cap_multi_flit += s.stalls.cap_multi_flit;
-            out.stalls.idle += s.stalls.idle;
-            out.scratch.accesses += s.scratch.accesses;
-            out.scratch.conflict_cycles += s.scratch.conflict_cycles;
-            out.data_rf.spills += s.data_rf.spills;
-            out.data_rf.fills += s.data_rf.fills;
-            out.data_rf.scalar_writes += s.data_rf.scalar_writes;
-            out.data_rf.vector_writes += s.data_rf.vector_writes;
-            out.data_rf.peak_resident = out.data_rf.peak_resident.max(s.data_rf.peak_resident);
-            out.meta_rf.spills += s.meta_rf.spills;
-            out.meta_rf.fills += s.meta_rf.fills;
-            out.meta_rf.scalar_writes += s.meta_rf.scalar_writes;
-            out.meta_rf.vector_writes += s.meta_rf.vector_writes;
-            out.meta_rf.peak_resident = out.meta_rf.peak_resident.max(s.meta_rf.peak_resident);
-            weighted_data += s.avg_data_vrf_resident * s.instrs as f64;
-            weighted_meta += s.avg_meta_vrf_resident * s.instrs as f64;
-            out.peak_data_vrf_resident = out.peak_data_vrf_resident.max(s.peak_data_vrf_resident);
-            out.peak_meta_vrf_resident = out.peak_meta_vrf_resident.max(s.peak_meta_vrf_resident);
-            out.cap_regs_used = out.cap_regs_used.max(s.cap_regs_used);
-            out.cap_regs_mask |= s.cap_regs_mask;
-            out.sfu_requests += s.sfu_requests;
-            out.barriers += s.barriers;
-            out.stack_cache_hits += s.stack_cache_hits;
-            out.faults.traps += s.faults.traps;
-            out.faults.faulting_lanes += s.faults.faulting_lanes;
-            out.faults.suppressed += s.faults.suppressed;
+            out.stalls.csc_serialisation += csc_serialisation;
+            out.stalls.shared_vrf_conflict += shared_vrf_conflict;
+            out.stalls.spill_fill += spill_fill;
+            out.stalls.cap_multi_flit += cap_multi_flit;
+            out.stalls.idle += idle;
+            out.scratch.accesses += scratch.accesses;
+            out.scratch.conflict_cycles += scratch.conflict_cycles;
+            for (total, rf) in [(&mut out.data_rf, data_rf), (&mut out.meta_rf, meta_rf)] {
+                total.spills += rf.spills;
+                total.fills += rf.fills;
+                total.scalar_writes += rf.scalar_writes;
+                total.vector_writes += rf.vector_writes;
+                total.peak_resident = total.peak_resident.max(rf.peak_resident);
+            }
+            sum_data += sm.sum_data_resident;
+            sum_meta += sm.sum_meta_resident;
+            samples += sm.samples;
+            out.peak_data_vrf_resident = out.peak_data_vrf_resident.max(*peak_data_vrf_resident);
+            out.peak_meta_vrf_resident = out.peak_meta_vrf_resident.max(*peak_meta_vrf_resident);
+            out.cap_regs_used = out.cap_regs_used.max(*cap_regs_used);
+            out.cap_regs_mask |= cap_regs_mask;
+            out.sfu_requests += sfu_requests;
+            out.barriers += barriers;
+            out.stack_cache_hits += stack_cache_hits;
+            out.scalarised_issues += scalarised_issues;
+            out.faults.traps += traps;
+            out.faults.faulting_lanes += faulting_lanes;
+            out.faults.suppressed += suppressed;
         }
-        if out.instrs > 0 {
-            out.avg_data_vrf_resident = weighted_data / out.instrs as f64;
-            out.avg_meta_vrf_resident = weighted_meta / out.instrs as f64;
+        if samples > 0 {
+            out.avg_data_vrf_resident = sum_data as f64 / samples as f64;
+            out.avg_meta_vrf_resident = sum_meta as f64 / samples as f64;
         }
-        if let Some(sh) = &self.shared {
-            out.dram = sh.dram.stats();
-            out.tag_cache = sh.tags.stats();
-        }
+        out.dram = self.mem_system.dram.stats();
+        out.tag_cache = self.mem_system.tags.stats();
         out
     }
 }
@@ -443,11 +412,22 @@ mod tests {
         assert!(combined.cycles > 0);
     }
 
+    /// With one SM there is nothing to combine: the device totals are that
+    /// SM's own snapshot, field for field — the residency averages to the
+    /// bit, since both divide the same integer accumulators once.
     #[test]
-    fn single_sm_device_matches_bare_sm() {
+    fn single_sm_device_totals_equal_sm_snapshot() {
+        use simt_isa::MulOp;
         let cfg = SmConfig::small(CheriMode::Off);
         let prog: Vec<u32> = [
             Instr::Csrrs { rd: Reg::A0, csr: csr::MHARTID, rs1: Reg::ZERO },
+            // hartid² is neither uniform nor affine: it occupies the VRF,
+            // so the residency averages are non-trivial.
+            Instr::MulDiv { op: MulOp::Mul, rd: Reg::A3, rs1: Reg::A0, rs2: Reg::A0 },
+            Instr::OpImm { op: AluOp::Sll, rd: Reg::A1, rs1: Reg::A0, imm: 2 },
+            Instr::Lui { rd: Reg::A2, imm: map::DRAM_BASE },
+            Instr::Op { op: AluOp::Add, rd: Reg::A1, rs1: Reg::A1, rs2: Reg::A2 },
+            Instr::Store { w: StoreWidth::W, rs2: Reg::A3, rs1: Reg::A1, off: 0 },
             Instr::Simt { op: SimtOp::Terminate },
         ]
         .iter()
@@ -456,12 +436,9 @@ mod tests {
         let mut dev = Device::new(cfg, 1);
         dev.load_program(&prog);
         dev.reset();
-        let dev_stats = dev.run(100_000).expect("device run");
-        let mut sm = Sm::new(cfg);
-        sm.load_program(&prog);
-        sm.reset();
-        let sm_stats = sm.run(100_000).expect("sm run");
-        assert_eq!(dev_stats, sm_stats);
-        assert_eq!(dev_stats.dram.cross_sm_switches, 0);
+        let stats = dev.run(100_000).expect("device run");
+        assert!(stats.avg_data_vrf_resident > 0.0, "the squares were VRF-resident");
+        assert_eq!(Some(&stats), dev.sm_stats(0));
+        assert_eq!(stats.dram.cross_sm_switches, 0);
     }
 }

@@ -24,11 +24,11 @@
 //! Run a two-instruction kernel that stores each thread's id to memory:
 //!
 //! ```
-//! use cheri_simt::{CheriMode, Sm, SmConfig};
+//! use cheri_simt::{CheriMode, Device, SmConfig};
 //! use simt_isa::{csr, Instr, Reg, SimtOp, StoreWidth, AluOp};
 //! use simt_mem::map;
 //!
-//! let mut sm = Sm::new(SmConfig::small(CheriMode::Off));
+//! let mut dev = Device::new(SmConfig::small(CheriMode::Off), 1);
 //! let prog: Vec<u32> = [
 //!     Instr::Csrrs { rd: Reg::A0, csr: csr::MHARTID, rs1: Reg::ZERO },
 //!     Instr::OpImm { op: AluOp::Sll, rd: Reg::A1, rs1: Reg::A0, imm: 2 },
@@ -37,10 +37,10 @@
 //!     Instr::Store { w: StoreWidth::W, rs2: Reg::A0, rs1: Reg::A1, off: 0 },
 //!     Instr::Simt { op: SimtOp::Terminate },
 //! ].iter().map(|i| i.encode()).collect();
-//! sm.load_program(&prog);
-//! sm.reset();
-//! let stats = sm.run(100_000)?;
-//! assert_eq!(sm.memory().read(map::DRAM_BASE + 5 * 4, 4).unwrap(), 5);
+//! dev.load_program(&prog);
+//! dev.reset();
+//! let stats = dev.run(100_000)?;
+//! assert_eq!(dev.memory().read(map::DRAM_BASE + 5 * 4, 4).unwrap(), 5);
 //! assert!(stats.cycles > 0);
 //! # Ok::<(), cheri_simt::RunError>(())
 //! ```
@@ -68,7 +68,7 @@ pub use simt_trace as trace;
 pub use sm::Sm;
 pub use trap::{LaneFault, RunError, Trap, TrapCause};
 
-// Send audit: the parallel suite runner simulates one whole SM per worker
+// Send audit: the parallel suite runner simulates one whole device per worker
 // thread, so the simulator state — and everything it returns — must stay
 // `Send`. Keeping this a compile-time check means a future `Rc`/`RefCell`
 // (or other non-`Send` state) inside the model breaks the build here, not

@@ -32,7 +32,7 @@ use simt_trace::IssueClass;
 
 /// The static half of the scalarisation verdict: what can be decided from
 /// the instruction and the CHERI mode alone, cached per program-ROM slot
-/// at pre-decode time ([`crate::rom`]). `Dynamic` ops still need the
+/// at load time ([`crate::rom`]). `Dynamic` ops still need the
 /// per-issue register-class and mask checks of
 /// [`Sm::dynamic_issue_class`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -49,9 +49,7 @@ pub(crate) enum StaticClass {
 }
 
 /// Classify the static half of the scalarisation verdict (see
-/// [`StaticClass`]). [`Sm::issue_class`] dispatches through this same
-/// function, so the decode-at-issue path and the pre-decoded ROM agree by
-/// construction.
+/// [`StaticClass`]).
 pub(crate) fn static_issue_class(instr: Instr, cheri: bool) -> StaticClass {
     match instr {
         // Warp-invariant splats (CSRRS is uniform or hart-affine).
@@ -157,17 +155,11 @@ impl Sm {
             }
     }
 
-    /// Classify an issue (see the module docs for the criteria). Pure: no
+    /// Classify an issue (see the module docs for the criteria) from the
+    /// ROM slot's pre-computed [`StaticClass`]: only the `Dynamic` case
+    /// runs the per-issue register-class and mask checks. Pure: no
     /// register-file or statistics state changes between this peek and the
-    /// execution it governs. Dispatches through [`static_issue_class`] —
-    /// the same split the pre-decoded ROM caches — so the two paths agree
-    /// by construction.
-    pub(crate) fn issue_class(&self, w: u32, sel: &Selection, instr: Instr) -> IssueClass {
-        self.resolve_issue_class(w, sel, instr, static_issue_class(instr, self.cheri()))
-    }
-
-    /// Resolve an issue class from a pre-computed [`StaticClass`]: the
-    /// `Dynamic` case runs the per-issue register-class and mask checks.
+    /// execution it governs.
     pub(crate) fn resolve_issue_class(
         &self,
         w: u32,

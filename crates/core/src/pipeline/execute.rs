@@ -17,6 +17,7 @@
 
 use super::Costs;
 use crate::config::TrapPolicy;
+use crate::device::MemSystem;
 use crate::rom::{pc_index, TrapPlan};
 use crate::sm::Sm;
 use crate::trap::{RunError, Trap, TrapCause};
@@ -35,11 +36,11 @@ impl Sm {
     /// Returns [`RunError::SchedulerInvariant`] — instead of aborting the
     /// process — if `w` has no selectable thread, plus everything
     /// [`Sm::issue_with`] can return.
-    pub(crate) fn issue(&mut self, w: usize) -> Result<Selection, RunError> {
+    pub(crate) fn issue(&mut self, ms: &mut MemSystem, w: usize) -> Result<Selection, RunError> {
         let Some(sel) = self.warps[w].select() else {
             return Err(RunError::SchedulerInvariant { warp: w as u32, cycles: self.cycle });
         };
-        self.issue_with(w, sel)?;
+        self.issue_with(ms, w, sel)?;
         Ok(sel)
     }
 
@@ -49,8 +50,13 @@ impl Sm {
     /// `MaskLanes` records it, disables the faulting lanes and keeps the
     /// warp running. Either way the trap is counted in
     /// [`crate::FaultStats`] and emitted as a `trap` trace event.
-    pub(crate) fn issue_with(&mut self, w: usize, sel: Selection) -> Result<(), RunError> {
-        match self.issue_inner(w, sel) {
+    pub(crate) fn issue_with(
+        &mut self,
+        ms: &mut MemSystem,
+        w: usize,
+        sel: Selection,
+    ) -> Result<(), RunError> {
+        match self.issue_inner(ms, w, sel) {
             Err(RunError::Trap(t)) => self.deliver_trap(t),
             other => other,
         }
@@ -87,7 +93,12 @@ impl Sm {
         Ok(())
     }
 
-    fn issue_inner(&mut self, w: usize, sel: Selection) -> Result<(), RunError> {
+    fn issue_inner(
+        &mut self,
+        ms: &mut MemSystem,
+        w: usize,
+        sel: Selection,
+    ) -> Result<(), RunError> {
         let wid = u32::try_from(w).expect("warp index exceeds u32");
 
         // Fetch. The instruction-memory range check runs *first*, so a PC
@@ -96,7 +107,7 @@ impl Sm {
         // covers in-range PCs reached on a non-launch PCC. See DESIGN.md
         // §3.3.4 for the ordering rationale.
         let idx = match pc_index(sel.pc) {
-            Some(i) if i < self.imem.len() => i,
+            Some(i) if i < self.rom.ops.len() => i,
             _ => {
                 return Err(Trap::warp_wide(
                     wid,
@@ -117,41 +128,16 @@ impl Sm {
                 return Err(Trap::warp_wide(wid, sel.mask, sel.pc, TrapCause::Cheri(e)).into());
             }
         }
-        // Decode + classify: from the pre-decoded ROM when available (the
-        // cached static class resolves through the same dynamic check),
-        // from instruction memory otherwise. Classification precedes
-        // execution so the event, the counter and the executed path all
-        // report the same verdict.
-        let (instr, class, plan) = match &self.rom {
-            Some(rom) => match rom.ops[idx] {
-                Some(op) => {
-                    (op.instr, self.resolve_issue_class(wid, &sel, op.instr, op.sclass), op.plan)
-                }
-                None => {
-                    return Err(Trap::warp_wide(
-                        wid,
-                        sel.mask,
-                        sel.pc,
-                        TrapCause::IllegalInstr(self.imem_raw[idx]),
-                    )
-                    .into())
-                }
-            },
-            None => match self.imem[idx] {
-                Some(i) => {
-                    (i, self.issue_class(wid, &sel, i), TrapPlan::for_instr(i, self.cheri()))
-                }
-                None => {
-                    return Err(Trap::warp_wide(
-                        wid,
-                        sel.mask,
-                        sel.pc,
-                        TrapCause::IllegalInstr(self.imem_raw[idx]),
-                    )
-                    .into())
-                }
-            },
+        // Decode + classify, both from the ROM: the cached static class
+        // resolves through the dynamic register-class check. Classification
+        // precedes execution so the event, the counter and the executed
+        // path all report the same verdict.
+        let Some(op) = self.rom.ops[idx] else {
+            let cause = TrapCause::IllegalInstr(self.rom.words[idx]);
+            return Err(Trap::warp_wide(wid, sel.mask, sel.pc, cause).into());
         };
+        let (instr, plan) = (op.instr, op.plan);
+        let class = self.resolve_issue_class(wid, &sel, instr, op.sclass);
 
         // Issue accounting.
         self.cycle += 1;
@@ -177,28 +163,15 @@ impl Sm {
         }
 
         let mut costs = Costs::default();
-        let result = self.execute(wid, &sel, instr, class, plan, &mut costs);
+        let result = self.execute(ms, wid, &sel, instr, class, plan, &mut costs);
 
         // Apply accumulated costs.
         self.cycle += (costs.extra_cycles + costs.spill_cycles) as u64;
         self.stats.stalls.spill_fill += costs.spill_cycles as u64;
         self.emit_stall(wid, StallCause::SpillFill, costs.spill_cycles as u64);
+        // Spill/fill traffic is rare; most issues skip the call.
         if costs.dram_reads + costs.dram_writes > 0 {
-            match self.sink.as_deref_mut() {
-                Some(sink) => {
-                    self.dram.access_traced(
-                        self.cycle,
-                        costs.dram_reads,
-                        costs.dram_writes,
-                        0,
-                        wid,
-                        sink,
-                    );
-                }
-                None => {
-                    self.dram.access(self.cycle, costs.dram_reads, costs.dram_writes, 0);
-                }
-            }
+            self.dram_access(ms, wid, costs.dram_reads, costs.dram_writes, 0);
         }
         result
     }
@@ -206,8 +179,10 @@ impl Sm {
     /// Execute `instr` for the selected threads of warp `w`, honouring the
     /// issue classifier's verdict: scalarised issues take the warp-wide
     /// compact path (when enabled), everything else the lane-wise one.
+    #[allow(clippy::too_many_arguments)]
     pub(crate) fn execute(
         &mut self,
+        ms: &mut MemSystem,
         w: u32,
         sel: &Selection,
         instr: Instr,
@@ -251,7 +226,7 @@ impl Sm {
             | Instr::Store { .. }
             | Instr::Clc { .. }
             | Instr::Csc { .. }
-            | Instr::Amo { .. } => self.exec_mem_class(w, sel, instr, plan, costs),
+            | Instr::Amo { .. } => self.exec_mem_class(ms, w, sel, instr, plan, costs),
             Instr::Fence | Instr::Ecall | Instr::Ebreak | Instr::Simt { .. } => {
                 self.exec_sys_class(w, sel, instr)
             }
@@ -263,6 +238,7 @@ impl Sm {
     /// lives in [`super::memstage`].
     fn exec_mem_class(
         &mut self,
+        ms: &mut MemSystem,
         w: u32,
         sel: &Selection,
         instr: Instr,
@@ -285,6 +261,7 @@ impl Sm {
                     );
                 }
                 self.do_load_store(
+                    ms,
                     w,
                     sel,
                     rs1,
@@ -311,6 +288,7 @@ impl Sm {
                     );
                 }
                 self.do_load_store(
+                    ms,
                     w,
                     sel,
                     rs1,
@@ -329,6 +307,7 @@ impl Sm {
                 self.stats.count_cheri("CLC", 1);
                 self.cap_multi_flit_stall(w, costs);
                 self.do_load_store(
+                    ms,
                     w,
                     sel,
                     cs1,
@@ -357,6 +336,7 @@ impl Sm {
                     }
                 }
                 self.do_load_store(
+                    ms,
                     w,
                     sel,
                     cs1,
@@ -377,7 +357,7 @@ impl Sm {
                 }
                 let mut b = [0u64; MAX_LANES];
                 self.read_data(w, rs2, &mut b, costs);
-                self.do_amo(w, sel, rs1, rd, op, &b, plan, costs)?;
+                self.do_amo(ms, w, sel, rs1, rd, op, &b, plan, costs)?;
             }
             _ => unreachable!("not a memory-class instruction"),
         }

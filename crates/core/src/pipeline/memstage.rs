@@ -6,6 +6,7 @@
 //! scratchpad timing, and the atomic-conflict serialisation model.
 
 use super::Costs;
+use crate::device::MemSystem;
 use crate::exec;
 use crate::rom::TrapPlan;
 use crate::sm::Sm;
@@ -21,6 +22,7 @@ impl Sm {
     #[allow(clippy::too_many_arguments)]
     pub(crate) fn do_load_store(
         &mut self,
+        ms: &mut MemSystem,
         w: u32,
         sel: &Selection,
         addr_reg: Reg,
@@ -36,8 +38,8 @@ impl Sm {
     ) -> Result<(), RunError> {
         let mut bufs = self.take_bufs();
         let res = self.load_store_with(
-            &mut bufs, w, sel, addr_reg, load_rd, store_rs, off, bytes, is_store, is_cap, lw, plan,
-            costs,
+            &mut bufs, ms, w, sel, addr_reg, load_rd, store_rs, off, bytes, is_store, is_cap, lw,
+            plan, costs,
         );
         self.put_bufs(bufs);
         res
@@ -53,6 +55,7 @@ impl Sm {
     fn load_store_with(
         &mut self,
         bufs: &mut crate::sm::LaneBufs,
+        ms: &mut MemSystem,
         w: u32,
         sel: &Selection,
         addr_reg: Reg,
@@ -136,8 +139,8 @@ impl Sm {
             // paying for the data assembly twice.
             if plan.has(TrapPlan::MAPPING) && cause.is_none() {
                 cause = match (map::route(eas[i], self.cfg.dram_size), is_cap) {
-                    (map::Region::Dram, false) => self.mem.check(eas[i], bytes).err(),
-                    (map::Region::Dram, true) => self.mem.check_cap(eas[i]).err(),
+                    (map::Region::Dram, false) => ms.mem.check(eas[i], bytes).err(),
+                    (map::Region::Dram, true) => ms.mem.check_cap(eas[i]).err(),
                     (map::Region::Scratch, false) => self.scratch.check(eas[i], bytes).err(),
                     (map::Region::Scratch, true) => self.scratch.check_cap(eas[i]).err(),
                     _ => Some(MemFault::Unmapped(eas[i])),
@@ -164,15 +167,15 @@ impl Sm {
                 match (region, is_store, is_cap) {
                     (map::Region::Dram, false, false) => {
                         dram_reqs.push(req);
-                        results[i] = sign_extend(self.mem.read(ea, bytes)?, lw) as u64;
+                        results[i] = sign_extend(ms.mem.read(ea, bytes)?, lw) as u64;
                     }
                     (map::Region::Dram, true, false) => {
                         dram_reqs.push(req);
-                        self.mem.write(ea, val[i] as u32, bytes)?;
+                        ms.mem.write(ea, val[i] as u32, bytes)?;
                     }
                     (map::Region::Dram, false, true) => {
                         dram_reqs.push(req);
-                        let c = self.mem.read_cap(ea)?;
+                        let c = ms.mem.read_cap(ea)?;
                         results[i] = c.addr() as u64;
                         results_m[i] = c.meta() as u64 | ((c.tag() as u64) << 32);
                     }
@@ -183,7 +186,7 @@ impl Sm {
                             val[i] as u32,
                             val_m[i] >> 32 & 1 == 1,
                         );
-                        self.mem.write_cap(ea, c)?;
+                        ms.mem.write_cap(ea, c)?;
                     }
                     (map::Region::Scratch, false, false) => {
                         scratch_reqs.push(req);
@@ -218,7 +221,7 @@ impl Sm {
         }
 
         // Timing.
-        self.charge_memory(w, dram_reqs, scratch_reqs, is_store);
+        self.charge_memory(ms, w, dram_reqs, scratch_reqs, is_store);
 
         // Writeback.
         if let Some(rd) = load_rd {
@@ -237,6 +240,7 @@ impl Sm {
     #[allow(clippy::too_many_arguments)]
     pub(crate) fn do_amo(
         &mut self,
+        ms: &mut MemSystem,
         w: u32,
         sel: &Selection,
         addr_reg: Reg,
@@ -247,7 +251,7 @@ impl Sm {
         costs: &mut Costs,
     ) -> Result<(), RunError> {
         let mut bufs = self.take_bufs();
-        let res = self.amo_with(&mut bufs, w, sel, addr_reg, rd, op, operands, plan, costs);
+        let res = self.amo_with(&mut bufs, ms, w, sel, addr_reg, rd, op, operands, plan, costs);
         self.put_bufs(bufs);
         res
     }
@@ -261,6 +265,7 @@ impl Sm {
     fn amo_with(
         &mut self,
         bufs: &mut crate::sm::LaneBufs,
+        ms: &mut MemSystem,
         w: u32,
         sel: &Selection,
         addr_reg: Reg,
@@ -313,7 +318,7 @@ impl Sm {
             eas[i] = ea;
             if plan.has(TrapPlan::MAPPING) && cause.is_none() {
                 cause = match map::route(ea, self.cfg.dram_size) {
-                    map::Region::Dram => self.mem.check(ea, 4).err(),
+                    map::Region::Dram => ms.mem.check(ea, 4).err(),
                     map::Region::Scratch => self.scratch.check(ea, 4).err(),
                     _ => Some(MemFault::Unmapped(ea)),
                 }
@@ -339,8 +344,8 @@ impl Sm {
                 match region {
                     map::Region::Dram => {
                         dram_reqs.push(req);
-                        let old = self.mem.read(ea, 4)?;
-                        self.mem.write(ea, exec::amo(op, old, operands[i] as u32), 4)?;
+                        let old = ms.mem.read(ea, 4)?;
+                        ms.mem.write(ea, exec::amo(op, old, operands[i] as u32), 4)?;
                         results[i] = old as u64;
                     }
                     map::Region::Scratch => {
@@ -358,7 +363,7 @@ impl Sm {
             }
         }
         // An atomic is a read + write transaction per block.
-        self.charge_memory(w, dram_reqs, scratch_reqs, true);
+        self.charge_memory(ms, w, dram_reqs, scratch_reqs, true);
         if !dram_reqs.is_empty() || !scratch_reqs.is_empty() {
             // Serialise conflicting atomics: lanes hitting the same word pay
             // one cycle each (approximating SIMTight's atomic unit). At most
@@ -386,6 +391,7 @@ impl Sm {
     /// the warp until the data returns.
     pub(crate) fn charge_memory(
         &mut self,
+        ms: &mut MemSystem,
         w: u32,
         dram_reqs: &[LaneRequest],
         scratch_reqs: &[LaneRequest],
@@ -423,12 +429,19 @@ impl Sm {
             dram_reqs
         };
         if !dram_reqs.is_empty() {
-            let co = match self.sink.as_deref_mut() {
-                Some(sink) => {
-                    self.coalescer.coalesce_traced(dram_reqs, self.cycle, w, is_store, sink)
-                }
-                None => self.coalescer.coalesce(dram_reqs),
-            };
+            let co = self.coalescer.coalesce(dram_reqs);
+            if let Some(sink) = self.sink.as_deref_mut() {
+                sink.emit(TraceEvent::Mem {
+                    cycle: self.cycle,
+                    warp: w,
+                    space: MemSpace::Dram,
+                    is_store,
+                    lanes: dram_reqs.len() as u32,
+                    transactions: co.transactions,
+                    uniform: co.uniform,
+                    conflict_cycles: 0,
+                });
+            }
             // Tag controller: one lookup per unique 64-byte block. One
             // request per lane at most, so the block list fits on the stack.
             debug_assert!(dram_reqs.len() <= MAX_LANES);
@@ -445,29 +458,74 @@ impl Sm {
                     continue;
                 }
                 prev = Some(b);
-                tag_txns += match self.sink.as_deref_mut() {
-                    Some(sink) => self.tags.on_access_traced(b * 64, is_store, self.cycle, w, sink),
-                    None => self.tags.on_access(b * 64, is_store),
-                };
+                let txns = ms.tags.on_access(b * 64, is_store);
+                tag_txns += txns;
+                // One event per lookup; a disabled controller looks nothing
+                // up, so event counts reconcile with the tag-cache counters.
+                if ms.tags.enabled() {
+                    if let Some(sink) = self.sink.as_deref_mut() {
+                        sink.emit(TraceEvent::TagCache {
+                            cycle: self.cycle,
+                            warp: w,
+                            hit: txns == 0,
+                            writeback: txns == 2,
+                        });
+                    }
+                }
             }
             let (reads, writes) =
                 if is_store { (0, co.transactions) } else { (co.transactions, 0) };
-            done_at = done_at.max(match self.sink.as_deref_mut() {
-                Some(sink) => self.dram.access_traced(self.cycle, reads, writes, tag_txns, w, sink),
-                None => self.dram.access(self.cycle, reads, writes, tag_txns),
-            });
+            done_at = done_at.max(self.dram_access(ms, w, reads, writes, tag_txns));
         }
         if !scratch_reqs.is_empty() {
-            let cycles = match self.sink.as_deref_mut() {
-                Some(sink) => {
-                    self.scratch.warp_cycles_traced(scratch_reqs, self.cycle, w, is_store, sink)
-                }
-                None => self.scratch.warp_cycles(scratch_reqs),
-            };
+            let cycles = self.scratch.warp_cycles(scratch_reqs);
+            if let Some(sink) = self.sink.as_deref_mut() {
+                let first = scratch_reqs[0];
+                sink.emit(TraceEvent::Mem {
+                    cycle: self.cycle,
+                    warp: w,
+                    space: MemSpace::Scratch,
+                    is_store,
+                    lanes: scratch_reqs.len() as u32,
+                    transactions: 0,
+                    uniform: scratch_reqs
+                        .iter()
+                        .all(|r| r.addr == first.addr && r.bytes == first.bytes),
+                    conflict_cycles: cycles - 1,
+                });
+            }
             done_at = done_at.max(self.cycle + (self.cfg.timing.scratch_latency + cycles) as u64);
         }
         let warp = &mut self.warps[w as usize];
         warp.ready_at = warp.ready_at.max(done_at);
+    }
+
+    /// Issue one batch of DRAM transactions at the current cycle and return
+    /// its completion cycle (queueing included). Emits one `dram` event per
+    /// non-empty batch, so per-kind transaction sums over the events
+    /// reconcile with the channel's counters.
+    pub(crate) fn dram_access(
+        &mut self,
+        ms: &mut MemSystem,
+        w: u32,
+        reads: u32,
+        writes: u32,
+        tag_txns: u32,
+    ) -> u64 {
+        let done_at = ms.dram.access(self.cycle, reads, writes, tag_txns);
+        if reads + writes + tag_txns > 0 {
+            if let Some(sink) = self.sink.as_deref_mut() {
+                sink.emit(TraceEvent::Dram {
+                    cycle: self.cycle,
+                    warp: w,
+                    reads,
+                    writes,
+                    tag_txns,
+                    done_at,
+                });
+            }
+        }
+        done_at
     }
 }
 

@@ -7,8 +7,8 @@
 //!
 //! # Basic-block runs
 //!
-//! With the pre-decoded ROM available, one step may retire a whole
-//! straight-line run: after issuing warp `w`, the scheduler re-issues `w`
+//! On a single-SM device one step may retire a whole straight-line run:
+//! after issuing warp `w`, the scheduler re-issues `w`
 //! directly — skipping the pick scan, the barrier-release pass and
 //! active-thread selection — for as long as re-issuing `w` is exactly what
 //! the per-issue dispatcher would have decided. That holds iff, each
@@ -30,10 +30,12 @@
 //! block cannot release, and any block releasable before the run was
 //! released by the pass that preceded it. Each issue still runs the full
 //! fetch/classify/execute/account path, so trace events, statistics and
-//! architectural state are bit-identical with block runs disabled — the
-//! differential suite pins this.
+//! architectural state are bit-identical to issuing one instruction per
+//! step — the golden fingerprints, recorded before block runs existed,
+//! pin this.
 
 use super::StepOutcome;
+use crate::device::MemSystem;
 use crate::rom::pc_index;
 use crate::sm::Sm;
 use crate::trap::RunError;
@@ -41,16 +43,21 @@ use crate::warp::{Selection, ThreadStatus};
 use simt_trace::{StallCause, TraceEvent, NO_WARP};
 
 impl Sm {
-    /// One scheduler step: release barriers, pick a ready warp round-robin
-    /// and issue it (plus, with the pre-decoded ROM, the rest of its
-    /// straight-line run), or advance time to the next resume point.
+    /// One scheduler step over the device's memory system: release
+    /// barriers, pick a ready warp round-robin and issue it (plus, on a
+    /// single-SM device, the rest of its straight-line run), or advance
+    /// time to the next resume point.
     ///
     /// # Errors
     ///
     /// Returns [`RunError::Trap`] on a thread fault, [`RunError::Timeout`]
     /// past `max_cycles`, and [`RunError::Deadlock`] when only
     /// barrier-blocked warps remain and no block can release.
-    pub(crate) fn step(&mut self, max_cycles: u64) -> Result<StepOutcome, RunError> {
+    pub(crate) fn step(
+        &mut self,
+        ms: &mut MemSystem,
+        max_cycles: u64,
+    ) -> Result<StepOutcome, RunError> {
         // Barrier maintenance (and the done/timeout checks that must
         // precede it) runs only while some thread may be parked:
         // `maybe_parked` is raised by the barrier op and lowered here once
@@ -97,8 +104,8 @@ impl Sm {
                 }
                 self.rr = (w + 1) % n;
                 let pre_suppressed = self.suppressed.len();
-                let sel = self.issue(w)?;
-                self.block_run(w, sel, pre_suppressed, max_cycles)?;
+                let sel = self.issue(ms, w)?;
+                self.block_run(ms, w, sel, pre_suppressed, max_cycles)?;
             }
             None => {
                 let mut all_done = true;
@@ -153,12 +160,13 @@ impl Sm {
     /// suppressed-trap count from before that issue.
     fn block_run(
         &mut self,
+        ms: &mut MemSystem,
         w: usize,
         mut sel: Selection,
         mut pre_suppressed: usize,
         max_cycles: u64,
     ) -> Result<(), RunError> {
-        if !self.block_runs || self.rom.is_none() {
+        if !self.block_runs {
             return Ok(());
         }
         loop {
@@ -167,16 +175,15 @@ impl Sm {
             if self.suppressed.len() != pre_suppressed {
                 return Ok(());
             }
-            let rom = self.rom.as_ref().expect("checked on entry");
             let Some(idx) = pc_index(sel.pc) else { return Ok(()) };
-            let straight = match rom.ops.get(idx) {
+            let straight = match self.rom.ops.get(idx) {
                 Some(Some(op)) => op.straight,
                 _ => false,
             };
             if !straight {
                 return Ok(());
             }
-            match rom.ops.get(idx + 1) {
+            match self.rom.ops.get(idx + 1) {
                 Some(Some(next)) if !next.leader => {}
                 _ => return Ok(()),
             }
@@ -196,7 +203,7 @@ impl Sm {
             sel = Selection { mask: sel.mask, pc: sel.pc.wrapping_add(4), pcc_meta: sel.pcc_meta };
             debug_assert_eq!(self.warps[w].select(), Some(sel));
             pre_suppressed = self.suppressed.len();
-            self.issue_with(w, sel)?;
+            self.issue_with(ms, w, sel)?;
         }
     }
 
@@ -244,6 +251,7 @@ impl Sm {
 
 #[cfg(test)]
 mod tests {
+    use crate::device::MemSystem;
     use crate::sm::Sm;
     use crate::trap::RunError;
     use crate::warp::ThreadStatus;
@@ -257,7 +265,9 @@ mod tests {
     fn issue_without_selectable_warp_is_a_typed_error() {
         let mut a = Assembler::new();
         a.terminate();
-        let mut sm = Sm::new(SmConfig::small(CheriMode::Off));
+        let cfg = SmConfig::small(CheriMode::Off);
+        let mut sm = Sm::new(cfg);
+        let mut ms = MemSystem::new(&cfg);
         sm.load_program(&a.assemble());
         sm.reset();
         // Simulate the bug: every thread of warp 0 finished, yet the warp
@@ -265,7 +275,7 @@ mod tests {
         for lane in 0..sm.warps[0].lanes() as usize {
             sm.warps[0].set_status(lane, ThreadStatus::Terminated);
         }
-        match sm.issue(0) {
+        match sm.issue(&mut ms, 0) {
             Err(RunError::SchedulerInvariant { warp: 0, .. }) => {}
             other => panic!("expected SchedulerInvariant, got {other:?}"),
         }

@@ -1,15 +1,32 @@
 //! Writeback stage: register-file writes and PC/status commit.
 //!
-//! Owns the data/metadata write paths (spill/fill costing, traced RF
-//! writes) and the final commit of per-thread PCs and status changes.
+//! Owns the data/metadata write paths (spill/fill costing, the
+//! `rf_transition` trace event) and the final commit of per-thread PCs and
+//! status changes.
 
 use super::Costs;
 use crate::sm::Sm;
 use crate::warp::{Selection, ThreadStatus};
 use simt_isa::Reg;
-use simt_regfile::{OperandVec, MAX_LANES, NULL_META};
+use simt_regfile::{OperandVec, WriteInfo, MAX_LANES, NULL_META};
+use simt_trace::{RfKind, TraceEvent};
 
 impl Sm {
+    /// Account for one register-file write: emit its residency-class
+    /// transition, if it made one, and charge its spill/fill cost.
+    fn commit_write(&mut self, w: u32, rf: RfKind, rd: Reg, info: WriteInfo, costs: &mut Costs) {
+        if let (Some(to_vector), Some(sink)) = (info.transition, self.sink.as_deref_mut()) {
+            sink.emit(TraceEvent::RfTransition {
+                cycle: self.cycle,
+                warp: w,
+                rf,
+                reg: rd.index() as u32,
+                to_vector,
+            });
+        }
+        costs.add_write(self.cfg.timing.spill_cycles, self.cfg.lanes, info);
+    }
+
     pub(crate) fn write_data(
         &mut self,
         w: u32,
@@ -21,13 +38,8 @@ impl Sm {
         if rd.is_zero() {
             return;
         }
-        let info = match self.sink.as_deref_mut() {
-            Some(sink) => {
-                self.data_rf.write_traced(w, rd.index() as u32, vals, mask, self.cycle, sink)
-            }
-            None => self.data_rf.write(w, rd.index() as u32, vals, mask),
-        };
-        costs.add_write(self.cfg.timing.spill_cycles, self.cfg.lanes, info);
+        let info = self.data_rf.write(w, rd.index() as u32, vals, mask);
+        self.commit_write(w, RfKind::Data, rd, info, costs);
     }
 
     pub(crate) fn write_meta(
@@ -41,15 +53,9 @@ impl Sm {
         if rd.is_zero() {
             return;
         }
-        let lanes = self.cfg.lanes;
-        let spill = self.cfg.timing.spill_cycles;
-        let cycle = self.cycle;
         if let Some(rf) = self.meta_rf.as_mut() {
-            let info = match self.sink.as_deref_mut() {
-                Some(sink) => rf.write_traced(w, rd.index() as u32, vals, mask, cycle, sink),
-                None => rf.write(w, rd.index() as u32, vals, mask),
-            };
-            costs.add_write(spill, lanes, info);
+            let info = rf.write(w, rd.index() as u32, vals, mask);
+            self.commit_write(w, RfKind::Meta, rd, info, costs);
         }
     }
 
@@ -95,13 +101,8 @@ impl Sm {
         if rd.is_zero() {
             return;
         }
-        let info = match self.sink.as_deref_mut() {
-            Some(sink) => {
-                self.data_rf.write_compact_traced(w, rd.index() as u32, val, mask, self.cycle, sink)
-            }
-            None => self.data_rf.write_compact(w, rd.index() as u32, val, mask),
-        };
-        costs.add_write(self.cfg.timing.spill_cycles, self.cfg.lanes, info);
+        let info = self.data_rf.write_compact(w, rd.index() as u32, val, mask);
+        self.commit_write(w, RfKind::Data, rd, info, costs);
     }
 
     /// Compact metadata write (no-op without a metadata register file).
@@ -116,15 +117,9 @@ impl Sm {
         if rd.is_zero() {
             return;
         }
-        let lanes = self.cfg.lanes;
-        let spill = self.cfg.timing.spill_cycles;
-        let cycle = self.cycle;
         if let Some(rf) = self.meta_rf.as_mut() {
-            let info = match self.sink.as_deref_mut() {
-                Some(sink) => rf.write_compact_traced(w, rd.index() as u32, val, mask, cycle, sink),
-                None => rf.write_compact(w, rd.index() as u32, val, mask),
-            };
-            costs.add_write(spill, lanes, info);
+            let info = rf.write_compact(w, rd.index() as u32, val, mask);
+            self.commit_write(w, RfKind::Meta, rd, info, costs);
         }
     }
 

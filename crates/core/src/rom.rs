@@ -1,12 +1,12 @@
-//! The pre-decoded program ROM: one-time decode of the loaded kernel into
-//! dense micro-ops so the hot interpreter loop never re-derives per-issue
-//! facts that are static per instruction (§3.3.4 of DESIGN.md).
+//! The program ROM — the SM's only copy of the loaded kernel: the raw words
+//! plus a one-time decode into dense micro-ops, so the hot interpreter loop
+//! never re-derives per-issue facts that are static per instruction
+//! (§3.3.4 of DESIGN.md).
 //!
-//! Each slot caches, for the instruction word at the same index of
-//! instruction memory:
+//! Each slot holds, for one instruction word:
 //!
 //! * the decoded [`Instr`] (`None` for undecodable words, which trap as
-//!   `illegal_instr` exactly like the decode-at-issue path),
+//!   `illegal_instr` carrying the raw word),
 //! * the **static half of the scalarisation verdict**
 //!   ([`StaticClass`]): instructions that scalarise under any mask and
 //!   operand classes, instructions that never do, and the rest — for
@@ -24,9 +24,7 @@
 //! converged warp that is the only pickable warp retires a straight-line
 //! run without re-entering the per-issue dispatcher (see
 //! [`crate::pipeline::schedule`]). The ROM is a pure function of the
-//! program words and the CHERI mode, so toggling predecode
-//! ([`crate::Sm::set_predecode`]) cannot change any architectural result —
-//! the differential suite pins this.
+//! program words and the CHERI mode: nothing execution-dependent is cached.
 
 use crate::pipeline::classify::{static_issue_class, StaticClass};
 use simt_isa::Instr;
@@ -71,7 +69,7 @@ impl TrapPlan {
     /// multi-byte widths) alignment checks plus the mapping probe. AMOs
     /// carry no separate alignment probe: the mapping probe's word read
     /// reports misalignment, exactly as the un-planned path did.
-    pub(crate) fn for_instr(instr: Instr, cheri: bool) -> TrapPlan {
+    fn for_instr(instr: Instr, cheri: bool) -> TrapPlan {
         let bytes = match instr {
             Instr::Load { w, .. } => w.bytes(),
             Instr::Store { w, .. } => w.bytes(),
@@ -128,10 +126,12 @@ fn is_straight(instr: Instr) -> bool {
     )
 }
 
-/// The pre-decoded program: one [`MicroOp`] per instruction-memory word
-/// (`None` where the word is undecodable).
-#[derive(Debug, Clone)]
+/// The loaded program: the instruction-memory words and one [`MicroOp`]
+/// per word (`None` where the word is undecodable). Empty until a program
+/// is loaded, so every PC traps as `fetch_oob`.
+#[derive(Debug, Clone, Default)]
 pub(crate) struct ProgramRom {
+    pub(crate) words: Vec<u32>,
     pub(crate) ops: Vec<Option<MicroOp>>,
 }
 
@@ -189,7 +189,7 @@ impl ProgramRom {
                 op.leader = l;
             }
         }
-        ProgramRom { ops }
+        ProgramRom { words: words.to_vec(), ops }
     }
 }
 

@@ -1,20 +1,22 @@
-//! The streaming multiprocessor: state, host-facing control surface, and
-//! the run loop driving the pipeline stages (Figure 2 + Figure 8).
+//! The streaming multiprocessor: state and host-facing control surface
+//! (Figure 2 + Figure 8).
 //!
 //! The per-stage logic lives in [`crate::pipeline`] — `schedule`,
 //! `operands`, `execute`, `memstage` and `writeback` each contribute an
 //! `impl Sm` block owning their slice of the statistics and trace events.
-//! This module keeps only the state, the host API (program loading,
-//! SCRs, sinks, reset) and the cycle loop.
+//! This module keeps only the state and the host API (program loading,
+//! SCRs, sinks, reset, the end-of-run snapshot); the run loop that drives
+//! [`Sm::step`] lives in [`crate::Device`], which also owns the memory
+//! system the stages borrow.
 
 use crate::config::{CheriOpts, SmConfig};
 use crate::counters::KernelStats;
-use crate::pipeline::StepOutcome;
-use crate::trap::{RunError, Trap};
+use crate::device::MemSystem;
+use crate::rom::ProgramRom;
+use crate::trap::Trap;
 use crate::warp::Warp;
 use cheri_cap::{CapMem, CapPipe, Perms};
-use simt_isa::Instr;
-use simt_mem::{map, CoalescingUnit, Dram, MainMemory, Scratchpad, TagController};
+use simt_mem::{map, CoalescingUnit, Scratchpad};
 use simt_regfile::{CompressedRegFile, RfConfig, MAX_LANES};
 use simt_trace::{EventSink, StallCause, TraceEvent};
 
@@ -69,16 +71,19 @@ impl LaneBufs {
     }
 }
 
-/// The streaming multiprocessor model.
+/// One streaming multiprocessor of a [`crate::Device`]: warps, register
+/// files, scratchpad, coalescing unit and the pipeline clock. The memory
+/// system behind the coalescer (functional DRAM, the DRAM channel and the
+/// tag controller) belongs to the device, which lends it to the SM for each
+/// scheduler step; reach an SM through [`crate::Device::sm`] /
+/// [`crate::Device::sm_mut`] and run it with [`crate::Device::run`].
 #[derive(Debug)]
 pub struct Sm {
     pub(crate) cfg: SmConfig,
     pub(crate) opts: Option<CheriOpts>,
-    pub(crate) imem: Vec<Option<Instr>>,
-    pub(crate) imem_raw: Vec<u32>,
-    /// The pre-decoded program ROM (`Some` iff `cfg.predecode` and a
-    /// program is loaded). Pure cache over `imem_raw`: see [`crate::rom`].
-    pub(crate) rom: Option<crate::rom::ProgramRom>,
+    /// The loaded program (empty until [`Sm::load_program`]): see
+    /// [`crate::rom`].
+    pub(crate) rom: ProgramRom,
     pub(crate) warps: Vec<Warp>,
     pub(crate) data_rf: CompressedRegFile,
     pub(crate) meta_rf: Option<CompressedRegFile>,
@@ -95,10 +100,7 @@ pub struct Sm {
     /// equals `launch_pcc_meta`, its PC is aligned and its index is in
     /// range. Exact, not heuristic — each slot was probed.
     pub(crate) pcc_fetch_ok: bool,
-    pub(crate) mem: MainMemory,
     pub(crate) scratch: Scratchpad,
-    pub(crate) dram: Dram,
-    pub(crate) tags: TagController,
     pub(crate) coalescer: CoalescingUnit,
     /// Warps per thread block, for barrier grouping.
     pub(crate) block_warps: u32,
@@ -116,12 +118,10 @@ pub struct Sm {
     pub(crate) samples: u64,
     pub(crate) sum_data_resident: u64,
     pub(crate) sum_meta_resident: u64,
-    /// First global hart id on this SM (`sm_index × threads_per_sm` on a
-    /// multi-SM [`crate::Device`]; 0 stand-alone).
+    /// First global hart id on this SM (`sm_index × threads_per_sm`).
     pub(crate) hart_base: u32,
     /// What `SIMT_NUM_THREADS` reads: the *device-wide* thread count, so
-    /// grid-stride kernels distribute work across every SM. Equals
-    /// `cfg.threads()` stand-alone.
+    /// grid-stride kernels distribute work across every SM.
     pub(crate) device_threads: u32,
     /// Execute scalarised issues warp-wide over compact operands (the fast
     /// path). Purely a host-model speed knob: issue classification, the
@@ -132,9 +132,9 @@ pub struct Sm {
     /// delivery order (empty under `Abort`).
     pub(crate) suppressed: Vec<Trap>,
     /// Let the scheduler retire straight-line basic blocks without
-    /// re-entering the per-issue pick loop (requires the pre-decoded ROM).
-    /// Disabled by [`crate::Device`] for multi-SM devices, whose
-    /// instruction-granular arbitration must interleave SMs per issue.
+    /// re-entering the per-issue pick loop. Disabled by [`crate::Device`]
+    /// for multi-SM devices, whose instruction-granular arbitration must
+    /// interleave SMs per issue.
     pub(crate) block_runs: bool,
     /// Loaned-out lane scratch (`None` only while a handler holds it).
     pub(crate) bufs: Option<Box<LaneBufs>>,
@@ -162,9 +162,8 @@ impl Sm {
 }
 
 impl Sm {
-    /// Build an SM from a configuration. The program must be loaded with
-    /// [`Sm::load_program`] before [`Sm::run`].
-    pub fn new(cfg: SmConfig) -> Self {
+    /// Build an SM from a configuration.
+    pub(crate) fn new(cfg: SmConfig) -> Self {
         let opts = cfg.cheri.opts();
         let data_rf = CompressedRegFile::new(RfConfig::data(cfg.warps, cfg.lanes, cfg.vrf_slots));
         let meta_rf = opts.map(|o| {
@@ -186,9 +185,7 @@ impl Sm {
         });
         Sm {
             opts,
-            imem: Vec::new(),
-            imem_raw: Vec::new(),
-            rom: None,
+            rom: ProgramRom::default(),
             warps: Vec::new(),
             data_rf,
             meta_rf,
@@ -196,10 +193,7 @@ impl Sm {
             launch_pcc: CapPipe::null(),
             launch_pcc_meta: 0,
             pcc_fetch_ok: false,
-            mem: MainMemory::new(map::DRAM_BASE, cfg.dram_size),
             scratch: Scratchpad::new(map::SCRATCH_BASE, map::SCRATCH_SIZE, cfg.lanes),
-            dram: Dram::new(cfg.dram),
-            tags: TagController::new(cfg.tag_cache, cfg.cheri.enabled()),
             coalescer: CoalescingUnit::new(),
             block_warps: 1,
             stack_region: None,
@@ -227,16 +221,6 @@ impl Sm {
         &self.cfg
     }
 
-    /// Main memory (host-side access for buffer setup/readback).
-    pub fn memory(&self) -> &MainMemory {
-        &self.mem
-    }
-
-    /// Mutable main memory.
-    pub fn memory_mut(&mut self) -> &mut MainMemory {
-        &mut self.mem
-    }
-
     /// The scratchpad.
     pub fn scratchpad(&self) -> &Scratchpad {
         &self.scratch
@@ -248,8 +232,7 @@ impl Sm {
     }
 
     /// Place this SM at `hart_base` within a device: `MHARTID` reads
-    /// `hart_base + warp × lanes + lane`. A stand-alone SM keeps the
-    /// default 0.
+    /// `hart_base + warp × lanes + lane`.
     pub fn set_hart_base(&mut self, hart_base: u32) {
         self.hart_base = hart_base;
     }
@@ -270,9 +253,10 @@ impl Sm {
         self.device_threads = threads;
     }
 
-    /// Attach a structured event sink: the pipeline, memory hierarchy and
-    /// register files will emit [`simt_trace::TraceEvent`]s into it from now
-    /// on. The sink survives [`Sm::reset`] (each launch is delimited by a
+    /// Attach a structured event sink: the pipeline stages will emit
+    /// [`simt_trace::TraceEvent`]s — about themselves, the memory hierarchy
+    /// and the register files — into it from now on. The sink survives
+    /// [`crate::Device::reset`] (each launch is delimited by a
     /// [`simt_trace::TraceEvent::Launch`] marker), so a multi-launch
     /// benchmark accumulates one continuous stream. Replaces any previously
     /// attached sink.
@@ -304,20 +288,6 @@ impl Sm {
     /// only for differential testing of the fast path itself.
     pub fn set_scalarise(&mut self, enabled: bool) {
         self.scalarise = enabled;
-    }
-
-    /// Enable or disable program pre-decoding (the micro-op ROM and the
-    /// scheduler's basic-block runs). On by default via
-    /// [`SmConfig::predecode`]. Like [`Sm::set_scalarise`] this is purely a
-    /// host-model speed knob: statistics, trace events and memory contents
-    /// are bit-identical either way, so it exists only for differential
-    /// testing of the pre-decoded path itself. Takes effect immediately —
-    /// the ROM is rebuilt from (or dropped for) the currently loaded
-    /// program.
-    pub fn set_predecode(&mut self, enabled: bool) {
-        self.cfg.predecode = enabled;
-        self.rom = (enabled && !self.imem_raw.is_empty())
-            .then(|| crate::rom::ProgramRom::build(&self.imem_raw, self.cfg.cheri.enabled()));
     }
 
     /// Emit a stall event (no-op without a sink or for zero-cycle stalls, so
@@ -352,16 +322,14 @@ impl Sm {
         self.block_warps = warps;
     }
 
-    /// Load a program at the base of instruction memory and mint the launch
-    /// PCC over it.
+    /// Load a program at the base of instruction memory — pre-decoded once
+    /// into the [`ProgramRom`] — and mint the launch PCC over it.
     ///
     /// # Panics
     ///
     /// Panics if the program exceeds the TCIM.
-    pub fn load_program(&mut self, words: &[u32]) {
+    pub(crate) fn load_program(&mut self, words: &[u32]) {
         assert!((words.len() * 4) as u32 <= map::TCIM_SIZE, "program too large for TCIM");
-        self.imem_raw = words.to_vec();
-        self.imem = words.iter().map(|&w| Instr::decode(w)).collect();
         let (pcc, exact) = CapPipe::almighty()
             .and_perm(Perms::code())
             .set_addr(map::TCIM_BASE)
@@ -382,15 +350,12 @@ impl Sm {
             self.launch_pcc_meta = 0;
             self.pcc_fetch_ok = false;
         }
-        self.rom = self
-            .cfg
-            .predecode
-            .then(|| crate::rom::ProgramRom::build(words, self.cfg.cheri.enabled()));
+        self.rom = ProgramRom::build(words, self.cfg.cheri.enabled());
     }
 
-    /// Reset warps, register files and statistics for a fresh launch.
-    /// Memory contents (program, buffers, scratchpad) are preserved.
-    pub fn reset(&mut self) {
+    /// Reset warps, register files and statistics for a fresh launch. The
+    /// program and the scratchpad contents are preserved.
+    pub(crate) fn reset(&mut self) {
         let static_pcc = self.opts.map(|o| o.static_pcc).unwrap_or(true);
         let pcc_meta = if self.cfg.cheri.enabled() {
             let m = self.launch_pcc.to_mem();
@@ -409,8 +374,6 @@ impl Sm {
         if let Some(meta_cfg) = self.meta_rf.as_ref().map(|m| *m.config()) {
             self.meta_rf = Some(CompressedRegFile::new(meta_cfg));
         }
-        self.dram.reset_stats();
-        self.tags.reset();
         self.scratch.reset_stats();
         self.stats = KernelStats::default();
         self.cycle = 0;
@@ -428,35 +391,18 @@ impl Sm {
         }
     }
 
-    /// Run until every thread terminates; returns the collected statistics.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`RunError::Trap`] on the first thread fault,
-    /// [`RunError::Timeout`] if the watchdog expires, and
-    /// [`RunError::Deadlock`] when only barrier-blocked warps remain.
-    pub fn run(&mut self, max_cycles: u64) -> Result<KernelStats, RunError> {
-        assert!(!self.warps.is_empty(), "call reset() before run()");
-        loop {
-            match self.step(max_cycles)? {
-                StepOutcome::Done => return Ok(self.finalise()),
-                StepOutcome::Progress => {}
-            }
-        }
-    }
-
     /// The local pipeline clock.
     pub(crate) fn cycle(&self) -> u64 {
         self.cycle
     }
 
     /// Snapshot the end-of-run statistics from the pipeline accumulators
-    /// and the attached memory subsystem.
-    pub(crate) fn finalise(&mut self) -> KernelStats {
+    /// and the device's memory system.
+    pub(crate) fn finalise(&mut self, ms: &MemSystem) -> KernelStats {
         let mut s = self.stats.clone();
         s.cycles = self.cycle;
-        s.dram = self.dram.stats();
-        s.tag_cache = self.tags.stats();
+        s.dram = ms.dram.stats();
+        s.tag_cache = ms.tags.stats();
         s.scratch = self.scratch.stats();
         s.data_rf = self.data_rf.stats();
         s.peak_data_vrf_resident = self.data_rf.stats().peak_resident;

@@ -3,7 +3,7 @@
 //! stores back to memory.
 
 use cheri_cap::{bounds, CapPipe, Perms};
-use cheri_simt::{CheriMode, CheriOpts, RunError, Sm, SmConfig, TrapCause};
+use cheri_simt::{CheriMode, CheriOpts, Device, RunError, SmConfig, TrapCause};
 use simt_isa::asm::Assembler;
 use simt_isa::{scr, AluOp, Instr, LoadWidth, Reg, StoreWidth, UnaryCapOp};
 use simt_mem::map;
@@ -13,14 +13,14 @@ const OUT: u32 = map::DRAM_BASE + 0x200;
 
 /// Run `prog` on a 1-warp CHERI SM with `cap` in SCR ARG and an almighty
 /// data capability in SCR GLOBAL; returns the SM for result inspection.
-fn run_with(prog: Vec<u32>, cap: CapPipe, opts: CheriOpts) -> Result<Sm, RunError> {
-    let mut sm = Sm::new(SmConfig::with_geometry(1, 4, CheriMode::On(opts)));
-    sm.load_program(&prog);
-    sm.set_scr(scr::ARG, cap.to_mem());
-    sm.set_scr(scr::GLOBAL, CapPipe::almighty().and_perm(Perms::data()).to_mem());
-    sm.reset();
-    sm.run(MAX)?;
-    Ok(sm)
+fn run_with(prog: Vec<u32>, cap: CapPipe, opts: CheriOpts) -> Result<Device, RunError> {
+    let mut dev = Device::new(SmConfig::with_geometry(1, 4, CheriMode::On(opts)), 1);
+    dev.load_program(&prog);
+    dev.set_scr(scr::ARG, cap.to_mem());
+    dev.set_scr(scr::GLOBAL, CapPipe::almighty().and_perm(Perms::data()).to_mem());
+    dev.reset();
+    dev.run(MAX)?;
+    Ok(dev)
 }
 
 /// Emit: out[slot] = value-of(rd) using the GLOBAL capability.
@@ -56,8 +56,8 @@ fn inspection_instructions_read_the_right_fields() {
     }
     a.terminate();
     let cap = arg_cap();
-    let sm = run_with(a.assemble(), cap, CheriOpts::optimised()).unwrap();
-    let word = |slot: u32| sm.memory().read(OUT + slot * 4, 4).unwrap();
+    let dev = run_with(a.assemble(), cap, CheriOpts::optimised()).unwrap();
+    let word = |slot: u32| dev.memory().read(OUT + slot * 4, 4).unwrap();
     assert_eq!(word(0), 1, "CGetTag");
     assert_eq!(word(1), map::DRAM_BASE + 0x1000, "CGetAddr");
     assert_eq!(word(2), cap.base(), "CGetBase");
@@ -79,10 +79,10 @@ fn crrl_and_cram_match_the_codec() {
         store_out(&mut a, Reg::A1, 2 * i as i32 + 1);
     }
     a.terminate();
-    let sm = run_with(a.assemble(), arg_cap(), CheriOpts::optimised()).unwrap();
+    let dev = run_with(a.assemble(), arg_cap(), CheriOpts::optimised()).unwrap();
     for (i, len) in [100u32, 4096, 100_000].into_iter().enumerate() {
-        let got_rl = sm.memory().read(OUT + 8 * i as u32, 4).unwrap();
-        let got_mask = sm.memory().read(OUT + 8 * i as u32 + 4, 4).unwrap();
+        let got_rl = dev.memory().read(OUT + 8 * i as u32, 4).unwrap();
+        let got_mask = dev.memory().read(OUT + 8 * i as u32 + 4, 4).unwrap();
         assert_eq!(got_rl as u64, bounds::representable_length(len), "CRRL({len})");
         assert_eq!(got_mask, bounds::representable_alignment_mask(len), "CRAM({len})");
     }
@@ -119,9 +119,9 @@ fn csetflags_and_cmove_roundtrip() {
     a.push(Instr::CapUnary { op: UnaryCapOp::GetTag, rd: Reg::A4, cs1: Reg::A3 });
     store_out(&mut a, Reg::A4, 1);
     a.terminate();
-    let sm = run_with(a.assemble(), arg_cap(), CheriOpts::optimised()).unwrap();
-    assert_eq!(sm.memory().read(OUT, 4).unwrap(), 1, "flag set and preserved by CMove");
-    assert_eq!(sm.memory().read(OUT + 4, 4).unwrap(), 1, "tag preserved by CMove");
+    let dev = run_with(a.assemble(), arg_cap(), CheriOpts::optimised()).unwrap();
+    assert_eq!(dev.memory().read(OUT, 4).unwrap(), 1, "flag set and preserved by CMove");
+    assert_eq!(dev.memory().read(OUT + 4, 4).unwrap(), 1, "tag preserved by CMove");
 }
 
 #[test]
@@ -148,8 +148,8 @@ fn csetaddr_out_of_representable_range_detags() {
     a.push(Instr::CapUnary { op: UnaryCapOp::GetTag, rd: Reg::A3, cs1: Reg::A2 });
     store_out(&mut a, Reg::A3, 0);
     a.terminate();
-    let sm = run_with(a.assemble(), arg_cap(), CheriOpts::optimised()).unwrap();
-    assert_eq!(sm.memory().read(OUT, 4).unwrap(), 0, "unrepresentable CSetAddr clears the tag");
+    let dev = run_with(a.assemble(), arg_cap(), CheriOpts::optimised()).unwrap();
+    assert_eq!(dev.memory().read(OUT, 4).unwrap(), 0, "unrepresentable CSetAddr clears the tag");
 }
 
 #[test]
@@ -187,9 +187,9 @@ fn csetbounds_inexact_rounds_and_keeps_the_tag() {
     a.push(Instr::CapUnary { op: UnaryCapOp::GetBase, rd: Reg::A4, cs1: Reg::A3 });
     store_out(&mut a, Reg::A4, 1);
     a.terminate();
-    let sm = run_with(a.assemble(), arg_cap(), CheriOpts::optimised()).unwrap();
-    assert_eq!(sm.memory().read(OUT, 4).unwrap(), 1, "CSetBounds keeps the tag");
-    let base = sm.memory().read(OUT + 4, 4).unwrap();
+    let dev = run_with(a.assemble(), arg_cap(), CheriOpts::optimised()).unwrap();
+    assert_eq!(dev.memory().read(OUT, 4).unwrap(), 1, "CSetBounds keeps the tag");
+    let base = dev.memory().read(OUT + 4, 4).unwrap();
     assert!(base <= map::DRAM_BASE + 0x1001, "base rounded down");
     assert_eq!(
         base & !bounds::representable_alignment_mask(1 << 20),
@@ -226,10 +226,10 @@ fn cjalr_calls_through_sentries_and_returns() {
     a.terminate();
     // Dynamic PCC metadata: disable the static restriction.
     let opts = CheriOpts { static_pcc: false, ..CheriOpts::optimised() };
-    let sm = run_with(a.assemble(), arg_cap(), opts).unwrap();
-    assert_eq!(sm.memory().read(OUT, 4).unwrap(), 7, "function body ran");
-    assert_eq!(sm.memory().read(OUT + 4, 4).unwrap(), 9, "returned to the call site");
-    assert_eq!(sm.memory().read(OUT + 8, 4).unwrap(), 1, "the target was sealed");
+    let dev = run_with(a.assemble(), arg_cap(), opts).unwrap();
+    assert_eq!(dev.memory().read(OUT, 4).unwrap(), 7, "function body ran");
+    assert_eq!(dev.memory().read(OUT + 4, 4).unwrap(), 9, "returned to the call site");
+    assert_eq!(dev.memory().read(OUT + 8, 4).unwrap(), 1, "the target was sealed");
 }
 
 #[test]
@@ -257,10 +257,10 @@ fn auipcc_derives_a_code_capability() {
     a.push(Instr::CapUnary { op: UnaryCapOp::GetPerm, rd: Reg::A1, cs1: Reg::A0 });
     store_out(&mut a, Reg::A1, 2);
     a.terminate();
-    let sm = run_with(a.assemble(), arg_cap(), CheriOpts::optimised()).unwrap();
-    assert_eq!(sm.memory().read(OUT, 4).unwrap(), 1, "AUIPCC result is tagged");
-    assert_eq!(sm.memory().read(OUT + 4, 4).unwrap(), map::TCIM_BASE, "address = pc");
-    let perms = Perms::from_bits(sm.memory().read(OUT + 8, 4).unwrap() as u16);
+    let dev = run_with(a.assemble(), arg_cap(), CheriOpts::optimised()).unwrap();
+    assert_eq!(dev.memory().read(OUT, 4).unwrap(), 1, "AUIPCC result is tagged");
+    assert_eq!(dev.memory().read(OUT + 4, 4).unwrap(), map::TCIM_BASE, "address = pc");
+    let perms = Perms::from_bits(dev.memory().read(OUT + 8, 4).unwrap() as u16);
     assert!(perms.contains(Perms::EXECUTE), "inherits the PCC's execute permission");
     assert!(!perms.contains(Perms::STORE), "no data-store rights from the PCC");
 }
@@ -277,6 +277,6 @@ fn writes_to_rd_null_the_metadata() {
     a.push(Instr::CapUnary { op: UnaryCapOp::GetTag, rd: Reg::A1, cs1: Reg::A0 });
     store_out(&mut a, Reg::A1, 0);
     a.terminate();
-    let sm = run_with(a.assemble(), arg_cap(), CheriOpts::optimised()).unwrap();
-    assert_eq!(sm.memory().read(OUT, 4).unwrap(), 0, "integer write nulls the metadata");
+    let dev = run_with(a.assemble(), arg_cap(), CheriOpts::optimised()).unwrap();
+    assert_eq!(dev.memory().read(OUT, 4).unwrap(), 0, "integer write nulls the metadata");
 }

@@ -3,19 +3,19 @@
 //! machinery.
 
 use cheri_cap::{CapException, CapPipe, Perms};
-use cheri_simt::{CheriMode, CheriOpts, RunError, Sm, SmConfig, TrapCause};
+use cheri_simt::{CheriMode, CheriOpts, Device, RunError, SmConfig, TrapCause};
 use simt_isa::asm::Assembler;
 use simt_isa::{csr, scr, AluOp, AmoOp, BranchCond, Instr, LoadWidth, Reg, StoreWidth, UnaryCapOp};
 use simt_mem::map;
 
 const MAX: u64 = 2_000_000;
 
-fn run_sm(cfg: SmConfig, prog: Vec<u32>) -> (Sm, Result<cheri_simt::KernelStats, RunError>) {
-    let mut sm = Sm::new(cfg);
-    sm.load_program(&prog);
-    sm.reset();
-    let r = sm.run(MAX);
-    (sm, r)
+fn run_dev(cfg: SmConfig, prog: Vec<u32>) -> (Device, Result<cheri_simt::KernelStats, RunError>) {
+    let mut dev = Device::new(cfg, 1);
+    dev.load_program(&prog);
+    dev.reset();
+    let r = dev.run(MAX);
+    (dev, r)
 }
 
 /// Mint a data capability over `[base, base+len)`.
@@ -49,11 +49,11 @@ fn divergent_if_else_reconverges() {
     a.push(Instr::Store { w: StoreWidth::W, rs2: Reg::A2, rs1: Reg::A3, off: 0 });
     a.terminate();
 
-    let (sm, r) = run_sm(SmConfig::small(CheriMode::Off), a.assemble());
+    let (dev, r) = run_dev(SmConfig::small(CheriMode::Off), a.assemble());
     r.unwrap();
     for t in 0..64u32 {
         let want = t + if t % 2 == 1 { 20 } else { 10 };
-        assert_eq!(sm.memory().read(map::DRAM_BASE + t * 4, 4).unwrap(), want, "thread {t}");
+        assert_eq!(dev.memory().read(map::DRAM_BASE + t * 4, 4).unwrap(), want, "thread {t}");
     }
 }
 
@@ -77,11 +77,11 @@ fn loop_with_divergent_trip_counts() {
     a.push(Instr::Store { w: StoreWidth::W, rs2: Reg::A2, rs1: Reg::A3, off: 0 });
     a.terminate();
 
-    let (sm, r) = run_sm(SmConfig::small(CheriMode::Off), a.assemble());
+    let (dev, r) = run_dev(SmConfig::small(CheriMode::Off), a.assemble());
     r.unwrap();
     for t in 0..64u32 {
         let n = t % 4;
-        assert_eq!(sm.memory().read(map::DRAM_BASE + t * 4, 4).unwrap(), n * (n + 1) / 2);
+        assert_eq!(dev.memory().read(map::DRAM_BASE + t * 4, 4).unwrap(), n * (n + 1) / 2);
     }
 }
 
@@ -95,9 +95,9 @@ fn atomic_histogram_in_dram() {
     a.terminate();
     let cfg = SmConfig::small(CheriMode::Off);
     let threads = cfg.threads();
-    let (sm, r) = run_sm(cfg, a.assemble());
+    let (dev, r) = run_dev(cfg, a.assemble());
     r.unwrap();
-    assert_eq!(sm.memory().read(map::DRAM_BASE + 0x100, 4).unwrap(), threads);
+    assert_eq!(dev.memory().read(map::DRAM_BASE + 0x100, 4).unwrap(), threads);
 }
 
 #[test]
@@ -121,14 +121,14 @@ fn barrier_synchronises_scratchpad() {
     a.push(Instr::Store { w: StoreWidth::W, rs2: Reg::A3, rs1: Reg::A4, off: 0 });
     a.terminate();
 
-    let mut sm = Sm::new(SmConfig::small(CheriMode::Off));
-    sm.load_program(&a.assemble());
-    sm.set_block_warps(8); // all 8 warps form one block
-    sm.reset();
-    let stats = sm.run(MAX).unwrap();
+    let mut dev = Device::new(SmConfig::small(CheriMode::Off), 1);
+    dev.load_program(&a.assemble());
+    dev.set_block_warps(8); // all 8 warps form one block
+    dev.reset();
+    let stats = dev.run(MAX).unwrap();
     assert!(stats.barriers > 0);
     for t in 0..64u32 {
-        assert_eq!(sm.memory().read(map::DRAM_BASE + t * 4, 4).unwrap(), 77, "thread {t}");
+        assert_eq!(dev.memory().read(map::DRAM_BASE + t * 4, 4).unwrap(), 77, "thread {t}");
     }
 }
 
@@ -138,7 +138,7 @@ fn unmapped_access_faults() {
     a.li(Reg::A0, 0x0000_1000); // not TCIM, not scratch, not DRAM
     a.push(Instr::Load { w: LoadWidth::W, rd: Reg::A1, rs1: Reg::A0, off: 0 });
     a.terminate();
-    let (_, r) = run_sm(SmConfig::small(CheriMode::Off), a.assemble());
+    let (_, r) = run_dev(SmConfig::small(CheriMode::Off), a.assemble());
     match r {
         Err(RunError::Trap(t)) => assert!(matches!(t.cause, TrapCause::Mem(_))),
         other => panic!("expected memory trap, got {other:?}"),
@@ -167,14 +167,14 @@ fn purecap_store_ids() -> Vec<u32> {
 
 #[test]
 fn purecap_bounded_stores_succeed() {
-    let mut sm = Sm::new(cheri_cfg());
-    sm.load_program(&purecap_store_ids());
+    let mut dev = Device::new(cheri_cfg(), 1);
+    dev.load_program(&purecap_store_ids());
     let buf = data_cap(map::DRAM_BASE, 64 * 4);
-    sm.set_scr(scr::ARG, buf.to_mem());
-    sm.reset();
-    let stats = sm.run(MAX).unwrap();
+    dev.set_scr(scr::ARG, buf.to_mem());
+    dev.reset();
+    let stats = dev.run(MAX).unwrap();
     for t in 0..64u32 {
-        assert_eq!(sm.memory().read(map::DRAM_BASE + t * 4, 4).unwrap(), t);
+        assert_eq!(dev.memory().read(map::DRAM_BASE + t * 4, 4).unwrap(), t);
     }
     // The histogram saw capability stores and pointer arithmetic.
     assert!(stats.cheri_histogram["CSW"] > 0);
@@ -185,13 +185,13 @@ fn purecap_bounded_stores_succeed() {
 
 #[test]
 fn purecap_out_of_bounds_store_traps() {
-    let mut sm = Sm::new(cheri_cfg());
-    sm.load_program(&purecap_store_ids());
+    let mut dev = Device::new(cheri_cfg(), 1);
+    dev.load_program(&purecap_store_ids());
     // Bounds cover only half the threads: thread 32's store must trap.
     let buf = data_cap(map::DRAM_BASE, 32 * 4);
-    sm.set_scr(scr::ARG, buf.to_mem());
-    sm.reset();
-    match sm.run(MAX) {
+    dev.set_scr(scr::ARG, buf.to_mem());
+    dev.reset();
+    match dev.run(MAX) {
         Err(RunError::Trap(t)) => {
             assert_eq!(t.cause, TrapCause::Cheri(CapException::BoundsViolation));
         }
@@ -202,10 +202,10 @@ fn purecap_out_of_bounds_store_traps() {
 #[test]
 fn untagged_capability_dereference_traps() {
     // SCR left null: the very first store trips a tag violation.
-    let mut sm = Sm::new(cheri_cfg());
-    sm.load_program(&purecap_store_ids());
-    sm.reset();
-    match sm.run(MAX) {
+    let mut dev = Device::new(cheri_cfg(), 1);
+    dev.load_program(&purecap_store_ids());
+    dev.reset();
+    match dev.run(MAX) {
         Err(RunError::Trap(t)) => {
             assert_eq!(t.cause, TrapCause::Cheri(CapException::TagViolation));
         }
@@ -232,21 +232,21 @@ fn figure1_overread_demo() {
     a.li(Reg::A4, map::DRAM_BASE);
     a.push(Instr::Store { w: StoreWidth::W, rs2: Reg::A3, rs1: Reg::A4, off: 0 });
     a.terminate();
-    let (sm, r) = run_sm(SmConfig::small(CheriMode::Off), a.assemble());
+    let (dev, r) = run_dev(SmConfig::small(CheriMode::Off), a.assemble());
     r.unwrap();
-    assert_eq!(sm.memory().read(map::DRAM_BASE, 4).unwrap(), SECRET_VAL, "baseline leaks");
+    assert_eq!(dev.memory().read(map::DRAM_BASE, 4).unwrap(), SECRET_VAL, "baseline leaks");
 
     // CHERI: the same access through a 4-byte capability for `data`.
     let mut a = Assembler::new();
     a.push(Instr::CSpecialRw { cd: Reg::A0, cs1: Reg::ZERO, scr: scr::ARG });
     a.push(Instr::Load { w: LoadWidth::W, rd: Reg::A3, rs1: Reg::A0, off: 4 }); // ptr[1]
     a.terminate();
-    let mut sm = Sm::new(cheri_cfg());
-    sm.load_program(&a.assemble());
-    sm.memory_mut().write(DATA + 4, SECRET_VAL, 4).unwrap();
-    sm.set_scr(scr::ARG, data_cap(DATA, 4).to_mem());
-    sm.reset();
-    match sm.run(MAX) {
+    let mut dev = Device::new(cheri_cfg(), 1);
+    dev.load_program(&a.assemble());
+    dev.memory_mut().write(DATA + 4, SECRET_VAL, 4).unwrap();
+    dev.set_scr(scr::ARG, data_cap(DATA, 4).to_mem());
+    dev.reset();
+    match dev.run(MAX) {
         Err(RunError::Trap(t)) => {
             assert_eq!(t.cause, TrapCause::Cheri(CapException::BoundsViolation));
         }
@@ -270,12 +270,12 @@ fn clc_csc_roundtrip_preserves_tags_and_forgery_fails() {
     a.push(Instr::Store { w: StoreWidth::W, rs2: Reg::A2, rs1: Reg::A0, off: 4 });
     a.terminate();
 
-    let mut sm = Sm::new(cheri_cfg());
-    sm.load_program(&a.assemble());
-    sm.set_scr(scr::ARG, data_cap(map::DRAM_BASE, 16).to_mem());
-    sm.reset();
-    let stats = sm.run(MAX).unwrap();
-    assert_eq!(sm.memory().read(map::DRAM_BASE + 4, 4).unwrap(), 1, "tag observed");
+    let mut dev = Device::new(cheri_cfg(), 1);
+    dev.load_program(&a.assemble());
+    dev.set_scr(scr::ARG, data_cap(map::DRAM_BASE, 16).to_mem());
+    dev.reset();
+    let stats = dev.run(MAX).unwrap();
+    assert_eq!(dev.memory().read(map::DRAM_BASE + 4, 4).unwrap(), 1, "tag observed");
     assert!(stats.cheri_histogram["CSC"] >= 1);
     assert!(stats.cheri_histogram["CLC"] >= 1);
     // The CSC port penalty was charged in the optimised configuration.
@@ -291,11 +291,11 @@ fn clc_csc_roundtrip_preserves_tags_and_forgery_fails() {
     a.push(Instr::Clc { cd: Reg::A1, cs1: Reg::A0, off: 8 });
     a.push(Instr::Load { w: LoadWidth::W, rd: Reg::A3, rs1: Reg::A1, off: 0 });
     a.terminate();
-    let mut sm = Sm::new(cheri_cfg());
-    sm.load_program(&a.assemble());
-    sm.set_scr(scr::ARG, data_cap(map::DRAM_BASE, 16).to_mem());
-    sm.reset();
-    match sm.run(MAX) {
+    let mut dev = Device::new(cheri_cfg(), 1);
+    dev.load_program(&a.assemble());
+    dev.set_scr(scr::ARG, data_cap(map::DRAM_BASE, 16).to_mem());
+    dev.reset();
+    match dev.run(MAX) {
         Err(RunError::Trap(t)) => {
             assert_eq!(t.cause, TrapCause::Cheri(CapException::TagViolation));
         }
@@ -312,11 +312,11 @@ fn csetbounds_in_kernel_narrows() {
     a.push(Instr::Load { w: LoadWidth::W, rd: Reg::A2, rs1: Reg::A1, off: 0 }); // ok
     a.push(Instr::Load { w: LoadWidth::W, rd: Reg::A2, rs1: Reg::A1, off: 8 }); // trap
     a.terminate();
-    let mut sm = Sm::new(cheri_cfg());
-    sm.load_program(&a.assemble());
-    sm.set_scr(scr::ARG, data_cap(map::DRAM_BASE, 64).to_mem());
-    sm.reset();
-    match sm.run(MAX) {
+    let mut dev = Device::new(cheri_cfg(), 1);
+    dev.load_program(&a.assemble());
+    dev.set_scr(scr::ARG, data_cap(map::DRAM_BASE, 64).to_mem());
+    dev.reset();
+    match dev.run(MAX) {
         Err(RunError::Trap(t)) => {
             assert_eq!(t.cause, TrapCause::Cheri(CapException::BoundsViolation));
         }
@@ -329,11 +329,11 @@ fn uniform_metadata_stays_out_of_vrf() {
     // All threads use the same argument capability: with the compressed
     // metadata RF + NVO, the metadata register file should keep everything
     // scalar (peak metadata VRF residency 0) — the paper's key result.
-    let mut sm = Sm::new(cheri_cfg());
-    sm.load_program(&purecap_store_ids());
-    sm.set_scr(scr::ARG, data_cap(map::DRAM_BASE, 64 * 4).to_mem());
-    sm.reset();
-    let stats = sm.run(MAX).unwrap();
+    let mut dev = Device::new(cheri_cfg(), 1);
+    dev.load_program(&purecap_store_ids());
+    dev.set_scr(scr::ARG, data_cap(map::DRAM_BASE, 64 * 4).to_mem());
+    dev.reset();
+    let stats = dev.run(MAX).unwrap();
     assert_eq!(stats.peak_meta_vrf_resident, 0, "metadata should compress fully");
     assert!(stats.cap_regs_used >= 1);
     assert!(stats.cap_regs_used <= 16, "few registers hold capabilities");
@@ -343,13 +343,13 @@ fn uniform_metadata_stays_out_of_vrf() {
 fn naive_vs_optimised_same_results() {
     // The three CHERI configurations are functionally identical.
     for opts in [CheriOpts::naive(), CheriOpts::optimised()] {
-        let mut sm = Sm::new(SmConfig::small(CheriMode::On(opts)));
-        sm.load_program(&purecap_store_ids());
-        sm.set_scr(scr::ARG, data_cap(map::DRAM_BASE, 64 * 4).to_mem());
-        sm.reset();
-        sm.run(MAX).unwrap();
+        let mut dev = Device::new(SmConfig::small(CheriMode::On(opts)), 1);
+        dev.load_program(&purecap_store_ids());
+        dev.set_scr(scr::ARG, data_cap(map::DRAM_BASE, 64 * 4).to_mem());
+        dev.reset();
+        dev.run(MAX).unwrap();
         for t in 0..64u32 {
-            assert_eq!(sm.memory().read(map::DRAM_BASE + t * 4, 4).unwrap(), t);
+            assert_eq!(dev.memory().read(map::DRAM_BASE + t * 4, 4).unwrap(), t);
         }
     }
 }
@@ -381,9 +381,9 @@ fn branch_cond_coverage() {
         a.li(Reg::A3, map::DRAM_BASE);
         a.push(Instr::Store { w: StoreWidth::W, rs2: Reg::A2, rs1: Reg::A3, off: 0 });
         a.terminate();
-        let (sm, r) = run_sm(SmConfig::with_geometry(1, 1, CheriMode::Off), a.assemble());
+        let (dev, r) = run_dev(SmConfig::with_geometry(1, 1, CheriMode::Off), a.assemble());
         r.unwrap();
-        assert_eq!(sm.memory().read(map::DRAM_BASE, 4).unwrap(), want, "cond #{i}");
+        assert_eq!(dev.memory().read(map::DRAM_BASE, 4).unwrap(), want, "cond #{i}");
     }
 }
 
@@ -405,12 +405,12 @@ fn ring_sink_captures_the_tail() {
         a.push(Instr::OpImm { op: AluOp::Add, rd: Reg::A1, rs1: Reg::A0, imm: i });
     }
     a.terminate();
-    let mut sm = Sm::new(SmConfig::with_geometry(1, 4, CheriMode::Off));
-    sm.load_program(&a.assemble());
-    sm.set_sink(Box::new(RingSink::new(4)));
-    sm.reset();
-    sm.run(MAX).unwrap();
-    let sink = sm.take_sink().expect("sink attached");
+    let mut dev = Device::new(SmConfig::with_geometry(1, 4, CheriMode::Off), 1);
+    dev.load_program(&a.assemble());
+    dev.sm_mut(0).set_sink(Box::new(RingSink::new(4)));
+    dev.reset();
+    dev.run(MAX).unwrap();
+    let sink = dev.sm_mut(0).take_sink().expect("sink attached");
     let ring = sink.as_any().downcast_ref::<RingSink>().expect("RingSink");
     let events: Vec<_> = ring.events().collect();
     assert_eq!(events.len(), 4, "ring buffer keeps only the tail");
@@ -427,13 +427,13 @@ fn ring_sink_captures_the_tail() {
     assert!(events.windows(2).all(|w| w[0].cycle() <= w[1].cycle()));
 
     // No sink attached: nothing is recorded anywhere.
-    let mut sm2 = Sm::new(SmConfig::with_geometry(1, 4, CheriMode::Off));
+    let mut dev2 = Device::new(SmConfig::with_geometry(1, 4, CheriMode::Off), 1);
     let mut b = Assembler::new();
     b.terminate();
-    sm2.load_program(&b.assemble());
-    sm2.reset();
-    sm2.run(MAX).unwrap();
-    assert!(!sm2.has_sink());
+    dev2.load_program(&b.assemble());
+    dev2.reset();
+    dev2.run(MAX).unwrap();
+    assert!(!dev2.sm_mut(0).has_sink());
 }
 
 #[test]
@@ -452,12 +452,12 @@ fn structured_sink_reconciles_with_stats() {
     a.terminate();
     let prog = a.assemble();
 
-    let mut sm = Sm::new(SmConfig::small(CheriMode::Off));
-    sm.load_program(&prog);
-    sm.set_sink(Box::new(VecSink::new()));
-    sm.reset();
-    let stats = sm.run(MAX).unwrap();
-    let sink = sm.take_sink().expect("sink attached");
+    let mut dev = Device::new(SmConfig::small(CheriMode::Off), 1);
+    dev.load_program(&prog);
+    dev.sm_mut(0).set_sink(Box::new(VecSink::new()));
+    dev.reset();
+    let stats = dev.run(MAX).unwrap();
+    let sink = dev.sm_mut(0).take_sink().expect("sink attached");
     let events = sink.as_any().downcast_ref::<VecSink>().expect("VecSink").events().to_vec();
 
     // Launch marker delimits the (single) launch.
@@ -510,7 +510,7 @@ fn structured_sink_reconciles_with_stats() {
     );
 
     // Zero drift: the same kernel without a sink produces identical stats.
-    let mut plain = Sm::new(SmConfig::small(CheriMode::Off));
+    let mut plain = Device::new(SmConfig::small(CheriMode::Off), 1);
     plain.load_program(&prog);
     plain.reset();
     let base = plain.run(MAX).unwrap();
@@ -542,7 +542,7 @@ fn out_of_range_pc_traps_as_fetch_oob_under_every_scheme() {
         a.push(Instr::OpImm { op: AluOp::Add, rd: Reg::A0, rs1: Reg::A0, imm: 1 });
         let prog = a.assemble();
         let bad = map::TCIM_BASE + 4 * prog.len() as u32;
-        let (_, r) = run_sm(SmConfig::small(cheri), prog);
+        let (_, r) = run_dev(SmConfig::small(cheri), prog);
         let t = match r {
             Err(RunError::Trap(t)) => t,
             other => panic!("{cheri:?}: expected a fetch trap, got {other:?}"),

@@ -2,17 +2,17 @@
 //! the evaluation's cycle numbers must be attributed to the right causes.
 
 use cheri_cap::{CapPipe, Perms};
-use cheri_simt::{CheriMode, CheriOpts, KernelStats, Sm, SmConfig};
+use cheri_simt::{CheriMode, CheriOpts, Device, KernelStats, SmConfig};
 use simt_isa::asm::Assembler;
 use simt_isa::{scr, AluOp, FpOp, Instr, LoadWidth, Reg, StoreWidth};
 use simt_mem::map;
 
-fn run(cfg: SmConfig, prog: Vec<u32>, setup: impl FnOnce(&mut Sm)) -> KernelStats {
-    let mut sm = Sm::new(cfg);
-    sm.load_program(&prog);
-    setup(&mut sm);
-    sm.reset();
-    sm.run(1_000_000).expect("run")
+fn run(cfg: SmConfig, prog: Vec<u32>, setup: impl FnOnce(&mut Device)) -> KernelStats {
+    let mut dev = Device::new(cfg, 1);
+    dev.load_program(&prog);
+    setup(&mut dev);
+    dev.reset();
+    dev.run(1_000_000).expect("run")
 }
 
 fn data_cap(base: u32, len: u32) -> cheri_cap::CapMem {
@@ -105,7 +105,7 @@ fn csc_and_multi_flit_accounting() {
         a.terminate();
         a.assemble()
     };
-    let setup = |sm: &mut Sm| sm.set_scr(scr::ARG, data_cap(map::DRAM_BASE, 64));
+    let setup = |dev: &mut Device| dev.set_scr(scr::ARG, data_cap(map::DRAM_BASE, 64));
 
     // Single warp so the counts are exact.
     let opt = run(
@@ -187,8 +187,8 @@ fn tag_cache_behaviour() {
         a.terminate();
         a.assemble()
     };
-    let stats = run(SmConfig::small(CheriMode::On(CheriOpts::optimised())), prog, |sm| {
-        sm.set_scr(scr::ARG, data_cap(map::DRAM_BASE, 1 << 16))
+    let stats = run(SmConfig::small(CheriMode::On(CheriOpts::optimised())), prog, |dev| {
+        dev.set_scr(scr::ARG, data_cap(map::DRAM_BASE, 1 << 16))
     });
     let tc = stats.tag_cache;
     assert!(tc.hits + tc.misses > 0, "tag controller saw traffic");

@@ -2,8 +2,6 @@
 //! wide main-memory transactions, using rules similar to early NVIDIA Tesla
 //! devices (Lindholm et al. 2008), as in SIMTight.
 
-use simt_trace::{EventSink, MemSpace, TraceEvent};
-
 /// One lane's memory request, as presented to the coalescing unit.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct LaneRequest {
@@ -71,34 +69,6 @@ impl CoalescingUnit {
             blocks.len() as u32
         };
         Coalesced { transactions, uniform }
-    }
-
-    /// [`Self::coalesce`] with structured tracing: emits one
-    /// [`TraceEvent::Mem`] describing the shape of the warp-wide global
-    /// access (lane count, transactions generated, broadcast detection).
-    /// Empty request sets emit nothing.
-    pub fn coalesce_traced(
-        self,
-        reqs: &[LaneRequest],
-        cycle: u64,
-        warp: u32,
-        is_store: bool,
-        sink: &mut dyn EventSink,
-    ) -> Coalesced {
-        let out = self.coalesce(reqs);
-        if !reqs.is_empty() {
-            sink.emit(TraceEvent::Mem {
-                cycle,
-                warp,
-                space: MemSpace::Dram,
-                is_store,
-                lanes: reqs.len() as u32,
-                transactions: out.transactions,
-                uniform: out.uniform,
-                conflict_cycles: 0,
-            });
-        }
-        out
     }
 }
 

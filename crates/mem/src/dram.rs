@@ -6,7 +6,6 @@
 //! Figure 12 (DRAM bandwidth usage with/without CHERI).
 
 use crate::coalesce::TRANSACTION_BYTES;
-use simt_trace::{EventSink, TraceEvent};
 
 /// DRAM channel parameters.
 #[derive(Debug, Clone, Copy)]
@@ -117,27 +116,6 @@ impl Dram {
         self.free_at = start + occupancy;
         self.stats.busy_cycles += occupancy;
         start + occupancy + self.cfg.latency as u64
-    }
-
-    /// [`Self::access`] with structured tracing: emits one
-    /// [`TraceEvent::Dram`] per non-empty transaction batch, carrying the
-    /// completion cycle (queueing included). Empty batches emit nothing, so
-    /// per-kind transaction sums over the events reconcile with
-    /// [`Self::stats`].
-    pub fn access_traced(
-        &mut self,
-        now: u64,
-        reads: u32,
-        writes: u32,
-        tag_txns: u32,
-        warp: u32,
-        sink: &mut dyn EventSink,
-    ) -> u64 {
-        let done_at = self.access(now, reads, writes, tag_txns);
-        if reads + writes + tag_txns > 0 {
-            sink.emit(TraceEvent::Dram { cycle: now, warp, reads, writes, tag_txns, done_at });
-        }
-        done_at
     }
 }
 

@@ -7,7 +7,6 @@
 
 use crate::{LaneRequest, MemFault};
 use cheri_cap::CapMem;
-use simt_trace::{EventSink, MemSpace, TraceEvent};
 
 /// The scratchpad memory.
 #[derive(Debug, Clone)]
@@ -216,36 +215,6 @@ impl Scratchpad {
             per_bank.iter().map(Vec::len).max().unwrap_or(1).max(1) as u32
         };
         self.stats.conflict_cycles += (worst - 1) as u64;
-        worst
-    }
-
-    /// [`Self::warp_cycles`] with structured tracing: emits one
-    /// [`TraceEvent::Mem`] per warp-wide scratchpad access, carrying the
-    /// bank-conflict serialisation cost. Empty request sets emit nothing, so
-    /// event counts reconcile with [`ScratchStats::accesses`].
-    pub fn warp_cycles_traced(
-        &mut self,
-        reqs: &[LaneRequest],
-        cycle: u64,
-        warp: u32,
-        is_store: bool,
-        sink: &mut dyn EventSink,
-    ) -> u32 {
-        let worst = self.warp_cycles(reqs);
-        if !reqs.is_empty() {
-            let first = reqs[0];
-            let uniform = reqs.iter().all(|r| r.addr == first.addr && r.bytes == first.bytes);
-            sink.emit(TraceEvent::Mem {
-                cycle,
-                warp,
-                space: MemSpace::Scratch,
-                is_store,
-                lanes: reqs.len() as u32,
-                transactions: 0,
-                uniform,
-                conflict_cycles: worst - 1,
-            });
-        }
         worst
     }
 }

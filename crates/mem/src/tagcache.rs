@@ -6,8 +6,6 @@
 //! tag cache absorbs almost all tag traffic in practice, because many lines
 //! hold no capabilities at all.
 
-use simt_trace::{EventSink, TraceEvent};
-
 /// Tag cache geometry.
 #[derive(Debug, Clone, Copy)]
 pub struct TagCacheConfig {
@@ -185,25 +183,6 @@ impl TagController {
             return 0;
         }
         self.cache.lookup(addr, write)
-    }
-
-    /// [`Self::on_access`] with structured tracing: emits one
-    /// [`TraceEvent::TagCache`] per lookup (nothing when tagged memory is
-    /// disabled, so event counts always reconcile with [`Self::stats`]).
-    pub fn on_access_traced(
-        &mut self,
-        addr: u32,
-        write: bool,
-        cycle: u64,
-        warp: u32,
-        sink: &mut dyn EventSink,
-    ) -> u32 {
-        if !self.enabled {
-            return 0;
-        }
-        let txns = self.cache.lookup(addr, write);
-        sink.emit(TraceEvent::TagCache { cycle, warp, hit: txns == 0, writeback: txns == 2 });
-        txns
     }
 }
 

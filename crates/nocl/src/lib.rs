@@ -244,14 +244,13 @@ impl Gpu {
         &mut self.device
     }
 
-    /// SM 0 (e.g. for reading statistics). On a multi-SM GPU this SM's own
-    /// `memory()` is a parked stub — use [`Gpu::device`] +
-    /// [`Device::memory`] for the real DRAM contents.
+    /// SM 0 (e.g. for its configuration or suppressed-trap log). Device
+    /// memory is reached through [`Gpu::device`] + [`Device::memory`].
     pub fn sm(&self) -> &Sm {
         self.device.sm(0)
     }
 
-    /// Mutable access to SM 0 (see [`Gpu::sm`] for the multi-SM caveat).
+    /// Mutable access to SM 0 (e.g. to attach an event sink).
     pub fn sm_mut(&mut self) -> &mut Sm {
         self.device.sm_mut(0)
     }

@@ -7,8 +7,12 @@ use cheri_simt::{CheriMode, CheriOpts, RunError, SmConfig, TrapCause};
 use nocl::{Gpu, Launch};
 use nocl_kir::{Elem, Expr, Kernel, KernelBuilder, Mode};
 
+fn cheri_cfg() -> SmConfig {
+    SmConfig::small(CheriMode::On(CheriOpts::optimised()))
+}
+
 fn cheri_gpu() -> Gpu {
-    Gpu::new(SmConfig::small(CheriMode::On(CheriOpts::optimised())), Mode::PureCap)
+    Gpu::new(cheri_cfg(), Mode::PureCap)
 }
 
 /// Dereference the first argument: used before and after revocation.
@@ -23,27 +27,32 @@ fn use_kernel() -> Kernel {
 }
 
 /// Host-level sweep: capabilities stored in device memory lose their tags
-/// when their referent is freed.
+/// when their referent is freed — in the one DRAM every SM shares, however
+/// many SMs the device has.
 #[test]
 fn revocation_clears_stashed_capabilities() {
-    let mut gpu = cheri_gpu();
-    let data = gpu.alloc_from(&[42i32; 16]);
-    let table = gpu.alloc::<i32>(16); // 64 bytes of pointer-table space
+    for sms in [1, 2] {
+        let mut gpu = Gpu::with_sms(cheri_cfg(), Mode::PureCap, sms);
+        let data = gpu.alloc_from(&[42i32; 16]);
+        let table = gpu.alloc::<i32>(16); // 64 bytes of pointer-table space
 
-    // Host (or a kernel via CSC) stores two capabilities into the table:
-    // one pointing into `data`, one pointing elsewhere.
-    let cap_data = cheri_cap::CapPipe::almighty().set_addr(data.addr()).set_bounds(64).0;
-    let cap_other = cheri_cap::CapPipe::almighty().set_addr(table.addr()).set_bounds(64).0;
-    gpu.sm_mut().memory_mut().write_cap(table.addr(), cap_data.to_mem()).unwrap();
-    gpu.sm_mut().memory_mut().write_cap(table.addr() + 8, cap_other.to_mem()).unwrap();
-    assert!(gpu.sm().memory().read_cap(table.addr()).unwrap().tag());
-    assert!(gpu.sm().memory().read_cap(table.addr() + 8).unwrap().tag());
+        // Host (or a kernel via CSC) stores two capabilities into the
+        // table: one pointing into `data`, one pointing elsewhere.
+        let cap_data = cheri_cap::CapPipe::almighty().set_addr(data.addr()).set_bounds(64).0;
+        let cap_other = cheri_cap::CapPipe::almighty().set_addr(table.addr()).set_bounds(64).0;
+        let mem = gpu.device_mut().memory_mut();
+        mem.write_cap(table.addr(), cap_data.to_mem()).unwrap();
+        mem.write_cap(table.addr() + 8, cap_other.to_mem()).unwrap();
+        assert!(mem.read_cap(table.addr()).unwrap().tag());
+        assert!(mem.read_cap(table.addr() + 8).unwrap().tag());
 
-    // Free `data`: the sweep revokes exactly the capability into it.
-    let revoked = gpu.free(data);
-    assert_eq!(revoked, 1);
-    assert!(!gpu.sm().memory().read_cap(table.addr()).unwrap().tag(), "dangling cap revoked");
-    assert!(gpu.sm().memory().read_cap(table.addr() + 8).unwrap().tag(), "live cap untouched");
+        // Free `data`: the sweep revokes exactly the capability into it.
+        let revoked = gpu.free(data);
+        assert_eq!(revoked, 1, "sms={sms}");
+        let mem = gpu.device().memory();
+        assert!(!mem.read_cap(table.addr()).unwrap().tag(), "sms={sms}: dangling cap revoked");
+        assert!(mem.read_cap(table.addr() + 8).unwrap().tag(), "sms={sms}: live cap untouched");
+    }
 }
 
 /// End to end: a kernel that dereferences a revoked argument traps with a
@@ -68,11 +77,11 @@ fn use_after_free_traps() {
     // Write args once (creates tagged caps in the arg block), then revoke,
     // then run the same program without re-marshalling.
     gpu.launch(&kernel, launch, &[(&data).into(), (&out).into()]).unwrap();
-    let revoked = gpu.sm_mut().memory_mut().revoke_region(data.addr(), data.bytes());
+    let revoked = gpu.device_mut().memory_mut().revoke_region(data.addr(), data.bytes());
     assert!(revoked >= 1, "the argument block held a capability into data");
     // Re-run the resident program against the swept argument block.
-    gpu.sm_mut().reset();
-    match gpu.sm_mut().run(1_000_000) {
+    gpu.device_mut().reset();
+    match gpu.device_mut().run(1_000_000) {
         Err(RunError::Trap(t)) => {
             assert_eq!(t.cause, TrapCause::Cheri(cheri_cap::CapException::TagViolation));
         }
@@ -91,10 +100,10 @@ fn revocation_is_precise() {
     let cap = |buf: &nocl::Buffer<i32>| {
         cheri_cap::CapPipe::almighty().set_addr(buf.addr()).set_bounds(buf.bytes()).0.to_mem()
     };
-    gpu.sm_mut().memory_mut().write_cap(table.addr(), cap(&a)).unwrap();
-    gpu.sm_mut().memory_mut().write_cap(table.addr() + 8, cap(&b)).unwrap();
+    gpu.device_mut().memory_mut().write_cap(table.addr(), cap(&a)).unwrap();
+    gpu.device_mut().memory_mut().write_cap(table.addr() + 8, cap(&b)).unwrap();
     assert_eq!(gpu.free(a), 1);
-    assert!(gpu.sm().memory().read_cap(table.addr() + 8).unwrap().tag(), "b's cap survives");
+    assert!(gpu.device().memory().read_cap(table.addr() + 8).unwrap().tag(), "b's cap survives");
     assert_eq!(gpu.free(b), 1);
 }
 

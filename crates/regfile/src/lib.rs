@@ -44,8 +44,6 @@ mod storage;
 
 pub use storage::{uncompressed_bits, RegFileStorage, SrfEntryBits};
 
-use simt_trace::{EventSink, RfKind, TraceEvent};
-
 /// Configuration of one compressed register file.
 #[derive(Debug, Clone, Copy)]
 pub struct RfConfig {
@@ -236,6 +234,12 @@ pub struct WriteInfo {
     pub spills: u32,
     /// Fills triggered (partial write to a spilled register).
     pub fills: u32,
+    /// The register changed residency class: `Some(true)` when it left the
+    /// SRF for the VRF (uncompressed, resident or spilled), `Some(false)`
+    /// when the compressor reclaimed it, `None` when the class is
+    /// unchanged. For the metadata register file the `Some(false)` writes
+    /// are the vectors the null-value optimisation (NVO) reclaimed.
+    pub transition: Option<bool>,
 }
 
 /// One compressed register file (Figure 5).
@@ -484,22 +488,15 @@ impl CompressedRegFile {
             self.ever_nonnull[warp as usize] |= 1 << reg;
         }
 
-        let mut info = WriteInfo::default();
         match self.compress(merged) {
-            Some(new_entry) => {
-                // Free any VRF slot the register was occupying.
-                if let Entry::Vector { slot } = self.entries[idx] {
-                    self.free.push(slot);
-                    self.resident -= 1;
-                }
-                self.entries[idx] = new_entry;
-                self.stats.scalar_writes += 1;
-                info.to_srf = true;
-            }
+            Some(new_entry) => self.store_scalar(idx, new_entry),
             None => {
+                let mut info = WriteInfo::default();
                 let slot = match self.entries[idx] {
                     Entry::Vector { slot } => slot,
-                    _ => {
+                    ref old => {
+                        // A spilled register is already vector-class.
+                        info.transition = (!matches!(old, Entry::Spilled(_))).then_some(true);
                         let (slot, spills) = self.alloc_slot();
                         info.spills += spills;
                         self.entries[idx] = Entry::Vector { slot };
@@ -509,15 +506,29 @@ impl CompressedRegFile {
                 let s = (slot * self.cfg.lanes) as usize;
                 self.vrf[s..s + lanes].copy_from_slice(merged);
                 self.stats.vector_writes += 1;
+                info
             }
         }
-        info
     }
 
-    /// True when the register is currently uncompressed (VRF-resident or
-    /// spilled), false when it lives compactly in the SRF.
-    fn is_vector_class(&self, idx: usize) -> bool {
-        matches!(self.entries[idx], Entry::Vector { .. } | Entry::Spilled(_))
+    /// Store a compact entry in the SRF, freeing any VRF slot the register
+    /// was occupying. Always inlined so `entry` is built in place: passed by
+    /// value through a call it is written piecewise and reloaded whole, a
+    /// stall that cost about 8 % of `simbench alu_converged`'s host time.
+    #[inline(always)]
+    fn store_scalar(&mut self, idx: usize, entry: Entry) -> WriteInfo {
+        let was_vector = match self.entries[idx] {
+            Entry::Vector { slot } => {
+                self.free.push(slot);
+                self.resident -= 1;
+                true
+            }
+            Entry::Spilled(_) => true,
+            Entry::Scalar { .. } | Entry::PartialNull { .. } => false,
+        };
+        self.entries[idx] = entry;
+        self.stats.scalar_writes += 1;
+        WriteInfo { to_srf: true, transition: was_vector.then_some(false), ..WriteInfo::default() }
     }
 
     /// Residency class of a register without touching spill state — what
@@ -608,13 +619,7 @@ impl CompressedRegFile {
                     if v != self.cfg.null_value.unwrap_or(0) {
                         self.ever_nonnull[warp as usize] |= 1 << reg;
                     }
-                    if let Entry::Vector { slot } = self.entries[idx] {
-                        self.free.push(slot);
-                        self.resident -= 1;
-                    }
-                    self.entries[idx] = Entry::Scalar { base: v, stride: 0 };
-                    self.stats.scalar_writes += 1;
-                    return WriteInfo { to_srf: true, ..WriteInfo::default() };
+                    return self.store_scalar(idx, Entry::Scalar { base: v, stride: 0 });
                 }
                 Some(OperandVec::Affine { base, stride })
                     if self.cfg.detect_affine && (STRIDE_MIN..=STRIDE_MAX).contains(&stride) =>
@@ -623,13 +628,7 @@ impl CompressedRegFile {
                     // Two distinct lane values exist (stride ≢ 0, lanes ≥ 2),
                     // so some lane differs from the null value.
                     self.ever_nonnull[warp as usize] |= 1 << reg;
-                    if let Entry::Vector { slot } = self.entries[idx] {
-                        self.free.push(slot);
-                        self.resident -= 1;
-                    }
-                    self.entries[idx] = Entry::Scalar { base, stride: stride as i8 };
-                    self.stats.scalar_writes += 1;
-                    return WriteInfo { to_srf: true, ..WriteInfo::default() };
+                    return self.store_scalar(idx, Entry::Scalar { base, stride: stride as i8 });
                 }
                 _ => {}
             }
@@ -643,75 +642,6 @@ impl CompressedRegFile {
         let mut buf = [0u64; MAX_LANES];
         value.expand_into(&mut buf[..lanes]);
         self.write(warp, reg, &buf, mask)
-    }
-
-    /// [`Self::write_compact`] with structured tracing — the compact
-    /// counterpart of [`Self::write_traced`], emitting the same
-    /// [`TraceEvent::RfTransition`] on residency-class changes.
-    pub fn write_compact_traced(
-        &mut self,
-        warp: u32,
-        reg: u32,
-        value: &OperandVec,
-        mask: u64,
-        cycle: u64,
-        sink: &mut dyn EventSink,
-    ) -> WriteInfo {
-        let idx = self.idx(warp, reg);
-        let was_vector = self.is_vector_class(idx);
-        let info = self.write_compact(warp, reg, value, mask);
-        let is_vector = self.is_vector_class(idx);
-        if was_vector != is_vector {
-            sink.emit(TraceEvent::RfTransition {
-                cycle,
-                warp,
-                rf: self.rf_kind(),
-                reg,
-                to_vector: is_vector,
-            });
-        }
-        info
-    }
-
-    /// Which kind of register file this is, for trace attribution (33-bit
-    /// elements mark the capability-metadata file).
-    fn rf_kind(&self) -> RfKind {
-        if self.cfg.elem_bits >= 33 {
-            RfKind::Meta
-        } else {
-            RfKind::Data
-        }
-    }
-
-    /// [`Self::write`] with structured tracing: emits one
-    /// [`TraceEvent::RfTransition`] whenever the written register changes
-    /// residency class — compact SRF entry to VRF vector or back. For the
-    /// metadata register file this is the event stream of the null-value
-    /// optimisation (NVO): each `to_vector == false` event is a vector the
-    /// compressor reclaimed.
-    pub fn write_traced(
-        &mut self,
-        warp: u32,
-        reg: u32,
-        values: &[u64],
-        mask: u64,
-        cycle: u64,
-        sink: &mut dyn EventSink,
-    ) -> WriteInfo {
-        let idx = self.idx(warp, reg);
-        let was_vector = self.is_vector_class(idx);
-        let info = self.write(warp, reg, values, mask);
-        let is_vector = self.is_vector_class(idx);
-        if was_vector != is_vector {
-            sink.emit(TraceEvent::RfTransition {
-                cycle,
-                warp,
-                rf: self.rf_kind(),
-                reg,
-                to_vector: is_vector,
-            });
-        }
-        info
     }
 }
 
@@ -859,38 +789,18 @@ mod tests {
     }
 
     #[test]
-    fn traced_writes_emit_residency_transitions() {
-        use simt_trace::VecSink;
+    fn writes_report_residency_transitions() {
         let mut rf = CompressedRegFile::new(RfConfig::meta(1, 8, 4, true));
-        let mut sink = VecSink::new();
         // Uniform write: stays scalar, no transition.
-        rf.write_traced(0, 5, &vals(|_| 0x111), u64::MAX, 10, &mut sink);
-        assert!(sink.events().is_empty());
+        assert_eq!(rf.write(0, 5, &vals(|_| 0x111), u64::MAX).transition, None);
         // Divergent write: scalar → vector.
-        rf.write_traced(0, 5, &vals(|i| i as u64), u64::MAX, 20, &mut sink);
+        assert_eq!(rf.write(0, 5, &vals(|i| i as u64), u64::MAX).transition, Some(true));
+        // Rewriting a vector with another vector changes nothing.
+        assert_eq!(rf.write(0, 5, &vals(|i| 2 * i as u64), u64::MAX).transition, None);
         // Uniform overwrite: vector → scalar (NVO reclaim).
-        rf.write_traced(0, 5, &vals(|_| NULL_META), u64::MAX, 30, &mut sink);
-        let evs: Vec<_> = sink.events().to_vec();
-        assert_eq!(evs.len(), 2);
-        match (evs[0], evs[1]) {
-            (
-                TraceEvent::RfTransition {
-                    cycle: 20,
-                    warp: 0,
-                    rf: RfKind::Meta,
-                    reg: 5,
-                    to_vector: true,
-                },
-                TraceEvent::RfTransition {
-                    cycle: 30,
-                    warp: 0,
-                    rf: RfKind::Meta,
-                    reg: 5,
-                    to_vector: false,
-                },
-            ) => {}
-            other => panic!("unexpected events: {other:?}"),
-        }
+        assert_eq!(rf.write(0, 5, &vals(|_| NULL_META), u64::MAX).transition, Some(false));
+        // A masked-off write touches nothing.
+        assert_eq!(rf.write(0, 5, &vals(|i| i as u64), 0).transition, None);
     }
 
     /// `write_compact` must be bit-identical to expand-then-`write` on two
@@ -994,20 +904,26 @@ mod tests {
     }
 
     #[test]
-    fn compact_traced_writes_emit_residency_transitions() {
-        use simt_trace::VecSink;
+    fn compact_writes_report_residency_transitions() {
         let mut rf = CompressedRegFile::new(cfg());
-        let mut sink = VecSink::new();
-        rf.write_traced(0, 5, &vals(|i| (i * i) as u64), u64::MAX, 10, &mut sink);
-        assert_eq!(sink.events().len(), 1);
-        // Compact uniform overwrite: vector → scalar transition.
-        rf.write_compact_traced(0, 5, &OperandVec::Uniform(3), u64::MAX, 20, &mut sink);
-        let evs = sink.events();
-        assert_eq!(evs.len(), 2);
-        assert!(matches!(
-            evs[1],
-            TraceEvent::RfTransition { cycle: 20, reg: 5, to_vector: false, .. }
-        ));
+        assert_eq!(rf.write(0, 5, &vals(|i| (i * i) as u64), u64::MAX).transition, Some(true));
+        // Compact uniform overwrite: vector → scalar, on the no-scan path.
+        let info = rf.write_compact(0, 5, &OperandVec::Uniform(3), u64::MAX);
+        assert_eq!(info.transition, Some(false));
+        // Compact affine over a compact entry: no class change.
+        let info = rf.write_compact(0, 5, &OperandVec::Affine { base: 1, stride: 2 }, u64::MAX);
+        assert_eq!(info.transition, None);
+        // A spilled register is vector-class: reclaiming it is a transition,
+        // refilling it with another vector is not.
+        for r in 8..14 {
+            rf.write(1, r, &vals(|i| (i as u64) * 97 + r as u64), u64::MAX);
+        }
+        assert!(rf.stats().spills >= 2, "registers 8 and 9 of warp 1 were spilled");
+        assert_eq!(rf.write(1, 8, &vals(|i| (i * i) as u64), u64::MAX).transition, None);
+        assert_eq!(
+            rf.write_compact(1, 9, &OperandVec::Uniform(0), u64::MAX).transition,
+            Some(false)
+        );
     }
 
     #[test]

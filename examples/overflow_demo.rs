@@ -29,7 +29,7 @@ fn main() {
     // Figure 1's locals `data` and `secret` are adjacent words; emulate
     // that layout by placing the secret in the word right after `data`.
     fn plant_secret(gpu: &mut Gpu, data_addr: u32) {
-        gpu.sm_mut().memory_mut().write(data_addr + 4, SECRET as u32, 4).unwrap();
+        gpu.device_mut().memory_mut().write(data_addr + 4, SECRET as u32, 4).unwrap();
     }
 
     // --- Baseline: no protection ---------------------------------------

@@ -32,7 +32,7 @@ fn main() {
     // Free the buffer: the revocation sweep finds every capability in
     // device memory pointing into it (here: the one in the kernel argument
     // block) and clears its tag.
-    let revoked = gpu.sm_mut().memory_mut().revoke_region(buf.addr(), buf.bytes());
+    let revoked = gpu.device_mut().memory_mut().revoke_region(buf.addr(), buf.bytes());
     println!(
         "free(buf):    revocation sweep cleared {revoked} dangling capabilit{}",
         if revoked == 1 { "y" } else { "ies" }
@@ -40,8 +40,8 @@ fn main() {
 
     // Re-running the resident kernel against the swept argument block is a
     // use-after-free — and a deterministic tag-violation trap.
-    gpu.sm_mut().reset();
-    match gpu.sm_mut().run(1_000_000) {
+    gpu.device_mut().reset();
+    match gpu.device_mut().run(1_000_000) {
         Err(RunError::Trap(t)) => {
             assert_eq!(t.cause, TrapCause::Cheri(cheri_cap::CapException::TagViolation));
             println!("after free:   {t}");

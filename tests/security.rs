@@ -53,11 +53,11 @@ fn capabilities_cannot_be_forged_from_data() {
     let b = gpu.alloc::<u32>(4);
     // Host seeds a genuine capability into words 0-1.
     let target = cheri_cap::CapPipe::almighty().set_addr(b.addr()).set_bounds(16).0;
-    gpu.sm_mut().memory_mut().write_cap(b.addr(), target.to_mem()).unwrap();
-    assert!(gpu.sm().memory().read_cap(b.addr()).unwrap().tag());
+    gpu.device_mut().memory_mut().write_cap(b.addr(), target.to_mem()).unwrap();
+    assert!(gpu.device().memory().read_cap(b.addr()).unwrap().tag());
     gpu.launch(&kernel, Launch::new(1, 8), &[(&b).into()]).expect("copy runs");
     // The copy has identical bits but no tag.
-    let copy = gpu.sm().memory().read_cap(b.addr() + 8).unwrap();
+    let copy = gpu.device().memory().read_cap(b.addr() + 8).unwrap();
     assert!(!copy.tag(), "tag must not survive an integer copy");
 }
 
