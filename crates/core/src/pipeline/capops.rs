@@ -1,442 +1,149 @@
-//! Capability op class: unary capability queries/moves, capability
-//! arithmetic (pointer-shaped ops of Section 3), and SCR access — with
-//! their `cheri_histogram` attribution and the SFU offload of the cold
-//! bounds-setting ops (Section 3.3).
+//! Capability op class: unary capability queries/moves and capability
+//! arithmetic (the pointer-shaped ops of Section 3), with the SFU offload
+//! of the cold bounds ops (Section 3.3).
 //!
-//! The scalarised fast path runs when the whole capability operand (data
-//! *and* metadata) is warp-uniform: one capability computation stands for
-//! every lane, and the result is committed compactly.
+//! Each op's meaning is one lane function ([`cap_lane`]) from the operand
+//! capability and the scalar operand to the result, applied in one of two
+//! ways: per active lane over the loaned [`LaneBufs`], or once per warp
+//! when the whole capability operand (data *and* metadata) and the scalar
+//! are warp-uniform. `CSetBoundsExact` is check-then-commit on both, as in
+//! the memory stage.
 
 use super::scalar::expect_uniform;
-use super::Costs;
-use crate::sm::Sm;
-use crate::trap::{LaneFault, RunError, Trap, TrapCause};
+use super::{active_lanes, Costs};
+use crate::rom::{CapFn, CapOp, Src2};
+use crate::sm::{LaneBufs, Sm};
+use crate::trap::{LaneFault, Trap, TrapCause};
 use crate::warp::Selection;
 use cheri_cap::{bounds, CapException, CapPipe, Perms};
-use simt_isa::{scr, Instr, Reg, UnaryCapOp};
-use simt_regfile::{OperandVec, MAX_LANES, NULL_META};
+use simt_isa::UnaryCapOp;
+use simt_regfile::{OperandVec, NULL_META};
+
+/// One lane of a capability op: `(metadata, data)` of `cs1` and the scalar
+/// operand in, `(metadata, data)` of the result out (the metadata is
+/// dropped unless the op writes a capability).
+type CapLane = fn(u64, u64, u32) -> (u64, u64);
+
+/// The lane function of `f`.
+fn cap_lane(f: CapFn) -> CapLane {
+    fn int(v: u64) -> (u64, u64) {
+        (NULL_META, v)
+    }
+    fn cap(m: u64, d: u64) -> CapPipe {
+        Sm::cap_of(m, d)
+    }
+    fn parts(cap: CapPipe) -> (u64, u64) {
+        Sm::cap_parts(cap)
+    }
+    match f {
+        CapFn::Unary(op) => match op {
+            UnaryCapOp::GetTag => |m, d, _| int(cap(m, d).tag() as u64),
+            UnaryCapOp::GetPerm => |m, d, _| int(cap(m, d).perms().bits() as u64),
+            UnaryCapOp::GetBase => |m, d, _| int(cap(m, d).base() as u64),
+            UnaryCapOp::GetLen => |m, d, _| int(cap(m, d).length().min(u32::MAX as u64)),
+            UnaryCapOp::GetType => |m, d, _| int(cap(m, d).otype() as u64),
+            UnaryCapOp::GetSealed => |m, d, _| int(cap(m, d).is_sealed() as u64),
+            UnaryCapOp::GetFlags => |m, d, _| int(cap(m, d).flag() as u64),
+            UnaryCapOp::GetAddr => |m, d, _| int(cap(m, d).addr() as u64),
+            UnaryCapOp::Crrl => {
+                |_, d, _| int(bounds::representable_length(d as u32).min(u32::MAX as u64))
+            }
+            UnaryCapOp::Cram => {
+                |_, d, _| int(bounds::representable_alignment_mask(d as u32) as u64)
+            }
+            UnaryCapOp::ClearTag => |m, d, _| parts(cap(m, d).clear_tag()),
+            UnaryCapOp::Move => |m, d, _| (m, d),
+            UnaryCapOp::SealEntry => |m, d, _| parts(cap(m, d).seal_entry()),
+        },
+        CapFn::AndPerm => |m, d, b| parts(cap(m, d).and_perm(Perms::from_bits(b as u16))),
+        CapFn::SetFlags => |m, d, b| parts(cap(m, d).set_flags(b & 1 == 1)),
+        CapFn::SetAddr => |m, d, b| parts(cap(m, d).set_addr(b)),
+        CapFn::IncOffset => |m, d, b| parts(cap(m, d).inc_offset(b)),
+        CapFn::SetBounds => |m, d, b| parts(cap(m, d).set_bounds(b).0),
+        CapFn::SetBoundsExact => |m, d, b| parts(cap(m, d).set_bounds_exact(b)),
+    }
+}
+
+/// Does `CSetBoundsExact` trap on this lane? A tagged, unsealed source with
+/// an unrepresentable bounds request raises `InexactBounds`.
+fn inexact_bounds(m: u64, d: u64, len: u32) -> bool {
+    let cap = Sm::cap_of(m, d);
+    let (_, exact) = cap.set_bounds(len);
+    cap.tag() && !cap.is_sealed() && !exact
+}
+
+const INEXACT: TrapCause = TrapCause::Cheri(CapException::InexactBounds);
 
 impl Sm {
-    /// Execute one capability-class instruction (always writes `rd`,
-    /// sequential PC).
+    /// Execute one capability op (always writes `rd`). Warp-wide, one
+    /// capability computation stands for every lane, and a uniform source
+    /// means one representability verdict does too; lane-wise, `a`/`am`/`b`
+    /// of the loaned scratch are fully overwritten by the operand reads (`b`
+    /// filled with the immediate where there is no register), `r`/`rm` are
+    /// written for each active lane and committed under the mask, and `rm`
+    /// is read only for capability results.
     ///
     /// # Errors
     ///
     /// `CSetBoundsExact` traps with `InexactBounds` when a tagged, unsealed
     /// source capability is given an unrepresentable bounds request; no lane
-    /// commits on a trap (check-then-commit, as in the memory stage).
-    pub(crate) fn exec_cap_class(
+    /// commits on a trap.
+    pub(crate) fn exec_cap(
         &mut self,
         w: u32,
         sel: &Selection,
-        instr: Instr,
+        c: &CapOp,
         fast: bool,
         costs: &mut Costs,
-    ) -> Result<(), RunError> {
-        if fast {
-            self.exec_cap_fast(w, sel, instr, costs)?;
-        } else {
-            self.exec_cap_lanewise(w, sel, instr, costs)?;
-        }
-        self.advance_uniform(w, sel, sel.pc.wrapping_add(4), None);
-        Ok(())
-    }
-
-    /// The lane-wise reference path. Scratch staleness audit: `a`/`am`/`b`
-    /// are fully overwritten by the operand reads; every arm writes
-    /// `r[i]`/`rm[i]` for each active lane (or `[..lanes]`-fills them) and
-    /// the commit is under the mask; `rm` is read only when `rd_is_cap`.
-    fn exec_cap_lanewise(
-        &mut self,
-        w: u32,
-        sel: &Selection,
-        instr: Instr,
-        costs: &mut Costs,
-    ) -> Result<(), RunError> {
-        let mut bufs = self.take_bufs();
-        let res = self.cap_lanewise_with(&mut bufs, w, sel, instr, costs);
-        self.put_bufs(bufs);
-        res
-    }
-
-    fn cap_lanewise_with(
-        &mut self,
-        bufs: &mut crate::sm::LaneBufs,
-        w: u32,
-        sel: &Selection,
-        instr: Instr,
-        costs: &mut Costs,
-    ) -> Result<(), RunError> {
-        let lanes = self.cfg.lanes as usize;
+    ) -> Result<(), Box<Trap>> {
+        let f = cap_lane(c.f);
         let mask = sel.mask;
-        let crate::sm::LaneBufs { a, b, am, r, rm, .. } = bufs;
-        let mut rd_is_cap = false;
-
-        macro_rules! active {
-            () => {
-                (0..lanes).filter(|i| mask >> i & 1 == 1)
+        if fast {
+            let (d, m) = self.read_cap_compact(w, c.cs1, costs);
+            let (d, m) = (expect_uniform(&d), expect_uniform(&m));
+            let b = match c.src2 {
+                Src2::Reg(rs2) => expect_uniform(&self.read_data_compact(w, rs2, costs)) as u32,
+                Src2::Imm(imm) => imm,
             };
-        }
-
-        let rd = match instr {
-            Instr::CapUnary { op, rd, cs1 } => {
-                self.exec_cap_unary(w, sel, op, rd, cs1, r, rm, &mut rd_is_cap, costs);
-                rd
+            if c.f == CapFn::SetBoundsExact && inexact_bounds(m, d, b) {
+                return Err(Trap::warp_wide(w, mask, sel.pc, INEXACT).into());
             }
-            Instr::CAndPerm { cd, cs1, rs2 } => {
-                self.stats.count_cheri("CAndPerm", 1);
-                self.read_cap_operand(w, cs1, a, am, costs);
-                self.read_data(w, rs2, b, costs);
-                for i in active!() {
-                    let cap = Self::cap_of(am[i], a[i]).and_perm(Perms::from_bits(b[i] as u16));
-                    (rm[i], r[i]) = Self::cap_parts(cap);
-                }
-                rd_is_cap = true;
-                cd
-            }
-            Instr::CSetFlags { cd, cs1, rs2 } => {
-                self.stats.count_cheri("CSetFlags", 1);
-                self.read_cap_operand(w, cs1, a, am, costs);
-                self.read_data(w, rs2, b, costs);
-                for i in active!() {
-                    let cap = Self::cap_of(am[i], a[i]).set_flags(b[i] & 1 == 1);
-                    (rm[i], r[i]) = Self::cap_parts(cap);
-                }
-                rd_is_cap = true;
-                cd
-            }
-            Instr::CSetAddr { cd, cs1, rs2 } => {
-                self.stats.count_cheri("CSetAddr", 1);
-                self.read_cap_operand(w, cs1, a, am, costs);
-                self.read_data(w, rs2, b, costs);
-                for i in active!() {
-                    let cap = Self::cap_of(am[i], a[i]).set_addr(b[i] as u32);
-                    (rm[i], r[i]) = Self::cap_parts(cap);
-                }
-                rd_is_cap = true;
-                cd
-            }
-            Instr::CIncOffset { cd, cs1, rs2 } => {
-                self.stats.count_cheri("CIncOffset", 1);
-                self.read_cap_operand(w, cs1, a, am, costs);
-                self.read_data(w, rs2, b, costs);
-                for i in active!() {
-                    let cap = Self::cap_of(am[i], a[i]).inc_offset(b[i] as u32);
-                    (rm[i], r[i]) = Self::cap_parts(cap);
-                }
-                rd_is_cap = true;
-                cd
-            }
-            Instr::CIncOffsetImm { cd, cs1, imm } => {
-                self.stats.count_cheri("CIncOffsetImm", 1);
-                self.read_cap_operand(w, cs1, a, am, costs);
-                for i in active!() {
-                    let cap = Self::cap_of(am[i], a[i]).inc_offset(imm as u32);
-                    (rm[i], r[i]) = Self::cap_parts(cap);
-                }
-                rd_is_cap = true;
-                cd
-            }
-            Instr::CSetBounds { cd, cs1, rs2 } => {
-                self.stats.count_cheri("CSetBounds", 1);
-                self.read_cap_operand(w, cs1, a, am, costs);
-                self.read_data(w, rs2, b, costs);
-                for i in active!() {
-                    let (cap, _) = Self::cap_of(am[i], a[i]).set_bounds(b[i] as u32);
-                    (rm[i], r[i]) = Self::cap_parts(cap);
-                }
+            let (rm, r) = f(m, d, b);
+            if c.sfu {
                 self.cap_sfu_suspend(w, sel);
-                rd_is_cap = true;
-                cd
             }
-            Instr::CSetBoundsExact { cd, cs1, rs2 } => {
-                self.stats.count_cheri("CSetBoundsExact", 1);
-                self.read_cap_operand(w, cs1, a, am, costs);
-                self.read_data(w, rs2, b, costs);
-                // Check phase: a tagged, unsealed source with an
-                // unrepresentable request raises InexactBounds; no lane
-                // commits if any lane faults.
-                let mut faults: Vec<LaneFault> = Vec::new();
-                for i in active!() {
-                    let cap = Self::cap_of(am[i], a[i]);
-                    let (_, exact) = cap.set_bounds(b[i] as u32);
-                    if cap.tag() && !cap.is_sealed() && !exact {
-                        faults.push(LaneFault {
-                            lane: i as u32,
-                            cause: TrapCause::Cheri(CapException::InexactBounds),
-                        });
-                    }
+            let meta = c.cap_result.then_some(OperandVec::Uniform(rm));
+            self.writeback_compact(w, c.rd, &OperandVec::Uniform(r), meta.as_ref(), mask, costs);
+            return Ok(());
+        }
+        self.with_bufs(|sm, bufs| {
+            let lanes = sm.cfg.lanes as usize;
+            let LaneBufs { a, am, b, r, rm, .. } = bufs;
+            sm.read_cap_operand(w, c.cs1, a, am, costs);
+            match c.src2 {
+                Src2::Reg(rs2) => {
+                    sm.read_data(w, rs2, b, costs);
                 }
+                Src2::Imm(imm) => b[..lanes].fill(imm as u64),
+            }
+            if c.f == CapFn::SetBoundsExact {
+                // Check phase: no lane commits if any lane faults.
+                let faults = active_lanes(mask, lanes)
+                    .filter(|&i| inexact_bounds(am[i], a[i], b[i] as u32))
+                    .map(|i| LaneFault { lane: i as u32, cause: INEXACT })
+                    .collect();
                 if let Some(t) = Trap::from_lane_faults(w, sel.pc, faults) {
                     return Err(t.into());
                 }
-                for i in active!() {
-                    let cap = Self::cap_of(am[i], a[i]).set_bounds_exact(b[i] as u32);
-                    (rm[i], r[i]) = Self::cap_parts(cap);
-                }
-                self.cap_sfu_suspend(w, sel);
-                rd_is_cap = true;
-                cd
             }
-            Instr::CSetBoundsImm { cd, cs1, imm } => {
-                self.stats.count_cheri("CSetBoundsImm", 1);
-                self.read_cap_operand(w, cs1, a, am, costs);
-                for i in active!() {
-                    let (cap, _) = Self::cap_of(am[i], a[i]).set_bounds(imm);
-                    (rm[i], r[i]) = Self::cap_parts(cap);
-                }
-                self.cap_sfu_suspend(w, sel);
-                rd_is_cap = true;
-                cd
+            for i in active_lanes(mask, lanes) {
+                (rm[i], r[i]) = f(am[i], a[i], b[i] as u32);
             }
-            Instr::CSpecialRw { cd, scr: s, .. } => {
-                self.stats.count_cheri("CSpecialRW", 1);
-                let cap = self.scr_cap(sel, s);
-                let (m, d) = Self::cap_parts(cap);
-                r[..lanes].fill(d);
-                rm[..lanes].fill(m);
-                rd_is_cap = true;
-                cd
-            }
-            _ => unreachable!("not a capability-class instruction"),
-        };
-        self.writeback(w, rd, &r[..], rd_is_cap.then_some(&rm[..]), mask, costs);
-        Ok(())
-    }
-
-    /// The warp-wide fast path: one capability computation per warp.
-    fn exec_cap_fast(
-        &mut self,
-        w: u32,
-        sel: &Selection,
-        instr: Instr,
-        costs: &mut Costs,
-    ) -> Result<(), RunError> {
-        let mask = sel.mask;
-        // Shape shared by the binary capability ops: histogram attribution,
-        // uniform capability (+ scalar) operands, one computation, compact
-        // cap-result commit. `CSetBounds*` additionally round-trip the SFU.
-        let mut binary = |sm: &mut Self,
-                          name: &'static str,
-                          cs1: Reg,
-                          rs2: Option<Reg>,
-                          cd: Reg,
-                          sfu: bool,
-                          f: &dyn Fn(CapPipe, u32) -> CapPipe| {
-            sm.stats.count_cheri(name, 1);
-            let (d, m) = sm.read_cap_compact(w, cs1, costs);
-            let b = match rs2 {
-                Some(reg) => expect_uniform(&sm.read_data_compact(w, reg, costs)),
-                None => 0,
-            };
-            let cap = f(Self::cap_of(expect_uniform(&m), expect_uniform(&d)), b as u32);
-            if sfu {
+            if c.sfu {
                 sm.cap_sfu_suspend(w, sel);
             }
-            sm.writeback_cap_uniform(w, cd, cap, mask, costs);
-        };
-        match instr {
-            Instr::CapUnary { op, rd, cs1 } => self.exec_cap_unary_fast(w, sel, op, rd, cs1, costs),
-            Instr::CAndPerm { cd, cs1, rs2 } => {
-                binary(self, "CAndPerm", cs1, Some(rs2), cd, false, &|c, b| {
-                    c.and_perm(Perms::from_bits(b as u16))
-                });
-            }
-            Instr::CSetFlags { cd, cs1, rs2 } => {
-                binary(self, "CSetFlags", cs1, Some(rs2), cd, false, &|c, b| {
-                    c.set_flags(b & 1 == 1)
-                });
-            }
-            Instr::CSetAddr { cd, cs1, rs2 } => {
-                binary(self, "CSetAddr", cs1, Some(rs2), cd, false, &|c, b| c.set_addr(b));
-            }
-            Instr::CIncOffset { cd, cs1, rs2 } => {
-                binary(self, "CIncOffset", cs1, Some(rs2), cd, false, &|c, b| c.inc_offset(b));
-            }
-            Instr::CIncOffsetImm { cd, cs1, imm } => {
-                binary(self, "CIncOffsetImm", cs1, None, cd, false, &|c, _| {
-                    c.inc_offset(imm as u32)
-                });
-            }
-            Instr::CSetBounds { cd, cs1, rs2 } => {
-                binary(self, "CSetBounds", cs1, Some(rs2), cd, true, &|c, b| c.set_bounds(b).0);
-            }
-            Instr::CSetBoundsExact { cd, cs1, rs2 } => {
-                // Special-cased outside `binary`: the warp-uniform source
-                // means one representability verdict covers every lane, and
-                // an inexact request traps warp-wide before the commit.
-                self.stats.count_cheri("CSetBoundsExact", 1);
-                let (d, m) = self.read_cap_compact(w, cs1, costs);
-                let b = expect_uniform(&self.read_data_compact(w, rs2, costs)) as u32;
-                let cap = Self::cap_of(expect_uniform(&m), expect_uniform(&d));
-                let (_, exact) = cap.set_bounds(b);
-                if cap.tag() && !cap.is_sealed() && !exact {
-                    return Err(Trap::warp_wide(
-                        w,
-                        sel.mask,
-                        sel.pc,
-                        TrapCause::Cheri(CapException::InexactBounds),
-                    )
-                    .into());
-                }
-                self.cap_sfu_suspend(w, sel);
-                self.writeback_cap_uniform(w, cd, cap.set_bounds_exact(b), mask, costs);
-            }
-            Instr::CSetBoundsImm { cd, cs1, imm } => {
-                binary(self, "CSetBoundsImm", cs1, None, cd, true, &|c, _| c.set_bounds(imm).0);
-            }
-            Instr::CSpecialRw { cd, scr: s, .. } => {
-                self.stats.count_cheri("CSpecialRW", 1);
-                let cap = self.scr_cap(sel, s);
-                self.writeback_cap_uniform(w, cd, cap, mask, costs);
-            }
-            _ => unreachable!("not a capability-class instruction"),
-        }
-        Ok(())
-    }
-
-    /// `CSpecialRW` source: the live PCC or a special capability register.
-    fn scr_cap(&self, sel: &Selection, s: u8) -> CapPipe {
-        if s == scr::PCC {
-            Self::cap_of(sel.pcc_meta, sel.pc as u64)
-        } else {
-            CapPipe::from_mem(self.scrs[s as usize])
-        }
-    }
-
-    /// Commit a warp-uniform capability result compactly.
-    fn writeback_cap_uniform(
-        &mut self,
-        w: u32,
-        cd: Reg,
-        cap: CapPipe,
-        mask: u64,
-        costs: &mut Costs,
-    ) {
-        let (m, d) = Self::cap_parts(cap);
-        let meta = OperandVec::Uniform(m);
-        self.writeback_compact(w, cd, &OperandVec::Uniform(d), Some(&meta), mask, costs);
-    }
-
-    /// Trace-histogram name of a unary capability op.
-    fn cap_unary_name(op: UnaryCapOp) -> &'static str {
-        match op {
-            UnaryCapOp::GetTag => "CGetTag",
-            UnaryCapOp::ClearTag => "CClearTag",
-            UnaryCapOp::GetPerm => "CGetPerm",
-            UnaryCapOp::GetBase => "CGetBase",
-            UnaryCapOp::GetLen => "CGetLen",
-            UnaryCapOp::GetType => "CGetType",
-            UnaryCapOp::GetSealed => "CGetSealed",
-            UnaryCapOp::GetFlags => "CGetFlags",
-            UnaryCapOp::GetAddr => "CGetAddr",
-            UnaryCapOp::Move => "CMove",
-            UnaryCapOp::SealEntry => "CSealEntry",
-            UnaryCapOp::Crrl => "CRRL",
-            UnaryCapOp::Cram => "CRAM",
-        }
-    }
-
-    /// Does this unary op round-trip the SFU when capability ops are
-    /// offloaded? (The bounds-decoding queries of Section 3.3.)
-    fn cap_unary_offloads(op: UnaryCapOp) -> bool {
-        matches!(op, UnaryCapOp::GetBase | UnaryCapOp::GetLen | UnaryCapOp::Crrl | UnaryCapOp::Cram)
-    }
-
-    /// Lane-wise unary capability op, filling `r`/`rm` for the common
-    /// writeback tail.
-    #[allow(clippy::too_many_arguments)]
-    pub(crate) fn exec_cap_unary(
-        &mut self,
-        w: u32,
-        sel: &Selection,
-        op: UnaryCapOp,
-        _rd: Reg,
-        cs1: Reg,
-        r: &mut [u64; MAX_LANES],
-        rm: &mut [u64; MAX_LANES],
-        rd_is_cap: &mut bool,
-        costs: &mut Costs,
-    ) {
-        let lanes = self.cfg.lanes as usize;
-        let mask = sel.mask;
-        let mut a = [0u64; MAX_LANES];
-        let mut am = [NULL_META; MAX_LANES];
-        self.read_cap_operand(w, cs1, &mut a, &mut am, costs);
-        self.stats.count_cheri(Self::cap_unary_name(op), 1);
-        for i in (0..lanes).filter(|i| mask >> i & 1 == 1) {
-            let cap = Self::cap_of(am[i], a[i]);
-            match op {
-                UnaryCapOp::GetTag => r[i] = cap.tag() as u64,
-                UnaryCapOp::GetPerm => r[i] = cap.perms().bits() as u64,
-                UnaryCapOp::GetBase => r[i] = cap.base() as u64,
-                UnaryCapOp::GetLen => r[i] = cap.length().min(u32::MAX as u64),
-                UnaryCapOp::GetType => r[i] = cap.otype() as u64,
-                UnaryCapOp::GetSealed => r[i] = cap.is_sealed() as u64,
-                UnaryCapOp::GetFlags => r[i] = cap.flag() as u64,
-                UnaryCapOp::GetAddr => r[i] = cap.addr() as u64,
-                UnaryCapOp::Crrl => {
-                    r[i] = bounds::representable_length(a[i] as u32).min(u32::MAX as u64)
-                }
-                UnaryCapOp::Cram => r[i] = bounds::representable_alignment_mask(a[i] as u32) as u64,
-                UnaryCapOp::ClearTag => {
-                    (rm[i], r[i]) = Self::cap_parts(cap.clear_tag());
-                    *rd_is_cap = true;
-                }
-                UnaryCapOp::Move => {
-                    (rm[i], r[i]) = (am[i], a[i]);
-                    *rd_is_cap = true;
-                }
-                UnaryCapOp::SealEntry => {
-                    (rm[i], r[i]) = Self::cap_parts(cap.seal_entry());
-                    *rd_is_cap = true;
-                }
-            }
-        }
-        if Self::cap_unary_offloads(op) {
-            self.cap_sfu_suspend(w, sel);
-        }
-    }
-
-    /// Warp-wide unary capability op over a uniform capability operand.
-    fn exec_cap_unary_fast(
-        &mut self,
-        w: u32,
-        sel: &Selection,
-        op: UnaryCapOp,
-        rd: Reg,
-        cs1: Reg,
-        costs: &mut Costs,
-    ) {
-        let (d, m) = self.read_cap_compact(w, cs1, costs);
-        let (d, m) = (expect_uniform(&d), expect_uniform(&m));
-        self.stats.count_cheri(Self::cap_unary_name(op), 1);
-        let cap = Self::cap_of(m, d);
-        let (r, rm) = match op {
-            UnaryCapOp::GetTag => (cap.tag() as u64, None),
-            UnaryCapOp::GetPerm => (cap.perms().bits() as u64, None),
-            UnaryCapOp::GetBase => (cap.base() as u64, None),
-            UnaryCapOp::GetLen => (cap.length().min(u32::MAX as u64), None),
-            UnaryCapOp::GetType => (cap.otype() as u64, None),
-            UnaryCapOp::GetSealed => (cap.is_sealed() as u64, None),
-            UnaryCapOp::GetFlags => (cap.flag() as u64, None),
-            UnaryCapOp::GetAddr => (cap.addr() as u64, None),
-            UnaryCapOp::Crrl => (bounds::representable_length(d as u32).min(u32::MAX as u64), None),
-            UnaryCapOp::Cram => (bounds::representable_alignment_mask(d as u32) as u64, None),
-            UnaryCapOp::ClearTag => {
-                let (mm, dd) = Self::cap_parts(cap.clear_tag());
-                (dd, Some(mm))
-            }
-            UnaryCapOp::Move => (d, Some(m)),
-            UnaryCapOp::SealEntry => {
-                let (mm, dd) = Self::cap_parts(cap.seal_entry());
-                (dd, Some(mm))
-            }
-        };
-        if Self::cap_unary_offloads(op) {
-            self.cap_sfu_suspend(w, sel);
-        }
-        let meta = rm.map(OperandVec::Uniform);
-        self.writeback_compact(w, rd, &OperandVec::Uniform(r), meta.as_ref(), sel.mask, costs);
+            sm.writeback(w, c.rd, &r[..], c.cap_result.then_some(&rm[..]), mask, costs);
+            Ok(())
+        })
     }
 }

@@ -1,12 +1,13 @@
-//! Issue classification: which execution path a decoded instruction takes.
+//! Issue classification: which execute driver an issue runs on.
 //!
 //! The classifier runs in the issue stage *before* execution, over nothing
-//! but the decoded instruction, the active mask and the register file's
-//! compact-form metadata ([`simt_regfile::CompressedRegFile::class_of`] —
-//! a pure peek). Its verdict is recorded on the `issue` trace event and in
+//! but the ROM slot's pre-bound [`ScalarRule`], the active mask and the
+//! register file's compact-form metadata
+//! ([`simt_regfile::CompressedRegFile::class_of`] — a pure peek). Its
+//! verdict is recorded on the `issue` trace event and in
 //! [`crate::KernelStats::scalarised_issues`], and the execute stage obeys
-//! the same verdict when picking between the warp-wide fast path and the
-//! lane-wise reference path — so the counter, the event stream and the
+//! the same verdict when picking between the warp-wide driver and the
+//! lane-wise reference driver — so the counter, the event stream and the
 //! executed path can never disagree.
 //!
 //! An issue is [`IssueClass::Scalarised`] when execute computes its result
@@ -26,77 +27,38 @@
 
 use crate::sm::Sm;
 use crate::warp::Selection;
-use simt_isa::{AluOp, Instr, MulOp, Reg};
+use simt_isa::{AluOp, MulOp, Reg};
 use simt_regfile::OperandClass;
 use simt_trace::IssueClass;
 
-/// The static half of the scalarisation verdict: what can be decided from
-/// the instruction and the CHERI mode alone, cached per program-ROM slot
-/// at load time ([`crate::rom`]). `Dynamic` ops still need the
-/// per-issue register-class and mask checks of
-/// [`Sm::dynamic_issue_class`].
+/// Which linearity rule a [`ScalarRule::Linear`] op obeys.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub(crate) enum StaticClass {
+pub(crate) enum LinearOp {
+    /// [`alu_scalarises`].
+    Alu(AluOp),
+    /// [`muldiv_scalarises`].
+    Mul(MulOp),
+}
+
+/// When an instruction scalarises, resolved per program-ROM slot at load
+/// time ([`crate::rom::lower`]) and evaluated per issue by
+/// [`Sm::resolve_issue_class`] with pure register-class peeks. Registers an
+/// op does not have are `x0`, which reads as uniform.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) enum ScalarRule {
     /// Scalarises under any mask and operand classes (warp-invariant
     /// splats).
     Always,
     /// Never scalarises (the memory pipeline, traps, SIMT control, and
     /// CHERI `JALR`).
     Never,
-    /// Depends on the dynamic operand classes (and, for compute ops, a
-    /// full mask).
-    Dynamic,
-}
-
-/// Classify the static half of the scalarisation verdict (see
-/// [`StaticClass`]).
-pub(crate) fn static_issue_class(instr: Instr, cheri: bool) -> StaticClass {
-    match instr {
-        // Warp-invariant splats (CSRRS is uniform or hart-affine).
-        Instr::Lui { .. }
-        | Instr::Auipc { .. }
-        | Instr::Jal { .. }
-        | Instr::Csrrs { .. }
-        | Instr::CSpecialRw { .. } => StaticClass::Always,
-        // CHERI JALR stays per-lane: it unseals, checks and installs a
-        // per-lane PCC. Non-CHERI JALR scalarises on a uniform base.
-        Instr::Jalr { .. } => {
-            if cheri {
-                StaticClass::Never
-            } else {
-                StaticClass::Dynamic
-            }
-        }
-        Instr::Branch { .. }
-        | Instr::OpImm { .. }
-        | Instr::Op { .. }
-        | Instr::MulDiv { .. }
-        | Instr::FOp { .. }
-        | Instr::FSqrt { .. }
-        | Instr::FCmp { .. }
-        | Instr::FCvtWS { .. }
-        | Instr::FCvtSW { .. }
-        | Instr::CapUnary { .. }
-        | Instr::CAndPerm { .. }
-        | Instr::CSetFlags { .. }
-        | Instr::CSetAddr { .. }
-        | Instr::CIncOffset { .. }
-        | Instr::CIncOffsetImm { .. }
-        | Instr::CSetBounds { .. }
-        | Instr::CSetBoundsExact { .. }
-        | Instr::CSetBoundsImm { .. } => StaticClass::Dynamic,
-        // Inherently per-lane: the memory pipeline, traps and SIMT
-        // control.
-        Instr::Load { .. }
-        | Instr::Store { .. }
-        | Instr::Clc { .. }
-        | Instr::Csc { .. }
-        | Instr::Amo { .. }
-        | Instr::Fence
-        | Instr::Ecall
-        | Instr::Ebreak
-        | Instr::Simt { .. } => StaticClass::Never,
-    }
+    /// Scalarises when `cap` is uniform as a full capability (data *and*
+    /// metadata), both `data` registers are uniform, and — if `full` — the
+    /// mask covers every lane.
+    Uniform { cap: Reg, data: [Reg; 2], full: bool },
+    /// Scalarises under a full mask when `op` is linear in the compact
+    /// classes of `rs1` and `rs2`.
+    Linear { op: LinearOp, rs1: Reg, rs2: Reg },
 }
 
 /// Does `op` over operand classes `a`/`b` have a warp-wide evaluation that
@@ -130,7 +92,7 @@ pub(crate) fn muldiv_scalarises(op: MulOp, a: OperandClass, b: OperandClass) -> 
 
 impl Sm {
     /// The compact-form class of a data register (`x0` reads as uniform 0).
-    pub(crate) fn data_class(&self, w: u32, reg: Reg) -> OperandClass {
+    fn data_class(&self, w: u32, reg: Reg) -> OperandClass {
         if reg.is_zero() {
             OperandClass::Uniform
         } else {
@@ -155,73 +117,39 @@ impl Sm {
             }
     }
 
-    /// Classify an issue (see the module docs for the criteria) from the
-    /// ROM slot's pre-computed [`StaticClass`]: only the `Dynamic` case
-    /// runs the per-issue register-class and mask checks. Pure: no
+    /// Classify an issue (see the module docs for the criteria) by
+    /// evaluating the ROM slot's pre-bound [`ScalarRule`]. Pure: no
     /// register-file or statistics state changes between this peek and the
     /// execution it governs.
     pub(crate) fn resolve_issue_class(
         &self,
         w: u32,
         sel: &Selection,
-        instr: Instr,
-        sclass: StaticClass,
+        rule: ScalarRule,
     ) -> IssueClass {
-        let scalarised = match sclass {
-            StaticClass::Always => true,
-            StaticClass::Never => false,
-            StaticClass::Dynamic => self.dynamic_issue_class(w, sel, instr),
+        let scalarised = match rule {
+            ScalarRule::Always => true,
+            ScalarRule::Never => false,
+            ScalarRule::Uniform { cap, data, full } => {
+                (!full || sel.mask == self.full_mask)
+                    && self.cap_uniform(w, cap)
+                    && self.data_uniform(w, data[0])
+                    && self.data_uniform(w, data[1])
+            }
+            ScalarRule::Linear { op, rs1, rs2 } => {
+                sel.mask == self.full_mask && {
+                    let (a, b) = (self.data_class(w, rs1), self.data_class(w, rs2));
+                    match op {
+                        LinearOp::Alu(op) => alu_scalarises(op, a, b),
+                        LinearOp::Mul(op) => muldiv_scalarises(op, a, b),
+                    }
+                }
+            }
         };
         if scalarised {
             IssueClass::Scalarised
         } else {
             IssueClass::PerLane
-        }
-    }
-
-    /// The dynamic half of the scalarisation verdict, for
-    /// [`StaticClass::Dynamic`] instructions only.
-    fn dynamic_issue_class(&self, w: u32, sel: &Selection, instr: Instr) -> bool {
-        let full = sel.mask == u64::MAX >> (64 - self.cfg.lanes);
-        match instr {
-            // Uniform control flow (the CHERI JALR case is statically
-            // `Never` and cannot reach here).
-            Instr::Jalr { rs1, .. } => !self.cheri() && self.data_uniform(w, rs1),
-            Instr::Branch { rs1, rs2, .. } => {
-                self.data_uniform(w, rs1) && self.data_uniform(w, rs2)
-            }
-            // Compute over compact operands; a full mask keeps the result
-            // write free of per-lane merging.
-            Instr::OpImm { op, rs1, .. } => {
-                full && alu_scalarises(op, self.data_class(w, rs1), OperandClass::Uniform)
-            }
-            Instr::Op { op, rs1, rs2, .. } => {
-                full && alu_scalarises(op, self.data_class(w, rs1), self.data_class(w, rs2))
-            }
-            Instr::MulDiv { op, rs1, rs2, .. } => {
-                full && muldiv_scalarises(op, self.data_class(w, rs1), self.data_class(w, rs2))
-            }
-            Instr::FOp { rs1, rs2, .. } | Instr::FCmp { rs1, rs2, .. } => {
-                full && self.data_uniform(w, rs1) && self.data_uniform(w, rs2)
-            }
-            Instr::FSqrt { rs1, .. } | Instr::FCvtWS { rs1, .. } | Instr::FCvtSW { rs1, .. } => {
-                full && self.data_uniform(w, rs1)
-            }
-            // Capability arithmetic on a uniform capability (and uniform
-            // scalar operand, where one exists).
-            Instr::CapUnary { cs1, .. } => full && self.cap_uniform(w, cs1),
-            Instr::CAndPerm { cs1, rs2, .. }
-            | Instr::CSetFlags { cs1, rs2, .. }
-            | Instr::CSetAddr { cs1, rs2, .. }
-            | Instr::CIncOffset { cs1, rs2, .. }
-            | Instr::CSetBounds { cs1, rs2, .. }
-            | Instr::CSetBoundsExact { cs1, rs2, .. } => {
-                full && self.cap_uniform(w, cs1) && self.data_uniform(w, rs2)
-            }
-            Instr::CIncOffsetImm { cs1, .. } | Instr::CSetBoundsImm { cs1, .. } => {
-                full && self.cap_uniform(w, cs1)
-            }
-            _ => unreachable!("statically classified instruction reached the dynamic check"),
         }
     }
 }

@@ -2,28 +2,27 @@
 //! op-class handlers.
 //!
 //! Owns instruction-issue accounting (`instrs`, `thread_instrs`,
-//! `scalarised_issues`, the occupancy samples, the Issue trace event), the
-//! per-warp PCC fetch check, the memory-class dispatch with its CSC
-//! serialisation and capability multi-flit stalls, and the SFU suspension
-//! helpers shared by the op-class handlers.
+//! `scalarised_issues`, the `cheri_histogram` slots, the occupancy samples,
+//! the Issue trace event), the per-warp PCC fetch check, the memory-class
+//! handlers with their CSC serialisation and capability multi-flit stalls,
+//! and the SFU suspension helpers shared by the op-class handlers.
 //!
-//! Every issue is classified *before* execution (see [`super::classify`])
-//! and the verdict routes it through [`Sm::execute`]: scalarised issues may
-//! take the warp-wide fast path over compact operands (unless the host
-//! disabled it with [`Sm::set_scalarise`]), per-lane issues always take the
-//! lane-wise reference path. The handlers live in [`super::alu`],
-//! [`super::flow`], [`super::sfu`] and [`super::capops`]; memory and
-//! system ops are handled here because they are never scalarised.
+//! An issue indexes the program ROM, evaluates the slot's pre-bound
+//! scalarisation rule (see [`super::classify`]) and calls the handler of
+//! the slot's resolved [`Op`]: scalarised issues run on the warp-wide
+//! driver over compact operands (unless the host disabled it with
+//! [`Sm::set_scalarise`]), per-lane issues on the lane-wise one. The
+//! handlers live in [`super::data`], [`super::flow`] and [`super::capops`];
+//! memory and system ops are handled here because they are never
+//! scalarised.
 
 use super::Costs;
 use crate::config::TrapPolicy;
 use crate::device::MemSystem;
-use crate::rom::{pc_index, TrapPlan};
+use crate::rom::{pc_index, Decoded, MemOp, Op, SysOp};
 use crate::sm::Sm;
 use crate::trap::{RunError, Trap, TrapCause};
 use crate::warp::{Selection, ThreadStatus};
-use simt_isa::{Instr, LoadWidth, Reg, SimtOp};
-use simt_regfile::MAX_LANES;
 use simt_trace::{IssueClass, StallCause, TraceEvent};
 
 impl Sm {
@@ -36,11 +35,11 @@ impl Sm {
     /// Returns [`RunError::SchedulerInvariant`] — instead of aborting the
     /// process — if `w` has no selectable thread, plus everything
     /// [`Sm::issue_with`] can return.
-    pub(crate) fn issue(&mut self, ms: &mut MemSystem, w: usize) -> Result<Selection, RunError> {
-        let Some(sel) = self.warps[w].select() else {
-            return Err(RunError::SchedulerInvariant { warp: w as u32, cycles: self.cycle });
+    pub(crate) fn issue(&mut self, ms: &mut MemSystem, w: u32) -> Result<Selection, RunError> {
+        let Some(sel) = self.warps[w as usize].select() else {
+            return Err(RunError::SchedulerInvariant { warp: w, cycles: self.cycle });
         };
-        self.issue_with(ms, w, sel)?;
+        self.issue_with(ms, w, &sel)?;
         Ok(sel)
     }
 
@@ -53,12 +52,12 @@ impl Sm {
     pub(crate) fn issue_with(
         &mut self,
         ms: &mut MemSystem,
-        w: usize,
-        sel: Selection,
+        w: u32,
+        sel: &Selection,
     ) -> Result<(), RunError> {
         match self.issue_inner(ms, w, sel) {
-            Err(RunError::Trap(t)) => self.deliver_trap(t),
-            other => other,
+            Ok(()) => Ok(()),
+            Err(t) => self.deliver_trap(*t),
         }
     }
 
@@ -96,11 +95,9 @@ impl Sm {
     fn issue_inner(
         &mut self,
         ms: &mut MemSystem,
-        w: usize,
-        sel: Selection,
-    ) -> Result<(), RunError> {
-        let wid = u32::try_from(w).expect("warp index exceeds u32");
-
+        w: u32,
+        sel: &Selection,
+    ) -> Result<(), Box<Trap>> {
         // Fetch. The instruction-memory range check runs *first*, so a PC
         // outside the program traps as `fetch_oob` under every protection
         // scheme; the CHERI PCC check (one per warp, Section 3.3) then
@@ -110,7 +107,7 @@ impl Sm {
             Some(i) if i < self.rom.ops.len() => i,
             _ => {
                 return Err(Trap::warp_wide(
-                    wid,
+                    w,
                     sel.mask,
                     sel.pc,
                     TrapCause::FetchOutOfRange(sel.pc),
@@ -125,29 +122,35 @@ impl Sm {
         {
             let pcc = Self::cap_of(sel.pcc_meta, sel.pc as u64);
             if let Err(e) = pcc.check_fetch(sel.pc) {
-                return Err(Trap::warp_wide(wid, sel.mask, sel.pc, TrapCause::Cheri(e)).into());
+                return Err(Trap::warp_wide(w, sel.mask, sel.pc, TrapCause::Cheri(e)).into());
             }
         }
-        // Decode + classify, both from the ROM: the cached static class
-        // resolves through the dynamic register-class check. Classification
-        // precedes execution so the event, the counter and the executed
-        // path all report the same verdict.
-        let Some(op) = self.rom.ops[idx] else {
-            let cause = TrapCause::IllegalInstr(self.rom.words[idx]);
-            return Err(Trap::warp_wide(wid, sel.mask, sel.pc, cause).into());
+        // The slot says everything else: the resolved op, the rule that
+        // classifies this issue, its mnemonic and histogram slot.
+        // Classification precedes execution so the event, the counter and
+        // the executed path all report the same verdict.
+        let slot = self.rom.ops[idx];
+        let op = match slot.op {
+            Decoded::Op(op) => op,
+            Decoded::Illegal(raw) => {
+                let cause = TrapCause::IllegalInstr(raw);
+                return Err(Trap::warp_wide(w, sel.mask, sel.pc, cause).into());
+            }
         };
-        let (instr, plan) = (op.instr, op.plan);
-        let class = self.resolve_issue_class(wid, &sel, instr, op.sclass);
+        if let Some(c) = slot.cheri {
+            self.cheri_counts[c as usize] += 1;
+        }
+        let class = self.resolve_issue_class(w, sel, slot.rule);
 
         // Issue accounting.
         self.cycle += 1;
         if let Some(sink) = self.sink.as_deref_mut() {
             sink.emit(TraceEvent::Issue {
                 cycle: self.cycle,
-                warp: wid,
+                warp: w,
                 pc: sel.pc,
                 mask: sel.mask,
-                mnemonic: instr.mnemonic(),
+                mnemonic: slot.mnemonic,
                 class,
             });
         }
@@ -163,234 +166,102 @@ impl Sm {
         }
 
         let mut costs = Costs::default();
-        let result = self.execute(ms, wid, &sel, instr, class, plan, &mut costs);
+        let fast = self.scalarise && class == IssueClass::Scalarised;
+        let result = self.execute(ms, w, sel, &op, fast, &mut costs);
+        // Straight-line ops step every selected lane to the next word
+        // unless they trapped; the rest commit their own PCs.
+        if slot.straight && result.is_ok() {
+            self.advance_uniform(w, sel, sel.pc.wrapping_add(4), None);
+        }
 
         // Apply accumulated costs.
         self.cycle += (costs.extra_cycles + costs.spill_cycles) as u64;
         self.stats.stalls.spill_fill += costs.spill_cycles as u64;
-        self.emit_stall(wid, StallCause::SpillFill, costs.spill_cycles as u64);
+        self.emit_stall(w, StallCause::SpillFill, costs.spill_cycles as u64);
         // Spill/fill traffic is rare; most issues skip the call.
         if costs.dram_reads + costs.dram_writes > 0 {
-            self.dram_access(ms, wid, costs.dram_reads, costs.dram_writes, 0);
+            self.dram_access(ms, w, costs.dram_reads, costs.dram_writes, 0);
         }
         result
     }
 
-    /// Execute `instr` for the selected threads of warp `w`, honouring the
-    /// issue classifier's verdict: scalarised issues take the warp-wide
-    /// compact path (when enabled), everything else the lane-wise one.
-    #[allow(clippy::too_many_arguments)]
+    /// Execute `op` for the selected threads of warp `w`: `fast` issues run
+    /// on the warp-wide driver, everything else on the lane-wise one.
+    /// Inlined into its one caller so the `Ok` of the handlers that cannot
+    /// trap never takes a round trip through memory.
+    #[inline(always)]
     pub(crate) fn execute(
         &mut self,
         ms: &mut MemSystem,
         w: u32,
         sel: &Selection,
-        instr: Instr,
-        class: IssueClass,
-        plan: TrapPlan,
+        op: &Op,
+        fast: bool,
         costs: &mut Costs,
-    ) -> Result<(), RunError> {
-        let fast = self.scalarise && class == IssueClass::Scalarised;
-        match instr {
-            Instr::Lui { .. }
-            | Instr::Auipc { .. }
-            | Instr::OpImm { .. }
-            | Instr::Op { .. }
-            | Instr::MulDiv { .. }
-            | Instr::Csrrs { .. } => {
-                self.exec_alu_class(w, sel, instr, fast, costs);
-                Ok(())
+    ) -> Result<(), Box<Trap>> {
+        match op {
+            Op::Data(d) => self.exec_data(w, sel, d, fast, costs),
+            Op::Splat(s) => self.exec_splat(w, sel, s, fast, costs),
+            Op::Cap(c) => return self.exec_cap(w, sel, c, fast, costs),
+            Op::Jal(j) => self.exec_jal(w, sel, j, fast, costs),
+            Op::Jalr(j) => return self.exec_jalr(w, sel, j, fast, costs),
+            Op::Branch(b) => self.exec_branch(w, sel, b, fast, costs),
+            Op::Mem(m) => return self.exec_mem(ms, w, sel, m, costs),
+            Op::Amo(a) => {
+                return self.with_bufs(|sm, bufs| sm.do_amo(bufs, ms, w, sel, a, costs));
             }
-            Instr::Jal { .. } | Instr::Jalr { .. } | Instr::Branch { .. } => {
-                self.exec_flow_class(w, sel, instr, fast, costs)
-            }
-            Instr::FOp { .. }
-            | Instr::FSqrt { .. }
-            | Instr::FCmp { .. }
-            | Instr::FCvtWS { .. }
-            | Instr::FCvtSW { .. } => {
-                self.exec_sfu_class(w, sel, instr, fast, costs);
-                Ok(())
-            }
-            Instr::CapUnary { .. }
-            | Instr::CAndPerm { .. }
-            | Instr::CSetFlags { .. }
-            | Instr::CSetAddr { .. }
-            | Instr::CIncOffset { .. }
-            | Instr::CIncOffsetImm { .. }
-            | Instr::CSetBounds { .. }
-            | Instr::CSetBoundsExact { .. }
-            | Instr::CSetBoundsImm { .. }
-            | Instr::CSpecialRw { .. } => self.exec_cap_class(w, sel, instr, fast, costs),
-            Instr::Load { .. }
-            | Instr::Store { .. }
-            | Instr::Clc { .. }
-            | Instr::Csc { .. }
-            | Instr::Amo { .. } => self.exec_mem_class(ms, w, sel, instr, plan, costs),
-            Instr::Fence | Instr::Ecall | Instr::Ebreak | Instr::Simt { .. } => {
-                self.exec_sys_class(w, sel, instr)
-            }
+            Op::Sys(s) => return self.exec_sys(w, sel, *s),
         }
+        Ok(())
     }
 
-    /// Memory op class: loads, stores, capability-wide transfers and AMOs.
-    /// Always per-lane (addresses diverge); the memory pipeline proper
-    /// lives in [`super::memstage`].
-    fn exec_mem_class(
+    /// Loads, stores and capability-wide transfers. Always per-lane
+    /// (addresses diverge); the memory pipeline proper lives in
+    /// [`super::memstage`].
+    fn exec_mem(
         &mut self,
         ms: &mut MemSystem,
         w: u32,
         sel: &Selection,
-        instr: Instr,
-        plan: TrapPlan,
+        m: &MemOp,
         costs: &mut Costs,
-    ) -> Result<(), RunError> {
-        let cheri = self.cheri();
-        match instr {
-            Instr::Load { w: lw, rd, rs1, off } => {
-                if cheri {
-                    self.stats.count_cheri(
-                        match lw {
-                            LoadWidth::B => "CLB",
-                            LoadWidth::H => "CLH",
-                            LoadWidth::W => "CLW",
-                            LoadWidth::Bu => "CLBU",
-                            LoadWidth::Hu => "CLHU",
-                        },
-                        1,
-                    );
-                }
-                self.do_load_store(
-                    ms,
-                    w,
-                    sel,
-                    rs1,
-                    Some(rd),
-                    Reg::ZERO,
-                    off,
-                    lw.bytes(),
-                    false,
-                    false,
-                    lw,
-                    plan,
-                    costs,
-                )?;
+    ) -> Result<(), Box<Trap>> {
+        if m.cap {
+            // The second flit of a capability-wide access on the 32-bit
+            // datapath (Section 3.1).
+            let extra = self.cfg.timing.cap_access_extra;
+            self.stats.stalls.cap_multi_flit += extra as u64;
+            self.emit_stall(w, StallCause::CapMultiFlit, extra as u64);
+            costs.extra_cycles += extra;
+            // Single-read-port metadata SRF: CSC needs cs1 and cs2
+            // metadata, costing an extra operand-fetch cycle in the
+            // optimised configuration (Section 3.2).
+            if m.store && self.opts.is_some_and(|o| o.compress_meta) {
+                costs.extra_cycles += 1;
+                self.stats.stalls.csc_serialisation += 1;
+                self.emit_stall(w, StallCause::CscSerialisation, 1);
             }
-            Instr::Store { w: sw, rs2, rs1, off } => {
-                if cheri {
-                    self.stats.count_cheri(
-                        match sw {
-                            simt_isa::StoreWidth::B => "CSB",
-                            simt_isa::StoreWidth::H => "CSH",
-                            simt_isa::StoreWidth::W => "CSW",
-                        },
-                        1,
-                    );
-                }
-                self.do_load_store(
-                    ms,
-                    w,
-                    sel,
-                    rs1,
-                    None,
-                    rs2,
-                    off,
-                    sw.bytes(),
-                    true,
-                    false,
-                    LoadWidth::W,
-                    plan,
-                    costs,
-                )?;
-            }
-            Instr::Clc { cd, cs1, off } => {
-                self.stats.count_cheri("CLC", 1);
-                self.cap_multi_flit_stall(w, costs);
-                self.do_load_store(
-                    ms,
-                    w,
-                    sel,
-                    cs1,
-                    Some(cd),
-                    Reg::ZERO,
-                    off,
-                    8,
-                    false,
-                    true,
-                    LoadWidth::W,
-                    plan,
-                    costs,
-                )?;
-            }
-            Instr::Csc { cs2, cs1, off } => {
-                self.stats.count_cheri("CSC", 1);
-                self.cap_multi_flit_stall(w, costs);
-                // Single-read-port metadata SRF: CSC needs cs1 and cs2
-                // metadata, costing an extra operand-fetch cycle in the
-                // optimised configuration (Section 3.2).
-                if let Some(o) = self.opts {
-                    if o.compress_meta {
-                        costs.extra_cycles += 1;
-                        self.stats.stalls.csc_serialisation += 1;
-                        self.emit_stall(w, StallCause::CscSerialisation, 1);
-                    }
-                }
-                self.do_load_store(
-                    ms,
-                    w,
-                    sel,
-                    cs1,
-                    None,
-                    cs2,
-                    off,
-                    8,
-                    true,
-                    true,
-                    LoadWidth::W,
-                    plan,
-                    costs,
-                )?;
-            }
-            Instr::Amo { op, rd, rs1, rs2 } => {
-                if cheri {
-                    self.stats.count_cheri("CAMO", 1);
-                }
-                let mut b = [0u64; MAX_LANES];
-                self.read_data(w, rs2, &mut b, costs);
-                self.do_amo(ms, w, sel, rs1, rd, op, &b, plan, costs)?;
-            }
-            _ => unreachable!("not a memory-class instruction"),
         }
-        self.advance_uniform(w, sel, sel.pc.wrapping_add(4), None);
-        Ok(())
-    }
-
-    /// The second flit of a capability-wide access (`CLC`/`CSC`) on the
-    /// 32-bit datapath (Section 3.1).
-    fn cap_multi_flit_stall(&mut self, w: u32, costs: &mut Costs) {
-        self.stats.stalls.cap_multi_flit += self.cfg.timing.cap_access_extra as u64;
-        self.emit_stall(w, StallCause::CapMultiFlit, self.cfg.timing.cap_access_extra as u64);
-        costs.extra_cycles += self.cfg.timing.cap_access_extra;
+        self.with_bufs(|sm, bufs| sm.do_load_store(bufs, ms, w, sel, m, costs))
     }
 
     /// System op class: fences, environment traps and SIMT control.
-    fn exec_sys_class(&mut self, w: u32, sel: &Selection, instr: Instr) -> Result<(), RunError> {
-        let status_change = match instr {
-            Instr::Fence => None,
-            Instr::Ecall | Instr::Ebreak => {
+    fn exec_sys(&mut self, w: u32, sel: &Selection, op: SysOp) -> Result<(), Box<Trap>> {
+        let status = match op {
+            SysOp::Fence => return Ok(()),
+            SysOp::EnvTrap => {
                 return Err(Trap::warp_wide(w, sel.mask, sel.pc, TrapCause::Environment).into());
             }
-            Instr::Simt { op: SimtOp::Terminate } => Some(ThreadStatus::Terminated),
-            Instr::Simt { op: SimtOp::Barrier } => {
+            SysOp::Terminate => ThreadStatus::Terminated,
+            SysOp::Barrier => {
                 self.stats.barriers += 1;
                 if let Some(sink) = self.sink.as_deref_mut() {
                     sink.emit(TraceEvent::Barrier { cycle: self.cycle, warp: w, release: false });
                 }
-                Some(ThreadStatus::AtBarrier)
+                ThreadStatus::AtBarrier
             }
-            _ => unreachable!("not a system-class instruction"),
         };
-        self.advance_uniform(w, sel, sel.pc.wrapping_add(4), status_change);
+        self.advance_uniform(w, sel, sel.pc.wrapping_add(4), Some(status));
         Ok(())
     }
 

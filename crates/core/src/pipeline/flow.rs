@@ -2,215 +2,158 @@
 //!
 //! Under CHERI, `JAL`/`JALR` become `CJAL`/`CJALR`: the link register is a
 //! sealed (sentry) capability and the jump target is fetch-checked against
-//! the unsealed target capability, per lane. The scalarised fast path
-//! covers warp-invariant flow — `JAL` (the target is an immediate),
-//! non-CHERI `JALR` with a uniform base, and branches whose operands are
-//! uniform so the whole warp takes one direction.
+//! the unsealed target capability, per lane. Warp-invariant flow resolves
+//! one target per warp — `JAL` (the target is an immediate), non-CHERI
+//! `JALR` with a uniform base, and branches whose operands are uniform so
+//! the whole warp takes one direction; otherwise the same target function
+//! runs per active lane.
 
+use super::data::Splat;
 use super::scalar::expect_uniform;
-use super::Costs;
+use super::{active_lanes, Costs};
 use crate::exec;
-use crate::sm::Sm;
-use crate::trap::{LaneFault, RunError, Trap, TrapCause};
+use crate::rom::{BranchOp, JalOp, JalrOp};
+use crate::sm::{LaneBufs, Sm};
+use crate::trap::{LaneFault, Trap, TrapCause};
 use crate::warp::Selection;
-use simt_isa::Instr;
-use simt_regfile::OperandVec;
 
 impl Sm {
-    /// Execute one control-flow instruction.
+    /// What `JAL`/`JALR` write to `rd`: the sequential PC — under CHERI as
+    /// a sentry capability derived from the PCC.
+    fn link(&self, sel: &Selection) -> Splat {
+        let seq = sel.pc.wrapping_add(4);
+        if self.cheri() {
+            Splat::cap(Self::cap_of(sel.pcc_meta, sel.pc as u64).set_addr(seq).seal_entry())
+        } else {
+            Splat::int(seq)
+        }
+    }
+
+    /// `JAL`: scalarises under any mask, cannot trap.
+    pub(crate) fn exec_jal(
+        &mut self,
+        w: u32,
+        sel: &Selection,
+        j: &JalOp,
+        fast: bool,
+        costs: &mut Costs,
+    ) {
+        let link = self.link(sel);
+        self.writeback_splat(w, j.rd, &link, fast, sel.mask, costs);
+        self.advance_uniform(w, sel, sel.pc.wrapping_add(j.off), None);
+    }
+
+    /// Conditional branch (never traps).
+    pub(crate) fn exec_branch(
+        &mut self,
+        w: u32,
+        sel: &Selection,
+        br: &BranchOp,
+        fast: bool,
+        costs: &mut Costs,
+    ) {
+        let (seq, target) = (sel.pc.wrapping_add(4), sel.pc.wrapping_add(br.off));
+        let next = |x: u64, y: u64| {
+            if exec::branch_taken(br.cond, x as u32, y as u32) {
+                target
+            } else {
+                seq
+            }
+        };
+        if fast {
+            let x = expect_uniform(&self.read_data_compact(w, br.rs1, costs));
+            let y = expect_uniform(&self.read_data_compact(w, br.rs2, costs));
+            self.advance_uniform(w, sel, next(x, y), None);
+        } else {
+            // Scratch staleness audit: `a`/`b` are fully overwritten by the
+            // reads; `pcs` is written for every lane `advance` reads.
+            self.with_bufs(|sm, bufs| {
+                let LaneBufs { a, b, pcs, .. } = bufs;
+                sm.read_data(w, br.rs1, a, costs);
+                sm.read_data(w, br.rs2, b, costs);
+                for i in active_lanes(sel.mask, sm.cfg.lanes as usize) {
+                    pcs[i] = next(a[i], b[i]);
+                }
+                sm.advance(w, sel, pcs, None);
+            });
+        }
+    }
+
+    /// `JALR`.
     ///
     /// # Errors
     ///
     /// CHERI `JALR` traps when the target capability fails the fetch check.
-    pub(crate) fn exec_flow_class(
+    pub(crate) fn exec_jalr(
         &mut self,
         w: u32,
         sel: &Selection,
-        instr: Instr,
+        j: &JalrOp,
         fast: bool,
         costs: &mut Costs,
-    ) -> Result<(), RunError> {
+    ) -> Result<(), Box<Trap>> {
+        if self.cheri() {
+            // Statically never scalarised: it installs a per-lane PCC.
+            return self.with_bufs(|sm, bufs| sm.exec_cjalr(bufs, w, sel, j, costs));
+        }
+        let link = self.link(sel);
+        let next = |base: u64| (base as u32).wrapping_add(j.off) & !1;
         if fast {
-            self.exec_flow_fast(w, sel, instr, costs);
-            Ok(())
+            let base = expect_uniform(&self.read_data_compact(w, j.rs1, costs));
+            self.writeback_splat(w, j.rd, &link, true, sel.mask, costs);
+            self.advance_uniform(w, sel, next(base), None);
         } else {
-            self.exec_flow_lanewise(w, sel, instr, costs)
+            self.with_bufs(|sm, bufs| {
+                sm.read_data(w, j.rs1, &mut bufs.a, costs);
+                for i in active_lanes(sel.mask, sm.cfg.lanes as usize) {
+                    bufs.pcs[i] = next(bufs.a[i]);
+                }
+                sm.writeback_splat_lanes(bufs, w, j.rd, &link, sel.mask, costs);
+                sm.advance(w, sel, &bufs.pcs, None);
+            });
         }
-    }
-
-    /// The lane-wise reference path. Scratch staleness audit: `a`/`am`/`b`
-    /// are fully overwritten by the operand reads; `next_pc` is explicitly
-    /// re-filled with the sequential PC; `metas` (the spare `bm` scratch) is
-    /// written for every active lane that survives the check phase before
-    /// any lane reads it back; `r`/`rm` are `[..lanes]`-filled when written
-    /// back at all.
-    fn exec_flow_lanewise(
-        &mut self,
-        w: u32,
-        sel: &Selection,
-        instr: Instr,
-        costs: &mut Costs,
-    ) -> Result<(), RunError> {
-        let mut bufs = self.take_bufs();
-        let res = self.flow_lanewise_with(&mut bufs, w, sel, instr, costs);
-        self.put_bufs(bufs);
-        res
-    }
-
-    fn flow_lanewise_with(
-        &mut self,
-        bufs: &mut crate::sm::LaneBufs,
-        w: u32,
-        sel: &Selection,
-        instr: Instr,
-        costs: &mut Costs,
-    ) -> Result<(), RunError> {
-        let lanes = self.cfg.lanes as usize;
-        let mask = sel.mask;
-        let cheri = self.cheri();
-        let crate::sm::LaneBufs { a, am, b, bm: metas, r, rm, pcs: next_pc, .. } = bufs;
-        next_pc[..lanes].fill(sel.pc.wrapping_add(4));
-        let mut rd_is_cap = false;
-
-        macro_rules! active {
-            () => {
-                (0..lanes).filter(|i| mask >> i & 1 == 1)
-            };
-        }
-
-        let write_rd = match instr {
-            Instr::Jal { rd, off } => {
-                if cheri {
-                    self.stats.count_cheri("CJAL", 1);
-                    let link = Self::cap_of(sel.pcc_meta, sel.pc as u64)
-                        .set_addr(sel.pc.wrapping_add(4))
-                        .seal_entry();
-                    let (m, d) = Self::cap_parts(link);
-                    r[..lanes].fill(d);
-                    rm[..lanes].fill(m);
-                    rd_is_cap = true;
-                } else {
-                    r[..lanes].fill(sel.pc.wrapping_add(4) as u64);
-                }
-                let target = sel.pc.wrapping_add(off as u32);
-                for i in active!() {
-                    next_pc[i] = target;
-                }
-                Some(rd)
-            }
-            Instr::Jalr { rd, rs1, off } => {
-                if cheri {
-                    self.stats.count_cheri("CJALR", 1);
-                    self.read_cap_operand(w, rs1, a, am, costs);
-                    // Check phase: fetch-check every active lane's target
-                    // before installing any lane's PCC metadata, so a trap
-                    // leaves the whole warp's PCC state untouched.
-                    let mut faults: Vec<LaneFault> = Vec::new();
-                    for i in active!() {
-                        let cap = Self::cap_of(am[i], a[i]);
-                        let target = (cap.addr().wrapping_add(off as u32)) & !1;
-                        let cap = cap.unseal_sentry();
-                        if let Err(e) = cap.check_fetch(target) {
-                            faults.push(LaneFault { lane: i as u32, cause: TrapCause::Cheri(e) });
-                            continue;
-                        }
-                        let (m, _) = Self::cap_parts(cap);
-                        metas[i] = m;
-                        next_pc[i] = target;
-                    }
-                    if let Some(t) = Trap::from_lane_faults(w, sel.pc, faults) {
-                        return Err(t.into());
-                    }
-                    for i in active!() {
-                        self.warps[w as usize].set_pcc_meta(i, metas[i]);
-                    }
-                    let link = Self::cap_of(sel.pcc_meta, sel.pc as u64)
-                        .set_addr(sel.pc.wrapping_add(4))
-                        .seal_entry();
-                    let (m, d) = Self::cap_parts(link);
-                    r[..lanes].fill(d);
-                    rm[..lanes].fill(m);
-                    rd_is_cap = true;
-                } else {
-                    self.read_data(w, rs1, a, costs);
-                    for i in active!() {
-                        next_pc[i] = (a[i] as u32).wrapping_add(off as u32) & !1;
-                    }
-                    r[..lanes].fill(sel.pc.wrapping_add(4) as u64);
-                }
-                Some(rd)
-            }
-            Instr::Branch { cond, rs1, rs2, off } => {
-                self.read_data(w, rs1, a, costs);
-                self.read_data(w, rs2, b, costs);
-                let target = sel.pc.wrapping_add(off as u32);
-                for i in active!() {
-                    if exec::branch_taken(cond, a[i] as u32, b[i] as u32) {
-                        next_pc[i] = target;
-                    }
-                }
-                None
-            }
-            _ => unreachable!("not a flow-class instruction"),
-        };
-        if let Some(rd) = write_rd {
-            self.writeback(w, rd, &r[..], rd_is_cap.then_some(&rm[..]), mask, costs);
-        }
-        self.advance(w, sel, next_pc, None);
         Ok(())
     }
 
-    /// The warp-wide fast path: one target resolution per warp. Never
-    /// reached for CHERI `JALR` (per-lane PCC installation), so it cannot
-    /// trap.
-    fn exec_flow_fast(&mut self, w: u32, sel: &Selection, instr: Instr, costs: &mut Costs) {
-        let mask = sel.mask;
-        let seq = sel.pc.wrapping_add(4);
-        match instr {
-            Instr::Jal { rd, off } => {
-                if self.cheri() {
-                    self.stats.count_cheri("CJAL", 1);
-                    let link = Self::cap_of(sel.pcc_meta, sel.pc as u64).set_addr(seq).seal_entry();
-                    let (m, d) = Self::cap_parts(link);
-                    let meta = OperandVec::Uniform(m);
-                    self.writeback_compact(
-                        w,
-                        rd,
-                        &OperandVec::Uniform(d),
-                        Some(&meta),
-                        mask,
-                        costs,
-                    );
-                } else {
-                    self.writeback_compact(
-                        w,
-                        rd,
-                        &OperandVec::Uniform(seq as u64),
-                        None,
-                        mask,
-                        costs,
-                    );
-                }
-                let target = sel.pc.wrapping_add(off as u32);
-                self.advance_uniform(w, sel, target, None);
+    /// `CJALR`, lane-wise. Scratch staleness audit: `a`/`am` are fully
+    /// overwritten by the operand read; `metas` (the spare `bm` scratch) and
+    /// `pcs` are written for every active lane that survives the check
+    /// phase before any lane reads them back.
+    fn exec_cjalr(
+        &mut self,
+        bufs: &mut LaneBufs,
+        w: u32,
+        sel: &Selection,
+        j: &JalrOp,
+        costs: &mut Costs,
+    ) -> Result<(), Box<Trap>> {
+        let lanes = self.cfg.lanes as usize;
+        let LaneBufs { a, am, bm: metas, pcs, .. } = bufs;
+        self.read_cap_operand(w, j.rs1, a, am, costs);
+        // Check phase: fetch-check every active lane's target before
+        // installing any lane's PCC metadata, so a trap leaves the whole
+        // warp's PCC state untouched.
+        let mut faults: Vec<LaneFault> = Vec::new();
+        for i in active_lanes(sel.mask, lanes) {
+            let cap = Self::cap_of(am[i], a[i]);
+            let target = cap.addr().wrapping_add(j.off) & !1;
+            let cap = cap.unseal_sentry();
+            if let Err(e) = cap.check_fetch(target) {
+                faults.push(LaneFault { lane: i as u32, cause: TrapCause::Cheri(e) });
+                continue;
             }
-            Instr::Jalr { rd, rs1, off } => {
-                let base = expect_uniform(&self.read_data_compact(w, rs1, costs));
-                let target = (base as u32).wrapping_add(off as u32) & !1;
-                self.writeback_compact(w, rd, &OperandVec::Uniform(seq as u64), None, mask, costs);
-                self.advance_uniform(w, sel, target, None);
-            }
-            Instr::Branch { cond, rs1, rs2, off } => {
-                let a = expect_uniform(&self.read_data_compact(w, rs1, costs));
-                let b = expect_uniform(&self.read_data_compact(w, rs2, costs));
-                let next = if exec::branch_taken(cond, a as u32, b as u32) {
-                    sel.pc.wrapping_add(off as u32)
-                } else {
-                    seq
-                };
-                self.advance_uniform(w, sel, next, None);
-            }
-            _ => unreachable!("not a flow-class instruction"),
+            (metas[i], _) = Self::cap_parts(cap);
+            pcs[i] = target;
         }
+        if let Some(t) = Trap::from_lane_faults(w, sel.pc, faults) {
+            return Err(t.into());
+        }
+        for i in active_lanes(sel.mask, lanes) {
+            self.warps[w as usize].set_pcc_meta(i, metas[i]);
+        }
+        let link = self.link(sel);
+        self.writeback_splat_lanes(bufs, w, j.rd, &link, sel.mask, costs);
+        self.advance(w, sel, &bufs.pcs, None);
+        Ok(())
     }
 }

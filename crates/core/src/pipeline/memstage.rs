@@ -5,75 +5,43 @@
 //! filter (`stack_cache_hits`), coalescing, tag-cache lookups, DRAM and
 //! scratchpad timing, and the atomic-conflict serialisation model.
 
-use super::Costs;
+use super::{active_lanes, Costs};
 use crate::device::MemSystem;
 use crate::exec;
-use crate::rom::TrapPlan;
-use crate::sm::Sm;
-use crate::trap::{LaneFault, RunError, Trap, TrapCause};
+use crate::rom::{AtomicOp, MemOp, TrapPlan};
+use crate::sm::{LaneBufs, Sm};
+use crate::trap::{LaneFault, Trap, TrapCause};
 use crate::warp::Selection;
 use cheri_cap::{AccessWidth, CapMem};
-use simt_isa::{LoadWidth, Reg};
+use simt_isa::LoadWidth;
 use simt_mem::{map, LaneRequest, MemFault};
 use simt_regfile::{MAX_LANES, NULL_META};
 use simt_trace::{MemSpace, TraceEvent};
 
 impl Sm {
-    #[allow(clippy::too_many_arguments)]
-    pub(crate) fn do_load_store(
-        &mut self,
-        ms: &mut MemSystem,
-        w: u32,
-        sel: &Selection,
-        addr_reg: Reg,
-        load_rd: Option<Reg>,
-        store_rs: Reg,
-        off: i32,
-        bytes: u32,
-        is_store: bool,
-        is_cap: bool,
-        lw: LoadWidth,
-        plan: TrapPlan,
-        costs: &mut Costs,
-    ) -> Result<(), RunError> {
-        let mut bufs = self.take_bufs();
-        let res = self.load_store_with(
-            &mut bufs, ms, w, sel, addr_reg, load_rd, store_rs, off, bytes, is_store, is_cap, lw,
-            plan, costs,
-        );
-        self.put_bufs(bufs);
-        res
-    }
-
-    /// [`Sm::do_load_store`] over the loaned scratch. Staleness audit:
+    /// One warp-wide load or store (data or capability), check-then-commit,
+    /// over the loaned scratch. Staleness audit:
     /// `addr`(/`addr_m` under CHERI) and `val`(/`val_m`, explicitly nulled
     /// for the non-CHERI capability-store corner) are fully overwritten by
     /// the operand reads before use; `eas` is written per active lane in
     /// the check phase; `results`/`results_m` are written per active lane
     /// in the commit phase and committed under the mask.
-    #[allow(clippy::too_many_arguments)]
-    fn load_store_with(
+    pub(crate) fn do_load_store(
         &mut self,
-        bufs: &mut crate::sm::LaneBufs,
+        bufs: &mut LaneBufs,
         ms: &mut MemSystem,
         w: u32,
         sel: &Selection,
-        addr_reg: Reg,
-        load_rd: Option<Reg>,
-        store_rs: Reg,
-        off: i32,
-        bytes: u32,
-        is_store: bool,
-        is_cap: bool,
-        lw: LoadWidth,
-        plan: TrapPlan,
+        op: &MemOp,
         costs: &mut Costs,
-    ) -> Result<(), RunError> {
+    ) -> Result<(), Box<Trap>> {
+        let MemOp { addr: addr_reg, reg, off, bytes, store: is_store, cap: is_cap, sext, plan } =
+            *op;
         let lanes = self.cfg.lanes as usize;
         let mask = sel.mask;
         let cheri = self.cheri();
         debug_assert_eq!(plan.has(TrapPlan::CHERI_ACCESS), cheri);
-        let crate::sm::LaneBufs {
+        let LaneBufs {
             a: addr,
             am: addr_m,
             b: val,
@@ -92,9 +60,9 @@ impl Sm {
         }
         if is_store {
             if is_cap && cheri {
-                self.read_cap_operand(w, store_rs, val, val_m, costs);
+                self.read_cap_operand(w, reg, val, val_m, costs);
             } else {
-                self.read_data(w, store_rs, val, costs);
+                self.read_data(w, reg, val, costs);
                 if is_cap {
                     // Capability store without CHERI metadata: commit null
                     // metadata, exactly as the zero-initialised scratch did.
@@ -110,8 +78,8 @@ impl Sm {
         // the op can never need (e.g. the alignment check of a byte
         // access); the probes it keeps behave exactly as before.
         let mut faults: Vec<LaneFault> = Vec::new();
-        for i in (0..lanes).filter(|i| mask >> i & 1 == 1) {
-            let ea = (addr[i] as u32).wrapping_add(off as u32);
+        for i in active_lanes(mask, lanes) {
+            let ea = (addr[i] as u32).wrapping_add(off);
             eas[i] = ea;
             let mut cause = None;
             if plan.has(TrapPlan::CHERI_ACCESS) {
@@ -159,7 +127,7 @@ impl Sm {
         // phase vouched for every lane, so no access below can fault.
         dram_reqs.clear();
         scratch_reqs.clear();
-        for i in (0..lanes).filter(|i| mask >> i & 1 == 1) {
+        for i in active_lanes(mask, lanes) {
             let ea = eas[i];
             let region = map::route(ea, self.cfg.dram_size);
             let req = LaneRequest { addr: ea, bytes };
@@ -167,7 +135,7 @@ impl Sm {
                 match (region, is_store, is_cap) {
                     (map::Region::Dram, false, false) => {
                         dram_reqs.push(req);
-                        results[i] = sign_extend(ms.mem.read(ea, bytes)?, lw) as u64;
+                        results[i] = sign_extend(ms.mem.read(ea, bytes)?, sext) as u64;
                     }
                     (map::Region::Dram, true, false) => {
                         dram_reqs.push(req);
@@ -190,7 +158,7 @@ impl Sm {
                     }
                     (map::Region::Scratch, false, false) => {
                         scratch_reqs.push(req);
-                        results[i] = sign_extend(self.scratch.read(ea, bytes)?, lw) as u64;
+                        results[i] = sign_extend(self.scratch.read(ea, bytes)?, sext) as u64;
                     }
                     (map::Region::Scratch, true, false) => {
                         scratch_reqs.push(req);
@@ -224,70 +192,50 @@ impl Sm {
         self.charge_memory(ms, w, dram_reqs, scratch_reqs, is_store);
 
         // Writeback.
-        if let Some(rd) = load_rd {
-            self.write_data(w, rd, &results[..], mask, costs);
+        if !is_store {
+            self.write_data(w, reg, &results[..], mask, costs);
             if cheri {
                 if is_cap {
-                    self.write_meta(w, rd, &results_m[..], mask, costs);
+                    self.write_meta(w, reg, &results_m[..], mask, costs);
                 } else {
-                    self.write_meta_null(w, rd, mask, costs);
+                    self.write_meta_null(w, reg, mask, costs);
                 }
             }
         }
         Ok(())
     }
 
-    #[allow(clippy::too_many_arguments)]
+    /// One warp-wide atomic read-modify-write, check-then-commit, over the
+    /// loaned scratch. Staleness audit: `operands`
+    /// and `addr` (/`addr_m` under CHERI) are fully overwritten by the
+    /// operand reads; `eas` is written per active lane in the check phase;
+    /// `results` is written per active lane in the commit phase and
+    /// committed under the mask.
     pub(crate) fn do_amo(
         &mut self,
+        bufs: &mut LaneBufs,
         ms: &mut MemSystem,
         w: u32,
         sel: &Selection,
-        addr_reg: Reg,
-        rd: Reg,
-        op: simt_isa::AmoOp,
-        operands: &[u64; MAX_LANES],
-        plan: TrapPlan,
+        op: &AtomicOp,
         costs: &mut Costs,
-    ) -> Result<(), RunError> {
-        let mut bufs = self.take_bufs();
-        let res = self.amo_with(&mut bufs, ms, w, sel, addr_reg, rd, op, operands, plan, costs);
-        self.put_bufs(bufs);
-        res
-    }
-
-    /// [`Sm::do_amo`] over the loaned scratch. Staleness audit: `addr`
-    /// (/`addr_m` under CHERI) is fully overwritten by the operand read;
-    /// `eas` is written per active lane in the check phase; `results` is
-    /// written per active lane in the commit phase and committed under the
-    /// mask.
-    #[allow(clippy::too_many_arguments)]
-    fn amo_with(
-        &mut self,
-        bufs: &mut crate::sm::LaneBufs,
-        ms: &mut MemSystem,
-        w: u32,
-        sel: &Selection,
-        addr_reg: Reg,
-        rd: Reg,
-        op: simt_isa::AmoOp,
-        operands: &[u64; MAX_LANES],
-        plan: TrapPlan,
-        costs: &mut Costs,
-    ) -> Result<(), RunError> {
+    ) -> Result<(), Box<Trap>> {
+        let AtomicOp { addr: addr_reg, rd, src, op, plan } = *op;
         let lanes = self.cfg.lanes as usize;
         let mask = sel.mask;
         let cheri = self.cheri();
         debug_assert_eq!(plan.has(TrapPlan::CHERI_ACCESS), cheri);
-        let crate::sm::LaneBufs {
+        let LaneBufs {
             a: addr,
             am: addr_m,
+            b: operands,
             r: results,
             eas,
             dram_reqs,
             scratch_reqs,
             ..
         } = bufs;
+        self.read_data(w, src, operands, costs);
         if cheri {
             self.read_cap_operand(w, addr_reg, addr, addr_m, costs);
         } else {
@@ -297,7 +245,7 @@ impl Sm {
         // passes both CHERI checks plus the mapping probe before any lane's
         // read-modify-write commits.
         let mut faults: Vec<LaneFault> = Vec::new();
-        for i in (0..lanes).filter(|i| mask >> i & 1 == 1) {
+        for i in active_lanes(mask, lanes) {
             let mut ea = addr[i] as u32;
             let mut cause = None;
             if plan.has(TrapPlan::CHERI_ACCESS) {
@@ -336,7 +284,7 @@ impl Sm {
         scratch_reqs.clear();
         // Commit phase. Lanes perform their RMW in lane order, which defines
         // the intra-warp atomicity order.
-        for i in (0..lanes).filter(|i| mask >> i & 1 == 1) {
+        for i in active_lanes(mask, lanes) {
             let ea = eas[i];
             let req = LaneRequest { addr: ea, bytes: 4 };
             let region = map::route(ea, self.cfg.dram_size);

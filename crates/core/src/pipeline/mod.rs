@@ -8,14 +8,19 @@
 //! * [`operands`] — operand collection: data/metadata register-file reads
 //!   (lane-wise and compact), the shared-VRF serialisation penalty,
 //!   capability marshalling.
-//! * [`classify`] — pre-execute issue classification: scalarised
-//!   (warp-wide over compact operands) versus per-lane, recorded on the
-//!   issue event and `scalarised_issues`.
-//! * [`execute`] — fetch check, issue accounting and dispatch to the
-//!   op-class handlers; owns the memory/system classes.
-//! * [`alu`] / [`flow`] / [`sfu`] / [`capops`] — the op-class handlers,
-//!   each with a bit-identical lane-wise reference path and warp-wide
-//!   fast path (see [`scalar`] for the compact arithmetic).
+//! * [`classify`] — pre-execute issue classification: evaluates the ROM
+//!   slot's scalarisation rule — scalarised (warp-wide over compact
+//!   operands) versus per-lane — recorded on the issue event and
+//!   `scalarised_issues`.
+//! * [`execute`] — fetch check, issue accounting and the call into the
+//!   handler of the slot's resolved op ([`crate::rom`]); owns the
+//!   memory/system classes.
+//! * [`data`] / [`capops`] / [`flow`] — the op-class handlers. Each
+//!   instruction's meaning is written once, as a lane function, and
+//!   applied by one of two drivers: lane-wise over the loaned lane scratch
+//!   (the differential reference, forced by `Sm::set_scalarise(false)`) or
+//!   warp-wide over compact operands (see [`scalar`] for the compact
+//!   arithmetic).
 //! * [`memstage`] — the memory stage: coalescer → tag controller → DRAM
 //!   and the banked scratchpad, plus the compressed stack cache filter.
 //! * [`writeback`] — register writeback (spill/fill costing, lane-wise and
@@ -25,16 +30,15 @@
 //! the stages reach into its `pub(crate)` fields exactly as the monolithic
 //! implementation did, so the cycle-level behaviour is unchanged.
 
-pub(crate) mod alu;
 pub(crate) mod capops;
 pub(crate) mod classify;
+pub(crate) mod data;
 pub(crate) mod execute;
 pub(crate) mod flow;
 pub(crate) mod memstage;
 pub(crate) mod operands;
 pub(crate) mod scalar;
 pub(crate) mod schedule;
-pub(crate) mod sfu;
 pub(crate) mod writeback;
 
 use simt_regfile::{ReadInfo, WriteInfo};
@@ -46,6 +50,12 @@ pub(crate) enum StepOutcome {
     Done,
     /// An instruction issued or time advanced to the next resume point.
     Progress,
+}
+
+/// The lanes of a selection mask, in ascending order.
+#[inline]
+pub(crate) fn active_lanes(mask: u64, lanes: usize) -> impl Iterator<Item = usize> {
+    (0..lanes).filter(move |i| mask >> i & 1 == 1)
 }
 
 /// Costs accumulated while executing one instruction.

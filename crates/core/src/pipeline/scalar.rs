@@ -1,6 +1,6 @@
-//! Compact-operand arithmetic for the scalarised execute path.
+//! Compact-operand arithmetic for the warp-wide execute drivers.
 //!
-//! The fast path computes a warp's result from [`OperandVec`]s without
+//! The warp-wide drivers compute a warp's result from [`OperandVec`]s without
 //! expanding them: uniform∘uniform is one ALU evaluation, and the
 //! operations that are *linear* in an affine operand (see
 //! [`super::classify`]) are reconstructed from two lane samples — the
@@ -15,8 +15,10 @@ use simt_regfile::OperandVec;
 ///
 /// # Panics
 ///
-/// Panics on a `Vector` operand — the issue classifier never routes one
-/// to the fast path.
+/// Panics on a `Vector` operand. An invariant, not an input check: a
+/// [`super::classify::ScalarRule::Linear`] issue only reaches the warp-wide
+/// driver when both operand classes are compact, and `op_matrix.rs` drives
+/// every linear op over every operand shape on both drivers.
 pub(crate) fn lane_val(v: &OperandVec, i: u32) -> u32 {
     match *v {
         OperandVec::Uniform(x) => x as u32,
@@ -31,7 +33,10 @@ pub(crate) fn lane_val(v: &OperandVec, i: u32) -> u32 {
 ///
 /// # Panics
 ///
-/// Panics on non-uniform operands.
+/// Panics on non-uniform operands. An invariant, not an input check: a
+/// [`super::classify::ScalarRule::Uniform`] issue only reaches the warp-wide
+/// driver when every register the rule names is uniform (`op_matrix.rs`
+/// exercises each such op with uniform, affine and scrambled operands).
 pub(crate) fn expect_uniform(v: &OperandVec) -> u64 {
     match *v {
         OperandVec::Uniform(x) => x,

@@ -17,7 +17,8 @@
 //! * the op just issued was straight-line and delivered no trap, so every
 //!   selected lane sits at `pc + 4` with unchanged status and PCC
 //!   metadata;
-//! * the next slot exists, decodes, and is not a block leader;
+//! * the next slot exists and is not a block leader (an undecodable word
+//!   always is one);
 //! * `w` was converged (its selection covered every runnable lane), so
 //!   the incremented selection *is* `select()`'s answer;
 //! * `w` is still ready and the watchdog has not expired; and
@@ -103,6 +104,9 @@ impl Sm {
                     return Err(RunError::Timeout { cycles: self.cycle });
                 }
                 self.rr = (w + 1) % n;
+                // The one narrowing of the warp index: traps and events
+                // name warps as `u32`.
+                let w = u32::try_from(w).expect("warp index exceeds u32");
                 let pre_suppressed = self.suppressed.len();
                 let sel = self.issue(ms, w)?;
                 self.block_run(ms, w, sel, pre_suppressed, max_cycles)?;
@@ -161,7 +165,7 @@ impl Sm {
     fn block_run(
         &mut self,
         ms: &mut MemSystem,
-        w: usize,
+        w: u32,
         mut sel: Selection,
         mut pre_suppressed: usize,
         max_cycles: u64,
@@ -176,18 +180,13 @@ impl Sm {
                 return Ok(());
             }
             let Some(idx) = pc_index(sel.pc) else { return Ok(()) };
-            let straight = match self.rom.ops.get(idx) {
-                Some(Some(op)) => op.straight,
-                _ => false,
-            };
-            if !straight {
+            if !self.rom.ops.get(idx).is_some_and(|op| op.straight) {
                 return Ok(());
             }
-            match self.rom.ops.get(idx + 1) {
-                Some(Some(next)) if !next.leader => {}
-                _ => return Ok(()),
+            if self.rom.ops.get(idx + 1).is_none_or(|next| next.leader) {
+                return Ok(());
             }
-            let warp = &self.warps[w];
+            let warp = &self.warps[w as usize];
             if warp.ready_at > self.cycle || self.cycle >= max_cycles {
                 return Ok(());
             }
@@ -197,13 +196,13 @@ impl Sm {
             if sel.mask.count_ones() != warp.runnable {
                 return Ok(());
             }
-            if (0..self.warps.len()).any(|o| o != w && self.pickable(o)) {
+            if (0..self.warps.len()).any(|o| o != w as usize && self.pickable(o)) {
                 return Ok(());
             }
             sel = Selection { mask: sel.mask, pc: sel.pc.wrapping_add(4), pcc_meta: sel.pcc_meta };
-            debug_assert_eq!(self.warps[w].select(), Some(sel));
+            debug_assert_eq!(self.warps[w as usize].select(), Some(sel));
             pre_suppressed = self.suppressed.len();
-            self.issue_with(ms, w, sel)?;
+            self.issue_with(ms, w, &sel)?;
         }
     }
 

@@ -12,7 +12,7 @@
 use crate::config::{CheriOpts, SmConfig};
 use crate::counters::KernelStats;
 use crate::device::MemSystem;
-use crate::rom::ProgramRom;
+use crate::rom::{ProgramRom, CHERI_NAMES};
 use crate::trap::Trap;
 use crate::warp::Warp;
 use cheri_cap::{CapMem, CapPipe, Perms};
@@ -26,7 +26,7 @@ use simt_trace::{EventSink, StallCause, TraceEvent};
 /// the configured lane count; allocating (and zero-filling) those on the
 /// stack per issue dominates the host-model cost of small geometries. One
 /// boxed copy lives on the [`Sm`] instead, loaned out with a take/put
-/// pattern (see [`Sm::take_bufs`]). Contents are *stale* between issues by
+/// pattern (see [`Sm::with_bufs`]). Contents are *stale* between issues by
 /// design: every handler fully writes the lanes it reads back, or reads
 /// only under the mask it wrote (audited per handler at the use sites).
 #[derive(Debug)]
@@ -112,6 +112,12 @@ pub struct Sm {
     /// memory hierarchy emit nothing and take only an `Option` branch).
     pub(crate) sink: Option<Box<dyn EventSink>>,
     pub(crate) stats: KernelStats,
+    /// Executed CHERI instructions per [`crate::rom::CheriSlot`]: the dense
+    /// form of `KernelStats::cheri_histogram`, which the end-of-run
+    /// snapshot builds from the non-zero slots.
+    pub(crate) cheri_counts: [u64; CHERI_NAMES.len()],
+    /// The selection mask with every lane set.
+    pub(crate) full_mask: u64,
     pub(crate) cycle: u64,
     pub(crate) rr: usize,
     /// Occupancy sampling accumulators.
@@ -136,7 +142,7 @@ pub struct Sm {
     /// for multi-SM devices, whose instruction-granular arbitration must
     /// interleave SMs per issue.
     pub(crate) block_runs: bool,
-    /// Loaned-out lane scratch (`None` only while a handler holds it).
+    /// The lane scratch (`None` only while [`Sm::with_bufs`] has it on loan).
     pub(crate) bufs: Option<Box<LaneBufs>>,
     /// Conservative "some thread may be parked at a barrier" flag: raised
     /// by the commit path whenever a thread parks, lowered by the
@@ -146,18 +152,14 @@ pub struct Sm {
 }
 
 impl Sm {
-    /// Borrow the lane scratch buffers for a lane-wise handler. Callers
-    /// must hand them back with [`Sm::put_bufs`] on every exit path
-    /// (including trap returns).
+    /// Run a lane-wise handler with the lane scratch buffers on loan,
+    /// taking them back on every exit path (including trap returns).
     #[inline]
-    pub(crate) fn take_bufs(&mut self) -> Box<LaneBufs> {
-        self.bufs.take().expect("lane scratch buffers already loaned out")
-    }
-
-    /// Return the lane scratch buffers taken by [`Sm::take_bufs`].
-    #[inline]
-    pub(crate) fn put_bufs(&mut self, bufs: Box<LaneBufs>) {
+    pub(crate) fn with_bufs<R>(&mut self, f: impl FnOnce(&mut Self, &mut LaneBufs) -> R) -> R {
+        let mut bufs = self.bufs.take().expect("lane scratch buffers already loaned out");
+        let r = f(self, &mut bufs);
         self.bufs = Some(bufs);
+        r
     }
 }
 
@@ -200,6 +202,8 @@ impl Sm {
             bounds_table: None,
             sink: None,
             stats: KernelStats::default(),
+            cheri_counts: [0; CHERI_NAMES.len()],
+            full_mask: u64::MAX >> (64 - cfg.lanes),
             cycle: 0,
             rr: 0,
             samples: 0,
@@ -376,6 +380,7 @@ impl Sm {
         }
         self.scratch.reset_stats();
         self.stats = KernelStats::default();
+        self.cheri_counts.fill(0);
         self.cycle = 0;
         self.rr = 0;
         self.samples = 0;
@@ -400,6 +405,12 @@ impl Sm {
     /// and the device's memory system.
     pub(crate) fn finalise(&mut self, ms: &MemSystem) -> KernelStats {
         let mut s = self.stats.clone();
+        s.cheri_histogram.clear();
+        for (name, &n) in CHERI_NAMES.iter().zip(&self.cheri_counts) {
+            if n > 0 {
+                s.count_cheri(name, n);
+            }
+        }
         s.cycles = self.cycle;
         s.dram = ms.dram.stats();
         s.tag_cache = ms.tags.stats();

@@ -182,6 +182,10 @@ impl Warp {
     /// PCC metadata matches the first such thread's (metadata comparison is
     /// skipped under the static-PC-metadata restriction, letting the
     /// hardware drop `lanes × 33` comparators).
+    // Inlined so the memoised answer is read in place: out of line, the
+    // caller's 16-byte copy of the just-stored `Option` stalls on store
+    // forwarding at every issue.
+    #[inline]
     pub fn select(&self) -> Option<Selection> {
         if let Some(s) = self.cached_sel {
             debug_assert_eq!(self.select_scan(), Some(s));
