@@ -75,3 +75,45 @@ fn validator_accepts_real_traces_and_rejects_corruption() {
     // Truncation must be caught in the whole-document format.
     assert!(validate_auto(&chrome[..chrome.len() - 2]).is_err());
 }
+
+/// The §4.4 compressed stack cache is off in every shipped configuration,
+/// so no suite trace contains a `mem` event in the `stack_cache` space;
+/// this one does, and it must reconcile (`stack_cache_hits` against the
+/// event count, DRAM transactions against the `dram` events that remain).
+#[test]
+fn stack_cache_stream_reconciles() {
+    use cheri_simt::trace::{MemSpace, VecSink};
+    use cheri_simt::{CheriMode, Device, SmConfig};
+    use simt_isa::asm::Assembler;
+    use simt_isa::{csr, AluOp, Instr, LoadWidth, Reg, StoreWidth};
+    use simt_mem::map;
+
+    let arena = map::DRAM_BASE + 0x8000;
+    let mut a = Assembler::new();
+    a.push(Instr::Csrrs { rd: Reg::A0, csr: csr::MHARTID, rs1: Reg::ZERO });
+    a.push(Instr::OpImm { op: AluOp::Sll, rd: Reg::A1, rs1: Reg::A0, imm: 2 });
+    a.li(Reg::A2, arena);
+    a.push(Instr::Op { op: AluOp::Add, rd: Reg::A3, rs1: Reg::A2, rs2: Reg::A1 });
+    a.push(Instr::Store { w: StoreWidth::W, rs2: Reg::A0, rs1: Reg::A3, off: 0 });
+    a.push(Instr::Load { w: LoadWidth::W, rd: Reg::A4, rs1: Reg::A3, off: 0 });
+    a.push(Instr::Load { w: LoadWidth::W, rd: Reg::A4, rs1: Reg::A3, off: 0x400 });
+    a.terminate();
+
+    let mut cfg = SmConfig::with_geometry(2, 8, CheriMode::Off);
+    cfg.stack_cache = true;
+    let mut dev = Device::new(cfg, 1);
+    dev.load_program(&a.assemble());
+    dev.set_stack_region(arena, 0x400);
+    dev.sm_mut(0).set_sink(Box::new(VecSink::new()));
+    dev.reset();
+    let stats = dev.run(1_000_000).unwrap();
+    let sink = dev.sm_mut(0).take_sink().unwrap();
+    let events = sink.as_any().downcast_ref::<VecSink>().unwrap().events().to_vec();
+    let in_cache = events
+        .iter()
+        .filter(|e| matches!(e, TraceEvent::Mem { space: MemSpace::StackCache, .. }))
+        .count();
+    assert_eq!((stats.stack_cache_hits, in_cache), (4, 4), "two warps, a store and a load each");
+    assert_eq!(stats.dram.read_transactions, 2, "the loads past the arena go to DRAM");
+    reconcile(&events, &stats).unwrap();
+}

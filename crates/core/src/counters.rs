@@ -152,8 +152,8 @@ pub struct KernelStats {
     /// the number of `barrier` arrival events in a trace.
     pub barriers: u64,
     /// Warp accesses absorbed by the compressed stack cache (zero unless
-    /// the Section-4.4 proof-of-concept feature is enabled; `repro ablate`
-    /// reports its effect).
+    /// the Section-4.4 proof-of-concept feature, `SmConfig::stack_cache`, is
+    /// enabled; no shipped configuration or experiment enables it).
     pub stack_cache_hits: u64,
     /// Warp-instructions the execute stage ran once per warp over compact
     /// (uniform/affine) operands instead of lane by lane — the dynamic

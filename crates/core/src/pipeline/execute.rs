@@ -4,7 +4,7 @@
 //! Owns instruction-issue accounting (`instrs`, `thread_instrs`,
 //! `scalarised_issues`, the `cheri_histogram` slots, the occupancy samples,
 //! the Issue trace event), the per-warp PCC fetch check, the memory-class
-//! handlers with their CSC serialisation and capability multi-flit stalls,
+//! handler with its CSC serialisation and capability multi-flit stalls,
 //! and the SFU suspension helpers shared by the op-class handlers.
 //!
 //! An issue indexes the program ROM, evaluates the slot's pre-bound
@@ -207,16 +207,13 @@ impl Sm {
             Op::Jalr(j) => return self.exec_jalr(w, sel, j, fast, costs),
             Op::Branch(b) => self.exec_branch(w, sel, b, fast, costs),
             Op::Mem(m) => return self.exec_mem(ms, w, sel, m, costs),
-            Op::Amo(a) => {
-                return self.with_bufs(|sm, bufs| sm.do_amo(bufs, ms, w, sel, a, costs));
-            }
             Op::Sys(s) => return self.exec_sys(w, sel, *s),
         }
         Ok(())
     }
 
-    /// Loads, stores and capability-wide transfers. Always per-lane
-    /// (addresses diverge); the memory pipeline proper lives in
+    /// Loads, stores, capability-wide transfers and atomics. Always
+    /// per-lane (addresses diverge); the memory pipeline proper lives in
     /// [`super::memstage`].
     fn exec_mem(
         &mut self,
@@ -226,7 +223,7 @@ impl Sm {
         m: &MemOp,
         costs: &mut Costs,
     ) -> Result<(), Box<Trap>> {
-        if m.cap {
+        if m.kind.is_cap() {
             // The second flit of a capability-wide access on the 32-bit
             // datapath (Section 3.1).
             let extra = self.cfg.timing.cap_access_extra;
@@ -236,13 +233,13 @@ impl Sm {
             // Single-read-port metadata SRF: CSC needs cs1 and cs2
             // metadata, costing an extra operand-fetch cycle in the
             // optimised configuration (Section 3.2).
-            if m.store && self.opts.is_some_and(|o| o.compress_meta) {
+            if m.kind.writes() && self.opts.is_some_and(|o| o.compress_meta) {
                 costs.extra_cycles += 1;
                 self.stats.stalls.csc_serialisation += 1;
                 self.emit_stall(w, StallCause::CscSerialisation, 1);
             }
         }
-        self.with_bufs(|sm, bufs| sm.do_load_store(bufs, ms, w, sel, m, costs))
+        self.with_bufs(|sm, bufs| sm.do_mem(bufs, ms, w, sel, m, costs))
     }
 
     /// System op class: fences, environment traps and SIMT control.

@@ -1,32 +1,37 @@
 //! Memory stage: coalescer → tag controller → DRAM, and the scratchpad.
 //!
-//! Owns the functional load/store/AMO paths, the per-lane effective-address
-//! computation with CHERI/bounds-table checks, the compressed stack cache
-//! filter (`stack_cache_hits`), coalescing, tag-cache lookups, DRAM and
-//! scratchpad timing, and the atomic-conflict serialisation model.
+//! One pipeline in front of two tagged memories that differ only in timing:
+//! [`Sm::do_mem`] is the functional path of every load, store, capability
+//! transfer and atomic — per-lane effective addresses, the CHERI /
+//! bounds-table / alignment / mapping checks, then the commit against
+//! whichever store the address routes to. The rest of the module charges
+//! the access: the compressed stack cache filter (`stack_cache_hits`),
+//! coalescing, tag-cache lookups, DRAM and scratchpad timing, and the
+//! atomic-conflict serialisation model.
 
 use super::{active_lanes, Costs};
 use crate::device::MemSystem;
 use crate::exec;
-use crate::rom::{AtomicOp, MemOp, TrapPlan};
+use crate::rom::{MemKind, MemOp};
 use crate::sm::{LaneBufs, Sm};
 use crate::trap::{LaneFault, Trap, TrapCause};
 use crate::warp::Selection;
 use cheri_cap::{AccessWidth, CapMem};
 use simt_isa::LoadWidth;
-use simt_mem::{map, LaneRequest, MemFault};
+use simt_mem::{map, LaneRequest, MainMemory, MemFault};
 use simt_regfile::{MAX_LANES, NULL_META};
 use simt_trace::{MemSpace, TraceEvent};
 
 impl Sm {
-    /// One warp-wide load or store (data or capability), check-then-commit,
-    /// over the loaned scratch. Staleness audit:
-    /// `addr`(/`addr_m` under CHERI) and `val`(/`val_m`, explicitly nulled
-    /// for the non-CHERI capability-store corner) are fully overwritten by
-    /// the operand reads before use; `eas` is written per active lane in
-    /// the check phase; `results`/`results_m` are written per active lane
+    /// One warp-wide memory access, check-then-commit, over the loaned
+    /// scratch: `a` (/`am` under CHERI) is the address operand, `b` (/`bm`)
+    /// the value of a store or AMO, `r` (/`rm`) the result. Staleness audit:
+    /// `a`/`am` and, for kinds that write memory, `b` (/`bm`, explicitly
+    /// nulled for the non-CHERI capability-store corner) are fully
+    /// overwritten by the operand reads before use; `eas` is written per
+    /// active lane in the check phase; `r`/`rm` are written per active lane
     /// in the commit phase and committed under the mask.
-    pub(crate) fn do_load_store(
+    pub(crate) fn do_mem(
         &mut self,
         bufs: &mut LaneBufs,
         ms: &mut MemSystem,
@@ -35,239 +40,81 @@ impl Sm {
         op: &MemOp,
         costs: &mut Costs,
     ) -> Result<(), Box<Trap>> {
-        let MemOp { addr: addr_reg, reg, off, bytes, store: is_store, cap: is_cap, sext, plan } =
-            *op;
+        let MemOp { addr: addr_reg, reg, src, off, bytes, kind } = *op;
         let lanes = self.cfg.lanes as usize;
+        let dram_size = self.cfg.dram_size;
         let mask = sel.mask;
         let cheri = self.cheri();
-        debug_assert_eq!(plan.has(TrapPlan::CHERI_ACCESS), cheri);
-        let LaneBufs {
-            a: addr,
-            am: addr_m,
-            b: val,
-            bm: val_m,
-            r: results,
-            rm: results_m,
-            eas,
-            dram_reqs,
-            scratch_reqs,
-            ..
-        } = bufs;
-        if cheri {
-            self.read_cap_operand(w, addr_reg, addr, addr_m, costs);
-        } else {
-            self.read_data(w, addr_reg, addr, costs);
+        let (is_cap, amo) = (kind.is_cap(), matches!(kind, MemKind::Amo(_)));
+        let LaneBufs { a, am, b, bm, r, rm, eas, dram_reqs, scratch_reqs, .. } = bufs;
+        // Operand reads, in each kind's own order (a read can fill and
+        // spill, so the order is architecturally visible): an AMO reads its
+        // operand before the address, a store after it.
+        if amo {
+            self.read_data(w, src, b, costs);
         }
-        if is_store {
+        if cheri {
+            self.read_cap_operand(w, addr_reg, a, am, costs);
+        } else {
+            self.read_data(w, addr_reg, a, costs);
+        }
+        if kind.writes() && !amo {
             if is_cap && cheri {
-                self.read_cap_operand(w, reg, val, val_m, costs);
+                self.read_cap_operand(w, src, b, bm, costs);
             } else {
-                self.read_data(w, reg, val, costs);
+                self.read_data(w, src, b, costs);
                 if is_cap {
                     // Capability store without CHERI metadata: commit null
                     // metadata, exactly as the zero-initialised scratch did.
-                    val_m[..lanes].fill(NULL_META);
+                    bm[..lanes].fill(NULL_META);
                 }
             }
         }
 
-        // Check phase: effective address, routing, CHERI/bounds-table and
+        // Check phase: effective address, CHERI/bounds-table, alignment and
         // mapping checks for *every* active lane. Nothing commits unless
         // the whole warp is clean, so traps are warp-precise and carry the
-        // full faulting-lane set. The pre-decoded trap plan skips probes
-        // the op can never need (e.g. the alignment check of a byte
-        // access); the probes it keeps behave exactly as before.
+        // full faulting-lane set.
         let mut faults: Vec<LaneFault> = Vec::new();
         for i in active_lanes(mask, lanes) {
-            let ea = (addr[i] as u32).wrapping_add(off);
+            let ea = (a[i] as u32).wrapping_add(off);
             eas[i] = ea;
             let mut cause = None;
-            if plan.has(TrapPlan::CHERI_ACCESS) {
-                let cap = Self::cap_of(addr_m[i], addr[i]);
-                cause = cap
-                    .check_access(ea, AccessWidth::from_bytes(bytes), is_store, is_cap)
-                    .err()
-                    .map(TrapCause::Cheri);
-            } else {
-                if plan.has(TrapPlan::BOUNDS_TABLE) {
-                    if let Some(t) = &self.bounds_table {
-                        match t.translate(ea, bytes) {
-                            Ok(real) => eas[i] = real,
-                            Err(c) => cause = Some(c),
-                        }
-                    }
-                }
-                if plan.has(TrapPlan::ALIGNMENT) && cause.is_none() && eas[i] % bytes != 0 {
-                    cause = Some(TrapCause::Mem(MemFault::Misaligned(eas[i])));
-                }
-            }
-            // Mapping probe: read-side checks are identical to write-side
-            // checks in both memories, so a validation-only probe catches
-            // every mapping fault the commit phase could hit without
-            // paying for the data assembly twice.
-            if plan.has(TrapPlan::MAPPING) && cause.is_none() {
-                cause = match (map::route(eas[i], self.cfg.dram_size), is_cap) {
-                    (map::Region::Dram, false) => ms.mem.check(eas[i], bytes).err(),
-                    (map::Region::Dram, true) => ms.mem.check_cap(eas[i]).err(),
-                    (map::Region::Scratch, false) => self.scratch.check(eas[i], bytes).err(),
-                    (map::Region::Scratch, true) => self.scratch.check_cap(eas[i]).err(),
-                    _ => Some(MemFault::Unmapped(eas[i])),
-                }
-                .map(TrapCause::Mem);
-            }
-            if let Some(c) = cause {
-                faults.push(LaneFault { lane: i as u32, cause: c });
-            }
-        }
-        if let Some(t) = Trap::from_lane_faults(w, sel.pc, faults) {
-            return Err(t.into());
-        }
-
-        // Commit phase: functional access + request collection. The check
-        // phase vouched for every lane, so no access below can fault.
-        dram_reqs.clear();
-        scratch_reqs.clear();
-        for i in active_lanes(mask, lanes) {
-            let ea = eas[i];
-            let region = map::route(ea, self.cfg.dram_size);
-            let req = LaneRequest { addr: ea, bytes };
-            let res: Result<(), MemFault> = (|| {
-                match (region, is_store, is_cap) {
-                    (map::Region::Dram, false, false) => {
-                        dram_reqs.push(req);
-                        results[i] = sign_extend(ms.mem.read(ea, bytes)?, sext) as u64;
-                    }
-                    (map::Region::Dram, true, false) => {
-                        dram_reqs.push(req);
-                        ms.mem.write(ea, val[i] as u32, bytes)?;
-                    }
-                    (map::Region::Dram, false, true) => {
-                        dram_reqs.push(req);
-                        let c = ms.mem.read_cap(ea)?;
-                        results[i] = c.addr() as u64;
-                        results_m[i] = c.meta() as u64 | ((c.tag() as u64) << 32);
-                    }
-                    (map::Region::Dram, true, true) => {
-                        dram_reqs.push(req);
-                        let c = CapMem::from_parts(
-                            val_m[i] as u32,
-                            val[i] as u32,
-                            val_m[i] >> 32 & 1 == 1,
-                        );
-                        ms.mem.write_cap(ea, c)?;
-                    }
-                    (map::Region::Scratch, false, false) => {
-                        scratch_reqs.push(req);
-                        results[i] = sign_extend(self.scratch.read(ea, bytes)?, sext) as u64;
-                    }
-                    (map::Region::Scratch, true, false) => {
-                        scratch_reqs.push(req);
-                        self.scratch.write(ea, val[i] as u32, bytes)?;
-                    }
-                    (map::Region::Scratch, false, true) => {
-                        scratch_reqs.push(req);
-                        let c = self.scratch.read_cap(ea)?;
-                        results[i] = c.addr() as u64;
-                        results_m[i] = c.meta() as u64 | ((c.tag() as u64) << 32);
-                    }
-                    (map::Region::Scratch, true, true) => {
-                        scratch_reqs.push(req);
-                        let c = CapMem::from_parts(
-                            val_m[i] as u32,
-                            val[i] as u32,
-                            val_m[i] >> 32 & 1 == 1,
-                        );
-                        self.scratch.write_cap(ea, c)?;
-                    }
-                    _ => return Err(MemFault::Unmapped(ea)),
-                }
-                Ok(())
-            })();
-            if let Err(f) = res {
-                unreachable!("memory fault escaped the check phase: {f}");
-            }
-        }
-
-        // Timing.
-        self.charge_memory(ms, w, dram_reqs, scratch_reqs, is_store);
-
-        // Writeback.
-        if !is_store {
-            self.write_data(w, reg, &results[..], mask, costs);
             if cheri {
-                if is_cap {
-                    self.write_meta(w, reg, &results_m[..], mask, costs);
+                let cap = Self::cap_of(am[i], a[i]);
+                let check =
+                    |store| cap.check_access(ea, AccessWidth::from_bytes(bytes), store, is_cap);
+                // An AMO both loads and stores: it passes both checks.
+                let ok = if amo {
+                    check(false).and_then(|()| check(true))
                 } else {
-                    self.write_meta_null(w, reg, mask, costs);
-                }
-            }
-        }
-        Ok(())
-    }
-
-    /// One warp-wide atomic read-modify-write, check-then-commit, over the
-    /// loaned scratch. Staleness audit: `operands`
-    /// and `addr` (/`addr_m` under CHERI) are fully overwritten by the
-    /// operand reads; `eas` is written per active lane in the check phase;
-    /// `results` is written per active lane in the commit phase and
-    /// committed under the mask.
-    pub(crate) fn do_amo(
-        &mut self,
-        bufs: &mut LaneBufs,
-        ms: &mut MemSystem,
-        w: u32,
-        sel: &Selection,
-        op: &AtomicOp,
-        costs: &mut Costs,
-    ) -> Result<(), Box<Trap>> {
-        let AtomicOp { addr: addr_reg, rd, src, op, plan } = *op;
-        let lanes = self.cfg.lanes as usize;
-        let mask = sel.mask;
-        let cheri = self.cheri();
-        debug_assert_eq!(plan.has(TrapPlan::CHERI_ACCESS), cheri);
-        let LaneBufs {
-            a: addr,
-            am: addr_m,
-            b: operands,
-            r: results,
-            eas,
-            dram_reqs,
-            scratch_reqs,
-            ..
-        } = bufs;
-        self.read_data(w, src, operands, costs);
-        if cheri {
-            self.read_cap_operand(w, addr_reg, addr, addr_m, costs);
-        } else {
-            self.read_data(w, addr_reg, addr, costs);
-        }
-        // Check phase: an AMO both loads and stores, so every active lane
-        // passes both CHERI checks plus the mapping probe before any lane's
-        // read-modify-write commits.
-        let mut faults: Vec<LaneFault> = Vec::new();
-        for i in active_lanes(mask, lanes) {
-            let mut ea = addr[i] as u32;
-            let mut cause = None;
-            if plan.has(TrapPlan::CHERI_ACCESS) {
-                let cap = Self::cap_of(addr_m[i], addr[i]);
-                cause = cap
-                    .check_access(ea, AccessWidth::Word, false, false)
-                    .and_then(|_| cap.check_access(ea, AccessWidth::Word, true, false))
-                    .err()
-                    .map(TrapCause::Cheri);
-            } else if plan.has(TrapPlan::BOUNDS_TABLE) {
+                    check(kind.writes())
+                };
+                cause = ok.err().map(TrapCause::Cheri);
+            } else {
                 if let Some(t) = &self.bounds_table {
-                    match t.translate(ea, 4) {
-                        Ok(real) => ea = real,
+                    match t.translate(ea, bytes) {
+                        Ok(real) => eas[i] = real,
                         Err(c) => cause = Some(c),
                     }
                 }
+                // AMOs carry no alignment probe of their own: the mapping
+                // probe's word check reports misalignment, mapping first.
+                if bytes > 1 && !amo && cause.is_none() && eas[i] % bytes != 0 {
+                    cause = Some(TrapCause::Mem(MemFault::Misaligned(eas[i])));
+                }
             }
-            eas[i] = ea;
-            if plan.has(TrapPlan::MAPPING) && cause.is_none() {
-                cause = match map::route(ea, self.cfg.dram_size) {
-                    map::Region::Dram => ms.mem.check(ea, 4).err(),
-                    map::Region::Scratch => self.scratch.check(ea, 4).err(),
+            // Mapping probe against the store the address routes to:
+            // read-side checks are identical to write-side checks, so a
+            // validation-only probe catches every fault the commit phase
+            // could hit without paying for the data assembly twice.
+            if cause.is_none() {
+                let ea = eas[i];
+                let probe =
+                    |m: &MainMemory| if is_cap { m.check_cap(ea) } else { m.check(ea, bytes) };
+                cause = match map::route(ea, dram_size) {
+                    map::Region::Dram => probe(&ms.mem).err(),
+                    map::Region::Scratch => probe(&self.scratch).err(),
                     _ => Some(MemFault::Unmapped(ea)),
                 }
                 .map(TrapCause::Mem);
@@ -280,29 +127,37 @@ impl Sm {
             return Err(t.into());
         }
 
+        // Commit phase: functional access + request collection, in lane
+        // order (which defines the intra-warp atomicity order). The check
+        // phase vouched for every lane, so no access below can fault.
         dram_reqs.clear();
         scratch_reqs.clear();
-        // Commit phase. Lanes perform their RMW in lane order, which defines
-        // the intra-warp atomicity order.
         for i in active_lanes(mask, lanes) {
             let ea = eas[i];
-            let req = LaneRequest { addr: ea, bytes: 4 };
-            let region = map::route(ea, self.cfg.dram_size);
             let res: Result<(), MemFault> = (|| {
-                match region {
-                    map::Region::Dram => {
-                        dram_reqs.push(req);
-                        let old = ms.mem.read(ea, 4)?;
-                        ms.mem.write(ea, exec::amo(op, old, operands[i] as u32), 4)?;
-                        results[i] = old as u64;
-                    }
-                    map::Region::Scratch => {
-                        scratch_reqs.push(req);
-                        let old = self.scratch.read(ea, 4)?;
-                        self.scratch.write(ea, exec::amo(op, old, operands[i] as u32), 4)?;
-                        results[i] = old as u64;
-                    }
+                let (store, reqs): (&mut MainMemory, _) = match map::route(ea, dram_size) {
+                    map::Region::Dram => (&mut ms.mem, &mut *dram_reqs),
+                    map::Region::Scratch => (&mut self.scratch, &mut *scratch_reqs),
                     _ => return Err(MemFault::Unmapped(ea)),
+                };
+                reqs.push(LaneRequest { addr: ea, bytes });
+                match kind {
+                    MemKind::Load(lw) => r[i] = sign_extend(store.read(ea, bytes)?, lw) as u64,
+                    MemKind::Store => store.write(ea, b[i] as u32, bytes)?,
+                    MemKind::LoadCap => {
+                        let c = store.read_cap(ea)?;
+                        r[i] = c.addr() as u64;
+                        rm[i] = c.meta() as u64 | ((c.tag() as u64) << 32);
+                    }
+                    MemKind::StoreCap => {
+                        let tag = bm[i] >> 32 & 1 == 1;
+                        store.write_cap(ea, CapMem::from_parts(bm[i] as u32, b[i] as u32, tag))?;
+                    }
+                    MemKind::Amo(f) => {
+                        let old = store.read(ea, bytes)?;
+                        store.write(ea, exec::amo(f, old, b[i] as u32), bytes)?;
+                        r[i] = old as u64;
+                    }
                 }
                 Ok(())
             })();
@@ -310,29 +165,33 @@ impl Sm {
                 unreachable!("memory fault escaped the check phase: {f}");
             }
         }
-        // An atomic is a read + write transaction per block.
-        self.charge_memory(ms, w, dram_reqs, scratch_reqs, true);
-        if !dram_reqs.is_empty() || !scratch_reqs.is_empty() {
-            // Serialise conflicting atomics: lanes hitting the same word pay
-            // one cycle each (approximating SIMTight's atomic unit). At most
-            // one request per lane, so the addresses fit on the stack.
-            let mut addrs = [0u32; MAX_LANES];
-            let total = dram_reqs.len() + scratch_reqs.len();
-            for (slot, r) in addrs.iter_mut().zip(dram_reqs.iter().chain(scratch_reqs.iter())) {
-                *slot = r.addr;
-            }
-            let addrs = &mut addrs[..total];
-            addrs.sort_unstable();
-            let unique = 1 + addrs.windows(2).filter(|w| w[0] != w[1]).count();
-            let conflicts = (total - unique) as u64;
-            self.warps[w as usize].ready_at =
-                self.warps[w as usize].ready_at.max(self.cycle + conflicts);
+
+        // Timing: an atomic is a read + write transaction per block, and
+        // conflicting lanes serialise.
+        self.charge_memory(ms, w, dram_reqs, scratch_reqs, kind.writes());
+        if amo {
+            self.serialise_atomics(w, dram_reqs, scratch_reqs);
         }
-        self.write_data(w, rd, &results[..], mask, costs);
-        if cheri {
-            self.write_meta_null(w, rd, mask, costs);
+        if kind.has_dest() {
+            let meta = (kind == MemKind::LoadCap).then_some(&rm[..]);
+            self.writeback(w, reg, &r[..], meta, mask, costs);
         }
         Ok(())
+    }
+
+    /// Serialise conflicting atomics: lanes hitting the same word pay one
+    /// cycle each (approximating SIMTight's atomic unit).
+    fn serialise_atomics(
+        &mut self,
+        w: u32,
+        dram_reqs: &[LaneRequest],
+        scratch_reqs: &[LaneRequest],
+    ) {
+        let mut buf = [0u32; MAX_LANES];
+        let addrs = sorted(&mut buf, dram_reqs.iter().chain(scratch_reqs).map(|r| r.addr));
+        let repeats = addrs.windows(2).filter(|w| w[0] == w[1]).count() as u64;
+        let warp = &mut self.warps[w as usize];
+        warp.ready_at = warp.ready_at.max(self.cycle + repeats);
     }
 
     /// Charge the timing/traffic of one warp-wide memory access and suspend
@@ -345,7 +204,23 @@ impl Sm {
         scratch_reqs: &[LaneRequest],
         is_store: bool,
     ) {
-        let mut done_at = self.cycle;
+        let cycle = self.cycle;
+        let mut done_at = cycle;
+        // The `mem` event of one warp-wide access (no DRAM transactions and
+        // no bank conflicts unless stated).
+        let mem_event = |space, reqs: &[LaneRequest], transactions, uniform, conflict_cycles| {
+            let lanes = reqs.len() as u32;
+            TraceEvent::Mem {
+                cycle,
+                warp: w,
+                space,
+                is_store,
+                lanes,
+                transactions,
+                uniform,
+                conflict_cycles,
+            }
+        };
         // Compressed stack cache (Section 4.4 proof of concept): a
         // warp-uniform or affine access pattern — the shape of register
         // spill traffic — is served from a small compressed cache instead
@@ -360,18 +235,10 @@ impl Sm {
         {
             self.stats.stack_cache_hits += 1;
             if let Some(sink) = self.sink.as_deref_mut() {
-                sink.emit(TraceEvent::Mem {
-                    cycle: self.cycle,
-                    warp: w,
-                    space: MemSpace::StackCache,
-                    is_store,
-                    lanes: dram_reqs.len() as u32,
-                    transactions: 0,
-                    uniform: dram_reqs.iter().all(|r| r.addr == dram_reqs[0].addr),
-                    conflict_cycles: 0,
-                });
+                let uniform = dram_reqs.iter().all(|r| r.addr == dram_reqs[0].addr);
+                sink.emit(mem_event(MemSpace::StackCache, dram_reqs, 0, uniform, 0));
             }
-            done_at = done_at.max(self.cycle + 2);
+            done_at = done_at.max(cycle + 2);
             &[]
         } else {
             dram_reqs
@@ -379,33 +246,16 @@ impl Sm {
         if !dram_reqs.is_empty() {
             let co = self.coalescer.coalesce(dram_reqs);
             if let Some(sink) = self.sink.as_deref_mut() {
-                sink.emit(TraceEvent::Mem {
-                    cycle: self.cycle,
-                    warp: w,
-                    space: MemSpace::Dram,
-                    is_store,
-                    lanes: dram_reqs.len() as u32,
-                    transactions: co.transactions,
-                    uniform: co.uniform,
-                    conflict_cycles: 0,
-                });
+                sink.emit(mem_event(MemSpace::Dram, dram_reqs, co.transactions, co.uniform, 0));
             }
-            // Tag controller: one lookup per unique 64-byte block. One
-            // request per lane at most, so the block list fits on the stack.
-            debug_assert!(dram_reqs.len() <= MAX_LANES);
-            let mut blocks = [0u32; MAX_LANES];
-            for (slot, r) in blocks.iter_mut().zip(dram_reqs) {
-                *slot = r.addr / 64;
-            }
-            let blocks = &mut blocks[..dram_reqs.len().min(MAX_LANES)];
-            blocks.sort_unstable();
+            // Tag controller: one lookup per unique 64-byte block.
+            let mut buf = [0u32; MAX_LANES];
+            let blocks = sorted(&mut buf, dram_reqs.iter().map(|r| r.addr / 64));
             let mut tag_txns = 0;
-            let mut prev = None;
-            for &b in blocks.iter() {
-                if prev == Some(b) {
+            for (k, &b) in blocks.iter().enumerate() {
+                if k > 0 && blocks[k - 1] == b {
                     continue;
                 }
-                prev = Some(b);
                 let txns = ms.tags.on_access(b * 64, is_store);
                 tag_txns += txns;
                 // One event per lookup; a disabled controller looks nothing
@@ -429,20 +279,11 @@ impl Sm {
             let cycles = self.scratch.warp_cycles(scratch_reqs);
             if let Some(sink) = self.sink.as_deref_mut() {
                 let first = scratch_reqs[0];
-                sink.emit(TraceEvent::Mem {
-                    cycle: self.cycle,
-                    warp: w,
-                    space: MemSpace::Scratch,
-                    is_store,
-                    lanes: scratch_reqs.len() as u32,
-                    transactions: 0,
-                    uniform: scratch_reqs
-                        .iter()
-                        .all(|r| r.addr == first.addr && r.bytes == first.bytes),
-                    conflict_cycles: cycles - 1,
-                });
+                let uniform =
+                    scratch_reqs.iter().all(|r| r.addr == first.addr && r.bytes == first.bytes);
+                sink.emit(mem_event(MemSpace::Scratch, scratch_reqs, 0, uniform, cycles - 1));
             }
-            done_at = done_at.max(self.cycle + (self.cfg.timing.scratch_latency + cycles) as u64);
+            done_at = done_at.max(cycle + (self.cfg.timing.scratch_latency + cycles) as u64);
         }
         let warp = &mut self.warps[w as usize];
         warp.ready_at = warp.ready_at.max(done_at);
@@ -475,6 +316,18 @@ impl Sm {
         }
         done_at
     }
+}
+
+/// One value per request of a warp-wide access, sorted. At most one request
+/// per lane, so they fit on the stack.
+fn sorted(buf: &mut [u32; MAX_LANES], vals: impl Iterator<Item = u32>) -> &[u32] {
+    let mut n = 0;
+    for (slot, v) in buf.iter_mut().zip(vals) {
+        *slot = v;
+        n += 1;
+    }
+    buf[..n].sort_unstable();
+    &buf[..n]
 }
 
 /// Do the lane addresses form a uniform or affine sequence?

@@ -13,16 +13,18 @@
 //!   operands) versus per-lane — recorded on the issue event and
 //!   `scalarised_issues`.
 //! * [`execute`] — fetch check, issue accounting and the call into the
-//!   handler of the slot's resolved op ([`crate::rom`]); owns the
-//!   memory/system classes.
+//!   handler of the slot's resolved op ([`crate::rom`]); owns the system
+//!   class and the memory class's issue-time stalls.
 //! * [`data`] / [`capops`] / [`flow`] — the op-class handlers. Each
 //!   instruction's meaning is written once, as a lane function, and
 //!   applied by one of two drivers: lane-wise over the loaned lane scratch
 //!   (the differential reference, forced by `Sm::set_scalarise(false)`) or
 //!   warp-wide over compact operands (see [`scalar`] for the compact
 //!   arithmetic).
-//! * [`memstage`] — the memory stage: coalescer → tag controller → DRAM
-//!   and the banked scratchpad, plus the compressed stack cache filter.
+//! * [`memstage`] — the memory stage: one check-then-commit path for every
+//!   load, store, capability transfer and atomic against the tagged store
+//!   its address routes to, then the timing: coalescer → tag controller →
+//!   DRAM, the scratchpad's banks, the compressed stack cache filter.
 //! * [`writeback`] — register writeback (spill/fill costing, lane-wise and
 //!   compact) and PC/status commit.
 //!

@@ -33,50 +33,6 @@ use simt_isa::{
 };
 use simt_mem::map;
 
-/// Which memory-stage trap probes an instruction can ever need, fixed at
-/// decode time from the instruction and the CHERI mode. The dynamic parts
-/// of each probe (is a bounds table installed? does the address fault?)
-/// are still evaluated at execute time; the plan only licenses *skipping*
-/// probes that are statically impossible for the op.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub(crate) struct TrapPlan(u8);
-
-impl TrapPlan {
-    /// Per-lane CHERI access check against the address capability.
-    pub(crate) const CHERI_ACCESS: TrapPlan = TrapPlan(1);
-    /// GPUShield bounds-table translation (comparator schemes only).
-    pub(crate) const BOUNDS_TABLE: TrapPlan = TrapPlan(1 << 1);
-    /// Natural-alignment check of the effective address.
-    pub(crate) const ALIGNMENT: TrapPlan = TrapPlan(1 << 2);
-    /// Address-map routing / mapping probe.
-    pub(crate) const MAPPING: TrapPlan = TrapPlan(1 << 3);
-
-    /// Does the plan include probe `f`?
-    #[inline]
-    pub(crate) fn has(self, f: TrapPlan) -> bool {
-        self.0 & f.0 != 0
-    }
-
-    const fn with(self, f: TrapPlan) -> Self {
-        TrapPlan(self.0 | f.0)
-    }
-
-    /// The trap-check plan of a `bytes`-wide memory access under the given
-    /// CHERI mode: the capability check plus the mapping probe under CHERI;
-    /// the bounds-table and (for multi-byte widths) alignment checks plus
-    /// the mapping probe under the integer schemes. AMOs carry no separate
-    /// alignment probe: the mapping probe's word read reports misalignment.
-    fn for_access(bytes: u32, amo: bool, cheri: bool) -> TrapPlan {
-        if cheri {
-            TrapPlan::MAPPING.with(TrapPlan::CHERI_ACCESS)
-        } else if bytes > 1 && !amo {
-            TrapPlan::MAPPING.with(TrapPlan::BOUNDS_TABLE).with(TrapPlan::ALIGNMENT)
-        } else {
-            TrapPlan::MAPPING.with(TrapPlan::BOUNDS_TABLE)
-        }
-    }
-}
-
 /// Declares the Figure 6 mnemonics once: a dense slot per name (the index
 /// into `Sm::cheri_counts`) and the name table the end-of-run snapshot
 /// turns the non-zero slots back into `KernelStats::cheri_histogram` with.
@@ -213,33 +169,53 @@ pub(crate) struct BranchOp {
     pub(crate) off: u32,
 }
 
-/// A load or store, of data or of a whole capability.
+/// What a memory op does with the addressed location.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) enum MemKind {
+    /// A data load, sign- or zero-extended to the register width.
+    Load(LoadWidth),
+    Store,
+    /// `CLC`: a whole capability, tag included.
+    LoadCap,
+    /// `CSC`.
+    StoreCap,
+    /// A word-sized atomic read-modify-write returning the old value.
+    Amo(AmoOp),
+}
+
+impl MemKind {
+    /// Capability-wide (`CLC`/`CSC`): two flits on the 32-bit datapath,
+    /// and a store also serialises on the single-read-port metadata SRF
+    /// when that file is compressed.
+    pub(crate) fn is_cap(self) -> bool {
+        matches!(self, MemKind::LoadCap | MemKind::StoreCap)
+    }
+
+    /// Does the op write memory (and so read a value operand)?
+    pub(crate) fn writes(self) -> bool {
+        matches!(self, MemKind::Store | MemKind::StoreCap | MemKind::Amo(_))
+    }
+
+    /// Does the op write a destination register?
+    pub(crate) fn has_dest(self) -> bool {
+        !matches!(self, MemKind::Store | MemKind::StoreCap)
+    }
+}
+
+/// One access of the memory pipeline: a load, a store, a capability
+/// transfer or an atomic. Everything the memory stage checks (which probes,
+/// in which order) follows from `kind`, `bytes` and the SM's CHERI mode.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub(crate) struct MemOp {
     /// Address operand (a capability under CHERI).
     pub(crate) addr: Reg,
-    /// Destination of a load, source of a store.
+    /// Destination of a load or an AMO (`x0` for a store).
     pub(crate) reg: Reg,
+    /// Value operand of a store or an AMO (`x0` for a load).
+    pub(crate) src: Reg,
     pub(crate) off: u32,
     pub(crate) bytes: u32,
-    pub(crate) store: bool,
-    /// Capability-wide (`CLC`/`CSC`): two flits on the 32-bit datapath,
-    /// and a store also serialises on the single-read-port metadata SRF
-    /// when that file is compressed.
-    pub(crate) cap: bool,
-    /// Sign-extension width of a data load.
-    pub(crate) sext: LoadWidth,
-    pub(crate) plan: TrapPlan,
-}
-
-/// A word-sized atomic read-modify-write.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub(crate) struct AtomicOp {
-    pub(crate) addr: Reg,
-    pub(crate) rd: Reg,
-    pub(crate) src: Reg,
-    pub(crate) op: AmoOp,
-    pub(crate) plan: TrapPlan,
+    pub(crate) kind: MemKind,
 }
 
 /// Fences, environment traps and SIMT control.
@@ -263,7 +239,6 @@ pub(crate) enum Op {
     Jalr(JalrOp),
     Branch(BranchOp),
     Mem(MemOp),
-    Amo(AtomicOp),
     Sys(SysOp),
 }
 
@@ -340,9 +315,8 @@ pub(crate) fn lower(instr: Instr, cheri: bool) -> MicroOp {
         let op = Op::Cap(CapOp { rd, cs1, src2, f, cap_result, sfu });
         (op, uniform(cs1, [reg_of(src2), z]), Some(slot))
     };
-    let mem = |addr, reg, off: i32, bytes, store, cap, sext| {
-        let plan = TrapPlan::for_access(bytes, false, cheri);
-        Op::Mem(MemOp { addr, reg, off: off as u32, bytes, store, cap, sext, plan })
+    let mem = |addr, reg, src, off: i32, bytes, kind| {
+        Op::Mem(MemOp { addr, reg, src, off: off as u32, bytes, kind })
     };
 
     let (op, rule, slot) = match instr {
@@ -435,7 +409,7 @@ pub(crate) fn lower(instr: Instr, cheri: bool) -> MicroOp {
                 LoadWidth::Bu => C::Clbu,
                 LoadWidth::Hu => C::Clhu,
             };
-            (mem(rs1, rd, off, w.bytes(), false, false, w), Never, in_cheri(slot))
+            (mem(rs1, rd, z, off, w.bytes(), MemKind::Load(w)), Never, in_cheri(slot))
         }
         Instr::Store { w, rs2, rs1, off } => {
             let slot = match w {
@@ -443,17 +417,16 @@ pub(crate) fn lower(instr: Instr, cheri: bool) -> MicroOp {
                 StoreWidth::H => C::Csh,
                 StoreWidth::W => C::Csw,
             };
-            (mem(rs1, rs2, off, w.bytes(), true, false, LoadWidth::W), Never, in_cheri(slot))
+            (mem(rs1, z, rs2, off, w.bytes(), MemKind::Store), Never, in_cheri(slot))
         }
         Instr::Clc { cd, cs1, off } => {
-            (mem(cs1, cd, off, 8, false, true, LoadWidth::W), Never, Some(C::Clc))
+            (mem(cs1, cd, z, off, 8, MemKind::LoadCap), Never, Some(C::Clc))
         }
         Instr::Csc { cs2, cs1, off } => {
-            (mem(cs1, cs2, off, 8, true, true, LoadWidth::W), Never, Some(C::Csc))
+            (mem(cs1, z, cs2, off, 8, MemKind::StoreCap), Never, Some(C::Csc))
         }
         Instr::Amo { op, rd, rs1, rs2 } => {
-            let plan = TrapPlan::for_access(4, true, cheri);
-            (Op::Amo(AtomicOp { addr: rs1, rd, src: rs2, op, plan }), Never, in_cheri(C::Camo))
+            (mem(rs1, rd, rs2, 0, 4, MemKind::Amo(op)), Never, in_cheri(C::Camo))
         }
         Instr::Fence => (Op::Sys(SysOp::Fence), Never, None),
         Instr::Ecall | Instr::Ebreak => (Op::Sys(SysOp::EnvTrap), Never, None),
@@ -653,6 +626,47 @@ mod tests {
         for (instr, baseline, purecap) in table {
             assert_eq!(lower(instr, false).rule, baseline, "{instr:?} baseline");
             assert_eq!(lower(instr, true).rule, purecap, "{instr:?} purecap");
+        }
+    }
+
+    /// Every memory instruction lowers to one `MemOp` whose kind, width and
+    /// registers say all the memory stage needs — under either CHERI mode,
+    /// which only decides whether standard encodings count in the histogram.
+    #[test]
+    fn memory_ops_lower_to_one_descriptor() {
+        use CheriSlot as C;
+        use MemKind::{Amo, Load, LoadCap, Store, StoreCap};
+        let (z, a0, a1, a2) = (Reg::ZERO, Reg::A0, Reg::A1, Reg::A2);
+        let load = |w| Instr::Load { w, rd: a0, rs1: a1, off: -8 };
+        let store = |w| Instr::Store { w, rs2: a2, rs1: a1, off: 12 };
+        let clc = Instr::Clc { cd: a0, cs1: a1, off: 16 };
+        let csc = Instr::Csc { cs2: a2, cs1: a1, off: -16 };
+        let amo = Instr::Amo { op: AmoOp::Max, rd: a0, rs1: a1, rs2: a2 };
+        // (instruction, kind, bytes, reg, src, off, slot, counts without CHERI)
+        let table = [
+            (load(LoadWidth::B), Load(LoadWidth::B), 1, a0, z, -8, C::Clb, false),
+            (load(LoadWidth::H), Load(LoadWidth::H), 2, a0, z, -8, C::Clh, false),
+            (load(LoadWidth::W), Load(LoadWidth::W), 4, a0, z, -8, C::Clw, false),
+            (load(LoadWidth::Bu), Load(LoadWidth::Bu), 1, a0, z, -8, C::Clbu, false),
+            (load(LoadWidth::Hu), Load(LoadWidth::Hu), 2, a0, z, -8, C::Clhu, false),
+            (store(StoreWidth::B), Store, 1, z, a2, 12, C::Csb, false),
+            (store(StoreWidth::H), Store, 2, z, a2, 12, C::Csh, false),
+            (store(StoreWidth::W), Store, 4, z, a2, 12, C::Csw, false),
+            (clc, LoadCap, 8, a0, z, 16, C::Clc, true),
+            (csc, StoreCap, 8, z, a2, -16, C::Csc, true),
+            (amo, Amo(AmoOp::Max), 4, a0, a2, 0, C::Camo, false),
+        ];
+        for (instr, kind, bytes, reg, src, off, slot, always) in table {
+            for cheri in [false, true] {
+                let m = lower(instr, cheri);
+                let want = MemOp { addr: a1, reg, src, off: off as u32, bytes, kind };
+                assert_eq!(m.op, Decoded::Op(Op::Mem(want)), "{instr:?} cheri={cheri}");
+                assert_eq!(m.cheri, (cheri || always).then_some(slot), "{instr:?} cheri={cheri}");
+                assert_eq!((m.rule, m.straight), (ScalarRule::Never, true), "{instr:?}");
+            }
+            assert_eq!(kind.is_cap(), bytes == 8, "{instr:?}");
+            assert_eq!(kind.writes(), src != z, "{instr:?}");
+            assert_eq!(kind.has_dest(), reg != z, "{instr:?}");
         }
     }
 }

@@ -14,7 +14,9 @@
 //!
 //! The table was recorded at commit `8466117`, before the resolved-op ROM
 //! and the two generic drivers existed, so it is an independent oracle for
-//! them.
+//! them. The memory rows run twice, against DRAM and against the scratchpad
+//! (`*.scratch`, recorded at commit `29591a4`, while the memory stage still
+//! had a load/store path and an AMO path with one arm per region each).
 
 use cheri_cap::{CapMem, CapPipe};
 use cheri_simt::trace::export::{to_jsonl, TraceCell};
@@ -40,10 +42,14 @@ const DATA_LEN: u32 = 4096;
 const MAX_CYCLES: u64 = 1_000_000;
 
 // Register roles. `S0` = hart id, `S1` = scrambled per-lane value, `S2` =
-// result pointer, `S3` = the `ARG` capability; `A0`/`A1` are the operands of
-// the op under test, `A2`/`A3` its observable results.
+// result pointer, `S3` = the `ARG` capability, `S4` = the scratchpad pointer
+// (scratchpad cases only); `A0`/`A1` are the operands of the op under test,
+// `A2`/`A3` its observable results.
+const S4: Reg = Reg::TP;
 const S3: Reg = Reg::A5;
 const S2: Reg = Reg::A4;
+/// Bytes of scratchpad the scratchpad cases fill, work on and report.
+const SCRATCH_LEN: u32 = 1024;
 
 /// How the operands of the op under test are prepared.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -57,6 +63,9 @@ enum Operands {
     /// `A0` an in-bounds, 8-byte-aligned pointer into the data region
     /// (a capability under CHERI), `A1` an integer.
     Mem,
+    /// As `Mem`, but `A0` points into the scratchpad, which the prologue
+    /// fills with a word pattern and tagged capabilities first.
+    Scratch,
     /// `A1` a per-lane byte offset into a 16-entry landing sled; the body
     /// builds the jump target itself.
     Jump,
@@ -268,14 +277,26 @@ fn cases() -> Vec<Case> {
     v.push(case("jalr", Jump, jalr));
 
     // Memory ops (one driver, but the descriptor path is rebuilt with the
-    // ROM): every width, every AMO, and capability-wide transfers.
+    // ROM): every width, every AMO, and capability-wide transfers — against
+    // DRAM, then the same rows against the scratchpad.
+    mem_cases(&mut v, Mem, "");
+    mem_cases(&mut v, Operands::Scratch, ".scratch");
+    v
+}
+
+/// The memory rows of the matrix against one region (`Mem` or `Scratch`).
+fn mem_cases(v: &mut Vec<Case>, region: Operands, suffix: &str) {
     for w in [LoadWidth::B, LoadWidth::H, LoadWidth::W, LoadWidth::Bu, LoadWidth::Hu] {
-        v.push(case(format!("load.{w:?}"), Mem, vec![Instr::Load { w, rd: A2, rs1: A0, off: 4 }]));
+        v.push(case(
+            format!("load.{w:?}{suffix}"),
+            region,
+            vec![Instr::Load { w, rd: A2, rs1: A0, off: 4 }],
+        ));
     }
     for w in [StoreWidth::B, StoreWidth::H, StoreWidth::W] {
         v.push(case(
-            format!("store.{w:?}"),
-            Mem,
+            format!("store.{w:?}{suffix}"),
+            region,
             vec![
                 Instr::Store { w, rs2: A1, rs1: A0, off: 4 },
                 Instr::Load { w: LoadWidth::W, rd: A2, rs1: A0, off: 4 },
@@ -294,21 +315,20 @@ fn cases() -> Vec<Case> {
         AmoOp::Maxu,
     ] {
         v.push(case(
-            format!("amo.{o:?}"),
-            Mem,
+            format!("amo.{o:?}{suffix}"),
+            region,
             vec![
                 Instr::Amo { op: o, rd: A2, rs1: A0, rs2: A1 },
                 Instr::Load { w: LoadWidth::W, rd: A3, rs1: A0, off: 0 },
             ],
         ));
     }
-    v.push(case("clc", Mem, vec![Instr::Clc { cd: A2, cs1: A0, off: 8 }]));
+    v.push(case(format!("clc{suffix}"), region, vec![Instr::Clc { cd: A2, cs1: A0, off: 8 }]));
     v.push(case(
-        "csc",
-        Mem,
+        format!("csc{suffix}"),
+        region,
         vec![Instr::Csc { cs2: S3, cs1: A0, off: 0 }, Instr::Clc { cd: A2, cs1: A0, off: 0 }],
     ));
-    v
 }
 
 /// Load `A0`/`A1` for one section (always under the full mask, so the
@@ -384,12 +404,13 @@ fn load_operands(a: &mut Assembler, operands: Operands, shape: Shape) {
                 lane_value(a, A1, 2, 0xF, 8);
             }
         }
-        Operands::Mem => {
+        Operands::Mem | Operands::Scratch => {
+            let region = if operands == Operands::Mem { S3 } else { S4 };
             if a0_uniform {
-                a.push(Instr::CIncOffsetImm { cd: A0, cs1: S3, imm: 64 });
+                a.push(Instr::CIncOffsetImm { cd: A0, cs1: region, imm: 64 });
             } else {
                 lane_value(a, Reg::T1, 8, 0x3F, 128);
-                a.push(Instr::CIncOffset { cd: A0, cs1: S3, rs2: Reg::T1 });
+                a.push(Instr::CIncOffset { cd: A0, cs1: region, rs2: Reg::T1 });
             }
             if a1_uniform {
                 a.li(A1, 0x8000_00F3);
@@ -406,6 +427,31 @@ fn load_operands(a: &mut Assembler, operands: Operands, shape: Shape) {
             }
         }
     }
+}
+
+/// Scratchpad-case prologue: `S4` = `GLOBAL` pointed at the scratchpad; the
+/// threads fill its first `SCRATCH_LEN` bytes with a scrambled word pattern
+/// (16 words each, interleaved), then park a tagged `ARG`-derived capability
+/// in every fourth 8-byte slot, where the `clc` rows find it.
+fn fill_scratchpad(a: &mut Assembler) {
+    let (s0, s1) = (Reg::S0, Reg::S1);
+    a.push(Instr::CSpecialRw { cd: S4, cs1: Reg::ZERO, scr: scr::GLOBAL });
+    a.li(Reg::T0, map::SCRATCH_BASE);
+    a.push(Instr::CSetAddr { cd: S4, cs1: S4, rs2: Reg::T0 });
+    a.push(Instr::OpImm { op: AluOp::Sll, rd: Reg::T0, rs1: s0, imm: 2 });
+    a.push(Instr::CIncOffset { cd: Reg::T1, cs1: S4, rs2: Reg::T0 });
+    a.push(addi(Reg::T2, s1, 0));
+    a.li(Reg::T0, 0x2C1B_3C6D);
+    for k in 0..SCRATCH_LEN / (4 * THREADS) {
+        let off = (k * 4 * THREADS) as i32;
+        a.push(Instr::Store { w: StoreWidth::W, rs2: Reg::T2, rs1: Reg::T1, off });
+        a.push(Instr::MulDiv { op: MulOp::Mul, rd: Reg::T2, rs1: Reg::T2, rs2: Reg::T0 });
+        a.push(Instr::OpImm { op: AluOp::Xor, rd: Reg::T2, rs1: Reg::T2, imm: 0x4F1 });
+    }
+    a.push(Instr::OpImm { op: AluOp::Sll, rd: Reg::T0, rs1: s0, imm: 5 });
+    a.push(Instr::CIncOffset { cd: Reg::T1, cs1: S4, rs2: Reg::T0 });
+    a.push(Instr::CIncOffset { cd: Reg::T2, cs1: S3, rs2: Reg::T0 });
+    a.push(Instr::Csc { cs2: Reg::T2, cs1: Reg::T1, off: 8 });
 }
 
 /// The whole program of one case: prologue, ten sections (five shapes ×
@@ -431,6 +477,9 @@ fn program(c: &Case) -> Vec<u32> {
     a.push(Instr::CSetAddr { cd: S2, cs1: S2, rs2: Reg::T0 });
     a.push(Instr::OpImm { op: AluOp::Sll, rd: Reg::T0, rs1: s0, imm: 3 });
     a.push(Instr::CIncOffset { cd: S2, cs1: S2, rs2: Reg::T0 });
+    if c.operands == Operands::Scratch {
+        fill_scratchpad(&mut a);
+    }
 
     for shape in SHAPES {
         for partial in [false, true] {
@@ -464,6 +513,8 @@ struct Outcome {
     result: Result<KernelStats, RunError>,
     /// `(addr, meta, tag)` of every result slot, then of the data region.
     memory: Vec<(u32, u32, bool)>,
+    /// The same of the first `SCRATCH_LEN` bytes of the scratchpad.
+    scratch: Vec<(u32, u32, bool)>,
     jsonl: String,
     events: usize,
 }
@@ -501,15 +552,16 @@ fn run(prog: &[u32], purecap: bool, scalarise: bool) -> Outcome {
     let sink = dev.sm_mut(0).take_sink().expect("sink attached");
     let events = sink.as_any().downcast_ref::<VecSink>().expect("VecSink").events().to_vec();
     let jsonl = to_jsonl(&[TraceCell { label: "op_matrix", events: &events }]);
-    let cap_at = |addr: u32| {
-        let c: CapMem = dev.memory().read_cap(addr).unwrap();
-        (c.addr(), c.meta(), c.tag())
-    };
+    let parts = |c: CapMem| (c.addr(), c.meta(), c.tag());
+    let cap_at = |addr: u32| parts(dev.memory().read_cap(addr).unwrap());
     let memory = (0..SECTIONS * 2 * THREADS)
         .map(|i| cap_at(OUT + i * 8))
         .chain((0..DATA_LEN / 8).map(|i| cap_at(DATA + i * 8)))
         .collect();
-    Outcome { result, memory, jsonl, events: events.len() }
+    let scratch = (0..SCRATCH_LEN / 8)
+        .map(|i| parts(dev.sm(0).scratchpad().read_cap(map::SCRATCH_BASE + i * 8).unwrap()))
+        .collect();
+    Outcome { result, memory, scratch, jsonl, events: events.len() }
 }
 
 /// 64-bit FNV-1a (dependency-free, as in `trace_digests.rs`).
@@ -537,11 +589,18 @@ fn differential(c: &Case, purecap: bool) -> (String, usize, u64, u64) {
     let fast = run(&prog, purecap, true);
     let slow = run(&prog, purecap, false);
     assert_eq!(fast.memory, slow.memory, "{label}: results differ between the drivers");
+    assert_eq!(fast.scratch, slow.scratch, "{label}: scratchpad differs between the drivers");
     assert_eq!(fast.result, slow.result, "{label}: statistics differ between the drivers");
     assert!(fast.jsonl == slow.jsonl, "{label}: event streams differ between the drivers");
     // Every case is built to finish, so the matrix really ran all sections.
     assert!(fast.result.is_ok(), "{label}: {:?}", fast.result);
-    (label, fast.events, fnv1a(fast.jsonl.as_bytes()), memory_digest(&fast.memory))
+    // The scratchpad rows digest the scratchpad too (the older rows never
+    // touch it, and their digests predate this input).
+    let mut results = fast.memory;
+    if c.operands == Operands::Scratch {
+        results.extend(fast.scratch);
+    }
+    (label, fast.events, fnv1a(fast.jsonl.as_bytes()), memory_digest(&results))
 }
 
 fn digests() -> Vec<(String, usize, u64, u64)> {
@@ -826,4 +885,43 @@ const GOLDEN: &[(&str, usize, u64, u64)] = &[
     ("clc [purecap]", 839, 0x8435dfb4c4f295bd, 0xe24dbca1abf17011),
     ("csc [baseline]", 767, 0x5126803bc3609c4d, 0xaaad0e7701e9cba0),
     ("csc [purecap]", 941, 0x3ddd8e86298cb400, 0x86a4c80a327d928e),
+    // The scratchpad rows, recorded at commit `29591a4`.
+    ("load.B.scratch [baseline]", 800, 0x9300c602c17b579e, 0x4fd2609fda2aa881),
+    ("load.B.scratch [purecap]", 883, 0xcb7b1fb95a334ea5, 0xffe4a85253320571),
+    ("load.H.scratch [baseline]", 800, 0x37eb9f3bd745bcae, 0xbadf95ddea78d042),
+    ("load.H.scratch [purecap]", 883, 0xbe2d3aeaba9fdab9, 0x1c7c8c1e9974e832),
+    ("load.W.scratch [baseline]", 800, 0x44a9899585ff0b22, 0x81858792aec837ba),
+    ("load.W.scratch [purecap]", 883, 0x4e91c077d2b64355, 0x052217bfcd89318a),
+    ("load.Bu.scratch [baseline]", 800, 0x1c356e9419cb335e, 0x7e1f2e8c6c90a572),
+    ("load.Bu.scratch [purecap]", 883, 0xdd81bf701a3da985, 0x6f2ca9ba1c1dd5ea),
+    ("load.Hu.scratch [baseline]", 800, 0x1a2a3bb050ceae16, 0x0d9440db8fb7cc68),
+    ("load.Hu.scratch [purecap]", 883, 0x18cbaf8d5b3ed8bd, 0x7cf6a45840656210),
+    ("store.B.scratch [baseline]", 860, 0x5f1658902c5dafc3, 0x1f60ccff9594a0ea),
+    ("store.B.scratch [purecap]", 943, 0x5d35e2bdbe372e85, 0x4423aa3be379be4e),
+    ("store.H.scratch [baseline]", 860, 0x5734f895a5a70e5f, 0xd7fc79209b7ffde7),
+    ("store.H.scratch [purecap]", 943, 0xf31afdb77eeef5a9, 0xb8cdf453d6467a6b),
+    ("store.W.scratch [baseline]", 856, 0x7e991d909c954b1a, 0xc73d1fb055542063),
+    ("store.W.scratch [purecap]", 939, 0xf2c6ab5af270ec21, 0x4ca7335653d8afdf),
+    ("amo.Swap.scratch [baseline]", 888, 0x0940f346275dddd4, 0x7e38a4eb1aef1a42),
+    ("amo.Swap.scratch [purecap]", 971, 0x06f3f1320327e04d, 0x5befb7d2e1d9734e),
+    ("amo.Add.scratch [baseline]", 898, 0x33cfa3c1b6902862, 0x071541aef5a340aa),
+    ("amo.Add.scratch [purecap]", 981, 0x0065d795d061d9b6, 0x6c2bd65ad421dc4e),
+    ("amo.Xor.scratch [baseline]", 898, 0x06680a9593406356, 0x48eb5bb66c47d882),
+    ("amo.Xor.scratch [purecap]", 981, 0x4d03c0be60c39ec2, 0x9860f33ffefc3456),
+    ("amo.Or.scratch [baseline]", 896, 0xa801a62d1cf5cf0c, 0x415ca9c7f51ee8d0),
+    ("amo.Or.scratch [purecap]", 979, 0x4db887eebdb802d4, 0x7b21ad540ec1dd28),
+    ("amo.And.scratch [baseline]", 894, 0xf123f1afe31907c8, 0x667f38e5b9429ae3),
+    ("amo.And.scratch [purecap]", 977, 0x1a1176cadba7b24f, 0xaee04decfe586307),
+    ("amo.Min.scratch [baseline]", 880, 0xbb40ebc1f2bb17c5, 0x30e8950e203d9296),
+    ("amo.Min.scratch [purecap]", 963, 0xa08b429aa567ed18, 0x8351080262911f76),
+    ("amo.Max.scratch [baseline]", 890, 0x1525b5d200152e25, 0x1c33a08c554f3dcc),
+    ("amo.Max.scratch [purecap]", 973, 0xa7a0e18b488011fc, 0x682b9c3b48b2e888),
+    ("amo.Minu.scratch [baseline]", 892, 0x452f8f4d1a006b11, 0x6ed55be8f713a8c8),
+    ("amo.Minu.scratch [purecap]", 975, 0xb17828a40329befb, 0xc914858319bb4b64),
+    ("amo.Maxu.scratch [baseline]", 892, 0x95b7193f6f76cf8e, 0x67cf4477f35a5564),
+    ("amo.Maxu.scratch [purecap]", 975, 0xa1ebc6cdcab14f34, 0x7c12992bad74d10c),
+    ("clc.scratch [baseline]", 832, 0x1407ddeca1e13f60, 0xb7a29dbf7411a69a),
+    ("clc.scratch [purecap]", 948, 0xe4af910c84ae1ba0, 0x8ae8a020ddf1a8db),
+    ("csc.scratch [baseline]", 891, 0x1234963b1cfdde2a, 0x225b404ee6dee4bd),
+    ("csc.scratch [purecap]", 994, 0x579a45315bdd78ad, 0xba3f12b077a461eb),
 ];

@@ -6,7 +6,7 @@ use cheri_cap::{CapException, CapPipe, Perms};
 use cheri_simt::{CheriMode, CheriOpts, Device, RunError, SmConfig, TrapCause};
 use simt_isa::asm::Assembler;
 use simt_isa::{csr, scr, AluOp, AmoOp, BranchCond, Instr, LoadWidth, Reg, StoreWidth, UnaryCapOp};
-use simt_mem::map;
+use simt_mem::{map, MemFault};
 
 const MAX: u64 = 2_000_000;
 
@@ -140,7 +140,12 @@ fn unmapped_access_faults() {
     a.terminate();
     let (_, r) = run_dev(SmConfig::small(CheriMode::Off), a.assemble());
     match r {
-        Err(RunError::Trap(t)) => assert!(matches!(t.cause, TrapCause::Mem(_))),
+        Err(RunError::Trap(t)) => {
+            assert_eq!(t.cause, TrapCause::Mem(MemFault::Unmapped(0x0000_1000)));
+            // Every lane of the converged warp read the same address.
+            assert!(t.lane_causes.iter().all(|f| f.cause == t.cause));
+            assert_eq!(t.lane_mask.count_ones() as usize, t.lane_causes.len());
+        }
         other => panic!("expected memory trap, got {other:?}"),
     }
 }

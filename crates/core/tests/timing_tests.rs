@@ -202,3 +202,81 @@ fn tag_cache_behaviour() {
     assert_eq!(base.tag_cache.hits + base.tag_cache.misses, 0);
     assert_eq!(base.dram.tag_transactions, 0);
 }
+
+/// The §4.4 compressed stack cache: with `SmConfig::stack_cache` on, a
+/// warp-wide DRAM access that is uniform or affine and lies wholly inside
+/// the stack arena is served by the cache — counted in `stack_cache_hits`,
+/// traced as a `mem` event in the `stack_cache` space, and never seen by
+/// DRAM. Scattered accesses and accesses outside the arena still go to
+/// DRAM, as does everything when the flag is off.
+#[test]
+fn stack_cache_absorbs_affine_and_uniform_arena_accesses() {
+    use cheri_simt::trace::{MemSpace, TraceEvent, VecSink};
+    const ARENA: u32 = map::DRAM_BASE + 0x8000;
+    const OUTSIDE: u32 = map::DRAM_BASE + 0x1000;
+    let prog = {
+        let mut a = Assembler::new();
+        a.push(Instr::Csrrs { rd: Reg::A0, csr: simt_isa::csr::MHARTID, rs1: Reg::ZERO });
+        a.push(Instr::OpImm { op: AluOp::Sll, rd: Reg::A1, rs1: Reg::A0, imm: 2 });
+        a.li(Reg::A2, ARENA);
+        a.push(Instr::Op { op: AluOp::Add, rd: Reg::A3, rs1: Reg::A2, rs2: Reg::A1 });
+        // Affine store and load, then a uniform load: three cache hits.
+        a.push(Instr::Store { w: StoreWidth::W, rs2: Reg::A0, rs1: Reg::A3, off: 0 });
+        a.push(Instr::Load { w: LoadWidth::W, rd: Reg::A4, rs1: Reg::A3, off: 0 });
+        a.push(Instr::Load { w: LoadWidth::W, rd: Reg::A4, rs1: Reg::A2, off: 64 });
+        // Scattered inside the arena (hart² words): DRAM.
+        a.push(Instr::MulDiv { op: simt_isa::MulOp::Mul, rd: Reg::A5, rs1: Reg::A1, rs2: Reg::A0 });
+        a.push(Instr::Op { op: AluOp::Add, rd: Reg::A5, rs1: Reg::A5, rs2: Reg::A2 });
+        a.push(Instr::Load { w: LoadWidth::W, rd: Reg::A4, rs1: Reg::A5, off: 0 });
+        // Affine, but outside the arena: DRAM.
+        a.li(Reg::A2, OUTSIDE);
+        a.push(Instr::Op { op: AluOp::Add, rd: Reg::A3, rs1: Reg::A2, rs2: Reg::A1 });
+        a.push(Instr::Load { w: LoadWidth::W, rd: Reg::A4, rs1: Reg::A3, off: 0 });
+        a.terminate();
+        a.assemble()
+    };
+    let run_traced = |stack_cache: bool| {
+        let mut cfg = SmConfig::with_geometry(1, 8, CheriMode::Off);
+        cfg.stack_cache = stack_cache;
+        let mut dev = Device::new(cfg, 1);
+        dev.load_program(&prog);
+        dev.set_stack_region(ARENA, 0x1000);
+        dev.sm_mut(0).set_sink(Box::new(VecSink::new()));
+        dev.reset();
+        let stats = dev.run(1_000_000).expect("run");
+        let sink = dev.sm_mut(0).take_sink().expect("sink attached");
+        let events = sink.as_any().downcast_ref::<VecSink>().expect("VecSink").events().to_vec();
+        // The store landed either way: the cache is a timing filter only.
+        assert_eq!(dev.memory().read(ARENA + 4 * 5, 4).unwrap(), 5);
+        let spaces: Vec<(MemSpace, bool, bool, u32)> = events
+            .iter()
+            .filter_map(|e| match *e {
+                TraceEvent::Mem { space, is_store, uniform, transactions, .. } => {
+                    Some((space, is_store, uniform, transactions))
+                }
+                _ => None,
+            })
+            .collect();
+        (stats, spaces)
+    };
+
+    let (on, spaces) = run_traced(true);
+    assert_eq!(on.stack_cache_hits, 3);
+    assert_eq!(
+        spaces,
+        [
+            (MemSpace::StackCache, true, false, 0),
+            (MemSpace::StackCache, false, false, 0),
+            (MemSpace::StackCache, false, true, 0),
+            (MemSpace::Dram, false, false, 4),
+            (MemSpace::Dram, false, false, 1),
+        ]
+    );
+    assert_eq!((on.dram.read_transactions, on.dram.write_transactions), (5, 0));
+
+    let (off, spaces) = run_traced(false);
+    assert_eq!(off.stack_cache_hits, 0);
+    assert!(spaces.iter().all(|s| s.0 == MemSpace::Dram), "{spaces:?}");
+    assert_eq!((off.dram.read_transactions, off.dram.write_transactions), (7, 1));
+    assert!(on.cycles < off.cycles, "on={} off={}", on.cycles, off.cycles);
+}

@@ -2,18 +2,20 @@
 //!
 //! Components, mirroring the SIMTight evaluation SoC (Figure 9):
 //!
-//! * [`MainMemory`] — DDR4-backed tagged DRAM: byte-addressable data plus one
+//! * [`MainMemory`] — the tagged store: byte-addressable data plus one
 //!   hidden tag bit per naturally-aligned 32-bit word (the paper's chosen
 //!   granularity; a 64-bit capability is valid only if both halves are
-//!   tagged).
+//!   tagged). It is the functional state of the DDR4-backed DRAM *and* of
+//!   the scratchpad: the two memories differ in timing only, so the
+//!   load/store/capability-transfer semantics exist once.
 //! * [`TagController`] — sits in front of DRAM, serving tag bits from a
 //!   reserved region through a small [`TagCache`] so that data+tag access
 //!   appears atomic (Joannou et al., "Efficient Tagged Memory").
 //! * [`CoalescingUnit`] — packs per-lane requests into a small set of wide
 //!   (64-byte) DRAM transactions using Tesla-style same-block rules.
 //! * [`Scratchpad`] — banked shared local memory with 33-bit words (data +
-//!   tag), supporting parallel random access with bank-conflict
-//!   serialisation.
+//!   tag): a [`MainMemory`] of its own (reached through `Deref`) plus the
+//!   bank-conflict serialisation model for parallel random access.
 //! * [`Dram`] — a latency/bandwidth channel model with traffic counters
 //!   (drives Figure 12, DRAM bandwidth usage).
 //!
@@ -63,10 +65,12 @@ impl core::fmt::Display for MemFault {
 
 impl std::error::Error for MemFault {}
 
-/// Byte-addressable tagged DRAM (functional state).
+/// Byte-addressable tagged memory (functional state): the contents of DRAM
+/// and, inside a [`Scratchpad`], of the shared local memory.
 ///
 /// Timing and traffic are modelled separately by [`Dram`] and
-/// [`TagController`]; this type holds the bits.
+/// [`TagController`] (or the scratchpad's banking model); this type holds
+/// the bits.
 #[derive(Debug, Clone)]
 pub struct MainMemory {
     data: Vec<u8>,
@@ -82,13 +86,13 @@ pub struct MainMemory {
 }
 
 impl MainMemory {
-    /// Allocate `size` bytes of DRAM starting at physical address `base`.
+    /// Allocate `size` bytes of memory starting at physical address `base`.
     ///
     /// # Panics
     ///
     /// Panics if `size` is not a multiple of 64 (the transaction size).
     pub fn new(base: u32, size: u32) -> Self {
-        assert_eq!(size % 64, 0, "DRAM size must be a multiple of 64 bytes");
+        assert_eq!(size % 64, 0, "memory size must be a multiple of 64 bytes");
         MainMemory {
             data: vec![0; size as usize],
             tags: vec![0; (size as usize / 4).div_ceil(64)],

@@ -4,17 +4,19 @@
 //! network; words are 33 bits wide under CHERI so capabilities can live in
 //! shared memory. Bank conflicts serialise: the access takes as many cycles
 //! as the most-contended bank has requests.
+//!
+//! Functionally the scratchpad *is* a [`MainMemory`] — the same tagged
+//! store, reached through `Deref` — and differs from DRAM only in timing,
+//! which is all this module adds.
 
-use crate::{LaneRequest, MemFault};
-use cheri_cap::CapMem;
+use crate::{LaneRequest, MainMemory};
+use core::ops::{Deref, DerefMut};
 
-/// The scratchpad memory.
+/// The scratchpad memory: a tagged store plus the banking model.
 #[derive(Debug, Clone)]
 pub struct Scratchpad {
-    base: u32,
-    words: Vec<u32>,
-    /// Tag bit per 32-bit word (the 33rd bit of each bank entry).
-    tags: Vec<u64>,
+    /// The contents (data plus the 33rd, tag, bit of each bank entry).
+    mem: MainMemory,
     banks: u32,
     stats: ScratchStats,
 }
@@ -28,33 +30,35 @@ pub struct ScratchStats {
     pub conflict_cycles: u64,
 }
 
+/// The functional accessors (`base`, `size`, `check`, `check_cap`, `read`,
+/// `write`, `read_cap`, `write_cap`, ...) are the store's own.
+impl Deref for Scratchpad {
+    type Target = MainMemory;
+
+    fn deref(&self) -> &MainMemory {
+        &self.mem
+    }
+}
+
+impl DerefMut for Scratchpad {
+    fn deref_mut(&mut self) -> &mut MainMemory {
+        &mut self.mem
+    }
+}
+
 impl Scratchpad {
     /// Create a scratchpad of `size` bytes at `base` with `banks` banks
     /// (typically one per vector lane).
     ///
     /// # Panics
     ///
-    /// Panics if `size` is not a multiple of `4 * banks`.
+    /// Panics if `banks` is not a power of two, if `size` is not a multiple
+    /// of `4 * banks`, or — inherited from [`MainMemory::new`] — if `size`
+    /// is not a multiple of 64.
     pub fn new(base: u32, size: u32, banks: u32) -> Self {
         assert!(banks.is_power_of_two(), "bank count must be a power of two");
         assert_eq!(size % (4 * banks), 0, "size must fill all banks evenly");
-        Scratchpad {
-            base,
-            words: vec![0; (size / 4) as usize],
-            tags: vec![0; ((size / 4) as usize).div_ceil(64)],
-            banks,
-            stats: ScratchStats::default(),
-        }
-    }
-
-    /// Base address.
-    pub fn base(&self) -> u32 {
-        self.base
-    }
-
-    /// Size in bytes.
-    pub fn size(&self) -> u32 {
-        self.words.len() as u32 * 4
+        Scratchpad { mem: MainMemory::new(base, size), banks, stats: ScratchStats::default() }
     }
 
     /// Access statistics.
@@ -65,116 +69,6 @@ impl Scratchpad {
     /// Reset statistics (contents are preserved).
     pub fn reset_stats(&mut self) {
         self.stats = ScratchStats::default();
-    }
-
-    fn word_index(&self, addr: u32, bytes: u32) -> Result<usize, MemFault> {
-        if !matches!(bytes, 1 | 2 | 4) {
-            return Err(MemFault::BadWidth(bytes));
-        }
-        if addr < self.base || addr + bytes > self.base + self.size() {
-            return Err(MemFault::Unmapped(addr));
-        }
-        if !addr.is_multiple_of(bytes) {
-            return Err(MemFault::Misaligned(addr));
-        }
-        Ok(((addr - self.base) / 4) as usize)
-    }
-
-    /// Validation-only probe: succeeds exactly when [`Self::read`] (or
-    /// [`Self::write`], whose checks are identical) would, without touching
-    /// the data. Fault priority matches the accessors — width, then
-    /// mapping, then alignment.
-    pub fn check(&self, addr: u32, bytes: u32) -> Result<(), MemFault> {
-        self.word_index(addr, bytes).map(|_| ())
-    }
-
-    /// Validation-only probe for capability accesses: succeeds exactly when
-    /// [`Self::read_cap`]/[`Self::write_cap`] would.
-    pub fn check_cap(&self, addr: u32) -> Result<(), MemFault> {
-        if !addr.is_multiple_of(8) {
-            return Err(MemFault::Misaligned(addr));
-        }
-        self.check(addr, 4)?;
-        self.check(addr + 4, 4)
-    }
-
-    /// Read `bytes` (1/2/4), zero-extended.
-    ///
-    /// # Errors
-    ///
-    /// Fails on unsupported widths and out-of-range or misaligned access.
-    pub fn read(&self, addr: u32, bytes: u32) -> Result<u32, MemFault> {
-        let w = self.word_index(addr, bytes)?;
-        let word = self.words[w];
-        let sh = (addr % 4) * 8;
-        Ok(match bytes {
-            1 => (word >> sh) & 0xFF,
-            2 => (word >> sh) & 0xFFFF,
-            _ => word,
-        })
-    }
-
-    /// Write `bytes` (1/2/4); clears the word's tag bit.
-    ///
-    /// # Errors
-    ///
-    /// Fails on unsupported widths and out-of-range or misaligned access.
-    pub fn write(&mut self, addr: u32, value: u32, bytes: u32) -> Result<(), MemFault> {
-        let w = self.word_index(addr, bytes)?;
-        let sh = (addr % 4) * 8;
-        let mask = match bytes {
-            1 => 0xFFu32 << sh,
-            2 => 0xFFFFu32 << sh,
-            _ => u32::MAX,
-        };
-        self.words[w] = (self.words[w] & !mask) | ((value << sh) & mask);
-        self.set_tag_word(w, false);
-        Ok(())
-    }
-
-    fn tag_word(&self, w: usize) -> bool {
-        self.tags[w / 64] & (1 << (w % 64)) != 0
-    }
-
-    fn set_tag_word(&mut self, w: usize, tag: bool) {
-        if tag {
-            self.tags[w / 64] |= 1 << (w % 64);
-        } else {
-            self.tags[w / 64] &= !(1 << (w % 64));
-        }
-    }
-
-    /// Load a capability from shared memory (8-byte aligned).
-    ///
-    /// # Errors
-    ///
-    /// Fails on out-of-range or misaligned access.
-    pub fn read_cap(&self, addr: u32) -> Result<CapMem, MemFault> {
-        if !addr.is_multiple_of(8) {
-            return Err(MemFault::Misaligned(addr));
-        }
-        let lo = self.read(addr, 4)?;
-        let hi = self.read(addr + 4, 4)?;
-        let w = self.word_index(addr, 4)?;
-        let tag = self.tag_word(w) && self.tag_word(w + 1);
-        Ok(CapMem::from_bits(((hi as u64) << 32) | lo as u64, tag))
-    }
-
-    /// Store a capability to shared memory (8-byte aligned).
-    ///
-    /// # Errors
-    ///
-    /// Fails on out-of-range or misaligned access.
-    pub fn write_cap(&mut self, addr: u32, cap: CapMem) -> Result<(), MemFault> {
-        if !addr.is_multiple_of(8) {
-            return Err(MemFault::Misaligned(addr));
-        }
-        self.write(addr, cap.bits() as u32, 4)?;
-        self.write(addr + 4, (cap.bits() >> 32) as u32, 4)?;
-        let w = self.word_index(addr, 4)?;
-        self.set_tag_word(w, cap.tag());
-        self.set_tag_word(w + 1, cap.tag());
-        Ok(())
     }
 
     /// Account for one warp-wide access: returns the number of cycles the
@@ -194,7 +88,7 @@ impl Scratchpad {
             let mut seen = [(0u32, 0u32); 64];
             let mut n = 0usize;
             for r in reqs {
-                let word = (r.addr.wrapping_sub(self.base)) / 4;
+                let word = (r.addr.wrapping_sub(self.mem.base())) / 4;
                 let pair = (word % self.banks, word);
                 if !seen[..n].contains(&pair) {
                     seen[n] = pair;
@@ -206,7 +100,7 @@ impl Scratchpad {
         } else {
             let mut per_bank: Vec<Vec<u32>> = vec![Vec::new(); self.banks as usize];
             for r in reqs {
-                let word = (r.addr.wrapping_sub(self.base)) / 4;
+                let word = (r.addr.wrapping_sub(self.mem.base())) / 4;
                 let bank = (word % self.banks) as usize;
                 if !per_bank[bank].contains(&word) {
                     per_bank[bank].push(word);
@@ -222,6 +116,7 @@ impl Scratchpad {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::MemFault;
     use cheri_cap::CapPipe;
 
     const BASE: u32 = 0x4000_0000;
@@ -274,5 +169,18 @@ mod tests {
         assert!(s.read(BASE + 64 * 1024, 1).is_err());
         assert!(s.write(BASE + 2, 0, 4).is_err());
         assert!(s.read_cap(BASE + 4).is_err());
+    }
+
+    /// Addresses at the top of the address space are unmapped, not an
+    /// arithmetic overflow (the range check used to add in `u32`).
+    #[test]
+    fn top_of_address_space_is_unmapped() {
+        let mut s = sp();
+        assert_eq!(s.read(u32::MAX, 1), Err(MemFault::Unmapped(u32::MAX)));
+        assert_eq!(s.read(u32::MAX - 3, 4), Err(MemFault::Unmapped(u32::MAX - 3)));
+        assert_eq!(s.write(u32::MAX - 1, 0, 2), Err(MemFault::Unmapped(u32::MAX - 1)));
+        assert_eq!(s.check(u32::MAX, 1), Err(MemFault::Unmapped(u32::MAX)));
+        assert_eq!(s.check_cap(u32::MAX - 7), Err(MemFault::Unmapped(u32::MAX - 7)));
+        assert_eq!(s.read_cap(u32::MAX - 7), Err(MemFault::Unmapped(u32::MAX - 7)));
     }
 }
