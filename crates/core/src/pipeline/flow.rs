@@ -9,6 +9,7 @@
 //! runs per active lane.
 
 use super::data::Splat;
+use super::operands::CapMemo;
 use super::scalar::expect_uniform;
 use super::{active_lanes, Costs};
 use crate::exec;
@@ -134,8 +135,9 @@ impl Sm {
         // installing any lane's PCC metadata, so a trap leaves the whole
         // warp's PCC state untouched.
         let mut faults: Vec<LaneFault> = Vec::new();
+        let mut caps = CapMemo::default();
         for i in active_lanes(sel.mask, lanes) {
-            let cap = Self::cap_of(am[i], a[i]);
+            let cap = caps.get(am[i], a[i]);
             let target = cap.addr().wrapping_add(j.off) & !1;
             let cap = cap.unseal_sentry();
             if let Err(e) = cap.check_fetch(target) {

@@ -9,6 +9,7 @@
 //! coalescing, tag-cache lookups, DRAM and scratchpad timing, and the
 //! atomic-conflict serialisation model.
 
+use super::operands::CapMemo;
 use super::{active_lanes, Costs};
 use crate::device::MemSystem;
 use crate::exec;
@@ -16,7 +17,7 @@ use crate::rom::{MemKind, MemOp};
 use crate::sm::{LaneBufs, Sm};
 use crate::trap::{LaneFault, Trap, TrapCause};
 use crate::warp::Selection;
-use cheri_cap::{AccessWidth, CapMem};
+use cheri_cap::CapMem;
 use simt_isa::LoadWidth;
 use simt_mem::{map, LaneRequest, MainMemory, MemFault};
 use simt_regfile::{MAX_LANES, NULL_META};
@@ -40,7 +41,8 @@ impl Sm {
         op: &MemOp,
         costs: &mut Costs,
     ) -> Result<(), Box<Trap>> {
-        let MemOp { addr: addr_reg, reg, src, off, bytes, kind } = *op;
+        let MemOp { addr: addr_reg, reg, src, off, width, kind } = *op;
+        let bytes = width.bytes();
         let lanes = self.cfg.lanes as usize;
         let dram_size = self.cfg.dram_size;
         let mask = sel.mask;
@@ -76,14 +78,14 @@ impl Sm {
         // the whole warp is clean, so traps are warp-precise and carry the
         // full faulting-lane set.
         let mut faults: Vec<LaneFault> = Vec::new();
+        let mut caps = CapMemo::default();
         for i in active_lanes(mask, lanes) {
             let ea = (a[i] as u32).wrapping_add(off);
             eas[i] = ea;
             let mut cause = None;
             if cheri {
-                let cap = Self::cap_of(am[i], a[i]);
-                let check =
-                    |store| cap.check_access(ea, AccessWidth::from_bytes(bytes), store, is_cap);
+                let cap = caps.get(am[i], a[i]);
+                let check = |store| cap.check_access(ea, width, store, is_cap);
                 // An AMO both loads and stores: it passes both checks.
                 let ok = if amo {
                     check(false).and_then(|()| check(true))

@@ -3,7 +3,9 @@
 //! Owns the data/metadata RF read paths (including the NVO scalar path
 //! inside the compressed register file), the shared-VRF serialisation
 //! penalty and its `shared_vrf_conflict` counter, and the
-//! capability-marshalling helpers shared by every stage downstream.
+//! capability-marshalling helpers shared by every stage downstream
+//! (including [`CapMemo`], the per-warp decode memo of the lane-wise
+//! capability loops).
 
 use super::Costs;
 use crate::sm::Sm;
@@ -141,5 +143,27 @@ impl Sm {
     pub(crate) fn cap_parts(cap: CapPipe) -> (u64, u64) {
         let m = cap.to_mem();
         (m.meta() as u64 | ((m.tag() as u64) << 32), m.addr() as u64)
+    }
+}
+
+/// Where the memory check phase, the capability ops and `CJALR` get each
+/// lane's [`CapPipe`]: a one-entry memo keyed on the metadata word (tag
+/// included). On a hit the
+/// previous lane's capability moves to this lane's address with
+/// [`CapPipe::with_addr`] — two compares inside its representable region,
+/// one decode outside it — so a warp with uniform metadata decodes once.
+/// The result is exactly [`Sm::cap_of`] either way.
+#[derive(Default)]
+pub(crate) struct CapMemo(Option<(u64, CapPipe)>);
+
+impl CapMemo {
+    #[inline]
+    pub(crate) fn get(&mut self, meta: u64, addr: u64) -> CapPipe {
+        let cap = match self.0 {
+            Some((m, last)) if m == meta => last.with_addr(addr as u32),
+            _ => Sm::cap_of(meta, addr),
+        };
+        self.0 = Some((meta, cap));
+        cap
     }
 }

@@ -59,10 +59,11 @@ impl Sm {
         }
     }
 
+    /// Null metadata for an integer result, as one compact uniform write
+    /// (bit-identical to writing a null vector, without the compressor scan).
     pub(crate) fn write_meta_null(&mut self, w: u32, rd: Reg, mask: u64, costs: &mut Costs) {
         if self.cheri() {
-            let nulls = [NULL_META; MAX_LANES];
-            self.write_meta(w, rd, &nulls, mask, costs);
+            self.write_meta_compact(w, rd, &OperandVec::Uniform(NULL_META), mask, costs);
         }
     }
 

@@ -27,6 +27,7 @@
 //! program words and the CHERI mode: nothing execution-dependent is cached.
 
 use crate::pipeline::classify::{LinearOp, ScalarRule};
+use cheri_cap::AccessWidth;
 use simt_isa::{
     AluOp, AmoOp, BranchCond, FcmpOp, FpOp, Instr, LoadWidth, MulOp, Reg, SimtOp, StoreWidth,
     UnaryCapOp,
@@ -204,7 +205,7 @@ impl MemKind {
 
 /// One access of the memory pipeline: a load, a store, a capability
 /// transfer or an atomic. Everything the memory stage checks (which probes,
-/// in which order) follows from `kind`, `bytes` and the SM's CHERI mode.
+/// in which order) follows from `kind`, `width` and the SM's CHERI mode.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub(crate) struct MemOp {
     /// Address operand (a capability under CHERI).
@@ -214,7 +215,8 @@ pub(crate) struct MemOp {
     /// Value operand of a store or an AMO (`x0` for a load).
     pub(crate) src: Reg,
     pub(crate) off: u32,
-    pub(crate) bytes: u32,
+    /// Resolved once here, so the capability check takes it as is.
+    pub(crate) width: AccessWidth,
     pub(crate) kind: MemKind,
 }
 
@@ -315,8 +317,8 @@ pub(crate) fn lower(instr: Instr, cheri: bool) -> MicroOp {
         let op = Op::Cap(CapOp { rd, cs1, src2, f, cap_result, sfu });
         (op, uniform(cs1, [reg_of(src2), z]), Some(slot))
     };
-    let mem = |addr, reg, src, off: i32, bytes, kind| {
-        Op::Mem(MemOp { addr, reg, src, off: off as u32, bytes, kind })
+    let mem = |addr, reg, src, off: i32, width, kind| {
+        Op::Mem(MemOp { addr, reg, src, off: off as u32, width, kind })
     };
 
     let (op, rule, slot) = match instr {
@@ -409,7 +411,7 @@ pub(crate) fn lower(instr: Instr, cheri: bool) -> MicroOp {
                 LoadWidth::Bu => C::Clbu,
                 LoadWidth::Hu => C::Clhu,
             };
-            (mem(rs1, rd, z, off, w.bytes(), MemKind::Load(w)), Never, in_cheri(slot))
+            (mem(rs1, rd, z, off, w.width(), MemKind::Load(w)), Never, in_cheri(slot))
         }
         Instr::Store { w, rs2, rs1, off } => {
             let slot = match w {
@@ -417,16 +419,16 @@ pub(crate) fn lower(instr: Instr, cheri: bool) -> MicroOp {
                 StoreWidth::H => C::Csh,
                 StoreWidth::W => C::Csw,
             };
-            (mem(rs1, z, rs2, off, w.bytes(), MemKind::Store), Never, in_cheri(slot))
+            (mem(rs1, z, rs2, off, w.width(), MemKind::Store), Never, in_cheri(slot))
         }
         Instr::Clc { cd, cs1, off } => {
-            (mem(cs1, cd, z, off, 8, MemKind::LoadCap), Never, Some(C::Clc))
+            (mem(cs1, cd, z, off, AccessWidth::Cap, MemKind::LoadCap), Never, Some(C::Clc))
         }
         Instr::Csc { cs2, cs1, off } => {
-            (mem(cs1, z, cs2, off, 8, MemKind::StoreCap), Never, Some(C::Csc))
+            (mem(cs1, z, cs2, off, AccessWidth::Cap, MemKind::StoreCap), Never, Some(C::Csc))
         }
         Instr::Amo { op, rd, rs1, rs2 } => {
-            (mem(rs1, rd, rs2, 0, 4, MemKind::Amo(op)), Never, in_cheri(C::Camo))
+            (mem(rs1, rd, rs2, 0, AccessWidth::Word, MemKind::Amo(op)), Never, in_cheri(C::Camo))
         }
         Instr::Fence => (Op::Sys(SysOp::Fence), Never, None),
         Instr::Ecall | Instr::Ebreak => (Op::Sys(SysOp::EnvTrap), Never, None),
@@ -642,29 +644,30 @@ mod tests {
         let clc = Instr::Clc { cd: a0, cs1: a1, off: 16 };
         let csc = Instr::Csc { cs2: a2, cs1: a1, off: -16 };
         let amo = Instr::Amo { op: AmoOp::Max, rd: a0, rs1: a1, rs2: a2 };
-        // (instruction, kind, bytes, reg, src, off, slot, counts without CHERI)
+        use AccessWidth::{Byte, Cap, Half, Word};
+        // (instruction, kind, width, reg, src, off, slot, counts without CHERI)
         let table = [
-            (load(LoadWidth::B), Load(LoadWidth::B), 1, a0, z, -8, C::Clb, false),
-            (load(LoadWidth::H), Load(LoadWidth::H), 2, a0, z, -8, C::Clh, false),
-            (load(LoadWidth::W), Load(LoadWidth::W), 4, a0, z, -8, C::Clw, false),
-            (load(LoadWidth::Bu), Load(LoadWidth::Bu), 1, a0, z, -8, C::Clbu, false),
-            (load(LoadWidth::Hu), Load(LoadWidth::Hu), 2, a0, z, -8, C::Clhu, false),
-            (store(StoreWidth::B), Store, 1, z, a2, 12, C::Csb, false),
-            (store(StoreWidth::H), Store, 2, z, a2, 12, C::Csh, false),
-            (store(StoreWidth::W), Store, 4, z, a2, 12, C::Csw, false),
-            (clc, LoadCap, 8, a0, z, 16, C::Clc, true),
-            (csc, StoreCap, 8, z, a2, -16, C::Csc, true),
-            (amo, Amo(AmoOp::Max), 4, a0, a2, 0, C::Camo, false),
+            (load(LoadWidth::B), Load(LoadWidth::B), Byte, a0, z, -8, C::Clb, false),
+            (load(LoadWidth::H), Load(LoadWidth::H), Half, a0, z, -8, C::Clh, false),
+            (load(LoadWidth::W), Load(LoadWidth::W), Word, a0, z, -8, C::Clw, false),
+            (load(LoadWidth::Bu), Load(LoadWidth::Bu), Byte, a0, z, -8, C::Clbu, false),
+            (load(LoadWidth::Hu), Load(LoadWidth::Hu), Half, a0, z, -8, C::Clhu, false),
+            (store(StoreWidth::B), Store, Byte, z, a2, 12, C::Csb, false),
+            (store(StoreWidth::H), Store, Half, z, a2, 12, C::Csh, false),
+            (store(StoreWidth::W), Store, Word, z, a2, 12, C::Csw, false),
+            (clc, LoadCap, Cap, a0, z, 16, C::Clc, true),
+            (csc, StoreCap, Cap, z, a2, -16, C::Csc, true),
+            (amo, Amo(AmoOp::Max), Word, a0, a2, 0, C::Camo, false),
         ];
-        for (instr, kind, bytes, reg, src, off, slot, always) in table {
+        for (instr, kind, width, reg, src, off, slot, always) in table {
             for cheri in [false, true] {
                 let m = lower(instr, cheri);
-                let want = MemOp { addr: a1, reg, src, off: off as u32, bytes, kind };
+                let want = MemOp { addr: a1, reg, src, off: off as u32, width, kind };
                 assert_eq!(m.op, Decoded::Op(Op::Mem(want)), "{instr:?} cheri={cheri}");
                 assert_eq!(m.cheri, (cheri || always).then_some(slot), "{instr:?} cheri={cheri}");
                 assert_eq!((m.rule, m.straight), (ScalarRule::Never, true), "{instr:?}");
             }
-            assert_eq!(kind.is_cap(), bytes == 8, "{instr:?}");
+            assert_eq!(kind.is_cap(), width == Cap, "{instr:?}");
             assert_eq!(kind.writes(), src != z, "{instr:?}");
             assert_eq!(kind.has_dest(), reg != z, "{instr:?}");
         }

@@ -390,3 +390,222 @@ const GOLDEN: &[(&str, u64, &str)] = &[
     ("AMO Scratch Purecap", 0b10111110, "1:mem:misaligned@40000111 2:mem:unmapped@00002000 3:mem:unmapped@00002003 4:cheri:bounds 5:cheri:tag 7:mem:unmapped@4000fffe"),
     ("AMO Scratch Shield", 0b10011110, "1:mem:misaligned@40000111 2:mem:unmapped@00002000 3:mem:unmapped@00002003 4:region_bound@80002100 7:mem:unmapped@4000fffe"),
 ];
+
+// ---- Memo-miss rows ----
+//
+// The check phase and the lane-wise capability ops may reuse one lane's
+// decoded capability for the next lane with the same metadata word. Two rows
+// pin the cases where that reuse must not change an answer. They were
+// harvested at commit `21555b6`, which decoded every lane from scratch;
+// `print_memo_rows` regenerates them.
+//
+// * `straddle`: every lane holds the same metadata word, tag included, but
+//   the addresses straddle the representable-region edge of a 256-byte
+//   object, whose region is `[base - 0x80, base + 0x380)`. Lanes 0-3 sit
+//   inside it; lanes 4-6 sit in the region below it and lane 7 far above.
+//   Software cannot derive a tagged capability outside its region (the host
+//   writes these), but each lane's bounds must still be decoded in that
+//   lane's own window. There the far lanes' accesses are out of bounds,
+//   although lanes 4 and 5 access bytes inside the object as the near lanes
+//   see it.
+//   `CIncOffset` from the object to the same addresses clears the tag on
+//   exactly the far lanes.
+// * `select`: the BlkStencil pointer-select shape. Lanes alternate between
+//   a DRAM and a scratchpad object, plus copies that differ only in the tag
+//   or only in the permissions, so the metadata word changes lane to lane.
+
+/// Per-lane table offsets from the lane's pointer slot (`TABLE + 8 * lane`):
+/// the `CIncOffset` operand, `CGetBase`/`CGetLen` of the pointer, and the
+/// `CIncOffset` result.
+const MEMO_OFFS: i32 = 0x100;
+const MEMO_BASES: i32 = 0x200;
+const MEMO_INCS: i32 = 0x300;
+/// The objects of the memo rows.
+const MEMO_DRAM: u32 = map::DRAM_BASE + 0x2800;
+const MEMO_SCRATCH: u32 = map::SCRATCH_BASE + 0x200;
+
+struct MemoRow {
+    name: &'static str,
+    /// Each lane's pointer (`A0`).
+    ptrs: [CapMem; LANES as usize],
+    /// Each lane's `CIncOffset` operand.
+    offs: [u32; LANES as usize],
+    /// `CIncOffset` source: this uniform capability (via `GLOBAL`), or the
+    /// lane's own pointer when `None`.
+    uniform_src: Option<CapPipe>,
+    /// Offset of the final `LW` through the pointer.
+    load_off: i32,
+}
+
+fn memo_rows() -> Vec<MemoRow> {
+    let data = CapPipe::almighty().and_perm(Perms::data());
+    let obj = data.set_addr(MEMO_DRAM).set_bounds(0x100).0;
+    let addrs = [-0x80, -0x7C, -0x40, -4, -0x84, -0x100, -0x200, 0x4_0000]
+        .map(|d: i32| MEMO_DRAM.wrapping_add(d as u32));
+    let meta = obj.to_mem().meta();
+    let straddle = MemoRow {
+        name: "straddle",
+        ptrs: addrs.map(|a| CapMem::from_parts(meta, a, true)),
+        offs: addrs.map(|a| a.wrapping_sub(MEMO_DRAM)),
+        uniform_src: Some(obj),
+        load_off: 0x100,
+    };
+    let p = data.set_addr(MEMO_DRAM).set_bounds(0x40).0;
+    let q = data.set_addr(MEMO_SCRATCH).set_bounds(0x40).0;
+    let no_load = Perms::from_bits(Perms::data().bits() & !Perms::LOAD.bits());
+    let select = MemoRow {
+        name: "select",
+        // The tag-only and permissions-only variants follow their twins,
+        // so a memo that ignored either would reuse the twin's decode.
+        ptrs: [
+            p.to_mem(),
+            p.set_addr(MEMO_DRAM + 8).clear_tag().to_mem(),
+            q.to_mem(),
+            q.and_perm(no_load).set_addr(MEMO_SCRATCH + 8).to_mem(),
+            p.set_addr(MEMO_DRAM + 0x3C).to_mem(),
+            q.set_addr(MEMO_SCRATCH + 0x40).to_mem(),
+            p.set_addr(MEMO_DRAM - 4).to_mem(),
+            q.set_addr(MEMO_SCRATCH + 0x20).to_mem(),
+        ],
+        offs: [0x10; LANES as usize],
+        uniform_src: None,
+        load_off: 0,
+    };
+    vec![straddle, select]
+}
+
+/// Each lane loads its pointer and operand from the table, records
+/// `CGetBase`/`CGetLen` of the pointer and a `CIncOffset`, then loads
+/// through the pointer. Returns the program and the index of that load.
+fn memo_program(row: &MemoRow) -> (Vec<u32>, usize) {
+    let (t0, t1) = (Reg::T0, Reg::T1);
+    let mut a = Assembler::new();
+    a.push(Instr::Csrrs { rd: t0, csr: csr::MHARTID, rs1: Reg::ZERO });
+    a.push(Instr::OpImm { op: AluOp::Sll, rd: t0, rs1: t0, imm: 3 });
+    a.push(Instr::CSpecialRw { cd: t1, cs1: Reg::ZERO, scr: scr::ARG });
+    a.push(Instr::CIncOffset { cd: t1, cs1: t1, rs2: t0 });
+    a.push(Instr::Clc { cd: A0, cs1: t1, off: 0 });
+    a.push(Instr::Load { w: LoadWidth::W, rd: A1, rs1: t1, off: MEMO_OFFS });
+    a.push(Instr::CSpecialRw { cd: A2, cs1: Reg::ZERO, scr: scr::GLOBAL });
+    a.push(Instr::CapUnary { op: simt_isa::UnaryCapOp::GetBase, rd: A3, cs1: A0 });
+    a.push(Instr::Store { w: StoreWidth::W, rs2: A3, rs1: t1, off: MEMO_BASES });
+    a.push(Instr::CapUnary { op: simt_isa::UnaryCapOp::GetLen, rd: A3, cs1: A0 });
+    a.push(Instr::Store { w: StoreWidth::W, rs2: A3, rs1: t1, off: MEMO_BASES + 4 });
+    let src = if row.uniform_src.is_some() { A2 } else { A0 };
+    a.push(Instr::CIncOffset { cd: A3, cs1: src, rs2: A1 });
+    a.push(Instr::Csc { cs2: A3, cs1: t1, off: MEMO_INCS });
+    let idx = a.len();
+    a.push(Instr::Load { w: LoadWidth::W, rd: A3, rs1: A0, off: row.load_off });
+    a.terminate();
+    (a.assemble(), idx)
+}
+
+/// What one memo row produced: per-lane `(base, length)` of the pointer,
+/// the `CIncOffset` results, and the trap of the final load.
+#[derive(Debug, PartialEq)]
+struct MemoOutcome {
+    bounds: Vec<(u32, u32)>,
+    incs: Vec<CapMem>,
+    trap: Trap,
+}
+
+fn run_memo_row(row: &MemoRow, scalarise: bool) -> (MemoOutcome, usize) {
+    let mut cfg = SmConfig::with_geometry(1, LANES, CheriMode::On(CheriOpts::optimised()));
+    cfg.dram_size = DRAM_SIZE;
+    let mut dev = Device::new(cfg, 1);
+    let (prog, idx) = memo_program(row);
+    dev.load_program(&prog);
+    dev.set_scr(scr::ARG, CapPipe::almighty().and_perm(Perms::data()).set_addr(TABLE).to_mem());
+    dev.set_scr(scr::GLOBAL, row.uniform_src.unwrap_or_else(CapPipe::null).to_mem());
+    for lane in 0..LANES {
+        let slot = TABLE + 8 * lane;
+        dev.memory_mut().write_cap(slot, row.ptrs[lane as usize]).unwrap();
+        dev.memory_mut().write(slot + MEMO_OFFS as u32, row.offs[lane as usize], 4).unwrap();
+    }
+    dev.sm_mut(0).set_scalarise(scalarise);
+    dev.reset();
+    let trap = trap_of(row.name, dev.run(MAX).map(|_| ()));
+    let mem = dev.memory();
+    let slot = |lane: u32, off: i32| TABLE + 8 * lane + off as u32;
+    let word = |addr| mem.read(addr, 4).unwrap();
+    let bounds =
+        (0..LANES).map(|l| (word(slot(l, MEMO_BASES)), word(slot(l, MEMO_BASES) + 4))).collect();
+    let incs = (0..LANES).map(|l| mem.read_cap(slot(l, MEMO_INCS)).unwrap()).collect();
+    (MemoOutcome { bounds, incs, trap }, idx)
+}
+
+/// Bitmask of the lanes whose `CIncOffset` result kept its tag.
+fn tag_mask(incs: &[CapMem]) -> u64 {
+    incs.iter().enumerate().fold(0, |m, (lane, c)| m | u64::from(c.tag()) << lane)
+}
+
+/// One-off harvest helper: prints the memo rows in source form.
+/// Run with `cargo test -p cheri-simt --test mem_faults -- --ignored --nocapture`.
+#[test]
+#[ignore = "harvest helper, not a regression test"]
+fn print_memo_rows() {
+    for row in memo_rows() {
+        let (o, _) = run_memo_row(&row, true);
+        let bases: Vec<String> = o.bounds.iter().map(|(b, _)| format!("{b:#010x}")).collect();
+        let lens: Vec<String> = o.bounds.iter().map(|(_, l)| format!("{l:#x}")).collect();
+        println!(
+            "    (\"{}\", [{}], [{}], {:#010b}, {:#010b}, \"{}\"),",
+            row.name,
+            bases.join(", "),
+            lens.join(", "),
+            tag_mask(&o.incs),
+            o.trap.lane_mask,
+            describe(&o.trap)
+        );
+    }
+}
+
+#[test]
+fn memo_rows_match_the_recorded_table() {
+    let rows = memo_rows();
+    assert_eq!(rows.len(), MEMO_GOLDEN.len(), "table covered");
+    for (row, want) in rows.iter().zip(MEMO_GOLDEN) {
+        let (o, idx) = run_memo_row(row, true);
+        let (slow, _) = run_memo_row(row, false);
+        assert_eq!(o, slow, "{}: scalarised and lane-wise runs disagree", row.name);
+        let bases: Vec<u32> = o.bounds.iter().map(|b| b.0).collect();
+        let lens: Vec<u32> = o.bounds.iter().map(|b| b.1).collect();
+        let got = (row.name, &bases[..], &lens[..], tag_mask(&o.incs), o.trap.lane_mask);
+        assert_eq!(got, (want.0, &want.1[..], &want.2[..], want.3, want.4), "{}", row.name);
+        assert_eq!(describe(&o.trap), want.5, "{}", row.name);
+        assert_eq!(o.trap.pc, map::TCIM_BASE + 4 * idx as u32, "{}: pc", row.name);
+        // `CIncOffset` moves every lane to its operand, tagged or not.
+        for (lane, c) in o.incs.iter().enumerate() {
+            let src = row.uniform_src.map_or(row.ptrs[lane], CapPipe::to_mem);
+            assert_eq!(
+                c.addr(),
+                src.addr().wrapping_add(row.offs[lane]),
+                "{} lane {lane}",
+                row.name
+            );
+            assert_eq!(c.meta(), src.meta(), "{} lane {lane}: metadata", row.name);
+        }
+    }
+}
+
+/// The straddle row's claim in words: the far lanes, and only they, fault on
+/// bounds and lose the tag under `CIncOffset`.
+#[test]
+fn far_lanes_of_a_uniform_capability_fault_on_bounds_and_detag() {
+    let row = memo_rows().into_iter().find(|r| r.name == "straddle").expect("row exists");
+    let (o, _) = run_memo_row(&row, true);
+    assert_eq!(o.trap.lane_mask, 0b1111_0000);
+    let bounds = TrapCause::Cheri(cheri_cap::CapException::BoundsViolation);
+    assert!(o.trap.lane_causes.iter().all(|f| f.cause == bounds), "{:?}", o.trap);
+    assert_eq!(tag_mask(&o.incs), 0b0000_1111);
+}
+
+/// `(row, CGetBase per lane, CGetLen per lane, CIncOffset tag mask,
+/// faulting-lane mask, per-lane causes)`.
+type MemoGolden = (&'static str, [u32; 8], [u32; 8], u64, u64, &'static str);
+
+#[rustfmt::skip]
+const MEMO_GOLDEN: &[MemoGolden] = &[
+    ("straddle", [0x80002800, 0x80002800, 0x80002800, 0x80002800, 0x80002400, 0x80002400, 0x80002400, 0x80042800], [0x100, 0x100, 0x100, 0x100, 0x100, 0x100, 0x100, 0x100], 0b00001111, 0b11110000, "4:cheri:bounds 5:cheri:bounds 6:cheri:bounds 7:cheri:bounds"),
+    ("select", [0x80002800, 0x80002800, 0x40000200, 0x40000200, 0x80002800, 0x40000200, 0x80002800, 0x40000200], [0x40, 0x40, 0x40, 0x40, 0x40, 0x40, 0x40, 0x40], 0b11111101, 0b01101010, "1:cheri:tag 3:cheri:permit_load 5:cheri:bounds 6:cheri:bounds"),
+];

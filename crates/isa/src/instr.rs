@@ -1,6 +1,7 @@
 //! The instruction enumeration.
 
 use crate::Reg;
+use cheri_cap::AccessWidth;
 
 /// ALU operations shared by the register and immediate forms.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -82,12 +83,12 @@ pub enum LoadWidth {
 }
 
 impl LoadWidth {
-    /// Number of bytes transferred.
-    pub fn bytes(self) -> u32 {
+    /// Width of the transfer.
+    pub fn width(self) -> AccessWidth {
         match self {
-            LoadWidth::B | LoadWidth::Bu => 1,
-            LoadWidth::H | LoadWidth::Hu => 2,
-            LoadWidth::W => 4,
+            LoadWidth::B | LoadWidth::Bu => AccessWidth::Byte,
+            LoadWidth::H | LoadWidth::Hu => AccessWidth::Half,
+            LoadWidth::W => AccessWidth::Word,
         }
     }
 }
@@ -104,12 +105,12 @@ pub enum StoreWidth {
 }
 
 impl StoreWidth {
-    /// Number of bytes transferred.
-    pub fn bytes(self) -> u32 {
+    /// Width of the transfer.
+    pub fn width(self) -> AccessWidth {
         match self {
-            StoreWidth::B => 1,
-            StoreWidth::H => 2,
-            StoreWidth::W => 4,
+            StoreWidth::B => AccessWidth::Byte,
+            StoreWidth::H => AccessWidth::Half,
+            StoreWidth::W => AccessWidth::Word,
         }
     }
 }
