@@ -7,7 +7,6 @@
 //!        repro validate-trace <file>
 //!        repro perf [benchmark|all] [--paper] [--jobs N] [--sms N] [--perf-out FILE]
 //!        repro validate-perf <file>
-//!        repro check-perf <new.json> <committed.json> [--bench NAME] [--max-regress FRAC]
 //!        repro faults [benchmark|all] [--quick] [--jobs N] [--seed S]
 //! ```
 //!
@@ -39,12 +38,6 @@
 //! geometry with `--paper` as the opt-in. `validate-perf` checks a
 //! `BENCH_sim.json` against the schema (the CI smoke step).
 //!
-//! `check-perf` compares a freshly timed `--perf-out` document against the
-//! committed `BENCH_sim.json` and fails (exit 1) when the tracked benchmark
-//! (`--bench`, default `BitonicLa`) is more than `--max-regress` (default
-//! `0.10`, i.e. 10%) slower summed across configurations — the CI
-//! perf-regression gate.
-//!
 //! `faults` runs the CHERI fault-injection coverage experiment: every
 //! requested benchmark under every injection scheme × trap policy cell
 //! (quick geometry), plus a directed probe per trap cause, ending in a
@@ -56,11 +49,11 @@
 //! [Perfetto]: https://ui.perfetto.dev
 
 use repro::{
-    ablate, compare_perf_json, default_jobs, disasm, export_runs, faults_experiment,
-    faults_summary, fig10, fig11, fig12, fig13, fig14, fig15, fig6, fig7, multism, perf_json,
-    perf_suite, perf_summary, quick_fault_benches, resolve_benches, scalarise, table1, table2,
-    table3, tagsweep, trace_config, trace_suite_on, trace_summary, validate_perf_json, vrfsweep,
-    Geometry, Harness, TraceFormat,
+    ablate, default_jobs, disasm, export_runs, faults_experiment, faults_summary, fig10, fig11,
+    fig12, fig13, fig14, fig15, fig6, fig7, multism, perf_json, perf_suite, perf_summary,
+    quick_fault_benches, resolve_benches, scalarise, table1, table2, table3, tagsweep,
+    trace_config, trace_suite_on, trace_summary, validate_perf_json, vrfsweep, Geometry, Harness,
+    TraceFormat,
 };
 
 #[allow(clippy::too_many_lines)] // flag parsing + subcommand dispatch
@@ -74,8 +67,6 @@ fn main() {
     let mut format_name = String::from("chrome");
     let mut trace_out: Option<String> = None;
     let mut perf_out = String::from("BENCH_sim.json");
-    let mut gate_bench = String::from("BitonicLa");
-    let mut max_regress = 0.10f64;
     let mut seed = 0xCAFE_F00Du64;
     let mut what: Vec<&str> = Vec::new();
     let mut it = args.iter();
@@ -117,16 +108,6 @@ fn main() {
             trace_out = Some(v);
         } else if let Some(v) = take("--perf-out") {
             perf_out = v;
-        } else if let Some(v) = take("--bench") {
-            gate_bench = v;
-        } else if let Some(v) = take("--max-regress") {
-            match v.parse::<f64>() {
-                Ok(f) if f >= 0.0 && f.is_finite() => max_regress = f,
-                _ => {
-                    eprintln!("--max-regress needs a non-negative fraction (e.g. 0.10)");
-                    std::process::exit(2);
-                }
-            }
         } else if let Some(v) = take("--seed") {
             match v.parse::<u64>() {
                 Ok(n) => seed = n,
@@ -292,37 +273,6 @@ fn main() {
             }
             _ => {
                 eprintln!("usage: repro validate-perf <file>");
-                std::process::exit(2);
-            }
-        }
-        return;
-    }
-
-    // Perf-regression gate: repro check-perf <new.json> <committed.json>
-    // [--bench NAME] [--max-regress FRAC] — the CI smoke that fails when
-    // the tracked benchmark gets slower than the committed baseline.
-    if what.first() == Some(&"check-perf") {
-        match what.as_slice() {
-            [_, new_file, old_file] => {
-                let read = |file: &str| {
-                    std::fs::read_to_string(file).unwrap_or_else(|e| {
-                        eprintln!("reading {file}: {e}");
-                        std::process::exit(2);
-                    })
-                };
-                let (new_doc, old_doc) = (read(new_file), read(old_file));
-                match compare_perf_json(&new_doc, &old_doc, &gate_bench, max_regress) {
-                    Ok(summary) => println!("{new_file} vs {old_file}: {summary}"),
-                    Err(e) => {
-                        eprintln!("{new_file} vs {old_file}: FAIL — {e}");
-                        std::process::exit(1);
-                    }
-                }
-            }
-            _ => {
-                eprintln!(
-                    "usage: repro check-perf <new.json> <committed.json> [--bench NAME] [--max-regress FRAC]"
-                );
                 std::process::exit(2);
             }
         }

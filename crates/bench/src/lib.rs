@@ -20,8 +20,7 @@ pub use faults::{
     CellOutcome, FaultsReport, MatrixCell, ProbeResult,
 };
 pub use perf::{
-    compare_perf_json, perf_json, perf_suite, perf_summary, validate_perf_json, PerfCell,
-    PerfReport, PERF_CONFIGS,
+    perf_json, perf_suite, perf_summary, validate_perf_json, PerfCell, PerfReport, PERF_CONFIGS,
 };
 pub use runner::{default_jobs, run_indexed, run_suite_parallel, run_suite_parallel_on, CellError};
 pub use trace::{

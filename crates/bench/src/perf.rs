@@ -250,59 +250,6 @@ pub fn validate_perf_json(input: &str) -> Result<(usize, f64), String> {
     Ok((cells.len(), total))
 }
 
-/// The perf-regression smoke gate behind `repro check-perf`: compare a
-/// fresh `BENCH_sim.json` against the committed one for one benchmark.
-/// The benchmark's wall-clock seconds are summed across every
-/// configuration present in both documents (single cells are too noisy on
-/// shared CI runners), and the gate fails when the new sum exceeds the old
-/// by more than `max_regress` (e.g. `0.10` = 10%). Returns a one-line
-/// summary on success.
-///
-/// # Errors
-///
-/// Returns a description of the regression, a schema violation, or a
-/// benchmark missing from either document.
-pub fn compare_perf_json(
-    new_doc: &str,
-    old_doc: &str,
-    bench: &str,
-    max_regress: f64,
-) -> Result<String, String> {
-    validate_perf_json(new_doc).map_err(|e| format!("new document: {e}"))?;
-    validate_perf_json(old_doc).map_err(|e| format!("committed document: {e}"))?;
-    let sum = |doc: &str, which: &str| -> Result<f64, String> {
-        let parsed = json::parse(doc).map_err(|e| format!("{which}: parse error: {e}"))?;
-        let obj = parsed.as_obj().ok_or_else(|| format!("{which}: not an object"))?;
-        let cells = obj.get("cells").and_then(Value::as_arr).ok_or("cells")?;
-        let mut total = 0.0;
-        let mut n = 0usize;
-        for cell in cells {
-            let c = cell.as_obj().ok_or_else(|| format!("{which}: non-object cell"))?;
-            if c.get("bench").and_then(Value::as_str) == Some(bench) {
-                total += c.get("seconds").and_then(Value::as_num).unwrap_or(0.0);
-                n += 1;
-            }
-        }
-        if n == 0 {
-            return Err(format!("{which}: no cells for benchmark {bench}"));
-        }
-        Ok(total)
-    };
-    let new_secs = sum(new_doc, "new document")?;
-    let old_secs = sum(old_doc, "committed document")?;
-    let ratio = new_secs / old_secs;
-    if new_secs > old_secs * (1.0 + max_regress) {
-        return Err(format!(
-            "{bench} regressed: {new_secs:.3} s vs committed {old_secs:.3} s \
-             ({ratio:.2}x, limit {:.2}x)",
-            1.0 + max_regress
-        ));
-    }
-    Ok(format!(
-        "{bench}: {new_secs:.3} s vs committed {old_secs:.3} s ({ratio:.2}x) — within limits"
-    ))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -334,35 +281,5 @@ mod tests {
         let bad = r#"{"geometry":"huge","jobs":1,"sms":1,"configs":[],
             "benchmarks":[],"cells":[],"total_seconds":0.0}"#;
         assert!(validate_perf_json(bad).unwrap_err().contains("geometry"));
-    }
-
-    /// A minimal schema-valid document with one BitonicLa cell of `secs`.
-    fn doc(secs: f64) -> String {
-        format!(
-            r#"{{"geometry":"quick","jobs":1,"sms":1,
-                "configs":["baseline"],"benchmarks":["BitonicLa"],
-                "cells":[{{"bench":"BitonicLa","config":"baseline",
-                           "seconds":{secs},"cycles":100,"instrs":50}}],
-                "total_seconds":{secs}}}"#
-        )
-    }
-
-    #[test]
-    fn check_perf_gates_on_the_tracked_benchmark() {
-        // Faster or within the 10% budget: passes.
-        let ok = compare_perf_json(&doc(0.020), &doc(0.035), "BitonicLa", 0.10).unwrap();
-        assert!(ok.contains("within limits"), "{ok}");
-        assert!(compare_perf_json(&doc(0.038), &doc(0.035), "BitonicLa", 0.10).is_ok());
-        // Past the budget: fails with the ratio in the message.
-        let err = compare_perf_json(&doc(0.050), &doc(0.035), "BitonicLa", 0.10).unwrap_err();
-        assert!(err.contains("regressed"), "{err}");
-        assert!(err.contains("1.43x"), "{err}");
-        // Benchmark absent from a document: a hard error, not a silent pass.
-        let err = compare_perf_json(&doc(0.020), &doc(0.035), "VecAdd", 0.10).unwrap_err();
-        assert!(err.contains("no cells for benchmark VecAdd"), "{err}");
-        // Malformed input is rejected before any comparison.
-        assert!(compare_perf_json("nope", &doc(0.035), "BitonicLa", 0.10)
-            .unwrap_err()
-            .contains("new document"));
     }
 }

@@ -99,8 +99,8 @@ fn print_golden() {
 }
 
 /// The 70 fingerprints predate every host-side fast path (scalarised
-/// execute, the program ROM, block runs) and `Device` itself, so they are
-/// the independent oracle for all of them.
+/// execute, the program ROM, `Device::run`'s lookahead) and `Device`
+/// itself, so they are the independent oracle for all of them.
 #[test]
 fn suite_stats_match_pre_refactor_golden() {
     assert!(!GOLDEN.is_empty(), "golden table not recorded");

@@ -11,18 +11,28 @@
 //! degenerate case — one SM always wins the arbitration, nothing contends —
 //! and the golden-stats regression test in `crates/bench` pins its
 //! statistics to the pre-`Device` model for the whole benchmark suite.
+//! Beyond hart placement (below), no SM behaves differently for the SM
+//! count.
 //!
 //! # Arbitration model
 //!
-//! The device interleaves the SMs at instruction granularity: each step it
-//! picks the *not-yet-finished SM with the smallest local cycle* and
-//! advances it by one scheduler step over the memory system. The DRAM
+//! The device interleaves the SMs at instruction granularity: the next
+//! scheduler step over the memory system always belongs to the
+//! *not-yet-finished SM with the smallest `(local cycle, index)`*. The DRAM
 //! channel's `free_at` horizon and the tag cache's line state therefore
 //! carry across SMs, which is what creates contention: an SM whose
 //! transactions queue behind another SM's pays real cycles, visible in
 //! `DramStats::cross_sm_wait_cycles` and the tag cache's cross-SM conflict
 //! evictions. Because the pick is deterministic (lowest SM index wins
 //! ties), a multi-SM run is exactly reproducible.
+//!
+//! The run loop does not re-arbitrate after every step. A step changes no
+//! other SM's clock, so once SM `k` wins, the minimum key over the other
+//! live SMs — the runner-up — is fixed. [`Device::run`] computes it once
+//! and steps `k` until `k`'s key passes it (or `k` finishes or fails):
+//! exactly the steps per-step arbitration would have given `k` in a row.
+//! With one SM there is no runner-up and the SM steps to completion.
+//! DESIGN.md §3.3.1 has the full argument.
 //!
 //! # Work distribution
 //!
@@ -88,10 +98,6 @@ impl Device {
         for (k, sm) in cores.iter_mut().enumerate() {
             sm.set_hart_base(k as u32 * threads);
             sm.set_device_threads(sms * threads);
-            // Multi-SM arbitration interleaves SMs at instruction
-            // granularity, so an SM must never retire more than one issue
-            // per scheduler step: basic-block runs stay single-SM only.
-            sm.block_runs = sms == 1;
         }
         let n = cores.len();
         Device {
@@ -198,12 +204,22 @@ impl Device {
     pub fn run(&mut self, max_cycles: u64) -> Result<KernelStats, RunError> {
         let mut live: Vec<usize> = (0..self.sms.len()).collect();
         let mut result = Ok(());
-        // Deterministic arbitration: the live SM with the smallest local
-        // cycle steps next; ties go to the lowest index.
+        // Deterministic arbitration: the live SM with the smallest
+        // `(cycle, index)` steps next, and keeps stepping until its key
+        // passes the runner-up's (see the module docs).
         while let Some(&k) = live.iter().min_by_key(|&&k| (self.sms[k].cycle(), k)) {
+            let runner_up =
+                live.iter().filter(|&&j| j != k).map(|&j| (self.sms[j].cycle(), j)).min();
             self.mem_system.dram.set_accessor(k as u32);
             self.mem_system.tags.set_accessor(k as u32);
-            match self.sms[k].step(&mut self.mem_system, max_cycles) {
+            let outcome = loop {
+                match self.sms[k].step(&mut self.mem_system, max_cycles) {
+                    Ok(StepOutcome::Progress)
+                        if runner_up.is_none_or(|r| (self.sms[k].cycle(), k) < r) => {}
+                    other => break other,
+                }
+            };
+            match outcome {
                 Ok(StepOutcome::Progress) => {}
                 Ok(StepOutcome::Done) => {
                     // The per-SM snapshot reads the memory system's
@@ -410,6 +426,57 @@ mod tests {
         assert_eq!(combined.instrs, s0.instrs + s1.instrs);
         assert_eq!(combined.faults.traps, 1);
         assert!(combined.cycles > 0);
+    }
+
+    /// Under `MaskLanes`, SM 1's harts branch into an undecodable word: a
+    /// fetch-stage trap, suppressed before the issue advances SM 1's clock,
+    /// so SM 1 stays the arbitration minimum. Each SM's fault log, the clean
+    /// harts' stores and the per-SM clocks and issue counts were recorded at
+    /// commit `72d0b37`, which re-arbitrated after every step.
+    #[test]
+    fn suppressed_fetch_traps_keep_the_device_schedule() {
+        use crate::config::TrapPolicy;
+        use crate::trap::{Trap, TrapCause};
+        use simt_isa::BranchCond;
+        let mut cfg = SmConfig::small(CheriMode::Off);
+        cfg.trap_policy = TrapPolicy::MaskLanes;
+        let threads = cfg.threads();
+        let mut dev = Device::new(cfg, 2);
+        let illegal = 0xFFFF_FFFF;
+        let mut prog: Vec<u32> = [
+            Instr::Csrrs { rd: Reg::A0, csr: csr::MHARTID, rs1: Reg::ZERO },
+            Instr::OpImm { op: AluOp::Add, rd: Reg::A1, rs1: Reg::ZERO, imm: threads as i32 },
+            // SM 1's harts (global id >= threads) jump to the last word.
+            Instr::Branch { cond: BranchCond::Geu, rs1: Reg::A0, rs2: Reg::A1, off: 24 },
+            Instr::OpImm { op: AluOp::Sll, rd: Reg::A2, rs1: Reg::A0, imm: 2 },
+            Instr::Lui { rd: Reg::A3, imm: map::DRAM_BASE },
+            Instr::Op { op: AluOp::Add, rd: Reg::A2, rs1: Reg::A2, rs2: Reg::A3 },
+            Instr::Store { w: StoreWidth::W, rs2: Reg::A0, rs1: Reg::A2, off: 0 },
+            Instr::Simt { op: SimtOp::Terminate },
+        ]
+        .iter()
+        .map(|i| i.encode())
+        .collect();
+        prog.push(illegal);
+        let bad_pc = map::TCIM_BASE + 4 * 8;
+        dev.load_program(&prog);
+        dev.reset();
+        dev.run(100_000).expect("MaskLanes runs to completion");
+
+        assert!(dev.sm(0).suppressed_traps().is_empty(), "SM 0's harts are clean");
+        let full = u64::MAX >> (64 - cfg.lanes);
+        let want: Vec<Trap> = (0..cfg.warps)
+            .map(|w| Trap::warp_wide(w, full, bad_pc, TrapCause::IllegalInstr(illegal)))
+            .collect();
+        assert_eq!(dev.sm(1).suppressed_traps(), want.as_slice());
+        for hart in 0..(2 * threads) {
+            let want = if hart < threads { hart } else { 0 };
+            assert_eq!(dev.memory().read(map::DRAM_BASE + hart * 4, 4).unwrap(), want, "{hart}");
+        }
+        let per_sm: Vec<(u64, u64)> =
+            (0..2).map(|k| dev.sm_stats(k).map(|s| (s.cycles, s.instrs)).unwrap()).collect();
+        assert_eq!(per_sm, [(266, 64), (24, 24)]);
+        assert_eq!(dev.stats().faults.suppressed, u64::from(cfg.warps));
     }
 
     /// With one SM there is nothing to combine: the device totals are that

@@ -26,36 +26,23 @@ use crate::warp::{Selection, ThreadStatus};
 use simt_trace::{IssueClass, StallCause, TraceEvent};
 
 impl Sm {
-    /// Select and issue one instruction for warp `w`, returning the
-    /// selection that issued (the scheduler's block runner continues from
-    /// it).
+    /// Select and issue one instruction for warp `w`, applying the
+    /// configured [`TrapPolicy`] to any trap the pipeline raises: `Abort`
+    /// delivers it to the caller (ending the run), `MaskLanes` records it,
+    /// disables the faulting lanes and keeps the warp running. Either way
+    /// the trap is counted in [`crate::FaultStats`] and emitted as a `trap`
+    /// trace event.
     ///
     /// # Errors
     ///
-    /// Returns [`RunError::SchedulerInvariant`] — instead of aborting the
-    /// process — if `w` has no selectable thread, plus everything
-    /// [`Sm::issue_with`] can return.
-    pub(crate) fn issue(&mut self, ms: &mut MemSystem, w: u32) -> Result<Selection, RunError> {
+    /// Returns [`RunError::Trap`] under `Abort`, and
+    /// [`RunError::SchedulerInvariant`] — instead of aborting the process —
+    /// if `w` has no selectable thread.
+    pub(crate) fn issue(&mut self, ms: &mut MemSystem, w: u32) -> Result<(), RunError> {
         let Some(sel) = self.warps[w as usize].select() else {
             return Err(RunError::SchedulerInvariant { warp: w, cycles: self.cycle });
         };
-        self.issue_with(ms, w, &sel)?;
-        Ok(sel)
-    }
-
-    /// Issue one instruction for warp `w` under the given selection,
-    /// applying the configured [`TrapPolicy`] to any trap the pipeline
-    /// raises: `Abort` delivers it to the caller (ending the run),
-    /// `MaskLanes` records it, disables the faulting lanes and keeps the
-    /// warp running. Either way the trap is counted in
-    /// [`crate::FaultStats`] and emitted as a `trap` trace event.
-    pub(crate) fn issue_with(
-        &mut self,
-        ms: &mut MemSystem,
-        w: u32,
-        sel: &Selection,
-    ) -> Result<(), RunError> {
-        match self.issue_inner(ms, w, sel) {
+        match self.issue_inner(ms, w, &sel) {
             Ok(()) => Ok(()),
             Err(t) => self.deliver_trap(*t),
         }

@@ -2,52 +2,22 @@
 //!
 //! Owns the round-robin warp pick, barrier release, the `idle` stall
 //! counter and its trace events, and deadlock detection. One call to
-//! [`Sm::step`] is one scheduler decision: issue an instruction, advance
+//! [`Sm::step`] is one scheduler decision: issue one instruction, advance
 //! time to the next resume point, or report the run finished/deadlocked.
-//!
-//! # Basic-block runs
-//!
-//! On a single-SM device one step may retire a whole straight-line run:
-//! after issuing warp `w`, the scheduler re-issues `w`
-//! directly — skipping the pick scan, the barrier-release pass and
-//! active-thread selection — for as long as re-issuing `w` is exactly what
-//! the per-issue dispatcher would have decided. That holds iff, each
-//! iteration:
-//!
-//! * the op just issued was straight-line and delivered no trap, so every
-//!   selected lane sits at `pc + 4` with unchanged status and PCC
-//!   metadata;
-//! * the next slot exists and is not a block leader (an undecodable word
-//!   always is one);
-//! * `w` was converged (its selection covered every runnable lane), so
-//!   the incremented selection *is* `select()`'s answer;
-//! * `w` is still ready and the watchdog has not expired; and
-//! * no other warp is pickable — the round-robin pointer is at `w + 1`
-//!   and `w` scans last, so the dispatcher would re-pick `w` exactly when
-//!   every other warp is done, parked or not yet ready.
-//!
-//! Barrier release needs no re-check inside a run: statuses are frozen
-//! while it lasts (a status change ends it), `w` stays live so `w`'s own
-//! block cannot release, and any block releasable before the run was
-//! released by the pass that preceded it. Each issue still runs the full
-//! fetch/classify/execute/account path, so trace events, statistics and
-//! architectural state are bit-identical to issuing one instruction per
-//! step — the golden fingerprints, recorded before block runs existed,
-//! pin this.
+//! How many steps an SM takes in a row is decided by [`crate::Device::run`]
+//! alone, at every SM count.
 
 use super::StepOutcome;
 use crate::device::MemSystem;
-use crate::rom::pc_index;
 use crate::sm::Sm;
 use crate::trap::RunError;
-use crate::warp::{Selection, ThreadStatus};
+use crate::warp::ThreadStatus;
 use simt_trace::{StallCause, TraceEvent, NO_WARP};
 
 impl Sm {
     /// One scheduler step over the device's memory system: release
-    /// barriers, pick a ready warp round-robin and issue it (plus, on a
-    /// single-SM device, the rest of its straight-line run), or advance
-    /// time to the next resume point.
+    /// barriers, pick a ready warp round-robin and issue one instruction
+    /// for it, or advance time to the next resume point.
     ///
     /// # Errors
     ///
@@ -107,9 +77,7 @@ impl Sm {
                 // The one narrowing of the warp index: traps and events
                 // name warps as `u32`.
                 let w = u32::try_from(w).expect("warp index exceeds u32");
-                let pre_suppressed = self.suppressed.len();
-                let sel = self.issue(ms, w)?;
-                self.block_run(ms, w, sel, pre_suppressed, max_cycles)?;
+                self.issue(ms, w)?;
             }
             None => {
                 let mut all_done = true;
@@ -157,53 +125,6 @@ impl Sm {
             !warp.done() && !warp.blocked_at_barrier() && warp.select().is_some()
         );
         warp.runnable > 0 && warp.ready_at <= self.cycle
-    }
-
-    /// Retire the rest of warp `w`'s straight-line run (see the module
-    /// docs). `sel` is the selection just issued and `pre_suppressed` the
-    /// suppressed-trap count from before that issue.
-    fn block_run(
-        &mut self,
-        ms: &mut MemSystem,
-        w: u32,
-        mut sel: Selection,
-        mut pre_suppressed: usize,
-        max_cycles: u64,
-    ) -> Result<(), RunError> {
-        if !self.block_runs {
-            return Ok(());
-        }
-        loop {
-            // A suppressed trap abandoned the issue without advancing the
-            // PCs, so the incremented selection would be wrong.
-            if self.suppressed.len() != pre_suppressed {
-                return Ok(());
-            }
-            let Some(idx) = pc_index(sel.pc) else { return Ok(()) };
-            if !self.rom.ops.get(idx).is_some_and(|op| op.straight) {
-                return Ok(());
-            }
-            if self.rom.ops.get(idx + 1).is_none_or(|next| next.leader) {
-                return Ok(());
-            }
-            let warp = &self.warps[w as usize];
-            if warp.ready_at > self.cycle || self.cycle >= max_cycles {
-                return Ok(());
-            }
-            // Convergence: the selection must have covered every runnable
-            // lane (select() only ever picks runnable lanes, so equal
-            // counts mean equal sets).
-            if sel.mask.count_ones() != warp.runnable {
-                return Ok(());
-            }
-            if (0..self.warps.len()).any(|o| o != w as usize && self.pickable(o)) {
-                return Ok(());
-            }
-            sel = Selection { mask: sel.mask, pc: sel.pc.wrapping_add(4), pcc_meta: sel.pcc_meta };
-            debug_assert_eq!(self.warps[w as usize].select(), Some(sel));
-            pre_suppressed = self.suppressed.len();
-            self.issue_with(ms, w, &sel)?;
-        }
     }
 
     /// Release barriers: a block whose live warps are all blocked at the

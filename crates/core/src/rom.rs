@@ -14,17 +14,13 @@
 //!   compact-form metadata,
 //! * the Issue-event mnemonic and the `cheri_histogram` slot the op counts
 //!   under ([`CheriSlot`]), if any,
-//! * whether the op is **straight-line** (always advances every selected
-//!   lane to `pc + 4` with no status change), and
-//! * whether the slot is a **basic-block leader** (index 0, every
-//!   undecodable word, the successor of any non-straight-line slot, and
-//!   the static target of every `JAL`/branch).
+//! * whether the op is **straight-line**: it always advances every
+//!   selected lane to `pc + 4` with no status change, which the execute
+//!   stage commits once for every such op.
 //!
-//! The `straight`/`leader` bits drive the scheduler's basic-block runs: a
-//! converged warp that is the only pickable warp retires a straight-line
-//! run without re-entering the per-issue dispatcher (see
-//! [`crate::pipeline::schedule`]). The ROM is a pure function of the
-//! program words and the CHERI mode: nothing execution-dependent is cached.
+//! [`ProgramRom::build`] is a plain map of [`lower`] over the program
+//! words, so the ROM is a pure function of the words and the CHERI mode:
+//! nothing execution-dependent or whole-program is cached.
 
 use crate::pipeline::classify::{LinearOp, ScalarRule};
 use cheri_cap::AccessWidth;
@@ -263,16 +259,11 @@ pub(crate) struct MicroOp {
     pub(crate) cheri: Option<CheriSlot>,
     /// Does the op always advance every selected lane to `pc + 4` with no
     /// status change? (Memory ops qualify: a trap abandons the issue
-    /// before any commit, ending a block run through the suppression
-    /// check rather than a status edit.)
+    /// before any commit.)
     pub(crate) straight: bool,
-    /// Is this slot a basic-block leader? A block run never *continues*
-    /// into a leader; it may start on one.
-    pub(crate) leader: bool,
 }
 
-/// Lower one decoded instruction under the given CHERI mode (the `leader`
-/// bit is a property of the whole program; [`ProgramRom::build`] sets it).
+/// Lower one decoded instruction under the given CHERI mode.
 ///
 /// Standard encodings count under their CHERI name only in capability mode
 /// (`lw` → `CLW`, `jal` → `CJAL`, ...); capability encodings always count.
@@ -444,14 +435,7 @@ pub(crate) fn lower(instr: Instr, cheri: bool) -> MicroOp {
             | Op::Branch(_)
             | Op::Sys(SysOp::EnvTrap | SysOp::Terminate | SysOp::Barrier)
     );
-    MicroOp {
-        op: Decoded::Op(op),
-        rule,
-        mnemonic: instr.mnemonic(),
-        cheri: slot,
-        straight,
-        leader: false,
-    }
+    MicroOp { op: Decoded::Op(op), rule, mnemonic: instr.mnemonic(), cheri: slot, straight }
 }
 
 /// The loaded program: one [`MicroOp`] per instruction word. Empty until a
@@ -462,11 +446,9 @@ pub(crate) struct ProgramRom {
 }
 
 impl ProgramRom {
-    /// Lower `words` under the given CHERI mode, then mark block leaders
-    /// (index 0, undecodable words, successors of non-straight-line slots,
-    /// and in-range static `JAL`/branch targets).
+    /// Lower `words` under the given CHERI mode, one slot per word.
     pub(crate) fn build(words: &[u32], cheri: bool) -> Self {
-        let mut ops: Vec<MicroOp> = words
+        let ops = words
             .iter()
             .map(|&raw| match Instr::decode(raw) {
                 Some(instr) => lower(instr, cheri),
@@ -476,29 +458,9 @@ impl ProgramRom {
                     mnemonic: "illegal",
                     cheri: None,
                     straight: false,
-                    leader: true,
                 },
             })
             .collect();
-        let n = ops.len();
-        if n > 0 {
-            ops[0].leader = true;
-        }
-        for i in 0..n {
-            if !ops[i].straight && i + 1 < n {
-                ops[i + 1].leader = true;
-            }
-            if let Decoded::Op(Op::Jal(JalOp { off, .. }) | Op::Branch(BranchOp { off, .. })) =
-                ops[i].op
-            {
-                let target = (map::TCIM_BASE + (i as u32) * 4).wrapping_add(off);
-                if target.is_multiple_of(4) {
-                    if let Some(t) = pc_index(target).filter(|&t| t < n) {
-                        ops[t].leader = true;
-                    }
-                }
-            }
-        }
         ProgramRom { ops }
     }
 }
@@ -522,29 +484,24 @@ mod tests {
 
     const NOP: Instr = Instr::OpImm { op: AluOp::Add, rd: Reg::ZERO, rs1: Reg::ZERO, imm: 0 };
 
-    fn bits(rom: &ProgramRom) -> (Vec<bool>, Vec<bool>) {
-        (rom.ops.iter().map(|o| o.straight).collect(), rom.ops.iter().map(|o| o.leader).collect())
-    }
-
     #[test]
-    fn leaders_and_straight_bits() {
+    fn straight_bits() {
         let mut a = Assembler::new();
-        let top = a.here(); // 0: leader (entry, and the branch target)
+        let top = a.here();
         a.push(NOP); //        0
         a.push(NOP); //        1
         a.bnez(Reg::A0, top); // 2: backward branch, non-straight
-        a.push(NOP); //        3: leader (successor of the branch)
-        a.push(Instr::Jal { rd: Reg::ZERO, off: 4096 }); // 4: target out of range
-        a.push(Instr::Jal { rd: Reg::ZERO, off: -6 }); //   5: leader; target misaligned
-        a.push(NOP); //        6: leader (successor of the JAL)
+        a.push(NOP); //        3
+        a.push(Instr::Jal { rd: Reg::ZERO, off: 4096 }); // 4
+        a.push(Instr::Jal { rd: Reg::ZERO, off: -6 }); //   5
+        a.push(NOP); //        6
         a.push(NOP); //        7
-        a.terminate(); //      8: trailing non-straight op, no successor
+        a.terminate(); //      8: SIMT control, non-straight
         let mut words = a.assemble();
-        words[7] = 0xFFFF_FFFF; // undecodable: non-straight and a leader itself
+        words[7] = 0xFFFF_FFFF; // undecodable: non-straight
         let rom = ProgramRom::build(&words, false);
-        let (straight, leader) = bits(&rom);
+        let straight: Vec<bool> = rom.ops.iter().map(|o| o.straight).collect();
         assert_eq!(straight, [true, true, false, true, false, false, true, false, false]);
-        assert_eq!(leader, [true, false, false, true, false, true, true, true, true]);
         assert_eq!(rom.ops[7].op, Decoded::Illegal(0xFFFF_FFFF));
         assert!(ProgramRom::build(&[], true).ops.is_empty());
     }

@@ -7,7 +7,9 @@
 //! This module keeps only the state and the host API (program loading,
 //! SCRs, sinks, reset, the end-of-run snapshot); the run loop that drives
 //! [`Sm::step`] lives in [`crate::Device`], which also owns the memory
-//! system the stages borrow.
+//! system the stages borrow. An SM has no notion of how many SMs share
+//! that memory system: a step always issues at most one instruction, and
+//! the device alone decides how many steps an SM takes in a row.
 
 use crate::config::{CheriOpts, SmConfig};
 use crate::counters::KernelStats;
@@ -137,11 +139,6 @@ pub struct Sm {
     /// Traps suppressed under `TrapPolicy::MaskLanes` this launch, in
     /// delivery order (empty under `Abort`).
     pub(crate) suppressed: Vec<Trap>,
-    /// Let the scheduler retire straight-line basic blocks without
-    /// re-entering the per-issue pick loop. Disabled by [`crate::Device`]
-    /// for multi-SM devices, whose instruction-granular arbitration must
-    /// interleave SMs per issue.
-    pub(crate) block_runs: bool,
     /// The lane scratch (`None` only while [`Sm::with_bufs`] has it on loan).
     pub(crate) bufs: Option<Box<LaneBufs>>,
     /// Conservative "some thread may be parked at a barrier" flag: raised
@@ -213,7 +210,6 @@ impl Sm {
             device_threads: cfg.threads(),
             scalarise: true,
             suppressed: Vec::new(),
-            block_runs: true,
             bufs: Some(LaneBufs::new()),
             maybe_parked: true,
             cfg,

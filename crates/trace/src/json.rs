@@ -3,7 +3,8 @@
 //! deliberately free of third-party crates).
 //!
 //! Supports the full JSON grammar except that numbers are parsed as `f64`
-//! (trace files only contain integers well within `f64`'s exact range).
+//! (trace files only contain integers well within `f64`'s exact range) and
+//! arrays and objects nest at most [`MAX_DEPTH`] deep.
 
 use std::collections::BTreeMap;
 
@@ -80,9 +81,17 @@ impl std::fmt::Display for ParseError {
 
 impl std::error::Error for ParseError {}
 
+/// The deepest array/object nesting [`parse`] accepts. Trace exports and
+/// `BENCH_sim.json` nest at most 4 deep; the cap turns hostile input (say,
+/// 200,000 `[`) into a [`ParseError`] instead of a stack overflow in this
+/// recursive parser.
+pub const MAX_DEPTH: usize = 64;
+
 struct Parser<'a> {
     bytes: &'a [u8],
     pos: usize,
+    /// Arrays and objects currently open.
+    depth: usize,
 }
 
 /// Parse a complete JSON document; trailing whitespace is allowed, trailing
@@ -90,9 +99,10 @@ struct Parser<'a> {
 ///
 /// # Errors
 ///
-/// Returns a [`ParseError`] locating the first syntax error.
+/// Returns a [`ParseError`] locating the first syntax error, or the first
+/// array or object nested deeper than [`MAX_DEPTH`].
 pub fn parse(input: &str) -> Result<Value, ParseError> {
-    let mut p = Parser { bytes: input.as_bytes(), pos: 0 };
+    let mut p = Parser { bytes: input.as_bytes(), pos: 0, depth: 0 };
     p.skip_ws();
     let v = p.value()?;
     p.skip_ws();
@@ -137,8 +147,15 @@ impl<'a> Parser<'a> {
 
     fn value(&mut self) -> Result<Value, ParseError> {
         match self.peek() {
-            Some(b'{') => self.object(),
-            Some(b'[') => self.array(),
+            Some(open @ (b'{' | b'[')) => {
+                if self.depth == MAX_DEPTH {
+                    return Err(self.err(&format!("nesting deeper than {MAX_DEPTH} levels")));
+                }
+                self.depth += 1;
+                let v = if open == b'{' { self.object() } else { self.array() };
+                self.depth -= 1;
+                v
+            }
             Some(b'"') => Ok(Value::Str(self.string()?)),
             Some(b't') => self.lit("true", Value::Bool(true)),
             Some(b'f') => self.lit("false", Value::Bool(false)),
@@ -311,5 +328,24 @@ mod tests {
         assert!(parse("{}x").is_err());
         assert!(parse("nul").is_err());
         assert!(parse("\"abc").is_err());
+    }
+
+    /// Nesting up to the cap parses; one level more is a typed error at the
+    /// offending bracket, and so is hostile depth (which used to overflow
+    /// the stack).
+    #[test]
+    fn caps_nesting_depth() {
+        let arrays = |n| "[".repeat(n) + &"]".repeat(n);
+        let objects = |n| "{\"a\":".repeat(n) + "1" + &"}".repeat(n);
+        assert!(parse(&arrays(MAX_DEPTH)).is_ok());
+        assert!(parse(&objects(MAX_DEPTH)).is_ok());
+        let err = parse(&arrays(MAX_DEPTH + 1)).unwrap_err();
+        assert_eq!(err.offset, MAX_DEPTH);
+        assert!(err.message.contains("nesting"), "{err}");
+        let err = parse(&objects(MAX_DEPTH + 1)).unwrap_err();
+        assert_eq!(err.offset, MAX_DEPTH * 5);
+        for deep in [arrays(200_000), objects(200_000)] {
+            assert!(parse(&deep).unwrap_err().message.contains("nesting"));
+        }
     }
 }
