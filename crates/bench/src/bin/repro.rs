@@ -1,14 +1,7 @@
 //! `repro` — regenerate the paper's tables and figures.
 //!
-//! ```text
-//! usage: repro [--quick] [--jobs N] [--sms N] [table1|table2|table3|fig6..fig15|ablate|multism|vrfsweep|tagsweep|scalarise|all]
-//!        repro disasm <benchmark> <mode>
-//!        repro trace <benchmark|all> [--mode M] [--format chrome|jsonl] [--trace-out FILE] [--paper] [--sms N]
-//!        repro validate-trace <file>
-//!        repro perf [benchmark|all] [--paper] [--jobs N] [--sms N] [--perf-out FILE]
-//!        repro validate-perf <file>
-//!        repro faults [benchmark|all] [--quick] [--jobs N] [--seed S]
-//! ```
+//! The synopsis is [`USAGE`], which `repro --help` (or `-h`) prints to
+//! stdout; an unknown option or experiment prints it to stderr and exits 2.
 //!
 //! Without `--quick`, experiments run at the paper's geometry (64 warps ×
 //! 32 lanes) and dataset scale; expect minutes per configuration in a
@@ -55,6 +48,24 @@ use repro::{
     trace_config, trace_suite_on, trace_summary, validate_perf_json, vrfsweep, Geometry, Harness,
     TraceFormat,
 };
+
+/// The command-line synopsis.
+const USAGE: &str = "\
+usage: repro [--quick] [--jobs N] [--sms N] [table1|table2|table3|fig6..fig15|ablate|multism|vrfsweep|tagsweep|scalarise|all]
+       repro disasm <benchmark> <mode>
+       repro trace <benchmark|all> [--mode M] [--format chrome|jsonl] [--trace-out FILE] [--paper] [--sms N]
+       repro validate-trace <file>
+       repro perf [benchmark|all] [--paper] [--jobs N] [--sms N] [--perf-out FILE]
+       repro validate-perf <file>
+       repro faults [benchmark|all] [--quick] [--jobs N] [--seed S]
+";
+
+/// Report a command-line error, then the synopsis, on stderr and exit 2.
+fn usage_error(msg: &str) -> ! {
+    eprintln!("{msg}");
+    eprint!("{USAGE}");
+    std::process::exit(2);
+}
 
 #[allow(clippy::too_many_lines)] // flag parsing + subcommand dispatch
 fn main() {
@@ -120,9 +131,12 @@ fn main() {
             match a.as_str() {
                 "--quick" => quick = true,
                 "--paper" => paper = true,
+                "--help" | "-h" => {
+                    print!("{USAGE}");
+                    return;
+                }
                 other if other.starts_with("--") => {
-                    eprintln!("unknown option: {other}");
-                    std::process::exit(2);
+                    usage_error(&format!("unknown option: {other}"))
                 }
                 other => what.push(other),
             }
@@ -357,10 +371,7 @@ fn main() {
                 }
                 s
             }
-            other => {
-                eprintln!("unknown experiment: {other}");
-                std::process::exit(2);
-            }
+            other => usage_error(&format!("unknown experiment: {other}")),
         };
         println!("{out}");
     }

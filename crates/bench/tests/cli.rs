@@ -1,0 +1,37 @@
+//! `repro`'s command-line contract: `--help`/`-h` print the synopsis to
+//! stdout and succeed; an unknown option or experiment prints it to stderr
+//! and exits 2.
+
+use std::process::{Command, Output};
+
+fn repro(args: &[&str]) -> Output {
+    Command::new(env!("CARGO_BIN_EXE_repro")).args(args).output().expect("run repro")
+}
+
+#[test]
+fn help_prints_usage_to_stdout() {
+    for flag in ["--help", "-h"] {
+        let out = repro(&[flag]);
+        assert_eq!(out.status.code(), Some(0), "{flag}");
+        let stdout = String::from_utf8_lossy(&out.stdout);
+        assert!(stdout.starts_with("usage: repro "), "{flag}: {stdout}");
+        assert!(stdout.contains("repro faults "), "{flag}: {stdout}");
+        assert!(out.stderr.is_empty(), "{flag}");
+    }
+}
+
+#[test]
+fn unknown_arguments_print_usage_to_stderr() {
+    for (args, msg) in [
+        (&["--bogus"][..], "unknown option: --bogus"),
+        (&["--quick", "bogus"][..], "unknown experiment: bogus"),
+        (&["-x"][..], "unknown experiment: -x"),
+    ] {
+        let out = repro(args);
+        assert_eq!(out.status.code(), Some(2), "{args:?}");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert!(stderr.contains(msg), "{args:?}: {stderr}");
+        assert!(stderr.contains("usage: repro "), "{args:?}: {stderr}");
+        assert!(out.stdout.is_empty(), "{args:?}");
+    }
+}

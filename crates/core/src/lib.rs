@@ -57,7 +57,7 @@ mod rom;
 pub mod shield;
 mod sm;
 mod trap;
-pub mod warp;
+mod warp;
 
 pub use config::{CheriMode, CheriOpts, SmConfig, Timing, TrapPolicy};
 pub use counters::{FaultStats, KernelStats, StallBreakdown};

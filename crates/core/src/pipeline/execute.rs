@@ -69,12 +69,7 @@ impl Sm {
         // lanes re-issue the instruction (each suppression removes at least
         // one active lane, so the warp always makes progress).
         self.stats.faults.suppressed += 1;
-        let warp = &mut self.warps[t.warp as usize];
-        for lane in 0..warp.lanes() as usize {
-            if t.lane_mask >> lane & 1 == 1 {
-                warp.set_status(lane, ThreadStatus::Faulted);
-            }
-        }
+        self.warps[t.warp as usize].retire(t.lane_mask, ThreadStatus::Faulted);
         self.suppressed.push(t);
         Ok(())
     }
@@ -158,7 +153,7 @@ impl Sm {
         // Straight-line ops step every selected lane to the next word
         // unless they trapped; the rest commit their own PCs.
         if slot.straight && result.is_ok() {
-            self.advance_uniform(w, sel, sel.pc.wrapping_add(4), None);
+            self.advance_uniform(w, sel, sel.pc.wrapping_add(4), ThreadStatus::Active);
         }
 
         // Apply accumulated costs.
@@ -245,7 +240,7 @@ impl Sm {
                 ThreadStatus::AtBarrier
             }
         };
-        self.advance_uniform(w, sel, sel.pc.wrapping_add(4), Some(status));
+        self.advance_uniform(w, sel, sel.pc.wrapping_add(4), status);
         Ok(())
     }
 

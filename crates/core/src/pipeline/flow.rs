@@ -16,7 +16,7 @@ use crate::exec;
 use crate::rom::{BranchOp, JalOp, JalrOp};
 use crate::sm::{LaneBufs, Sm};
 use crate::trap::{LaneFault, Trap, TrapCause};
-use crate::warp::Selection;
+use crate::warp::{Selection, ThreadStatus};
 
 impl Sm {
     /// What `JAL`/`JALR` write to `rd`: the sequential PC — under CHERI as
@@ -41,7 +41,7 @@ impl Sm {
     ) {
         let link = self.link(sel);
         self.writeback_splat(w, j.rd, &link, fast, sel.mask, costs);
-        self.advance_uniform(w, sel, sel.pc.wrapping_add(j.off), None);
+        self.advance_uniform(w, sel, sel.pc.wrapping_add(j.off), ThreadStatus::Active);
     }
 
     /// Conditional branch (never traps).
@@ -64,7 +64,7 @@ impl Sm {
         if fast {
             let x = expect_uniform(&self.read_data_compact(w, br.rs1, costs));
             let y = expect_uniform(&self.read_data_compact(w, br.rs2, costs));
-            self.advance_uniform(w, sel, next(x, y), None);
+            self.advance_uniform(w, sel, next(x, y), ThreadStatus::Active);
         } else {
             // Scratch staleness audit: `a`/`b` are fully overwritten by the
             // reads; `pcs` is written for every lane `advance` reads.
@@ -75,7 +75,7 @@ impl Sm {
                 for i in active_lanes(sel.mask, sm.cfg.lanes as usize) {
                     pcs[i] = next(a[i], b[i]);
                 }
-                sm.advance(w, sel, pcs, None);
+                sm.warps[w as usize].advance(sel.mask, sel.pc, pcs);
             });
         }
     }
@@ -102,7 +102,7 @@ impl Sm {
         if fast {
             let base = expect_uniform(&self.read_data_compact(w, j.rs1, costs));
             self.writeback_splat(w, j.rd, &link, true, sel.mask, costs);
-            self.advance_uniform(w, sel, next(base), None);
+            self.advance_uniform(w, sel, next(base), ThreadStatus::Active);
         } else {
             self.with_bufs(|sm, bufs| {
                 sm.read_data(w, j.rs1, &mut bufs.a, costs);
@@ -110,7 +110,7 @@ impl Sm {
                     bufs.pcs[i] = next(bufs.a[i]);
                 }
                 sm.writeback_splat_lanes(bufs, w, j.rd, &link, sel.mask, costs);
-                sm.advance(w, sel, &bufs.pcs, None);
+                sm.warps[w as usize].advance(sel.mask, sel.pc, &bufs.pcs);
             });
         }
         Ok(())
@@ -155,7 +155,7 @@ impl Sm {
         }
         let link = self.link(sel);
         self.writeback_splat_lanes(bufs, w, j.rd, &link, sel.mask, costs);
-        self.advance(w, sel, &bufs.pcs, None);
+        self.warps[w as usize].advance(sel.mask, sel.pc, &bufs.pcs);
         Ok(())
     }
 }

@@ -6,12 +6,16 @@
 //! time to the next resume point, or report the run finished/deadlocked.
 //! How many steps an SM takes in a row is decided by [`crate::Device::run`]
 //! alone, at every SM count.
+//!
+//! Every warp query here is a lane-mask test: a warp is pickable when its
+//! `active` mask is non-empty, done when no lane is active or parked, and
+//! a barrier release turns its parked lanes active in one operation.
 
 use super::StepOutcome;
 use crate::device::MemSystem;
 use crate::sm::Sm;
 use crate::trap::RunError;
-use crate::warp::ThreadStatus;
+use crate::warp::Warp;
 use simt_trace::{StallCause, TraceEvent, NO_WARP};
 
 impl Sm {
@@ -40,9 +44,8 @@ impl Sm {
             let mut any_parked = false;
             let mut all_done = true;
             for w in &self.warps {
-                debug_assert_eq!(w.runnable == 0 && w.parked == 0, w.done_fast());
-                any_parked |= w.parked > 0;
-                all_done &= w.runnable == 0 && w.parked == 0;
+                any_parked |= w.has_parked();
+                all_done &= w.done();
             }
             if all_done {
                 return Ok(StepOutcome::Done);
@@ -80,19 +83,14 @@ impl Sm {
                 self.issue(ms, w)?;
             }
             None => {
-                let mut all_done = true;
-                for w in &self.warps {
-                    debug_assert_eq!(w.runnable == 0 && w.parked == 0, w.done_fast());
-                    all_done &= w.runnable == 0 && w.parked == 0;
-                }
-                if all_done {
+                if self.warps.iter().all(Warp::done) {
                     return Ok(StepOutcome::Done);
                 }
                 if self.cycle >= max_cycles {
                     return Err(RunError::Timeout { cycles: self.cycle });
                 }
                 // Advance time to the next resume point.
-                let next = self.warps.iter().filter(|w| w.runnable > 0).map(|w| w.ready_at).min();
+                let next = self.warps.iter().filter(|w| w.runnable()).map(|w| w.ready_at).min();
                 match next {
                     Some(t) if t > self.cycle => {
                         self.stats.stalls.idle += t - self.cycle;
@@ -103,8 +101,7 @@ impl Sm {
                         // Only barrier-blocked warps remain and the
                         // release pass freed none: deadlock.
                         let blocked_warps =
-                            self.warps.iter().filter(|w| w.blocked_at_barrier_fast()).count()
-                                as u32;
+                            self.warps.iter().filter(|w| w.blocked_at_barrier()).count() as u32;
                         return Err(RunError::Deadlock { cycles: self.cycle, blocked_warps });
                     }
                 }
@@ -113,18 +110,14 @@ impl Sm {
         Ok(StepOutcome::Progress)
     }
 
-    /// Would the pick scan take warp `w` this cycle? A runnable thread
+    /// Would the pick scan take warp `w` this cycle? A runnable lane
     /// implies the warp is neither done nor barrier-blocked and that
-    /// `select()` returns a selection, so the whole original four-part
-    /// test collapses to two O(1) reads.
+    /// `select()` returns a selection, so the test is one mask and one
+    /// cycle comparison.
     #[inline]
     fn pickable(&self, w: usize) -> bool {
         let warp = &self.warps[w];
-        debug_assert_eq!(
-            warp.runnable > 0,
-            !warp.done() && !warp.blocked_at_barrier() && warp.select().is_some()
-        );
-        warp.runnable > 0 && warp.ready_at <= self.cycle
+        warp.runnable() && warp.ready_at <= self.cycle
     }
 
     /// Release barriers: a block whose live warps are all blocked at the
@@ -135,24 +128,15 @@ impl Sm {
         let mut b = 0;
         while b < n {
             let group = b..(b + per_block).min(n);
-            let any_blocked = group.clone().any(|w| self.warps[w].blocked_at_barrier_fast());
-            let all_parked = group
-                .clone()
-                .all(|w| self.warps[w].done_fast() || self.warps[w].blocked_at_barrier_fast());
+            let warps = &self.warps[group.clone()];
+            let any_blocked = warps.iter().any(Warp::blocked_at_barrier);
+            // Done or blocked: no warp of the block has a runnable lane.
+            let all_parked = warps.iter().all(|w| !w.runnable());
             if any_blocked && all_parked {
                 for w in group {
-                    let released = {
-                        let warp = &mut self.warps[w];
-                        let mut released = false;
-                        for i in 0..warp.lanes() as usize {
-                            if warp.status[i] == ThreadStatus::AtBarrier {
-                                warp.set_status(i, ThreadStatus::Active);
-                                released = true;
-                            }
-                        }
-                        warp.ready_at = warp.ready_at.max(self.cycle + 1);
-                        released
-                    };
+                    let warp = &mut self.warps[w];
+                    let released = warp.release();
+                    warp.ready_at = warp.ready_at.max(self.cycle + 1);
                     if released {
                         if let Some(sink) = self.sink.as_deref_mut() {
                             sink.emit(TraceEvent::Barrier {
@@ -192,9 +176,7 @@ mod tests {
         sm.reset();
         // Simulate the bug: every thread of warp 0 finished, yet the warp
         // is handed to issue() anyway.
-        for lane in 0..sm.warps[0].lanes() as usize {
-            sm.warps[0].set_status(lane, ThreadStatus::Terminated);
-        }
+        sm.warps[0].retire(sm.full_mask, ThreadStatus::Terminated);
         match sm.issue(&mut ms, 0) {
             Err(RunError::SchedulerInvariant { warp: 0, .. }) => {}
             other => panic!("expected SchedulerInvariant, got {other:?}"),

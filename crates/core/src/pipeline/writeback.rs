@@ -1,14 +1,15 @@
 //! Writeback stage: register-file writes and PC/status commit.
 //!
 //! Owns the data/metadata write paths (spill/fill costing, the
-//! `rf_transition` trace event) and the final commit of per-thread PCs and
-//! status changes.
+//! `rf_transition` trace event) and the final commit of the selected
+//! threads' PCs and status changes, as lane-mask operations on the warp's
+//! `(pc, mask)` groups.
 
 use super::Costs;
 use crate::sm::Sm;
 use crate::warp::{Selection, ThreadStatus};
 use simt_isa::Reg;
-use simt_regfile::{OperandVec, WriteInfo, MAX_LANES, NULL_META};
+use simt_regfile::{OperandVec, WriteInfo, NULL_META};
 use simt_trace::{RfKind, TraceEvent};
 
 impl Sm {
@@ -144,61 +145,19 @@ impl Sm {
         }
     }
 
-    /// Commit PC updates and status changes for the selected threads.
-    pub(crate) fn advance(
-        &mut self,
-        w: u32,
-        sel: &Selection,
-        next_pc: &[u32; MAX_LANES],
-        status_change: Option<ThreadStatus>,
-    ) {
-        if status_change == Some(ThreadStatus::AtBarrier) {
-            self.maybe_parked = true;
-        }
-        let warp = &mut self.warps[w as usize];
-        warp.cached_sel = None;
-        for (i, &pc) in next_pc.iter().enumerate().take(self.cfg.lanes as usize) {
-            if sel.mask >> i & 1 == 1 {
-                warp.pc[i] = pc;
-                if let Some(s) = status_change {
-                    warp.set_status(i, s);
-                }
-            }
-        }
-    }
-
-    /// [`Sm::advance`] for the common case of every selected thread
-    /// stepping to the same `next_pc` with no PCC-metadata change. When the
-    /// selection covered every runnable thread, the next [`Warp::select`]
-    /// answer is fully determined — same mask and metadata at `next_pc` —
-    /// so it is memoised instead of rescanned (a `status_change` forces a
-    /// rescan: the surviving selection depends on the new statuses).
+    /// Commit every selected thread stepping to the same `next_pc` and
+    /// ending in `status` (`Active` to stay runnable). A converged warp
+    /// renames its one PC group; otherwise the selection moves as one mask.
     pub(crate) fn advance_uniform(
         &mut self,
         w: u32,
         sel: &Selection,
         next_pc: u32,
-        status_change: Option<ThreadStatus>,
+        status: ThreadStatus,
     ) {
-        if status_change == Some(ThreadStatus::AtBarrier) {
+        if status == ThreadStatus::AtBarrier {
             self.maybe_parked = true;
         }
-        let warp = &mut self.warps[w as usize];
-        warp.cached_sel = None;
-        for i in 0..self.cfg.lanes as usize {
-            if sel.mask >> i & 1 == 1 {
-                warp.pc[i] = next_pc;
-                if let Some(s) = status_change {
-                    warp.set_status(i, s);
-                }
-            }
-        }
-        if status_change.is_none() && sel.mask.count_ones() == warp.runnable {
-            // select() only ever picks runnable threads, so equal counts
-            // mean the selection covered exactly the runnable set; they all
-            // now sit at `next_pc` with unchanged metadata.
-            warp.cached_sel =
-                Some(Selection { mask: sel.mask, pc: next_pc, pcc_meta: sel.pcc_meta });
-        }
+        self.warps[w as usize].advance_uniform(sel.mask, sel.pc, next_pc, status);
     }
 }
