@@ -1,6 +1,6 @@
 //! One generator per table/figure of the evaluation section.
 
-use crate::{geomean, Config, Harness};
+use crate::{geomean, trace_config, Config, Geometry, Harness, SuiteResults};
 use nocl_suite::catalog;
 use simt_regfile::{uncompressed_bits, RegFileStorage, RfConfig};
 use std::fmt::Write as _;
@@ -316,7 +316,7 @@ pub fn fig15(h: &mut Harness) -> String {
 /// the naive CHERI configuration (extension beyond the paper's three
 /// configurations).
 pub fn ablate(h: &mut Harness) -> String {
-    use cheri_simt::CheriOpts;
+    use cheri_simt::{CheriMode, CheriOpts, SmConfig};
     let base: Vec<u64> =
         h.results(Config::Base { eighths: 3 }).iter().map(|(_, st)| st.cycles).collect();
     let mut s = String::from("Ablation: CHERI cost-amelioration techniques\n");
@@ -343,36 +343,20 @@ pub fn ablate(h: &mut Harness) -> String {
         ),
         ("+ static PC metadata (= optimised)", CheriOpts::optimised()),
     ];
+    let overhead = |results: &SuiteResults| {
+        geomean(results.iter().zip(&base).map(|((_, st), b)| st.cycles as f64 / *b as f64)) - 1.0
+    };
     for (name, opts) in variants {
-        let key = match (opts.compress_meta, opts.sfu_cap_ops, opts.static_pcc) {
-            (false, false, false) => Config::CheriNaive,
-            (true, true, true) => Config::CheriOpt,
-            _ => {
-                // Ad-hoc variant: run directly without caching.
-                let (cfg, mode) = Config::CheriOpt.instantiate(h.geometry());
-                let cfg = cheri_simt::SmConfig { cheri: cheri_simt::CheriMode::On(opts), ..cfg };
-                let results =
-                    crate::run_suite_parallel(h.jobs(), cfg, mode, scale_of(h)).expect("suite");
-                let ovhd = geomean(
-                    results.iter().zip(&base).map(|((_, st), b)| st.cycles as f64 / *b as f64),
-                ) - 1.0;
-                let area = sim_area::synthesise(&cfg);
-                let _ = writeln!(
-                    s,
-                    "{:<34} {:>12} {:>12} {:>12.0}",
-                    name,
-                    pct(ovhd),
-                    area.alms,
-                    area.bram_kb
-                );
-                continue;
-            }
+        let (cfg, mode) = Config::CheriOpt.instantiate(h.geometry());
+        let cfg = SmConfig { cheri: CheriMode::On(opts), ..cfg };
+        // The two endpoints are cached configurations; the middle rows are not.
+        let ovhd = if opts == CheriOpts::naive() {
+            overhead(h.results(Config::CheriNaive))
+        } else if opts == CheriOpts::optimised() {
+            overhead(h.results(Config::CheriOpt))
+        } else {
+            overhead(&h.run(cfg, mode))
         };
-        let results = h.results(key).clone();
-        let ovhd =
-            geomean(results.iter().zip(&base).map(|((_, st), b)| st.cycles as f64 / *b as f64))
-                - 1.0;
-        let (cfg, _) = key.instantiate(h.geometry());
         let area = sim_area::synthesise(&cfg);
         let _ =
             writeln!(s, "{:<34} {:>12} {:>12} {:>12.0}", name, pct(ovhd), area.alms, area.bram_kb);
@@ -424,18 +408,14 @@ pub fn vrfsweep(h: &mut Harness) -> String {
     s
 }
 
-/// Disassembly listing of one benchmark's kernel under one mode.
+/// Disassembly listing of one benchmark's kernel under one mode (any mode
+/// name [`trace_config`] accepts).
+///
+/// # Errors
+///
+/// Fails on an unknown mode or benchmark name.
 pub fn disasm(bench: &str, mode_name: &str) -> Result<String, String> {
-    let mode = match mode_name {
-        "baseline" => nocl_kir::Mode::Baseline,
-        "purecap" => nocl_kir::Mode::PureCap,
-        "rust" => nocl_kir::Mode::RustChecked,
-        "rustfull" => nocl_kir::Mode::RustFull,
-        "gpushield" => nocl_kir::Mode::GpuShield,
-        other => {
-            return Err(format!("unknown mode {other} (baseline|purecap|rust|rustfull|gpushield)"))
-        }
-    };
+    let (_, mode) = trace_config(mode_name)?.instantiate(Geometry::Small);
     let b = catalog()
         .iter()
         .find(|b| b.name().eq_ignore_ascii_case(bench))
@@ -466,13 +446,13 @@ pub fn multism(h: &mut Harness) -> String {
     let _ =
         writeln!(s, "{:<22} {:>14} {:>14}", "SMs sharing channel", "CHERI ovhd", "traffic ratio");
     for n in [1u32, 2, 4] {
-        let run = |config: Config, h: &Harness| {
+        let run = |config: Config| {
             let (mut cfg, mode) = config.instantiate(h.geometry());
             cfg.dram.cycles_per_transaction *= n;
-            crate::run_suite_parallel(h.jobs(), cfg, mode, scale_of(h)).expect("suite")
+            h.run(cfg, mode)
         };
-        let base = run(Config::Base { eighths: 3 }, h);
-        let cheri = run(Config::CheriOpt, h);
+        let base = run(Config::Base { eighths: 3 });
+        let cheri = run(Config::CheriOpt);
         let ovhd = geomean(
             base.iter().zip(&cheri).map(|((_, b), (_, c))| c.cycles as f64 / b.cycles as f64),
         ) - 1.0;
@@ -500,7 +480,7 @@ pub fn tagsweep(h: &mut Harness) -> String {
     for lines in [8u32, 32, 128, 512] {
         let (mut cfg, mode) = Config::CheriOpt.instantiate(h.geometry());
         cfg.tag_cache.lines = lines;
-        let results = crate::run_suite_parallel(h.jobs(), cfg, mode, scale_of(h)).expect("suite");
+        let results = h.run(cfg, mode);
         let miss = geomean(results.iter().map(|(_, st)| st.tag_cache.miss_rate().max(1e-6)));
         let share = geomean(results.iter().map(|(_, st)| {
             st.dram.tag_transactions as f64
@@ -529,9 +509,10 @@ pub fn tagsweep(h: &mut Harness) -> String {
 /// stage ran once per warp over compact (uniform/affine) operands instead
 /// of lane-by-lane (`scalarised_issues / instrs`). A host-model throughput
 /// metric, not a paper figure — the simulated timing is identical either
-/// way — but it explains where `repro perf` gains come from: uniform-heavy
-/// kernels (splats, grid-stride address arithmetic, warp-invariant
-/// branches) scalarise most of their dynamic instructions.
+/// way — but it bounds what the scalarised execute path can win per
+/// benchmark in simbench's host-time metrics: uniform-heavy kernels
+/// (splats, grid-stride address arithmetic, warp-invariant branches)
+/// scalarise most of their dynamic instructions.
 pub fn scalarise(h: &mut Harness) -> String {
     let rate = |st: &cheri_simt::KernelStats| st.scalarised_issues as f64 / st.instrs.max(1) as f64;
     let base: Vec<(&str, f64)> =
@@ -558,14 +539,23 @@ pub fn scalarise(h: &mut Harness) -> String {
     s
 }
 
-fn scale_of(h: &Harness) -> nocl_suite::Scale {
-    match h.geometry() {
-        crate::Geometry::Full => nocl_suite::Scale::Paper,
-        crate::Geometry::Small => nocl_suite::Scale::Test,
-    }
-}
-
 fn bar(value: f64, unit: f64) -> String {
     let n = (value / unit).round().clamp(0.0, 60.0) as usize;
     "#".repeat(n)
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn disasm_accepts_every_trace_mode() {
+        for name in ["baseline", "naive", "purecap", "rust", "rustfull", "gpushield"] {
+            let listing = disasm("vecadd", name).unwrap_or_else(|e| panic!("{name}: {e}"));
+            let header = listing.lines().next().unwrap();
+            assert!(header.starts_with(&format!("VecAdd [{name}]: ")), "{header}");
+        }
+        assert!(disasm("vecadd", "bogus").is_err());
+        assert!(disasm("nope", "purecap").is_err());
+    }
 }

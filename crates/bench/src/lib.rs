@@ -3,14 +3,15 @@
 //!
 //! The [`Harness`] lazily runs the benchmark suite under each SM/compiler
 //! configuration an experiment needs and caches the results, so `repro all`
-//! simulates each configuration exactly once.
+//! simulates each configuration exactly once. Every suite an experiment
+//! runs, cached or not, goes through the harness, so each one runs at the
+//! harness's geometry, worker count and SM count.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 mod experiments;
 mod faults;
-mod perf;
 mod runner;
 mod trace;
 
@@ -19,13 +20,10 @@ pub use faults::{
     faults_experiment, faults_summary, quick_fault_benches, required_causes, run_probes,
     CellOutcome, FaultsReport, MatrixCell, ProbeResult,
 };
-pub use perf::{
-    perf_json, perf_suite, perf_summary, validate_perf_json, PerfCell, PerfReport, PERF_CONFIGS,
-};
-pub use runner::{default_jobs, run_indexed, run_suite_parallel, run_suite_parallel_on, CellError};
+pub use runner::{default_jobs, run_indexed, run_suite_parallel_on, CellError};
 pub use trace::{
-    export_runs, reconcile, resolve_benches, trace_config, trace_suite, trace_suite_on,
-    trace_summary, TraceFormat, TracedRun,
+    export_runs, reconcile, resolve_benches, trace_config, trace_suite_on, trace_summary,
+    TraceFormat, TracedRun,
 };
 
 use cheri_simt::{CheriMode, CheriOpts, KernelStats, SmConfig};
@@ -40,6 +38,16 @@ pub enum Geometry {
     Full,
     /// 8 warps × 8 lanes, for quick runs and tests.
     Small,
+}
+
+impl Geometry {
+    /// The dataset scale that goes with this geometry.
+    pub fn scale(self) -> Scale {
+        match self {
+            Geometry::Full => Scale::Paper,
+            Geometry::Small => Scale::Test,
+        }
+    }
 }
 
 /// One experimental configuration (SM + compiler mode).
@@ -100,9 +108,8 @@ pub type SuiteResults = Vec<(&'static str, KernelStats)>;
 #[derive(Debug)]
 pub struct Harness {
     geometry: Geometry,
-    scale: Scale,
     cache: BTreeMap<Config, SuiteResults>,
-    /// Progress callback target (quiet when `None`).
+    /// Print a progress line to stderr per simulated configuration.
     verbose: bool,
     /// Worker threads for the parallel suite runner.
     jobs: usize,
@@ -111,28 +118,18 @@ pub struct Harness {
 }
 
 impl Harness {
+    fn at(geometry: Geometry) -> Self {
+        Harness { geometry, cache: BTreeMap::new(), verbose: false, jobs: default_jobs(), sms: 1 }
+    }
+
     /// A harness at the paper's geometry and dataset scale.
     pub fn paper() -> Self {
-        Harness {
-            geometry: Geometry::Full,
-            scale: Scale::Paper,
-            cache: BTreeMap::new(),
-            verbose: false,
-            jobs: default_jobs(),
-            sms: 1,
-        }
+        Harness::at(Geometry::Full)
     }
 
     /// A quick harness for tests and smoke runs.
     pub fn quick() -> Self {
-        Harness {
-            geometry: Geometry::Small,
-            scale: Scale::Test,
-            cache: BTreeMap::new(),
-            verbose: false,
-            jobs: default_jobs(),
-            sms: 1,
-        }
+        Harness::at(Geometry::Small)
     }
 
     /// Print progress lines to stderr while simulating.
@@ -148,11 +145,6 @@ impl Harness {
         self
     }
 
-    /// The worker-thread count in use.
-    pub fn jobs(&self) -> usize {
-        self.jobs
-    }
-
     /// Simulate devices of `sms` streaming multiprocessors instead of the
     /// default single SM (`sms = 1` is bit-identical to the classic model).
     /// Clears any cached results.
@@ -163,19 +155,13 @@ impl Harness {
         self
     }
 
-    /// Streaming multiprocessors per simulated device.
-    pub fn sms(&self) -> u32 {
-        self.sms
-    }
-
     /// The geometry in use.
     pub fn geometry(&self) -> Geometry {
         self.geometry
     }
 
-    /// Run (or fetch cached) suite results under `config`, fanning the
-    /// suite's cells over the harness's worker pool — one fresh `Gpu` per
-    /// benchmark, so results do not depend on the worker count.
+    /// Run (or fetch cached) suite results under `config`, at the harness's
+    /// dataset scale, worker count and SM count.
     ///
     /// # Panics
     ///
@@ -187,11 +173,23 @@ impl Harness {
                 eprintln!("[repro] simulating {config:?} on {} worker(s) ...", self.jobs);
             }
             let (cfg, mode) = config.instantiate(self.geometry);
-            let results = run_suite_parallel_on(self.jobs, cfg, mode, self.scale, self.sms)
-                .unwrap_or_else(|e| panic!("suite failed under {config:?}: {e}"));
+            let results = self.run(cfg, mode);
             self.cache.insert(config, results);
         }
         &self.cache[&config]
+    }
+
+    /// Run the suite under `cfg`/`mode` without caching, at the harness's
+    /// dataset scale and SM count, fanning the suite's cells over its
+    /// worker pool — one fresh `Gpu` per benchmark, so results do not
+    /// depend on the worker count. Every experiment runs its suites here.
+    ///
+    /// # Panics
+    ///
+    /// Panics if a benchmark fails its self-check.
+    pub(crate) fn run(&self, cfg: SmConfig, mode: Mode) -> SuiteResults {
+        run_suite_parallel_on(self.jobs, cfg, mode, self.geometry.scale(), self.sms)
+            .unwrap_or_else(|e| panic!("suite failed under {mode:?}: {e}"))
     }
 
     /// Total architectural vector registers at this geometry.
@@ -252,5 +250,18 @@ mod tests {
         // Second call hits the cache (same pointer contents, no panic).
         let n2 = h.results(Config::Base { eighths: 3 }).len();
         assert_eq!(n2, 14);
+    }
+
+    /// The uncached path that `ablate`, `multism` and `tagsweep` use runs on
+    /// the harness's SM count, exactly like the cached one.
+    #[test]
+    fn run_honours_the_sm_count() {
+        let mut h = Harness::quick().with_sms(2);
+        let (cfg, mode) = Config::CheriOpt.instantiate(h.geometry());
+        let ran = h.run(cfg, mode);
+        assert_eq!(&ran, h.results(Config::CheriOpt));
+        let one_sm = Harness::quick().run(cfg, mode);
+        let vecadd = |r: &SuiteResults| r.iter().find(|(n, _)| *n == "VecAdd").unwrap().1.cycles;
+        assert_ne!(vecadd(&ran), vecadd(&one_sm), "sms=2 must not simulate one SM");
     }
 }

@@ -60,14 +60,8 @@ impl std::fmt::Display for CellError {
 
 impl std::error::Error for CellError {}
 
-/// Default worker count: the `BENCH_JOBS` environment variable if set,
-/// otherwise the machine's available parallelism.
+/// Default worker count: the machine's available parallelism.
 pub fn default_jobs() -> usize {
-    if let Ok(v) = std::env::var("BENCH_JOBS") {
-        if let Ok(n) = v.trim().parse::<usize>() {
-            return n.max(1);
-        }
-    }
     std::thread::available_parallelism().map(|n| n.get()).unwrap_or(1)
 }
 
@@ -122,26 +116,12 @@ fn panic_message(p: &(dyn std::any::Any + Send)) -> String {
     }
 }
 
-/// Run the whole NoCL suite under one SM configuration, one fresh [`Gpu`]
-/// per benchmark cell, fanned out over `jobs` workers. Results come back
-/// in Table-1 order; on failure, the error of the *first* failing cell in
-/// Table-1 order is returned (sibling cells still run to completion), so
-/// the outcome is deterministic too.
-///
-/// # Errors
-///
-/// Fails if any benchmark fails its launch or self-check, or panics.
-pub fn run_suite_parallel(
-    jobs: usize,
-    cfg: SmConfig,
-    mode: Mode,
-    scale: Scale,
-) -> Result<SuiteResults, CellError> {
-    run_suite_parallel_on(jobs, cfg, mode, scale, 1)
-}
-
-/// [`run_suite_parallel`] on a device of `sms` streaming multiprocessors
-/// (`sms = 1` is the classic single-SM model and is bit-identical to it).
+/// Run the whole NoCL suite under one SM configuration on devices of `sms`
+/// streaming multiprocessors (`sms = 1` is the classic single-SM model),
+/// one fresh [`Gpu`] per benchmark cell, fanned out over `jobs` workers.
+/// Results come back in Table-1 order; on failure, the error of the
+/// *first* failing cell in Table-1 order is returned (sibling cells still
+/// run to completion), so the outcome is deterministic too.
 ///
 /// # Errors
 ///

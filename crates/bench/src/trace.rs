@@ -12,7 +12,7 @@ use cheri_simt::trace::export::{to_chrome, to_jsonl, TraceCell};
 use cheri_simt::trace::{StallCause, TraceEvent, VecSink};
 use cheri_simt::KernelStats;
 use nocl::Gpu;
-use nocl_suite::{catalog, NoclBench, Scale};
+use nocl_suite::{catalog, NoclBench};
 
 /// Export format for `repro trace`.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -96,33 +96,20 @@ pub fn resolve_benches(name: &str) -> Result<Vec<&'static dyn NoclBench>, String
         .ok_or_else(|| format!("unknown benchmark {name} (or 'all')"))
 }
 
-/// Run `benches` under `config`, each cell on a fresh [`Gpu`] with a
-/// [`VecSink`] attached, fanned over `jobs` workers. Every cell's event
-/// stream is [reconciled](reconcile) against its `KernelStats` before being
-/// accepted, so a trace this function returns is always exact.
+/// Run `benches` under `config` on devices of `sms` streaming
+/// multiprocessors, each cell on a fresh [`Gpu`] with a [`VecSink`] per SM,
+/// fanned over `jobs` workers. Every cell's event stream is
+/// [reconciled](reconcile) against its `KernelStats` before being accepted,
+/// so a trace this function returns is always exact.
 ///
-/// # Errors
-///
-/// Fails if a benchmark fails its self-check or its event stream disagrees
-/// with its counters (the first failing cell in suite order is reported).
-pub fn trace_suite(
-    benches: &[&'static dyn NoclBench],
-    config: Config,
-    geometry: Geometry,
-    jobs: usize,
-) -> Result<Vec<TracedRun>, String> {
-    trace_suite_on(benches, config, geometry, jobs, 1)
-}
-
-/// [`trace_suite`] on a device of `sms` streaming multiprocessors. Each SM
-/// gets its own [`VecSink`], and each SM becomes its own exported cell
-/// (labelled `"<bench> [<mode>] · sm<k>"` — one Perfetto process per SM),
-/// so cross-SM interleaving is visible on separate tracks. The
-/// *concatenation* of the per-SM streams is reconciled against the
-/// combined device statistics (per-SM statistics cannot reconcile alone:
-/// the DRAM and tag-cache counters live in the device memory system), and each
-/// per-SM cell carries those combined statistics. With `sms == 1` this is
-/// exactly [`trace_suite`], byte-identical labels included.
+/// With `sms == 1` a cell is labelled `"<bench> [<mode>]"`. With more SMs
+/// each SM becomes its own exported cell (labelled
+/// `"<bench> [<mode>] · sm<k>"` — one Perfetto process per SM), so cross-SM
+/// interleaving is visible on separate tracks. The *concatenation* of the
+/// per-SM streams is reconciled against the combined device statistics
+/// (per-SM statistics cannot reconcile alone: the DRAM and tag-cache
+/// counters live in the device memory system), and each per-SM cell carries
+/// those combined statistics.
 ///
 /// # Errors
 ///
@@ -136,10 +123,7 @@ pub fn trace_suite_on(
     sms: u32,
 ) -> Result<Vec<TracedRun>, String> {
     let (cfg, mode) = config.instantiate(geometry);
-    let scale = match geometry {
-        Geometry::Full => Scale::Paper,
-        Geometry::Small => Scale::Test,
-    };
+    let scale = geometry.scale();
     let tag = mode_tag(config);
     let results = run_indexed(jobs, benches.len(), |i| -> Result<Vec<TracedRun>, String> {
         let b = benches[i];
@@ -344,10 +328,11 @@ mod tests {
     fn traced_vecadd_reconciles_and_validates() {
         let benches = resolve_benches("vecadd").unwrap();
         let runs =
-            trace_suite(&benches, trace_config("purecap").unwrap(), Geometry::Small, 1).unwrap();
+            trace_suite_on(&benches, trace_config("purecap").unwrap(), Geometry::Small, 1, 1)
+                .unwrap();
         assert_eq!(runs.len(), 1);
         assert!(runs[0].stats.instrs > 0);
-        // `trace_suite` reconciled already; both exports must validate.
+        // `trace_suite_on` reconciled already; both exports must validate.
         let (fmt, s) = validate_auto(&export_runs(&runs, TraceFormat::Chrome)).unwrap();
         assert_eq!(fmt, "chrome");
         assert!(s.events > 0);

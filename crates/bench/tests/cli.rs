@@ -1,6 +1,6 @@
 //! `repro`'s command-line contract: `--help`/`-h` print the synopsis to
-//! stdout and succeed; an unknown option or experiment prints it to stderr
-//! and exits 2.
+//! stdout and succeed; every command-line error prints it to stderr and
+//! exits 2.
 
 use std::process::{Command, Output};
 
@@ -26,6 +26,15 @@ fn unknown_arguments_print_usage_to_stderr() {
         (&["--bogus"][..], "unknown option: --bogus"),
         (&["--quick", "bogus"][..], "unknown experiment: bogus"),
         (&["-x"][..], "unknown experiment: -x"),
+        (&["trace"][..], "trace takes one benchmark"),
+        (&["disasm", "vecadd"][..], "disasm takes a benchmark and a mode"),
+        (&["disasm", "vecadd", "bogus"][..], "unknown mode bogus"),
+        (&["validate-trace"][..], "validate-trace takes one file"),
+        (&["faults", "vecadd", "scan"][..], "faults takes at most one benchmark"),
+        (&["--jobs", "0"][..], "--jobs needs a positive integer"),
+        (&["--sms=x"][..], "--sms needs a positive integer"),
+        (&["faults", "--seed", "-1"][..], "--seed needs an unsigned integer"),
+        (&["--jobs"][..], "--jobs needs a value"),
     ] {
         let out = repro(args);
         assert_eq!(out.status.code(), Some(2), "{args:?}");

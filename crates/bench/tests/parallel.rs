@@ -2,7 +2,7 @@
 //! count, and per-cell failure isolation.
 
 use nocl_suite::Scale;
-use repro::{run_indexed, run_suite_parallel, Config, Geometry};
+use repro::{run_indexed, run_suite_parallel_on, Config, Geometry};
 
 /// `--jobs 1`, `--jobs 4` and `--jobs 8` produce identical `SuiteResults`
 /// — every `KernelStats` field, including histograms and stall
@@ -11,10 +11,10 @@ use repro::{run_indexed, run_suite_parallel, Config, Geometry};
 fn suite_results_identical_across_worker_counts() {
     for config in [Config::Base { eighths: 3 }, Config::CheriOpt] {
         let (cfg, mode) = config.instantiate(Geometry::Small);
-        let serial = run_suite_parallel(1, cfg, mode, Scale::Test).expect("serial suite");
+        let serial = run_suite_parallel_on(1, cfg, mode, Scale::Test, 1).expect("serial suite");
         assert_eq!(serial.len(), 14);
         for jobs in [4usize, 8] {
-            let parallel = run_suite_parallel(jobs, cfg, mode, Scale::Test)
+            let parallel = run_suite_parallel_on(jobs, cfg, mode, Scale::Test, 1)
                 .unwrap_or_else(|e| panic!("{config:?} with {jobs} jobs: {e}"));
             assert_eq!(serial, parallel, "{config:?}: jobs=1 vs jobs={jobs}");
         }

@@ -7,7 +7,7 @@ use cheri_simt::trace::TraceEvent;
 use nocl::Gpu;
 use nocl_suite::{NoclBench, Scale};
 use repro::{
-    export_runs, reconcile, resolve_benches, trace_config, trace_suite, Geometry, TraceFormat,
+    export_runs, reconcile, resolve_benches, trace_config, trace_suite_on, Geometry, TraceFormat,
 };
 
 fn benches(names: &[&str]) -> Vec<&'static dyn NoclBench> {
@@ -20,8 +20,8 @@ fn benches(names: &[&str]) -> Vec<&'static dyn NoclBench> {
 fn exports_are_byte_identical_across_worker_counts() {
     let benches = benches(&["vecadd", "reduce", "scan"]);
     let config = trace_config("purecap").unwrap();
-    let serial = trace_suite(&benches, config, Geometry::Small, 1).unwrap();
-    let parallel = trace_suite(&benches, config, Geometry::Small, 8).unwrap();
+    let serial = trace_suite_on(&benches, config, Geometry::Small, 1, 1).unwrap();
+    let parallel = trace_suite_on(&benches, config, Geometry::Small, 8, 1).unwrap();
     for format in [TraceFormat::Chrome, TraceFormat::Jsonl] {
         let a = export_runs(&serial, format);
         let b = export_runs(&parallel, format);
@@ -37,7 +37,8 @@ fn exports_are_byte_identical_across_worker_counts() {
 #[test]
 fn multi_launch_stream_reconciles() {
     let benches = resolve_benches("bitonicla").unwrap();
-    let runs = trace_suite(&benches, trace_config("purecap").unwrap(), Geometry::Small, 1).unwrap();
+    let runs =
+        trace_suite_on(&benches, trace_config("purecap").unwrap(), Geometry::Small, 1, 1).unwrap();
     let launches = runs[0].events.iter().filter(|e| matches!(e, TraceEvent::Launch { .. })).count();
     assert!(launches > 1, "BitonicLa launches phase kernels ({launches} launches seen)");
     reconcile(&runs[0].events, &runs[0].stats).unwrap();
@@ -50,7 +51,7 @@ fn tracing_causes_zero_stats_drift() {
     for mode in ["baseline", "purecap", "rust"] {
         let benches = resolve_benches("histogram").unwrap();
         let config = trace_config(mode).unwrap();
-        let traced = trace_suite(&benches, config, Geometry::Small, 1).unwrap();
+        let traced = trace_suite_on(&benches, config, Geometry::Small, 1, 1).unwrap();
         let (cfg, kir_mode) = config.instantiate(Geometry::Small);
         let mut gpu = Gpu::new(cfg, kir_mode);
         let untraced = benches[0].run(&mut gpu, Scale::Test).unwrap();
@@ -64,7 +65,7 @@ fn tracing_causes_zero_stats_drift() {
 fn validator_accepts_real_traces_and_rejects_corruption() {
     let benches = resolve_benches("vecadd").unwrap();
     let runs =
-        trace_suite(&benches, trace_config("baseline").unwrap(), Geometry::Small, 1).unwrap();
+        trace_suite_on(&benches, trace_config("baseline").unwrap(), Geometry::Small, 1, 1).unwrap();
     let chrome = export_runs(&runs, TraceFormat::Chrome);
     let jsonl = export_runs(&runs, TraceFormat::Jsonl);
     assert_eq!(validate_auto(&chrome).unwrap().0, "chrome");

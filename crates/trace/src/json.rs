@@ -81,8 +81,8 @@ impl std::fmt::Display for ParseError {
 
 impl std::error::Error for ParseError {}
 
-/// The deepest array/object nesting [`parse`] accepts. Trace exports and
-/// `BENCH_sim.json` nest at most 4 deep; the cap turns hostile input (say,
+/// The deepest array/object nesting [`parse`] accepts. Trace exports nest
+/// at most 4 deep; the cap turns hostile input (say,
 /// 200,000 `[`) into a [`ParseError`] instead of a stack overflow in this
 /// recursive parser.
 pub const MAX_DEPTH: usize = 64;
