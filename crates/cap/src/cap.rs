@@ -228,6 +228,13 @@ impl CapPipe {
         self.addr.wrapping_sub(self.bounds.base)
     }
 
+    /// The representable region containing the address: every address in
+    /// it decodes to these same bounds.
+    #[inline]
+    pub fn region(self) -> Region {
+        self.region
+    }
+
     // ---- CheriCapLib operations ----
 
     /// The same metadata and tag at another address: equal to

@@ -60,23 +60,16 @@ impl Sm {
             }
         }
 
+        // Round robin from `rr`, as two ranges: no division per warp.
         let n = self.warps.len();
-        let mut picked = None;
-        for i in 0..n {
-            let w = (self.rr + i) % n;
-            if self.pickable(w) {
-                picked = Some(w);
-                break;
-            }
-        }
-        match picked {
+        match (self.rr..n).chain(0..self.rr).find(|&w| self.pickable(w)) {
             Some(w) => {
                 // A pickable warp implies the SM is not done, so the Done
                 // check is needed only on the no-pick path below.
                 if self.cycle >= max_cycles {
                     return Err(RunError::Timeout { cycles: self.cycle });
                 }
-                self.rr = (w + 1) % n;
+                self.rr = if w + 1 == n { 0 } else { w + 1 };
                 // The one narrowing of the warp index: traps and events
                 // name warps as `u32`.
                 let w = u32::try_from(w).expect("warp index exceeds u32");

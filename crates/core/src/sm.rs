@@ -18,7 +18,7 @@ use crate::rom::{ProgramRom, CHERI_NAMES};
 use crate::trap::Trap;
 use crate::warp::Warp;
 use cheri_cap::{CapMem, CapPipe, Perms};
-use simt_mem::{map, CoalescingUnit, Scratchpad};
+use simt_mem::{map, Scratchpad};
 use simt_regfile::{CompressedRegFile, RfConfig, MAX_LANES};
 use simt_trace::{EventSink, StallCause, TraceEvent};
 
@@ -74,7 +74,7 @@ impl LaneBufs {
 }
 
 /// One streaming multiprocessor of a [`crate::Device`]: warps, register
-/// files, scratchpad, coalescing unit and the pipeline clock. The memory
+/// files, scratchpad and the pipeline clock. The memory
 /// system behind the coalescer (functional DRAM, the DRAM channel and the
 /// tag controller) belongs to the device, which lends it to the SM for each
 /// scheduler step; reach an SM through [`crate::Device::sm`] /
@@ -103,7 +103,6 @@ pub struct Sm {
     /// range. Exact, not heuristic — each slot was probed.
     pub(crate) pcc_fetch_ok: bool,
     pub(crate) scratch: Scratchpad,
-    pub(crate) coalescer: CoalescingUnit,
     /// Warps per thread block, for barrier grouping.
     pub(crate) block_warps: u32,
     /// Stack arena (base, size) for the compressed stack cache filter.
@@ -193,7 +192,6 @@ impl Sm {
             launch_pcc_meta: 0,
             pcc_fetch_ok: false,
             scratch: Scratchpad::new(map::SCRATCH_BASE, map::SCRATCH_SIZE, cfg.lanes),
-            coalescer: CoalescingUnit::new(),
             block_warps: 1,
             stack_region: None,
             bounds_table: None,
@@ -224,6 +222,13 @@ impl Sm {
     /// The scratchpad.
     pub fn scratchpad(&self) -> &Scratchpad {
         &self.scratch
+    }
+
+    /// Mutable scratchpad, for host-side fault injection into shared memory
+    /// (an unmapped window, a flipped tag), as [`crate::Device::memory_mut`]
+    /// offers for DRAM.
+    pub fn scratchpad_mut(&mut self) -> &mut Scratchpad {
+        &mut self.scratch
     }
 
     /// Set a special capability register (host side, at launch).

@@ -29,7 +29,7 @@ use cheri_simt::shield::{BoundsTable, ID_MASK};
 use cheri_simt::{CheriMode, CheriOpts, Device, RunError, SmConfig, Trap, TrapCause, TrapPolicy};
 use simt_isa::asm::Assembler;
 use simt_isa::{csr, scr, AluOp, AmoOp, Instr, LoadWidth, Reg, StoreWidth};
-use simt_mem::{map, MemFault};
+use simt_mem::{map, MainMemory, MemFault};
 
 const LANES: u32 = 8;
 const DRAM_SIZE: u32 = 1 << 20;
@@ -178,6 +178,20 @@ fn run_row(
     scheme: Scheme,
     policy: TrapPolicy,
 ) -> (Device, Result<(), RunError>, Snapshot, usize) {
+    run_lanes(op, &pointers(region, scheme), scheme, policy, None)
+}
+
+/// [`run_row`] over explicit lane pointers, optionally with an 8-byte
+/// unmapped window at `(memory, address)`. The window is installed after
+/// the pre-run snapshot and removed after the run, so both snapshots can
+/// read every slot.
+fn run_lanes(
+    op: Instr,
+    ptrs: &[CapMem; LANES as usize],
+    scheme: Scheme,
+    policy: TrapPolicy,
+    window: Option<(Region, u32)>,
+) -> (Device, Result<(), RunError>, Snapshot, usize) {
     let mode = match scheme {
         Scheme::Purecap => CheriMode::On(CheriOpts::optimised()),
         _ => CheriMode::Off,
@@ -198,12 +212,24 @@ fn run_row(
     for i in 0..WORK_LEN / 4 {
         dev.memory_mut().write(Region::Dram.work() + i * 4, 0xA5A5_0000 | i, 4).unwrap();
     }
-    for (lane, p) in pointers(region, scheme).into_iter().enumerate() {
+    for (lane, &p) in ptrs.iter().enumerate() {
         dev.memory_mut().write_cap(TABLE + 8 * lane as u32, p).unwrap();
     }
     dev.reset();
     let before = snapshot(&dev);
+    fn mem(dev: &mut Device, region: Region) -> &mut MainMemory {
+        match region {
+            Region::Dram => dev.memory_mut(),
+            Region::Scratch => dev.sm_mut(0).scratchpad_mut(),
+        }
+    }
+    if let Some((region, addr)) = window {
+        mem(&mut dev, region).inject_unmap_window(addr, 8);
+    }
     let r = dev.run(MAX).map(|_| ());
+    if let Some((region, _)) = window {
+        mem(&mut dev, region).clear_unmapped_windows();
+    }
     (dev, r, before, idx)
 }
 
@@ -608,4 +634,292 @@ type MemoGolden = (&'static str, [u32; 8], [u32; 8], u64, u64, &'static str);
 const MEMO_GOLDEN: &[MemoGolden] = &[
     ("straddle", [0x80002800, 0x80002800, 0x80002800, 0x80002800, 0x80002400, 0x80002400, 0x80002400, 0x80042800], [0x100, 0x100, 0x100, 0x100, 0x100, 0x100, 0x100, 0x100], 0b00001111, 0b11110000, "4:cheri:bounds 5:cheri:bounds 6:cheri:bounds 7:cheri:bounds"),
     ("select", [0x80002800, 0x80002800, 0x40000200, 0x40000200, 0x80002800, 0x40000200, 0x80002800, 0x40000200], [0x40, 0x40, 0x40, 0x40, 0x40, 0x40, 0x40, 0x40], 0b11111101, 0b01101010, "1:cheri:tag 3:cheri:permit_load 5:cheri:bounds 6:cheri:bounds"),
+];
+
+// ---- Middle-of-span rows ----
+//
+// A warp-wide check may vouch for every lane by testing the two ends of the
+// warp's address span, because the bounds, mapping and routing predicates
+// are intervals. These rows pin the cases where that reasoning must fall
+// back to the lanes: lane `i` points at `work + 8 i`, so lanes 0 and 7 are
+// the ends of the span and both are clean, while lane 3, in the middle, is
+// not:
+//
+// * `window`: an injected 8-byte unmapped window covers lane 3's slot only;
+// * `misaligned`: lane 3's pointer is off its natural alignment (`LH`,
+//   `LW`, `CLC` and `CSC`);
+// * `tag`: lane 3 holds its neighbours' capability with the tag cleared,
+//   which faults under purecap only (mask 0 is a clean run).
+//
+// They were harvested at commit `b43c58e`, which checked every lane;
+// `print_span_rows` regenerates them.
+
+/// The faulty lane of every middle-of-span row.
+const MIDDLE: u32 = 3;
+
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Flaw {
+    Window,
+    Misaligned,
+    Tag,
+}
+
+/// Lane `i`'s slot in a middle-of-span row, before any id tagging.
+fn span_slot(region: Region, lane: u32) -> u32 {
+    region.work() + 8 * lane
+}
+
+/// The lane pointers of one middle-of-span row.
+fn span_pointers(
+    region: Region,
+    scheme: Scheme,
+    flaw: Flaw,
+    bytes: u32,
+) -> [CapMem; LANES as usize] {
+    let work = region.work();
+    let data = CapPipe::almighty().and_perm(Perms::data());
+    core::array::from_fn(|lane| {
+        let lane = lane as u32;
+        let mut addr = span_slot(region, lane);
+        if flaw == Flaw::Misaligned && lane == MIDDLE {
+            addr += bytes / 2;
+        }
+        let tagged = !(flaw == Flaw::Tag && lane == MIDDLE);
+        match scheme {
+            Scheme::Purecap => {
+                let c = data.set_addr(work).set_bounds(WORK_LEN).0.set_addr(addr).to_mem();
+                CapMem::from_bits(c.bits(), tagged)
+            }
+            Scheme::Shield if region == Region::Dram => {
+                CapMem::from_parts(0, BoundsTable::tag(addr, 1), false)
+            }
+            _ => CapMem::from_parts(0, addr, false),
+        }
+    })
+}
+
+fn span_rows() -> Vec<(String, Instr, Region, Scheme, Flaw, u32, bool)> {
+    let mut v = Vec::new();
+    for flaw in [Flaw::Window, Flaw::Misaligned, Flaw::Tag] {
+        for (name, op, bytes, writes) in kinds() {
+            if flaw == Flaw::Misaligned && !matches!(name, "LH" | "LW" | "CLC" | "CSC") {
+                continue;
+            }
+            for region in [Region::Dram, Region::Scratch] {
+                for scheme in [Scheme::Baseline, Scheme::Purecap, Scheme::Shield] {
+                    let label = format!("{name} {region:?} {scheme:?} {flaw:?}");
+                    v.push((label, op, region, scheme, flaw, bytes, writes));
+                }
+            }
+        }
+    }
+    v
+}
+
+fn run_span_row(
+    op: Instr,
+    region: Region,
+    scheme: Scheme,
+    flaw: Flaw,
+    bytes: u32,
+    policy: TrapPolicy,
+) -> (Device, Result<(), RunError>, Snapshot) {
+    let ptrs = span_pointers(region, scheme, flaw, bytes);
+    let window = (flaw == Flaw::Window).then(|| (region, span_slot(region, MIDDLE)));
+    let (dev, r, before, _) = run_lanes(op, &ptrs, scheme, policy, window);
+    (dev, r, before)
+}
+
+/// The trap of a run, `None` if it completed.
+fn trap_or_clean(label: &str, r: Result<(), RunError>) -> Option<Trap> {
+    match r {
+        Ok(()) => None,
+        Err(RunError::Trap(t)) => Some(t),
+        Err(e) => panic!("{label}: expected a trap or a clean run, got {e:?}"),
+    }
+}
+
+/// One-off harvest helper: prints the middle-of-span rows in source form.
+/// Run with `cargo test -p cheri-simt --test mem_faults -- --ignored --nocapture`.
+#[test]
+#[ignore = "harvest helper, not a regression test"]
+fn print_span_rows() {
+    for (label, op, region, scheme, flaw, bytes, _) in span_rows() {
+        let (_, r, _) = run_span_row(op, region, scheme, flaw, bytes, TrapPolicy::Abort);
+        let t = trap_or_clean(&label, r);
+        let (mask, causes) = t.map_or((0, String::new()), |t| (t.lane_mask, describe(&t)));
+        println!("    (\"{label}\", {mask:#010b}, \"{causes}\"),");
+    }
+}
+
+/// Only the middle lane may fault, with exactly the recorded cause; under
+/// `Abort` a trapped warp commits nothing, and under `MaskLanes` exactly the
+/// clean lanes' stores and AMOs land.
+#[test]
+fn a_faulty_middle_lane_is_caught_between_clean_span_ends() {
+    let rows = span_rows();
+    assert_eq!(rows.len(), SPAN_GOLDEN.len(), "table covered");
+    for ((label, op, region, scheme, flaw, bytes, writes), want) in
+        rows.into_iter().zip(SPAN_GOLDEN)
+    {
+        let (dev, r, before) = run_span_row(op, region, scheme, flaw, bytes, TrapPolicy::Abort);
+        let abort = trap_or_clean(&label, r);
+        let (mask, causes) =
+            abort.as_ref().map_or((0, String::new()), |t| (t.lane_mask, describe(t)));
+        assert_eq!((label.as_str(), mask, causes.as_str()), *want, "{label}");
+        assert_eq!(mask & !(1 << MIDDLE), 0, "{label}: only the middle lane faults");
+        if abort.is_some() {
+            assert_eq!(snapshot(&dev), before, "{label}: a lane committed under Abort");
+        }
+        let (dev, r, before) = run_span_row(op, region, scheme, flaw, bytes, TrapPolicy::MaskLanes);
+        r.unwrap_or_else(|e| panic!("{label}: mask-lanes completes, got {e:?}"));
+        let log = dev.sm(0).suppressed_traps();
+        assert_eq!(log, abort.as_slice(), "{label}: suppressed trap = Abort trap");
+        let mut want: Vec<u32> = (0..LANES)
+            .filter(|lane| writes && mask >> lane & 1 == 0)
+            .map(|lane| span_slot(region, lane))
+            .collect();
+        want.sort_unstable();
+        let mut changed: Vec<u32> =
+            snapshot(&dev).iter().zip(&before).filter(|(a, b)| a != b).map(|(a, _)| a.0).collect();
+        changed.sort_unstable();
+        assert_eq!(changed, want, "{label}: exactly the clean lanes commit");
+    }
+}
+
+/// `(row, faulting-lane mask, per-lane causes)`; mask 0 is a clean run.
+#[rustfmt::skip]
+const SPAN_GOLDEN: &[(&str, u64, &str)] = &[
+    ("LB Dram Baseline Window", 0b00001000, "3:mem:unmapped@80002018"),
+    ("LB Dram Purecap Window", 0b00001000, "3:mem:unmapped@80002018"),
+    ("LB Dram Shield Window", 0b00001000, "3:mem:unmapped@80002018"),
+    ("LB Scratch Baseline Window", 0b00001000, "3:mem:unmapped@40000118"),
+    ("LB Scratch Purecap Window", 0b00001000, "3:mem:unmapped@40000118"),
+    ("LB Scratch Shield Window", 0b00001000, "3:mem:unmapped@40000118"),
+    ("LH Dram Baseline Window", 0b00001000, "3:mem:unmapped@80002018"),
+    ("LH Dram Purecap Window", 0b00001000, "3:mem:unmapped@80002018"),
+    ("LH Dram Shield Window", 0b00001000, "3:mem:unmapped@80002018"),
+    ("LH Scratch Baseline Window", 0b00001000, "3:mem:unmapped@40000118"),
+    ("LH Scratch Purecap Window", 0b00001000, "3:mem:unmapped@40000118"),
+    ("LH Scratch Shield Window", 0b00001000, "3:mem:unmapped@40000118"),
+    ("LW Dram Baseline Window", 0b00001000, "3:mem:unmapped@80002018"),
+    ("LW Dram Purecap Window", 0b00001000, "3:mem:unmapped@80002018"),
+    ("LW Dram Shield Window", 0b00001000, "3:mem:unmapped@80002018"),
+    ("LW Scratch Baseline Window", 0b00001000, "3:mem:unmapped@40000118"),
+    ("LW Scratch Purecap Window", 0b00001000, "3:mem:unmapped@40000118"),
+    ("LW Scratch Shield Window", 0b00001000, "3:mem:unmapped@40000118"),
+    ("SB Dram Baseline Window", 0b00001000, "3:mem:unmapped@80002018"),
+    ("SB Dram Purecap Window", 0b00001000, "3:mem:unmapped@80002018"),
+    ("SB Dram Shield Window", 0b00001000, "3:mem:unmapped@80002018"),
+    ("SB Scratch Baseline Window", 0b00001000, "3:mem:unmapped@40000118"),
+    ("SB Scratch Purecap Window", 0b00001000, "3:mem:unmapped@40000118"),
+    ("SB Scratch Shield Window", 0b00001000, "3:mem:unmapped@40000118"),
+    ("SH Dram Baseline Window", 0b00001000, "3:mem:unmapped@80002018"),
+    ("SH Dram Purecap Window", 0b00001000, "3:mem:unmapped@80002018"),
+    ("SH Dram Shield Window", 0b00001000, "3:mem:unmapped@80002018"),
+    ("SH Scratch Baseline Window", 0b00001000, "3:mem:unmapped@40000118"),
+    ("SH Scratch Purecap Window", 0b00001000, "3:mem:unmapped@40000118"),
+    ("SH Scratch Shield Window", 0b00001000, "3:mem:unmapped@40000118"),
+    ("SW Dram Baseline Window", 0b00001000, "3:mem:unmapped@80002018"),
+    ("SW Dram Purecap Window", 0b00001000, "3:mem:unmapped@80002018"),
+    ("SW Dram Shield Window", 0b00001000, "3:mem:unmapped@80002018"),
+    ("SW Scratch Baseline Window", 0b00001000, "3:mem:unmapped@40000118"),
+    ("SW Scratch Purecap Window", 0b00001000, "3:mem:unmapped@40000118"),
+    ("SW Scratch Shield Window", 0b00001000, "3:mem:unmapped@40000118"),
+    ("CLC Dram Baseline Window", 0b00001000, "3:mem:unmapped@80002018"),
+    ("CLC Dram Purecap Window", 0b00001000, "3:mem:unmapped@80002018"),
+    ("CLC Dram Shield Window", 0b00001000, "3:mem:unmapped@80002018"),
+    ("CLC Scratch Baseline Window", 0b00001000, "3:mem:unmapped@40000118"),
+    ("CLC Scratch Purecap Window", 0b00001000, "3:mem:unmapped@40000118"),
+    ("CLC Scratch Shield Window", 0b00001000, "3:mem:unmapped@40000118"),
+    ("CSC Dram Baseline Window", 0b00001000, "3:mem:unmapped@80002018"),
+    ("CSC Dram Purecap Window", 0b00001000, "3:mem:unmapped@80002018"),
+    ("CSC Dram Shield Window", 0b00001000, "3:mem:unmapped@80002018"),
+    ("CSC Scratch Baseline Window", 0b00001000, "3:mem:unmapped@40000118"),
+    ("CSC Scratch Purecap Window", 0b00001000, "3:mem:unmapped@40000118"),
+    ("CSC Scratch Shield Window", 0b00001000, "3:mem:unmapped@40000118"),
+    ("AMO Dram Baseline Window", 0b00001000, "3:mem:unmapped@80002018"),
+    ("AMO Dram Purecap Window", 0b00001000, "3:mem:unmapped@80002018"),
+    ("AMO Dram Shield Window", 0b00001000, "3:mem:unmapped@80002018"),
+    ("AMO Scratch Baseline Window", 0b00001000, "3:mem:unmapped@40000118"),
+    ("AMO Scratch Purecap Window", 0b00001000, "3:mem:unmapped@40000118"),
+    ("AMO Scratch Shield Window", 0b00001000, "3:mem:unmapped@40000118"),
+    ("LH Dram Baseline Misaligned", 0b00001000, "3:mem:misaligned@80002019"),
+    ("LH Dram Purecap Misaligned", 0b00001000, "3:mem:misaligned@80002019"),
+    ("LH Dram Shield Misaligned", 0b00001000, "3:mem:misaligned@80002019"),
+    ("LH Scratch Baseline Misaligned", 0b00001000, "3:mem:misaligned@40000119"),
+    ("LH Scratch Purecap Misaligned", 0b00001000, "3:mem:misaligned@40000119"),
+    ("LH Scratch Shield Misaligned", 0b00001000, "3:mem:misaligned@40000119"),
+    ("LW Dram Baseline Misaligned", 0b00001000, "3:mem:misaligned@8000201a"),
+    ("LW Dram Purecap Misaligned", 0b00001000, "3:mem:misaligned@8000201a"),
+    ("LW Dram Shield Misaligned", 0b00001000, "3:mem:misaligned@8000201a"),
+    ("LW Scratch Baseline Misaligned", 0b00001000, "3:mem:misaligned@4000011a"),
+    ("LW Scratch Purecap Misaligned", 0b00001000, "3:mem:misaligned@4000011a"),
+    ("LW Scratch Shield Misaligned", 0b00001000, "3:mem:misaligned@4000011a"),
+    ("CLC Dram Baseline Misaligned", 0b00001000, "3:mem:misaligned@8000201c"),
+    ("CLC Dram Purecap Misaligned", 0b00001000, "3:cheri:alignment"),
+    ("CLC Dram Shield Misaligned", 0b00001000, "3:mem:misaligned@8000201c"),
+    ("CLC Scratch Baseline Misaligned", 0b00001000, "3:mem:misaligned@4000011c"),
+    ("CLC Scratch Purecap Misaligned", 0b00001000, "3:cheri:alignment"),
+    ("CLC Scratch Shield Misaligned", 0b00001000, "3:mem:misaligned@4000011c"),
+    ("CSC Dram Baseline Misaligned", 0b00001000, "3:mem:misaligned@8000201c"),
+    ("CSC Dram Purecap Misaligned", 0b00001000, "3:cheri:alignment"),
+    ("CSC Dram Shield Misaligned", 0b00001000, "3:mem:misaligned@8000201c"),
+    ("CSC Scratch Baseline Misaligned", 0b00001000, "3:mem:misaligned@4000011c"),
+    ("CSC Scratch Purecap Misaligned", 0b00001000, "3:cheri:alignment"),
+    ("CSC Scratch Shield Misaligned", 0b00001000, "3:mem:misaligned@4000011c"),
+    ("LB Dram Baseline Tag", 0b00000000, ""),
+    ("LB Dram Purecap Tag", 0b00001000, "3:cheri:tag"),
+    ("LB Dram Shield Tag", 0b00000000, ""),
+    ("LB Scratch Baseline Tag", 0b00000000, ""),
+    ("LB Scratch Purecap Tag", 0b00001000, "3:cheri:tag"),
+    ("LB Scratch Shield Tag", 0b00000000, ""),
+    ("LH Dram Baseline Tag", 0b00000000, ""),
+    ("LH Dram Purecap Tag", 0b00001000, "3:cheri:tag"),
+    ("LH Dram Shield Tag", 0b00000000, ""),
+    ("LH Scratch Baseline Tag", 0b00000000, ""),
+    ("LH Scratch Purecap Tag", 0b00001000, "3:cheri:tag"),
+    ("LH Scratch Shield Tag", 0b00000000, ""),
+    ("LW Dram Baseline Tag", 0b00000000, ""),
+    ("LW Dram Purecap Tag", 0b00001000, "3:cheri:tag"),
+    ("LW Dram Shield Tag", 0b00000000, ""),
+    ("LW Scratch Baseline Tag", 0b00000000, ""),
+    ("LW Scratch Purecap Tag", 0b00001000, "3:cheri:tag"),
+    ("LW Scratch Shield Tag", 0b00000000, ""),
+    ("SB Dram Baseline Tag", 0b00000000, ""),
+    ("SB Dram Purecap Tag", 0b00001000, "3:cheri:tag"),
+    ("SB Dram Shield Tag", 0b00000000, ""),
+    ("SB Scratch Baseline Tag", 0b00000000, ""),
+    ("SB Scratch Purecap Tag", 0b00001000, "3:cheri:tag"),
+    ("SB Scratch Shield Tag", 0b00000000, ""),
+    ("SH Dram Baseline Tag", 0b00000000, ""),
+    ("SH Dram Purecap Tag", 0b00001000, "3:cheri:tag"),
+    ("SH Dram Shield Tag", 0b00000000, ""),
+    ("SH Scratch Baseline Tag", 0b00000000, ""),
+    ("SH Scratch Purecap Tag", 0b00001000, "3:cheri:tag"),
+    ("SH Scratch Shield Tag", 0b00000000, ""),
+    ("SW Dram Baseline Tag", 0b00000000, ""),
+    ("SW Dram Purecap Tag", 0b00001000, "3:cheri:tag"),
+    ("SW Dram Shield Tag", 0b00000000, ""),
+    ("SW Scratch Baseline Tag", 0b00000000, ""),
+    ("SW Scratch Purecap Tag", 0b00001000, "3:cheri:tag"),
+    ("SW Scratch Shield Tag", 0b00000000, ""),
+    ("CLC Dram Baseline Tag", 0b00000000, ""),
+    ("CLC Dram Purecap Tag", 0b00001000, "3:cheri:tag"),
+    ("CLC Dram Shield Tag", 0b00000000, ""),
+    ("CLC Scratch Baseline Tag", 0b00000000, ""),
+    ("CLC Scratch Purecap Tag", 0b00001000, "3:cheri:tag"),
+    ("CLC Scratch Shield Tag", 0b00000000, ""),
+    ("CSC Dram Baseline Tag", 0b00000000, ""),
+    ("CSC Dram Purecap Tag", 0b00001000, "3:cheri:tag"),
+    ("CSC Dram Shield Tag", 0b00000000, ""),
+    ("CSC Scratch Baseline Tag", 0b00000000, ""),
+    ("CSC Scratch Purecap Tag", 0b00001000, "3:cheri:tag"),
+    ("CSC Scratch Shield Tag", 0b00000000, ""),
+    ("AMO Dram Baseline Tag", 0b00000000, ""),
+    ("AMO Dram Purecap Tag", 0b00001000, "3:cheri:tag"),
+    ("AMO Dram Shield Tag", 0b00000000, ""),
+    ("AMO Scratch Baseline Tag", 0b00000000, ""),
+    ("AMO Scratch Purecap Tag", 0b00001000, "3:cheri:tag"),
+    ("AMO Scratch Shield Tag", 0b00000000, ""),
 ];

@@ -44,32 +44,45 @@ impl CoalescingUnit {
     /// only for misaligned multi-byte accesses, which the pipeline rejects
     /// earlier) are not considered.
     pub fn coalesce(self, reqs: &[LaneRequest]) -> Coalesced {
-        if reqs.is_empty() {
-            return Coalesced { transactions: 0, uniform: false };
-        }
-        let first = reqs[0];
-        let uniform = reqs.iter().all(|r| r.addr == first.addr && r.bytes == first.bytes);
-        // Count distinct 64-byte blocks. A warp has at most 64 lanes, so
-        // the block list fits on the stack; the heap path only serves
-        // oversized (out-of-contract) request sets.
-        let transactions = if uniform {
-            1
-        } else if reqs.len() <= 64 {
-            let mut blocks = [0u32; 64];
-            for (b, r) in blocks.iter_mut().zip(reqs) {
-                *b = r.addr / TRANSACTION_BYTES;
-            }
-            let blocks = &mut blocks[..reqs.len()];
-            blocks.sort_unstable();
-            1 + blocks.windows(2).filter(|w| w[0] != w[1]).count() as u32
+        // A warp has at most 64 lanes, so the block list fits on the
+        // stack; the heap only serves oversized (out-of-contract) sets.
+        let mut stack = [0u32; 64];
+        let mut heap = Vec::new();
+        let blocks = if reqs.len() <= stack.len() {
+            &mut stack[..]
         } else {
-            let mut blocks: Vec<u32> = reqs.iter().map(|r| r.addr / TRANSACTION_BYTES).collect();
-            blocks.sort_unstable();
-            blocks.dedup();
-            blocks.len() as u32
+            heap.resize(reqs.len(), 0);
+            &mut heap[..]
         };
-        Coalesced { transactions, uniform }
+        coalesce_blocks(reqs, blocks)
     }
+}
+
+/// [`CoalescingUnit::coalesce`], also leaving every request's 64-byte block
+/// number in `blocks[..reqs.len()]`, ascending: the one sort a warp-wide
+/// DRAM access needs, shared by the transaction count (the number of
+/// distinct blocks) and the tag controller's lookups (one per distinct
+/// block).
+///
+/// # Panics
+///
+/// Panics if `blocks` has fewer slots than `reqs` has requests.
+pub fn coalesce_blocks(reqs: &[LaneRequest], blocks: &mut [u32]) -> Coalesced {
+    let Some(&first) = reqs.first() else {
+        return Coalesced { transactions: 0, uniform: false };
+    };
+    let blocks = &mut blocks[..reqs.len()];
+    let uniform = reqs.iter().all(|r| r.addr == first.addr && r.bytes == first.bytes);
+    if uniform {
+        blocks.fill(first.addr / TRANSACTION_BYTES);
+        return Coalesced { transactions: 1, uniform };
+    }
+    for (b, r) in blocks.iter_mut().zip(reqs) {
+        *b = r.addr / TRANSACTION_BYTES;
+    }
+    blocks.sort_unstable();
+    let transactions = 1 + blocks.windows(2).filter(|w| w[0] != w[1]).count() as u32;
+    Coalesced { transactions, uniform }
 }
 
 #[cfg(test)]

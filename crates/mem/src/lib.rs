@@ -33,7 +33,7 @@ pub mod map;
 mod scratch;
 mod tagcache;
 
-pub use coalesce::{Coalesced, CoalescingUnit, LaneRequest, TRANSACTION_BYTES};
+pub use coalesce::{coalesce_blocks, Coalesced, CoalescingUnit, LaneRequest, TRANSACTION_BYTES};
 pub use dram::{Dram, DramConfig, DramStats};
 pub use inject::{FaultInjector, Injection, InjectionKind};
 pub use scratch::{ScratchStats, Scratchpad};
@@ -141,7 +141,8 @@ impl MainMemory {
         if !self.contains(addr, width) || self.holed(addr, width) {
             return Err(MemFault::Unmapped(addr));
         }
-        if !addr.is_multiple_of(width) {
+        // A power of two by the match above: a mask, not a divide.
+        if addr & (width - 1) != 0 {
             return Err(MemFault::Misaligned(addr));
         }
         Ok(())
@@ -337,6 +338,13 @@ impl MainMemory {
     /// Remove every injected unmapped window.
     pub fn clear_unmapped_windows(&mut self) {
         self.holes.clear();
+    }
+
+    /// Is any injected unmapped window installed? Without one, mapping is
+    /// an interval test: an access is mapped exactly when its first and
+    /// last bytes are.
+    pub fn has_unmapped_windows(&self) -> bool {
+        !self.holes.is_empty()
     }
 
     /// Addresses (8-aligned) of every validly-tagged capability currently

@@ -80,35 +80,33 @@ impl Scratchpad {
             return 0;
         }
         self.stats.accesses += 1;
-        // A warp never issues more than 64 lane requests, so the distinct
-        // (bank, word) pairs fit on the stack — no per-access heap traffic
-        // on the simulator's hot path. (Oversized request sets would be API
-        // misuse; serve them through the boxed fallback all the same.)
-        let worst = if reqs.len() <= 64 {
-            let mut seen = [(0u32, 0u32); 64];
-            let mut n = 0usize;
-            for r in reqs {
-                let word = (r.addr.wrapping_sub(self.mem.base())) / 4;
-                let pair = (word % self.banks, word);
-                if !seen[..n].contains(&pair) {
-                    seen[n] = pair;
-                    n += 1;
-                }
-            }
-            (0..n).map(|i| seen[..n].iter().filter(|p| p.0 == seen[i].0).count()).max().unwrap_or(1)
-                as u32
+        // Sort the requests by (bank, word); the longest run of distinct
+        // words in one bank is the worst bank's serialisation. A warp never
+        // issues more than 64 lane requests, so the keys fit on the stack;
+        // the heap only serves oversized (out-of-contract) request sets.
+        let (base, bank_mask) = (self.mem.base(), self.banks - 1);
+        let mut stack = [0u64; 64];
+        let mut heap = Vec::new();
+        let keys = if reqs.len() <= stack.len() {
+            &mut stack[..reqs.len()]
         } else {
-            let mut per_bank: Vec<Vec<u32>> = vec![Vec::new(); self.banks as usize];
-            for r in reqs {
-                let word = (r.addr.wrapping_sub(self.mem.base())) / 4;
-                let bank = (word % self.banks) as usize;
-                if !per_bank[bank].contains(&word) {
-                    per_bank[bank].push(word);
-                }
-            }
-            per_bank.iter().map(Vec::len).max().unwrap_or(1).max(1) as u32
+            heap.resize(reqs.len(), 0);
+            &mut heap[..]
         };
-        self.stats.conflict_cycles += (worst - 1) as u64;
+        for (k, r) in keys.iter_mut().zip(reqs) {
+            let word = r.addr.wrapping_sub(base) / 4;
+            *k = u64::from(word & bank_mask) << 32 | u64::from(word);
+        }
+        keys.sort_unstable();
+        let (mut worst, mut run) = (1, 1);
+        for pair in keys.windows(2) {
+            if pair[1] == pair[0] {
+                continue; // same word: a broadcast
+            }
+            run = if pair[1] >> 32 == pair[0] >> 32 { run + 1 } else { 1 };
+            worst = worst.max(run);
+        }
+        self.stats.conflict_cycles += u64::from(worst - 1);
         worst
     }
 }

@@ -6,7 +6,8 @@
 use cheri_cap::{CapMem, CapPipe};
 use sim_prng::Prng;
 use simt_mem::{
-    CoalescingUnit, LaneRequest, MainMemory, MemFault, Scratchpad, TagCacheConfig, TagController,
+    coalesce_blocks, CoalescingUnit, LaneRequest, MainMemory, MemFault, Scratchpad, TagCacheConfig,
+    TagController,
 };
 use std::collections::HashMap;
 
@@ -182,6 +183,85 @@ fn coalescer_invariants() {
         if reqs.iter().all(|q| q.addr == reqs[0].addr) {
             assert_eq!(out.transactions, 1);
             assert!(out.uniform);
+        }
+    }
+}
+
+/// The quadratic bank-conflict count `Scratchpad::warp_cycles` used to
+/// run, kept as its oracle: collect the distinct `(bank, word)` pairs, then
+/// the most pairs that share one bank.
+fn warp_cycles_reference(base: u32, banks: u32, reqs: &[LaneRequest]) -> u32 {
+    let mut seen: Vec<(u32, u32)> = Vec::new();
+    for r in reqs {
+        let word = r.addr.wrapping_sub(base) / 4;
+        let pair = (word % banks, word);
+        if !seen.contains(&pair) {
+            seen.push(pair);
+        }
+    }
+    seen.iter().map(|p| seen.iter().filter(|q| q.0 == p.0).count()).max().unwrap_or(1) as u32
+}
+
+/// One warp-wide request set of 1–64 lanes: a broadcast, a strided walk
+/// (unit, same-bank or odd strides), or draws from a small address pool,
+/// so duplicates are common, and sometimes a few lanes copied from others.
+fn lane_requests(r: &mut Prng, base: u32, banks: u32) -> Vec<LaneRequest> {
+    let n = r.range_usize(1, 65);
+    let start = base + (r.range_u32(0, 4096) & !3);
+    let stride = 4 * *r.choose(&[0, 1, 2, 3, banks, 2 * banks, banks + 1, 17]);
+    let pool: Vec<u32> =
+        (0..r.range_usize(1, 9)).map(|_| start + 4 * r.range_u32(0, 256)).collect();
+    let kind = r.range_u32(0, 3);
+    let bytes = *r.choose(&[1, 2, 4]);
+    let mut reqs: Vec<LaneRequest> = (0..n as u32)
+        .map(|i| {
+            let addr = match kind {
+                0 => start,
+                1 => start.wrapping_add(stride.wrapping_mul(i)),
+                _ => *r.choose(&pool),
+            };
+            LaneRequest { addr: addr + r.range_u32(0, 4) / bytes * bytes, bytes }
+        })
+        .collect();
+    for _ in 0..r.range_usize(0, 4) {
+        let (from, to) = (r.range_usize(0, n), r.range_usize(0, n));
+        reqs[to] = reqs[from];
+    }
+    reqs
+}
+
+/// `warp_cycles` (cycles and accumulated conflict cycles) and the
+/// coalescer's transaction count and block list agree with the quadratic
+/// reference counts, for every power-of-two bank count from 1 to 64.
+#[test]
+fn bank_conflicts_and_blocks_match_the_quadratic_reference() {
+    const SBASE: u32 = 0x4000_0000;
+    let mut r = Prng::seed_from_u64(0x3E3_0006);
+    for banks in [1, 2, 4, 8, 16, 32, 64] {
+        let mut sp = Scratchpad::new(SBASE, 64 * 1024, banks);
+        let mut conflicts = 0u64;
+        for _ in 0..RUNS * 8 {
+            let reqs = lane_requests(&mut r, SBASE, banks);
+            let want = warp_cycles_reference(SBASE, banks, &reqs);
+            assert_eq!(sp.warp_cycles(&reqs), want, "banks {banks}: {reqs:?}");
+            conflicts += u64::from(want - 1);
+            assert_eq!(sp.stats().conflict_cycles, conflicts, "banks {banks}");
+
+            // Transactions: distinct blocks, counted the quadratic way.
+            let mut distinct: Vec<u32> = Vec::new();
+            for q in &reqs {
+                if !distinct.contains(&(q.addr / 64)) {
+                    distinct.push(q.addr / 64);
+                }
+            }
+            let co = CoalescingUnit::new().coalesce(&reqs);
+            assert_eq!(co.transactions as usize, distinct.len(), "{reqs:?}");
+            assert_eq!(co.uniform, reqs.iter().all(|q| *q == reqs[0]), "{reqs:?}");
+            let mut want_blocks: Vec<u32> = reqs.iter().map(|q| q.addr / 64).collect();
+            want_blocks.sort_unstable();
+            let mut blocks = [0u32; 64];
+            assert_eq!(coalesce_blocks(&reqs, &mut blocks), co);
+            assert_eq!(&blocks[..reqs.len()], &want_blocks[..], "{reqs:?}");
         }
     }
 }
