@@ -118,10 +118,10 @@ impl Sm {
         let mask = sel.mask;
         let mut caps = CapMemo::default();
         if fast {
-            let (d, m) = self.read_cap_compact(w, c.cs1, costs);
-            let (d, m) = (expect_uniform(&d), expect_uniform(&m));
+            let d = expect_uniform(&self.peek_data(w, c.cs1));
+            let m = expect_uniform(&self.peek_meta(w, c.cs1));
             let b = match c.src2 {
-                Src2::Reg(rs2) => expect_uniform(&self.read_data_compact(w, rs2, costs)) as u32,
+                Src2::Reg(rs2) => expect_uniform(&self.peek_data(w, rs2)) as u32,
                 Src2::Imm(imm) => imm,
             };
             if c.f == CapFn::SetBoundsExact && inexact_bounds(caps.get(m, d), b) {
@@ -131,8 +131,8 @@ impl Sm {
             if c.sfu {
                 self.cap_sfu_suspend(w, sel);
             }
-            let meta = c.cap_result.then_some(OperandVec::Uniform(rm));
-            self.writeback_compact(w, c.rd, &OperandVec::Uniform(r), meta.as_ref(), mask, costs);
+            let meta = c.cap_result.then_some(rm);
+            self.writeback_compact(w, c.rd, &OperandVec::Uniform(r), meta, mask, costs);
             return Ok(());
         }
         self.with_bufs(|sm, bufs| {

@@ -6,11 +6,12 @@
 //! picked once per issue and applied by a generic driver in one of two
 //! ways: lane-wise it is evaluated per active lane over the loaned
 //! [`LaneBufs`], warp-wide over compact operands ([`linear2`]: once when
-//! both are uniform, from two lane samples when one is affine). Which way
-//! runs is the issue classifier's verdict (see
+//! both are uniform, from two lane samples when one is affine), which are
+//! free SRF peeks. Which way runs is the issue classifier's verdict (see
 //! [`super::classify`]); the post-effects — divider latency, the SFU
 //! round-trip of `FDIV`/`FSQRT`, which charges per *active lane* — are the
-//! same on both.
+//! same on both. A splat has one form, a [`Splat`], and commits it through
+//! [`Sm::writeback_compact`] whichever driver the issue runs on.
 //!
 //! CSR reads are virtualised for multi-SM devices: `MHARTID` is offset by
 //! the SM's [`Sm::set_hart_base`] placement and `SIMT_NUM_THREADS` reads
@@ -92,9 +93,9 @@ impl Sm {
         f: impl Fn(u32, u32) -> u32,
     ) {
         if fast {
-            let a = self.read_data_compact(w, d.rs1, costs);
+            let a = self.peek_data(w, d.rs1);
             let b = match d.src2 {
-                Src2::Reg(rs2) => self.read_data_compact(w, rs2, costs),
+                Src2::Reg(rs2) => self.peek_data(w, rs2),
                 Src2::Imm(imm) => OperandVec::Uniform(imm as u64),
             };
             let res = linear2(f, &a, &b);
@@ -136,14 +137,7 @@ impl Sm {
 
     /// Execute one splat (always writes `rd`, never traps, scalarises under
     /// any mask).
-    pub(crate) fn exec_splat(
-        &mut self,
-        w: u32,
-        sel: &Selection,
-        s: &SplatOp,
-        fast: bool,
-        costs: &mut Costs,
-    ) {
+    pub(crate) fn exec_splat(&mut self, w: u32, sel: &Selection, s: &SplatOp, costs: &mut Costs) {
         let splat = match s.src {
             SplatSrc::Imm(imm) => Splat::int(imm),
             SplatSrc::PcRel(imm) => {
@@ -174,44 +168,19 @@ impl Sm {
             SplatSrc::Scr(scr::PCC) => Splat::cap(Self::cap_of(sel.pcc_meta, sel.pc as u64)),
             SplatSrc::Scr(s) => Splat::cap(CapPipe::from_mem(self.scrs[s as usize])),
         };
-        self.writeback_splat(w, s.rd, &splat, fast, sel.mask, costs);
+        self.writeback_splat(w, s.rd, &splat, sel.mask, costs);
     }
 
-    /// Commit a [`Splat`]: compactly on the warp-wide path, expanded into
-    /// the lane scratch on the lane-wise one.
+    /// Commit a [`Splat`] compactly, on either driver: `write_compact` is
+    /// bit-identical to writing the expanded lanes.
     pub(crate) fn writeback_splat(
         &mut self,
         w: u32,
         rd: Reg,
         splat: &Splat,
-        fast: bool,
         mask: u64,
         costs: &mut Costs,
     ) {
-        if fast {
-            let meta = splat.meta.map(OperandVec::Uniform);
-            self.writeback_compact(w, rd, &splat.val, meta.as_ref(), mask, costs);
-        } else {
-            self.with_bufs(|sm, bufs| sm.writeback_splat_lanes(bufs, w, rd, splat, mask, costs));
-        }
-    }
-
-    /// The lane-wise half of [`Sm::writeback_splat`], for handlers that
-    /// already hold the lane scratch: `r`/`rm` are `[..lanes]`-filled here.
-    pub(crate) fn writeback_splat_lanes(
-        &mut self,
-        bufs: &mut LaneBufs,
-        w: u32,
-        rd: Reg,
-        splat: &Splat,
-        mask: u64,
-        costs: &mut Costs,
-    ) {
-        let lanes = self.cfg.lanes as usize;
-        splat.val.expand_into(&mut bufs.r[..lanes]);
-        if let Some(m) = splat.meta {
-            bufs.rm[..lanes].fill(m);
-        }
-        self.writeback(w, rd, &bufs.r[..], splat.meta.map(|_| &bufs.rm[..]), mask, costs);
+        self.writeback_compact(w, rd, &splat.val, splat.meta, mask, costs);
     }
 }

@@ -168,7 +168,8 @@ impl Sm {
     }
 
     /// Execute `op` for the selected threads of warp `w`: `fast` issues run
-    /// on the warp-wide driver, everything else on the lane-wise one.
+    /// on the warp-wide driver, everything else on the lane-wise one
+    /// (splats and `JAL` have one form and ignore it).
     /// Inlined into its one caller so the `Ok` of the handlers that cannot
     /// trap never takes a round trip through memory.
     #[inline(always)]
@@ -183,9 +184,9 @@ impl Sm {
     ) -> Result<(), Box<Trap>> {
         match op {
             Op::Data(d) => self.exec_data(w, sel, d, fast, costs),
-            Op::Splat(s) => self.exec_splat(w, sel, s, fast, costs),
+            Op::Splat(s) => self.exec_splat(w, sel, s, costs),
             Op::Cap(c) => return self.exec_cap(w, sel, c, fast, costs),
-            Op::Jal(j) => self.exec_jal(w, sel, j, fast, costs),
+            Op::Jal(j) => self.exec_jal(w, sel, j, costs),
             Op::Jalr(j) => return self.exec_jalr(w, sel, j, fast, costs),
             Op::Branch(b) => self.exec_branch(w, sel, b, fast, costs),
             Op::Mem(m) => return self.exec_mem(ms, w, sel, m, costs),

@@ -5,8 +5,10 @@
 //! the unsealed target capability, per lane. Warp-invariant flow resolves
 //! one target per warp — `JAL` (the target is an immediate), non-CHERI
 //! `JALR` with a uniform base, and branches whose operands are uniform so
-//! the whole warp takes one direction; otherwise the same target function
-//! runs per active lane.
+//! the whole warp takes one direction, reading those operands as free SRF
+//! peeks; otherwise the same target function runs per active lane. The
+//! link is one [`Splat`], committed compactly on every path (`JAL`,
+//! `JALR` and `CJALR`, warp-wide or lane-wise).
 
 use super::data::Splat;
 use super::operands::CapMemo;
@@ -31,16 +33,9 @@ impl Sm {
     }
 
     /// `JAL`: scalarises under any mask, cannot trap.
-    pub(crate) fn exec_jal(
-        &mut self,
-        w: u32,
-        sel: &Selection,
-        j: &JalOp,
-        fast: bool,
-        costs: &mut Costs,
-    ) {
+    pub(crate) fn exec_jal(&mut self, w: u32, sel: &Selection, j: &JalOp, costs: &mut Costs) {
         let link = self.link(sel);
-        self.writeback_splat(w, j.rd, &link, fast, sel.mask, costs);
+        self.writeback_splat(w, j.rd, &link, sel.mask, costs);
         self.advance_uniform(w, sel, sel.pc.wrapping_add(j.off), ThreadStatus::Active);
     }
 
@@ -62,8 +57,8 @@ impl Sm {
             }
         };
         if fast {
-            let x = expect_uniform(&self.read_data_compact(w, br.rs1, costs));
-            let y = expect_uniform(&self.read_data_compact(w, br.rs2, costs));
+            let x = expect_uniform(&self.peek_data(w, br.rs1));
+            let y = expect_uniform(&self.peek_data(w, br.rs2));
             self.advance_uniform(w, sel, next(x, y), ThreadStatus::Active);
         } else {
             // Scratch staleness audit: `a`/`b` are fully overwritten by the
@@ -93,15 +88,12 @@ impl Sm {
         fast: bool,
         costs: &mut Costs,
     ) -> Result<(), Box<Trap>> {
+        let next = |base: u64| (base as u32).wrapping_add(j.off) & !1;
         if self.cheri() {
             // Statically never scalarised: it installs a per-lane PCC.
-            return self.with_bufs(|sm, bufs| sm.exec_cjalr(bufs, w, sel, j, costs));
-        }
-        let link = self.link(sel);
-        let next = |base: u64| (base as u32).wrapping_add(j.off) & !1;
-        if fast {
-            let base = expect_uniform(&self.read_data_compact(w, j.rs1, costs));
-            self.writeback_splat(w, j.rd, &link, true, sel.mask, costs);
+            self.with_bufs(|sm, bufs| sm.exec_cjalr(bufs, w, sel, j, costs))?;
+        } else if fast {
+            let base = expect_uniform(&self.peek_data(w, j.rs1));
             self.advance_uniform(w, sel, next(base), ThreadStatus::Active);
         } else {
             self.with_bufs(|sm, bufs| {
@@ -109,17 +101,20 @@ impl Sm {
                 for i in active_lanes(sel.mask, sm.cfg.lanes as usize) {
                     bufs.pcs[i] = next(bufs.a[i]);
                 }
-                sm.writeback_splat_lanes(bufs, w, j.rd, &link, sel.mask, costs);
                 sm.warps[w as usize].advance(sel.mask, sel.pc, &bufs.pcs);
             });
         }
+        // Every form writes the link the same way, after reading `rs1`.
+        let link = self.link(sel);
+        self.writeback_splat(w, j.rd, &link, sel.mask, costs);
         Ok(())
     }
 
-    /// `CJALR`, lane-wise. Scratch staleness audit: `a`/`am` are fully
-    /// overwritten by the operand read; `metas` (the spare `bm` scratch) and
-    /// `pcs` are written for every active lane that survives the check
-    /// phase before any lane reads them back.
+    /// `CJALR`'s check and PC commit, lane-wise (the caller writes the
+    /// link). Scratch staleness audit: `a`/`am` are fully overwritten by the
+    /// operand read; `metas` (the spare `bm` scratch) and `pcs` are written
+    /// for every active lane that survives the check phase before any lane
+    /// reads them back.
     fn exec_cjalr(
         &mut self,
         bufs: &mut LaneBufs,
@@ -153,9 +148,7 @@ impl Sm {
         for i in active_lanes(sel.mask, lanes) {
             self.warps[w as usize].set_pcc_meta(i, metas[i]);
         }
-        let link = self.link(sel);
-        self.writeback_splat_lanes(bufs, w, j.rd, &link, sel.mask, costs);
-        self.warps[w as usize].advance(sel.mask, sel.pc, &bufs.pcs);
+        self.warps[w as usize].advance(sel.mask, sel.pc, pcs);
         Ok(())
     }
 }

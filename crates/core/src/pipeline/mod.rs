@@ -5,8 +5,9 @@
 //!
 //! * [`schedule`] — barrel scheduler: round-robin warp pick, active-thread
 //!   selection, barrier release, idle accounting, deadlock detection.
-//! * [`operands`] — operand collection: data/metadata register-file reads
-//!   (lane-wise and compact), the shared-VRF serialisation penalty,
+//! * [`operands`] — operand collection: lane-wise data/metadata
+//!   register-file reads with their spill/fill costs and the shared-VRF
+//!   serialisation penalty, the free SRF peeks of the warp-wide driver,
 //!   capability marshalling.
 //! * [`classify`] — pre-execute issue classification: evaluates the ROM
 //!   slot's scalarisation rule — scalarised (warp-wide over compact
@@ -20,13 +21,15 @@
 //!   applied by one of two drivers: lane-wise over the loaned lane scratch
 //!   (the differential reference, forced by `Sm::set_scalarise(false)`) or
 //!   warp-wide over compact operands (see [`scalar`] for the compact
-//!   arithmetic).
+//!   arithmetic). Splats (`LUI`, `AUIPC`, CSR reads, links) have no lane
+//!   form: both drivers commit them compactly.
 //! * [`memstage`] — the memory stage: one check-then-commit path for every
 //!   load, store, capability transfer and atomic against the tagged store
 //!   its address routes to, then the timing: coalescer → tag controller →
 //!   DRAM, the scratchpad's banks, the compressed stack cache filter.
-//! * [`writeback`] — register writeback (spill/fill costing, lane-wise and
-//!   compact) and PC/status commit.
+//! * [`writeback`] — register writeback through two entry points, the lane
+//!   form and the compact form (spill/fill costing, `rf_transition`), and
+//!   PC/status commit.
 //!
 //! `Sm` itself (in [`crate::sm`]) keeps only the state and the host API;
 //! the stages reach into its `pub(crate)` fields exactly as the monolithic
@@ -43,7 +46,7 @@ pub(crate) mod scalar;
 pub(crate) mod schedule;
 pub(crate) mod writeback;
 
-use simt_regfile::{ReadInfo, WriteInfo};
+use crate::config::SmConfig;
 
 /// What one scheduler step did (see [`schedule`]).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -73,17 +76,13 @@ pub(crate) struct Costs {
 }
 
 impl Costs {
-    pub(crate) fn add_read(&mut self, spill_cycles: u32, lanes: u32, info: ReadInfo) {
-        let txns = lanes.div_ceil(16); // lanes * 4 bytes / 64-byte blocks
-        self.spill_cycles += (info.fills + info.spills) * spill_cycles;
-        self.dram_reads += info.fills * txns;
-        self.dram_writes += info.spills * txns;
-    }
-
-    pub(crate) fn add_write(&mut self, spill_cycles: u32, lanes: u32, info: WriteInfo) {
-        let txns = lanes.div_ceil(16);
-        self.spill_cycles += (info.fills + info.spills) * spill_cycles;
-        self.dram_reads += info.fills * txns;
-        self.dram_writes += info.spills * txns;
+    /// Charge the fills and spills one register-file read or write made:
+    /// the configured spill latency each, plus one DRAM transfer of the
+    /// vector apiece.
+    pub(crate) fn add_spill_fill(&mut self, cfg: &SmConfig, fills: u32, spills: u32) {
+        let txns = cfg.lanes.div_ceil(16); // lanes * 4 bytes / 64-byte blocks
+        self.spill_cycles += (fills + spills) * cfg.timing.spill_cycles;
+        self.dram_reads += fills * txns;
+        self.dram_writes += spills * txns;
     }
 }

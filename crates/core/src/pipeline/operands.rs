@@ -1,8 +1,13 @@
 //! Operand-collection stage: register-file reads.
 //!
-//! Owns the data/metadata RF read paths (including the NVO scalar path
-//! inside the compressed register file), the shared-VRF serialisation
-//! penalty and its `shared_vrf_conflict` counter, and the
+//! Two read forms, one per execute driver. The lane-wise driver reads
+//! whole vectors ([`Sm::read_data`], [`Sm::read_cap_operand`]); only these
+//! reads can fill or spill a register or read the VRF, so they own the
+//! spill/fill costs, the shared-VRF serialisation penalty and its
+//! `shared_vrf_conflict` counter. The warp-wide driver only reads registers
+//! its issue's scalarisation rule proved compact, and a compact SRF entry
+//! never fills, spills or touches the VRF, so those reads are free peeks
+//! ([`Sm::peek_data`], [`Sm::peek_meta`]). The module also holds the
 //! capability-marshalling helpers shared by every stage downstream
 //! (including [`CapMemo`], the per-warp decode memo of the lane-wise
 //! capability loops).
@@ -31,88 +36,13 @@ impl Sm {
             return ReadInfo::default();
         }
         let info = self.data_rf.read(w, reg.index() as u32, out);
-        costs.add_read(self.cfg.timing.spill_cycles, self.cfg.lanes, info);
+        costs.add_spill_fill(&self.cfg, info.fills, info.spills);
         info
     }
 
-    pub(crate) fn read_meta(
-        &mut self,
-        w: u32,
-        reg: Reg,
-        out: &mut [u64; MAX_LANES],
-        costs: &mut Costs,
-    ) -> ReadInfo {
-        if reg.is_zero() {
-            out[..self.cfg.lanes as usize].fill(NULL_META);
-            return ReadInfo::default();
-        }
-        let lanes = self.cfg.lanes;
-        let spill = self.cfg.timing.spill_cycles;
-        match self.meta_rf.as_mut() {
-            Some(rf) => {
-                let info = rf.read(w, reg.index() as u32, out);
-                costs.add_read(spill, lanes, info);
-                info
-            }
-            None => {
-                out[..lanes as usize].fill(NULL_META);
-                ReadInfo::default()
-            }
-        }
-    }
-
-    /// Compact read of a data operand: the stored register-file form
-    /// without lane expansion. Cost accounting matches [`Sm::read_data`]
-    /// exactly (compact entries never spill or fill, so on the scalarised
-    /// path this is free, as the lane-wise read of the same entry is).
-    pub(crate) fn read_data_compact(&mut self, w: u32, reg: Reg, costs: &mut Costs) -> OperandVec {
-        if reg.is_zero() {
-            return OperandVec::Uniform(0);
-        }
-        let (v, info) = self.data_rf.read_compact(w, reg.index() as u32);
-        costs.add_read(self.cfg.timing.spill_cycles, self.cfg.lanes, info);
-        v
-    }
-
-    /// Compact read of a full capability operand (data + metadata), the
-    /// counterpart of [`Sm::read_cap_operand`] including its shared-VRF
-    /// serialisation penalty (which cannot fire for the compact entries the
-    /// issue classifier admits, but the bookkeeping stays in one shape).
-    pub(crate) fn read_cap_compact(
-        &mut self,
-        w: u32,
-        reg: Reg,
-        costs: &mut Costs,
-    ) -> (OperandVec, OperandVec) {
-        let lanes = self.cfg.lanes;
-        let spill = self.cfg.timing.spill_cycles;
-        let (d, di) = if reg.is_zero() {
-            (OperandVec::Uniform(0), ReadInfo::default())
-        } else {
-            let (v, info) = self.data_rf.read_compact(w, reg.index() as u32);
-            costs.add_read(spill, lanes, info);
-            (v, info)
-        };
-        let (m, mi) = match self.meta_rf.as_mut() {
-            Some(rf) if !reg.is_zero() => {
-                let (v, info) = rf.read_compact(w, reg.index() as u32);
-                costs.add_read(spill, lanes, info);
-                (v, info)
-            }
-            _ => (OperandVec::Uniform(NULL_META), ReadInfo::default()),
-        };
-        if let Some(o) = self.opts {
-            if o.shared_vrf && di.from_vrf && mi.from_vrf {
-                costs.extra_cycles += 1;
-                self.stats.stalls.shared_vrf_conflict += 1;
-                self.emit_stall(w, StallCause::SharedVrfConflict, 1);
-            }
-        }
-        (d, m)
-    }
-
-    /// Read a full capability operand: data (address) + metadata, with the
-    /// shared-VRF serialisation penalty when both halves are uncompressed.
+    /// Read a full capability operand: data (address) + metadata (null
+    /// without a metadata register file), with the shared-VRF serialisation
+    /// penalty when both halves are uncompressed.
     pub(crate) fn read_cap_operand(
         &mut self,
         w: u32,
@@ -122,13 +52,40 @@ impl Sm {
         costs: &mut Costs,
     ) {
         let d = self.read_data(w, reg, data, costs);
-        let m = self.read_meta(w, reg, meta, costs);
-        if let Some(o) = self.opts {
-            if o.shared_vrf && d.from_vrf && m.from_vrf {
-                costs.extra_cycles += 1;
-                self.stats.stalls.shared_vrf_conflict += 1;
-                self.emit_stall(w, StallCause::SharedVrfConflict, 1);
+        let Some(rf) = self.meta_rf.as_mut().filter(|_| !reg.is_zero()) else {
+            meta[..self.cfg.lanes as usize].fill(NULL_META);
+            return;
+        };
+        let m = rf.read(w, reg.index() as u32, meta);
+        costs.add_spill_fill(&self.cfg, m.fills, m.spills);
+        if d.from_vrf && m.from_vrf && self.opts.is_some_and(|o| o.shared_vrf) {
+            costs.extra_cycles += 1;
+            self.stats.stalls.shared_vrf_conflict += 1;
+            self.emit_stall(w, StallCause::SharedVrfConflict, 1);
+        }
+    }
+
+    /// A data operand the issue's scalarisation rule proved compact, in its
+    /// stored form: an SRF peek, which fills, spills and costs nothing.
+    pub(crate) fn peek_data(&mut self, w: u32, reg: Reg) -> OperandVec {
+        if reg.is_zero() {
+            return OperandVec::Uniform(0);
+        }
+        let (v, info) = self.data_rf.read_compact(w, reg.index() as u32);
+        debug_assert_eq!(info, ReadInfo::default(), "peek of a non-compact {reg:?}");
+        v
+    }
+
+    /// The metadata of a capability operand the rule proved uniform, as
+    /// [`Sm::peek_data`] (null without a metadata register file).
+    pub(crate) fn peek_meta(&mut self, w: u32, reg: Reg) -> OperandVec {
+        match self.meta_rf.as_mut() {
+            Some(rf) if !reg.is_zero() => {
+                let (v, info) = rf.read_compact(w, reg.index() as u32);
+                debug_assert_eq!(info, ReadInfo::default(), "peek of a non-compact {reg:?}");
+                v
             }
+            _ => OperandVec::Uniform(NULL_META),
         }
     }
 

@@ -1,7 +1,11 @@
 //! Writeback stage: register-file writes and PC/status commit.
 //!
-//! Owns the data/metadata write paths (spill/fill costing, the
-//! `rf_transition` trace event) and the final commit of the selected
+//! Every result leaves an op through one of two entry points: [`Sm::writeback`]
+//! for lane vectors (the lane-wise driver and the memory stage) and
+//! [`Sm::writeback_compact`] for compact results (the warp-wide driver and
+//! every splat). Both share one commit, which skips `x0`, writes the
+//! metadata file exactly when CHERI is on, emits the `rf_transition` trace
+//! event and charges spill/fill costs. The stage also commits the selected
 //! threads' PCs and status changes, as lane-mask operations on the warp's
 //! `(pc, mask)` groups.
 
@@ -9,68 +13,41 @@ use super::Costs;
 use crate::sm::Sm;
 use crate::warp::{Selection, ThreadStatus};
 use simt_isa::Reg;
-use simt_regfile::{OperandVec, WriteInfo, NULL_META};
+use simt_regfile::{CompressedRegFile, OperandVec, WriteInfo, NULL_META};
 use simt_trace::{RfKind, TraceEvent};
 
 impl Sm {
-    /// Account for one register-file write: emit its residency-class
-    /// transition, if it made one, and charge its spill/fill cost.
-    fn commit_write(&mut self, w: u32, rf: RfKind, rd: Reg, info: WriteInfo, costs: &mut Costs) {
-        if let (Some(to_vector), Some(sink)) = (info.transition, self.sink.as_deref_mut()) {
-            sink.emit(TraceEvent::RfTransition {
-                cycle: self.cycle,
-                warp: w,
-                rf,
-                reg: rd.index() as u32,
-                to_vector,
-            });
-        }
-        costs.add_write(self.cfg.timing.spill_cycles, self.cfg.lanes, info);
-    }
-
-    pub(crate) fn write_data(
+    /// Commit a result to `rd`: `data` writes the data register file and,
+    /// under CHERI, `meta` the metadata one. Inlined into both entry points
+    /// so each binds its own writes.
+    #[inline(always)]
+    fn commit(
         &mut self,
         w: u32,
         rd: Reg,
-        vals: &[u64],
-        mask: u64,
         costs: &mut Costs,
+        data: impl FnOnce(&mut CompressedRegFile, u32) -> WriteInfo,
+        meta: impl FnOnce(&mut CompressedRegFile, u32) -> WriteInfo,
     ) {
         if rd.is_zero() {
             return;
         }
-        let info = self.data_rf.write(w, rd.index() as u32, vals, mask);
-        self.commit_write(w, RfKind::Data, rd, info, costs);
-    }
-
-    pub(crate) fn write_meta(
-        &mut self,
-        w: u32,
-        rd: Reg,
-        vals: &[u64],
-        mask: u64,
-        costs: &mut Costs,
-    ) {
-        if rd.is_zero() {
-            return;
-        }
+        let reg = rd.index() as u32;
+        let (sink, cycle, cfg) = (&mut self.sink, self.cycle, &self.cfg);
+        let mut account = |rf, info: WriteInfo| {
+            if let (Some(to_vector), Some(sink)) = (info.transition, sink.as_deref_mut()) {
+                sink.emit(TraceEvent::RfTransition { cycle, warp: w, rf, reg, to_vector });
+            }
+            costs.add_spill_fill(cfg, info.fills, info.spills);
+        };
+        account(RfKind::Data, data(&mut self.data_rf, reg));
         if let Some(rf) = self.meta_rf.as_mut() {
-            let info = rf.write(w, rd.index() as u32, vals, mask);
-            self.commit_write(w, RfKind::Meta, rd, info, costs);
+            account(RfKind::Meta, meta(rf, reg));
         }
     }
 
-    /// Null metadata for an integer result, as one compact uniform write
-    /// (bit-identical to writing a null vector, without the compressor scan).
-    pub(crate) fn write_meta_null(&mut self, w: u32, rd: Reg, mask: u64, costs: &mut Costs) {
-        if self.cheri() {
-            self.write_meta_compact(w, rd, &OperandVec::Uniform(NULL_META), mask, costs);
-        }
-    }
-
-    /// The common result-commit tail of the lane-wise execute path: data
-    /// write plus (under CHERI) the matching metadata — `rm` for
-    /// capability results, null metadata otherwise.
+    /// The lane form: `r` under `mask`, with (under CHERI) the metadata `rm`
+    /// of a capability result or null metadata for an integer one.
     pub(crate) fn writeback(
         &mut self,
         w: u32,
@@ -80,69 +57,40 @@ impl Sm {
         mask: u64,
         costs: &mut Costs,
     ) {
-        self.write_data(w, rd, r, mask, costs);
-        if self.cheri() {
-            match rm {
-                Some(rm) => self.write_meta(w, rd, rm, mask, costs),
-                None => self.write_meta_null(w, rd, mask, costs),
-            }
-        }
+        self.commit(
+            w,
+            rd,
+            costs,
+            |rf, reg| rf.write(w, reg, r, mask),
+            |rf, reg| match rm {
+                Some(rm) => rf.write(w, reg, rm, mask),
+                // One compact write, without the compressor scan.
+                None => rf.write_compact(w, reg, &OperandVec::Uniform(NULL_META), mask),
+            },
+        );
     }
 
-    /// Compact data write: the counterpart of [`Sm::write_data`] accepting
-    /// the result in register-file form (no recompression scan on the
-    /// scalarised path).
-    pub(crate) fn write_data_compact(
-        &mut self,
-        w: u32,
-        rd: Reg,
-        val: &OperandVec,
-        mask: u64,
-        costs: &mut Costs,
-    ) {
-        if rd.is_zero() {
-            return;
-        }
-        let info = self.data_rf.write_compact(w, rd.index() as u32, val, mask);
-        self.commit_write(w, RfKind::Data, rd, info, costs);
-    }
-
-    /// Compact metadata write (no-op without a metadata register file).
-    pub(crate) fn write_meta_compact(
-        &mut self,
-        w: u32,
-        rd: Reg,
-        val: &OperandVec,
-        mask: u64,
-        costs: &mut Costs,
-    ) {
-        if rd.is_zero() {
-            return;
-        }
-        if let Some(rf) = self.meta_rf.as_mut() {
-            let info = rf.write_compact(w, rd.index() as u32, val, mask);
-            self.commit_write(w, RfKind::Meta, rd, info, costs);
-        }
-    }
-
-    /// The result-commit tail of the scalarised execute path: compact data
-    /// write plus (under CHERI) the capability metadata (`meta` for
-    /// capability results, null metadata otherwise). Bit-identical to
-    /// [`Sm::writeback`] over the expanded equivalents.
+    /// The compact form: `val` under `mask`, with (under CHERI) the uniform
+    /// metadata `meta` of a capability result or null metadata for an
+    /// integer one. Bit-identical to [`Sm::writeback`] over the expanded
+    /// equivalents (`write_compact`'s contract).
     pub(crate) fn writeback_compact(
         &mut self,
         w: u32,
         rd: Reg,
         val: &OperandVec,
-        meta: Option<&OperandVec>,
+        meta: Option<u64>,
         mask: u64,
         costs: &mut Costs,
     ) {
-        self.write_data_compact(w, rd, val, mask, costs);
-        if self.cheri() {
-            let null = OperandVec::Uniform(NULL_META);
-            self.write_meta_compact(w, rd, meta.unwrap_or(&null), mask, costs);
-        }
+        let meta = OperandVec::Uniform(meta.unwrap_or(NULL_META));
+        self.commit(
+            w,
+            rd,
+            costs,
+            |rf, reg| rf.write_compact(w, reg, val, mask),
+            |rf, reg| rf.write_compact(w, reg, &meta, mask),
+        );
     }
 
     /// Commit every selected thread stepping to the same `next_pc` and

@@ -286,11 +286,14 @@ impl Sm {
 
     /// Enable or disable the warp-wide execute fast path over compact
     /// (uniform/affine) operands. On by default; turning it off forces the
-    /// lane-wise reference path for every issue. The two paths are
-    /// bit-identical — statistics (including [`KernelStats::scalarised_issues`],
-    /// which counts issue *classification*, not which path ran), trace
-    /// events and memory contents do not depend on this knob, so it exists
-    /// only for differential testing of the fast path itself.
+    /// lane-wise reference driver for every data, capability, branch and
+    /// `JALR` issue. Splats (`LUI`, `AUIPC`, CSR reads and `JAL`'s link)
+    /// have one form and commit compactly either way. The two drivers are
+    /// bit-identical — statistics (including
+    /// [`KernelStats::scalarised_issues`], which counts issue
+    /// *classification*, not which driver ran), trace events and memory
+    /// contents do not depend on this knob, so it exists only for
+    /// differential testing of the fast path itself.
     pub fn set_scalarise(&mut self, enabled: bool) {
         self.scalarise = enabled;
     }

@@ -447,11 +447,6 @@ impl CompressedRegFile {
         ReadInfo { from_vrf, fills, spills }
     }
 
-    /// Peek at a register without touching spill state (host/debug use).
-    pub fn peek(&self, warp: u32, reg: u32, out: &mut [u64]) {
-        self.expand_into(&self.entries[(warp * self.cfg.arch_regs + reg) as usize], out);
-    }
-
     /// Write the active lanes (set bits of `mask`) of a vector register.
     /// Inactive lanes keep their old values. The write path re-runs the
     /// compressor on the merged vector, exactly like the hardware's array of
@@ -931,6 +926,29 @@ mod tests {
         let mut out = [0u64; 8];
         v.expand_into(&mut out);
         assert_eq!(out[3], 3 * 97 + r as u64);
+
+        // With the VRF full and other registers still spilled, a compact
+        // entry reads for free: no fill, no spill, no VRF, no statistics.
+        // The warp-wide execute driver relies on this to read its operands
+        // without cost accounting.
+        rf.write(0, 6, &vals(|_| 5), u64::MAX);
+        rf.write(1, 2, &vals(|i| 40 + 3 * i as u64), u64::MAX);
+        assert_eq!(
+            (rf.class_of(0, 6), rf.class_of(1, 2)),
+            (OperandClass::Uniform, OperandClass::Affine)
+        );
+        assert_eq!(rf.vrf_resident(), 4);
+        assert!(rf.stats().spills > rf.stats().fills, "some registers stay spilled");
+        let before = rf.stats();
+        for warp in 0..2 {
+            for reg in 0..rf.config().arch_regs {
+                if rf.class_of(warp, reg) != OperandClass::Vector {
+                    assert_eq!(rf.read_compact(warp, reg).1, ReadInfo::default(), "{warp}/{reg}");
+                }
+            }
+        }
+        assert_eq!(rf.stats(), before);
+        assert_eq!(rf.vrf_resident(), 4);
     }
 
     #[test]
