@@ -11,7 +11,7 @@
 //!   the naive configuration but once per SM (in the shared function unit)
 //!   in the optimised one;
 //! * the bit-exact register-file storage accounting of [`simt_regfile`];
-//! * calibrated structural constants (documented in [`calib`]) that land
+//! * calibrated structural constants (documented in `calib.rs`) that land
 //!   the baseline on the published Table-3 figures, so the *deltas* — the
 //!   quantities the paper's argument rests on — are produced structurally.
 //!
@@ -27,10 +27,7 @@
 //! assert!(oh_opt < oh_naive * 60 / 100);
 //! ```
 
-#![forbid(unsafe_code)]
-#![warn(missing_docs)]
-
-pub mod calib;
+mod calib;
 
 use cheri_simt::{CheriOpts, SmConfig};
 use simt_regfile::{uncompressed_bits, RegFileStorage, RfConfig};
@@ -120,7 +117,7 @@ pub fn synthesise(cfg: &SmConfig) -> AreaReport {
 
 /// Block-RAM bits (Kb) for a configuration — structural, from the register
 /// file accounting plus the fixed memories.
-pub fn bram_kilobits(cfg: &SmConfig) -> f64 {
+fn bram_kilobits(cfg: &SmConfig) -> f64 {
     let data_rf = RegFileStorage::for_config(&RfConfig::data(cfg.warps, cfg.lanes, cfg.vrf_slots));
     let mut kb = data_rf.kilobits();
     kb += calib::TCIM_KB + calib::SCRATCH_KB + calib::QUEUES_KB;

@@ -111,7 +111,7 @@ pub struct FaultsReport {
 
 /// Every trap cause the experiment must demonstrate: the ten CHERI
 /// capability exceptions plus the three memory-fault variants.
-pub fn required_causes() -> Vec<&'static str> {
+fn required_causes() -> Vec<&'static str> {
     let mut v: Vec<&'static str> =
         CapException::ALL.iter().map(|&e| TrapCause::Cheri(e).name()).collect();
     v.push(TrapCause::Mem(MemFault::Unmapped(0)).name());
@@ -122,7 +122,7 @@ pub fn required_causes() -> Vec<&'static str> {
 
 impl FaultsReport {
     /// Coverage per cause: how often it fired and where it was first seen.
-    pub fn coverage(&self) -> BTreeMap<&'static str, (u64, String)> {
+    pub(crate) fn coverage(&self) -> BTreeMap<&'static str, (u64, String)> {
         let mut cov: BTreeMap<&'static str, (u64, String)> = BTreeMap::new();
         for c in &self.cells {
             for &cause in &c.causes {
@@ -251,7 +251,7 @@ fn trap_causes(t: &Trap) -> Vec<&'static str> {
 }
 
 /// All directed probes, in [`required_causes`] order.
-pub fn run_probes(seed: u64) -> Vec<ProbeResult> {
+fn run_probes(seed: u64) -> Vec<ProbeResult> {
     let mut out: Vec<ProbeResult> =
         CapException::ALL.iter().map(|&e| cheri_probe(e, seed)).collect();
     out.push(mem_probe_unmapped());

@@ -7,9 +7,6 @@
 //! runs, cached or not, goes through the harness, so each one runs at the
 //! harness's geometry, worker count and SM count.
 
-#![forbid(unsafe_code)]
-#![warn(missing_docs)]
-
 mod experiments;
 mod faults;
 mod runner;
@@ -17,8 +14,8 @@ mod trace;
 
 pub use experiments::*;
 pub use faults::{
-    faults_experiment, faults_summary, quick_fault_benches, required_causes, run_probes,
-    CellOutcome, FaultsReport, MatrixCell, ProbeResult,
+    faults_experiment, faults_summary, quick_fault_benches, CellOutcome, FaultsReport, MatrixCell,
+    ProbeResult,
 };
 pub use runner::{default_jobs, run_indexed, run_suite_parallel_on, CellError};
 pub use trace::{
@@ -42,7 +39,7 @@ pub enum Geometry {
 
 impl Geometry {
     /// The dataset scale that goes with this geometry.
-    pub fn scale(self) -> Scale {
+    pub(crate) fn scale(self) -> Scale {
         match self {
             Geometry::Full => Scale::Paper,
             Geometry::Small => Scale::Test,
@@ -156,7 +153,7 @@ impl Harness {
     }
 
     /// The geometry in use.
-    pub fn geometry(&self) -> Geometry {
+    pub(crate) fn geometry(&self) -> Geometry {
         self.geometry
     }
 
@@ -193,7 +190,7 @@ impl Harness {
     }
 
     /// Total architectural vector registers at this geometry.
-    pub fn total_regs(&self) -> u32 {
+    pub(crate) fn total_regs(&self) -> u32 {
         let (cfg, _) = Config::Base { eighths: 3 }.instantiate(self.geometry);
         cfg.warps * 32
     }

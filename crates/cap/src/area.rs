@@ -21,11 +21,11 @@ pub const SET_ADDR: u32 = 106;
 /// `isAccessInBounds`: check an access against partially decompressed bounds.
 pub const IS_ACCESS_IN_BOUNDS: u32 = 25;
 /// `getBase`: return the decoded lower bound.
-pub const GET_BASE: u32 = 50;
+pub(crate) const GET_BASE: u32 = 50;
 /// `getLength`: return the decoded length.
-pub const GET_LENGTH: u32 = 20;
+pub(crate) const GET_LENGTH: u32 = 20;
 /// `getTop`: return the decoded 33-bit upper bound.
-pub const GET_TOP: u32 = 78;
+pub(crate) const GET_TOP: u32 = 78;
 /// `setBounds`: narrow bounds to a given base and length.
 pub const SET_BOUNDS: u32 = 287;
 

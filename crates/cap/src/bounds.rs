@@ -50,25 +50,25 @@ impl BoundsField {
 
     /// The six explicit top bits `T[5:0]`.
     #[inline]
-    pub fn t_low(self) -> u8 {
+    pub(crate) fn t_low(self) -> u8 {
         ((self.0 >> 8) & 0x3F) as u8
     }
 
     /// The eight explicit base bits `B[7:0]`.
     #[inline]
-    pub fn b(self) -> u8 {
+    pub(crate) fn b(self) -> u8 {
         (self.0 & 0xFF) as u8
     }
 
     /// Pack raw fields. Values are masked to their field widths.
     #[inline]
-    pub fn pack(ie: bool, t_low: u8, b: u8) -> Self {
+    pub(crate) fn pack(ie: bool, t_low: u8, b: u8) -> Self {
         BoundsField(((ie as u16) << 14) | (((t_low & 0x3F) as u16) << 8) | b as u16)
     }
 
     /// The bounds field of the almighty capability: `E = RESET_EXP`,
     /// `B = 0`, mantissa `T = 0` (top is derived as `2^32`).
-    pub fn almighty() -> Self {
+    pub(crate) fn almighty() -> Self {
         encode(0, TOP_MAX).field
     }
 }

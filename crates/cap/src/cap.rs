@@ -222,12 +222,6 @@ impl CapPipe {
         self.bounds.length()
     }
 
-    /// The offset of the address from the base (may be "negative" — wraps).
-    #[inline]
-    pub fn offset(self) -> u32 {
-        self.addr.wrapping_sub(self.bounds.base)
-    }
-
     /// The representable region containing the address: every address in
     /// it decodes to these same bounds.
     #[inline]

@@ -46,23 +46,6 @@ impl CapException {
         CapException::AlignmentViolation,
         CapException::InexactBounds,
     ];
-
-    /// A stable machine-readable name (used by trace events and coverage
-    /// tables; the `Display` impl stays human-oriented).
-    pub fn name(self) -> &'static str {
-        match self {
-            CapException::TagViolation => "tag",
-            CapException::SealViolation => "seal",
-            CapException::BoundsViolation => "bounds",
-            CapException::PermitLoadViolation => "permit_load",
-            CapException::PermitStoreViolation => "permit_store",
-            CapException::PermitExecuteViolation => "permit_execute",
-            CapException::PermitLoadCapViolation => "permit_load_cap",
-            CapException::PermitStoreCapViolation => "permit_store_cap",
-            CapException::AlignmentViolation => "alignment",
-            CapException::InexactBounds => "inexact_bounds",
-        }
-    }
 }
 
 impl fmt::Display for CapException {

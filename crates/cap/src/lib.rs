@@ -41,9 +41,6 @@
 //! assert!(buf.perms().contains(Perms::LOAD | Perms::STORE));
 //! ```
 
-#![forbid(unsafe_code)]
-#![warn(missing_docs)]
-
 pub mod area;
 pub mod bounds;
 mod cap;

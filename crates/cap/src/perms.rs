@@ -74,12 +74,6 @@ impl Perms {
     pub fn contains(self, other: Perms) -> bool {
         self.0 & other.0 == other.0
     }
-
-    /// True if no permission is granted.
-    #[inline]
-    pub fn is_empty(self) -> bool {
-        self.0 == 0
-    }
 }
 
 impl BitOr for Perms {
@@ -150,7 +144,7 @@ mod tests {
         assert_eq!(p, Perms::ALL);
         assert!(Perms::data().contains(Perms::LOAD));
         assert!(!Perms::data().contains(Perms::EXECUTE));
-        assert!((Perms::ALL & !Perms::EXECUTE & Perms::EXECUTE).is_empty());
+        assert_eq!(Perms::ALL & !Perms::EXECUTE & Perms::EXECUTE, Perms::NONE);
     }
 
     #[test]

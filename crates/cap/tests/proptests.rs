@@ -8,7 +8,7 @@
 //! replay), then over a large randomized sweep.
 
 use cheri_cap::bounds::{self, Bounds, BoundsField, Region, TOP_MAX};
-use cheri_cap::{AccessWidth, CapMem, CapPipe, Perms};
+use cheri_cap::{AccessWidth, CapException, CapMem, CapPipe, Perms};
 use sim_prng::Prng;
 
 const CASES: usize = 4096;
@@ -219,23 +219,104 @@ fn derivation_is_monotone() {
     }
 }
 
-/// An access that check_access admits is always within the decoded
-/// bounds; one that's out of bounds is always refused.
+/// `check_access` admits an access exactly when the capability is tagged,
+/// unsealed, grants the access's permissions (`LOAD`/`STORE`, plus
+/// `LOAD_CAP`/`STORE_CAP` and 8-byte alignment for a capability-wide one)
+/// and the access lies inside the decoded bounds; an access refused only
+/// for its bounds reports `BoundsViolation`. Inputs draw every width, a
+/// random permission subset and, one time in four, a sentry seal.
 #[test]
 fn check_access_agrees_with_bounds() {
+    let widths = [AccessWidth::Byte, AccessWidth::Half, AccessWidth::Word, AccessWidth::Cap];
     let mut r = Prng::seed_from_u64(0x00AC_CE55);
     for _ in 0..CASES {
         let addr = r.next_u32();
         let len = r.range_u32(1, (1 << 16) + 1);
-        let probe = r.next_u32();
-        let width = *r.choose(&[AccessWidth::Byte, AccessWidth::Half, AccessWidth::Word]);
-        let w = width.bytes();
+        let probe =
+            if r.next_bool() { addr.wrapping_add(r.range_u32(0, len + 8)) } else { r.next_u32() };
+        let width = *r.choose(&widths);
+        let store = r.next_bool();
+        let perms = if r.next_bool() { Perms::ALL } else { Perms::from_bits(r.next_u32() as u16) };
 
         let (c, _) = CapPipe::almighty().set_addr(addr).set_bounds(len);
-        if c.tag() {
-            let ok = c.check_access(probe, width, false, false).is_ok();
-            let inside = probe as u64 >= c.base() as u64 && probe as u64 + w as u64 <= c.top();
-            assert_eq!(ok, inside, "addr={addr:#x} len={len} probe={probe:#x} w={w}");
+        let c = c.and_perm(perms);
+        let c = if r.range_u32(0, 4) == 0 { c.seal_entry() } else { c };
+        let cap_access = width == AccessWidth::Cap;
+        let w = width.bytes();
+        let (need, need_cap) =
+            if store { (Perms::STORE, Perms::STORE_CAP) } else { (Perms::LOAD, Perms::LOAD_CAP) };
+        let rights = c.tag()
+            && !c.is_sealed()
+            && c.perms().contains(need)
+            && (!cap_access || (c.perms().contains(need_cap) && probe.is_multiple_of(8)));
+        let inside = probe as u64 >= c.base() as u64 && probe as u64 + w as u64 <= c.top();
+        let got = c.check_access(probe, width, store, cap_access);
+        let ctx = format!("{c} probe={probe:#x} w={w} store={store}");
+        assert_eq!(got.is_ok(), rights && inside, "{ctx}");
+        if rights && !inside {
+            assert_eq!(got, Err(CapException::BoundsViolation), "{ctx}");
+        }
+    }
+}
+
+/// A capability with arbitrary sampled fields: any permissions, object
+/// type, flag, bounds field and address, tagged.
+fn sampled_cap(r: &mut Prng) -> CapPipe {
+    CapPipe::from_mem(CapMem::from_parts(r.next_u32(), r.next_u32(), true))
+}
+
+/// A sealed capability is immutable: every operation that would change it
+/// returns it untagged, whatever its fields and the operands.
+#[test]
+fn sealed_capabilities_are_immutable() {
+    let mut r = Prng::seed_from_u64(0x5EA1_ED00);
+    for _ in 0..CASES {
+        let c = sampled_cap(&mut r);
+        let c = if c.is_sealed() { c } else { c.seal_entry() };
+        assert!(c.tag() && c.is_sealed(), "{c}");
+        let (addr, len) = (r.next_u32(), r.next_u32());
+        let perms = Perms::from_bits(r.next_u32() as u16);
+        let results = [
+            ("set_addr", c.set_addr(addr)),
+            ("inc_offset", c.inc_offset(addr)),
+            ("set_bounds", c.set_bounds(len).0),
+            ("and_perm", c.and_perm(perms)),
+            ("set_flags", c.set_flags(r.next_bool())),
+            ("seal_entry", c.seal_entry()),
+        ];
+        for (op, got) in results {
+            assert!(!got.tag(), "{op} on sealed {c} kept the tag");
+        }
+    }
+}
+
+/// Every non-monotone step clears the tag: `and_perm` and `set_flags` on a
+/// sealed input, and `set_bounds` on any request that leaves the source
+/// bounds.
+#[test]
+fn non_monotone_steps_clear_the_tag() {
+    let mut r = Prng::seed_from_u64(0x0303_7073);
+    for _ in 0..CASES {
+        let c = sampled_cap(&mut r);
+        let sealed = if c.is_sealed() { c } else { c.seal_entry() };
+        let perms = Perms::from_bits(r.next_u32() as u16);
+        assert!(!sealed.and_perm(perms).tag(), "and_perm on sealed {sealed}");
+        assert!(!sealed.set_flags(r.next_bool()).tag(), "set_flags on sealed {sealed}");
+
+        // An unsealed source and a request that starts or ends outside it.
+        let (src, _) = CapPipe::almighty().set_addr(r.next_u32()).set_bounds(r.next_u32() >> 8);
+        let (base, top) = (src.base(), src.top());
+        let start = match r.range_u32(0, 3) {
+            0 => base.wrapping_sub(r.range_u32(1, 64)),
+            1 => (top as u32).wrapping_sub(r.range_u32(0, 64)),
+            _ => r.next_u32(),
+        };
+        let scale = r.range_u32(0, 32);
+        let len = r.range_u32(0, 1 << scale);
+        let end = start as u64 + len as u64;
+        if (start as u64) < base as u64 || end > top {
+            let (got, _) = src.set_addr(start).set_bounds(len);
+            assert!(!got.tag(), "{src}: set_bounds [{start:#x}, {end:#x}) kept the tag");
         }
     }
 }

@@ -47,13 +47,6 @@ pub struct StallBreakdown {
     pub idle: u64,
 }
 
-impl StallBreakdown {
-    /// All stall cycles attributable to CHERI mechanisms.
-    pub fn cheri_stalls(&self) -> u64 {
-        self.csc_serialisation + self.shared_vrf_conflict + self.cap_multi_flit
-    }
-}
-
 /// Trap and fault counters (the trap-precision subsystem).
 ///
 /// `traps` counts warp-precise trap deliveries; `faulting_lanes` sums the
@@ -169,17 +162,12 @@ pub struct KernelStats {
 }
 
 impl KernelStats {
-    /// Total executed CHERI instructions.
-    pub fn cheri_instrs(&self) -> u64 {
-        self.cheri_histogram.values().sum()
-    }
-
     /// Fraction of executed instructions that were CHERI instructions.
     pub fn cheri_fraction(&self) -> f64 {
         if self.instrs == 0 {
             0.0
         } else {
-            self.cheri_instrs() as f64 / self.instrs as f64
+            self.cheri_histogram.values().sum::<u64>() as f64 / self.instrs as f64
         }
     }
 
@@ -270,7 +258,6 @@ mod tests {
         let mut s = KernelStats { cycles: 1000, instrs: 800, ..KernelStats::default() };
         s.count_cheri("CLW", 60);
         s.count_cheri("CIncOffsetImm", 20);
-        assert_eq!(s.cheri_instrs(), 80);
         assert!((s.cheri_fraction() - 0.1).abs() < 1e-12);
         assert!((s.ipc() - 0.8).abs() < 1e-12);
     }

@@ -14,6 +14,13 @@
 //! Beyond hart placement (below), no SM behaves differently for the SM
 //! count.
 //!
+//! `Device` is the only public way to set up a launch: [`Device::new`]
+//! fixes each SM's hart placement, and [`Device::load_program`],
+//! [`Device::set_scr`], [`Device::set_stack_region`],
+//! [`Device::set_block_warps`] and [`Device::set_bounds_table`] apply the
+//! program, special capability registers, stack arena, block size and
+//! GPUShield bounds table to every SM alike.
+//!
 //! # Arbitration model
 //!
 //! The device interleaves the SMs at instruction granularity: the next
@@ -94,16 +101,10 @@ impl Device {
     pub fn new(cfg: SmConfig, sms: u32) -> Self {
         assert!(sms >= 1, "a device needs at least one SM");
         let threads = cfg.threads();
-        let mut cores: Vec<Sm> = (0..sms).map(|_| Sm::new(cfg)).collect();
-        for (k, sm) in cores.iter_mut().enumerate() {
-            sm.set_hart_base(k as u32 * threads);
-            sm.set_device_threads(sms * threads);
-        }
-        let n = cores.len();
         Device {
-            sms: cores,
+            sms: (0..sms).map(|k| Sm::new(cfg, k * threads, sms * threads)).collect(),
             mem_system: MemSystem::new(&cfg),
-            sm_stats: vec![None; n],
+            sm_stats: vec![None; sms as usize],
             stats: KernelStats::default(),
         }
     }

@@ -4,7 +4,7 @@
 use simt_isa::{AluOp, AmoOp, BranchCond, FcmpOp, FpOp, MulOp};
 
 /// Integer ALU.
-pub fn alu(op: AluOp, a: u32, b: u32) -> u32 {
+pub(crate) fn alu(op: AluOp, a: u32, b: u32) -> u32 {
     match op {
         AluOp::Add => a.wrapping_add(b),
         AluOp::Sub => a.wrapping_sub(b),
@@ -21,7 +21,7 @@ pub fn alu(op: AluOp, a: u32, b: u32) -> u32 {
 
 /// M-extension multiply/divide with RISC-V semantics (division by zero and
 /// overflow produce defined results, no traps).
-pub fn muldiv(op: MulOp, a: u32, b: u32) -> u32 {
+pub(crate) fn muldiv(op: MulOp, a: u32, b: u32) -> u32 {
     let (sa, sb) = (a as i32, b as i32);
     match op {
         MulOp::Mul => a.wrapping_mul(b),
@@ -58,7 +58,7 @@ pub fn muldiv(op: MulOp, a: u32, b: u32) -> u32 {
 }
 
 /// Branch condition evaluation.
-pub fn branch_taken(cond: BranchCond, a: u32, b: u32) -> bool {
+pub(crate) fn branch_taken(cond: BranchCond, a: u32, b: u32) -> bool {
     match cond {
         BranchCond::Eq => a == b,
         BranchCond::Ne => a != b,
@@ -70,7 +70,7 @@ pub fn branch_taken(cond: BranchCond, a: u32, b: u32) -> bool {
 }
 
 /// Zfinx floating-point arithmetic on raw bit patterns.
-pub fn fp(op: FpOp, a: u32, b: u32) -> u32 {
+pub(crate) fn fp(op: FpOp, a: u32, b: u32) -> u32 {
     let (x, y) = (f32::from_bits(a), f32::from_bits(b));
     let r = match op {
         FpOp::Add => x + y,
@@ -84,12 +84,12 @@ pub fn fp(op: FpOp, a: u32, b: u32) -> u32 {
 }
 
 /// Floating-point square root.
-pub fn fsqrt(a: u32) -> u32 {
+pub(crate) fn fsqrt(a: u32) -> u32 {
     f32::from_bits(a).sqrt().to_bits()
 }
 
 /// Floating-point comparison (0/1 result, false on NaN as per RISC-V).
-pub fn fcmp(op: FcmpOp, a: u32, b: u32) -> u32 {
+pub(crate) fn fcmp(op: FcmpOp, a: u32, b: u32) -> u32 {
     let (x, y) = (f32::from_bits(a), f32::from_bits(b));
     let r = match op {
         FcmpOp::Eq => x == y,
@@ -100,7 +100,7 @@ pub fn fcmp(op: FcmpOp, a: u32, b: u32) -> u32 {
 }
 
 /// Convert float to (un)signed 32-bit integer, saturating as per RISC-V.
-pub fn fcvt_ws(a: u32, signed: bool) -> u32 {
+pub(crate) fn fcvt_ws(a: u32, signed: bool) -> u32 {
     let x = f32::from_bits(a);
     if signed {
         if x.is_nan() {
@@ -116,7 +116,7 @@ pub fn fcvt_ws(a: u32, signed: bool) -> u32 {
 }
 
 /// Convert (un)signed 32-bit integer to float.
-pub fn fcvt_sw(a: u32, signed: bool) -> u32 {
+pub(crate) fn fcvt_sw(a: u32, signed: bool) -> u32 {
     if signed {
         (a as i32 as f32).to_bits()
     } else {
@@ -125,7 +125,7 @@ pub fn fcvt_sw(a: u32, signed: bool) -> u32 {
 }
 
 /// Atomic read-modify-write combine function: returns the new memory value.
-pub fn amo(op: AmoOp, old: u32, operand: u32) -> u32 {
+pub(crate) fn amo(op: AmoOp, old: u32, operand: u32) -> u32 {
     match op {
         AmoOp::Swap => operand,
         AmoOp::Add => old.wrapping_add(operand),

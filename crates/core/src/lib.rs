@@ -45,13 +45,10 @@
 //! # Ok::<(), cheri_simt::RunError>(())
 //! ```
 
-#![forbid(unsafe_code)]
-#![warn(missing_docs)]
-
 mod config;
 mod counters;
 mod device;
-pub mod exec;
+mod exec;
 mod pipeline;
 mod rom;
 pub mod shield;

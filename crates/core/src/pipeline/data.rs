@@ -14,9 +14,10 @@
 //! [`Sm::writeback_compact`] whichever driver the issue runs on.
 //!
 //! CSR reads are virtualised for multi-SM devices: `MHARTID` is offset by
-//! the SM's [`Sm::set_hart_base`] placement and `SIMT_NUM_THREADS` reads
-//! the device-wide thread count, so an unmodified grid-stride kernel
-//! distributes its blocks across every SM of a [`crate::Device`].
+//! the SM's hart base (its placement, fixed by [`crate::Device::new`]) and
+//! `SIMT_NUM_THREADS` reads the device-wide thread count, so an unmodified
+//! grid-stride kernel distributes its blocks across every SM of a
+//! [`crate::Device`].
 
 use super::scalar::linear2;
 use super::{active_lanes, Costs};

@@ -544,7 +544,7 @@ mod tests {
             .map(|&(_, mode, table)| {
                 let mut cfg = SmConfig::with_geometry(1, LANES, mode);
                 cfg.dram_size = DRAM_SIZE;
-                let mut sm = Sm::new(cfg);
+                let mut sm = Sm::new(cfg, 0, cfg.threads());
                 if table {
                     sm.bounds_table =
                         Some(BoundsTable::new(vec![(map::DRAM_BASE + 0x1000, 0x1000)]));

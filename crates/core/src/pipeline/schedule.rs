@@ -163,7 +163,7 @@ mod tests {
         let mut a = Assembler::new();
         a.terminate();
         let cfg = SmConfig::small(CheriMode::Off);
-        let mut sm = Sm::new(cfg);
+        let mut sm = Sm::new(cfg, 0, cfg.threads());
         let mut ms = MemSystem::new(&cfg);
         sm.load_program(&a.assemble());
         sm.reset();

@@ -13,7 +13,7 @@
 use crate::trap::TrapCause;
 
 /// Bit position of the 4-bit region id within a pointer.
-pub const ID_SHIFT: u32 = 24;
+pub(crate) const ID_SHIFT: u32 = 24;
 /// Mask of the id field (within the address).
 pub const ID_MASK: u32 = 0xF << ID_SHIFT;
 /// Number of protectable regions (id 0 is "unprotected").
@@ -53,7 +53,7 @@ impl BoundsTable {
     /// # Errors
     ///
     /// Returns the trap cause on a bounds violation.
-    pub fn translate(&self, ea: u32, bytes: u32) -> Result<u32, TrapCause> {
+    pub(crate) fn translate(&self, ea: u32, bytes: u32) -> Result<u32, TrapCause> {
         if ea & 0x8000_0000 == 0 {
             return Ok(ea); // scratchpad/TCIM: GPUShield cannot protect these
         }

@@ -4,12 +4,17 @@
 //! The per-stage logic lives in [`crate::pipeline`] — `schedule`,
 //! `operands`, `execute`, `memstage` and `writeback` each contribute an
 //! `impl Sm` block owning their slice of the statistics and trace events.
-//! This module keeps only the state and the host API (program loading,
-//! SCRs, sinks, reset, the end-of-run snapshot); the run loop that drives
-//! [`Sm::step`] lives in [`crate::Device`], which also owns the memory
-//! system the stages borrow. An SM has no notion of how many SMs share
-//! that memory system: a step always issues at most one instruction, and
-//! the device alone decides how many steps an SM takes in a row.
+//! This module keeps only the state, the launch set-up the device applies
+//! to it (program loading, SCRs, stack region, block size, bounds table,
+//! reset, the end-of-run snapshot) and the small public surface: the
+//! scratchpad ([`Sm::scratchpad`], [`Sm::scratchpad_mut`]), the event sink
+//! ([`Sm::set_sink`], [`Sm::take_sink`]), [`Sm::set_scalarise`] and
+//! [`Sm::suppressed_traps`]. A launch is set up only through
+//! [`crate::Device`], which places each SM's harts when it builds it, runs
+//! the loop that drives [`Sm::step`] and owns the memory system the stages
+//! borrow. An SM has no notion of how many SMs share that memory system: a
+//! step always issues at most one instruction, and the device alone decides
+//! how many steps an SM takes in a row.
 
 use crate::config::{CheriOpts, SmConfig};
 use crate::counters::KernelStats;
@@ -160,8 +165,11 @@ impl Sm {
 }
 
 impl Sm {
-    /// Build an SM from a configuration.
-    pub(crate) fn new(cfg: SmConfig) -> Self {
+    /// Build an SM from a configuration, placed at `hart_base` within a
+    /// device of `device_threads` hardware threads: `MHARTID` reads
+    /// `hart_base + warp × lanes + lane`, and `SIMT_NUM_THREADS` reads
+    /// `device_threads`.
+    pub(crate) fn new(cfg: SmConfig, hart_base: u32, device_threads: u32) -> Self {
         let opts = cfg.cheri.opts();
         let data_rf = CompressedRegFile::new(RfConfig::data(cfg.warps, cfg.lanes, cfg.vrf_slots));
         let meta_rf = opts.map(|o| {
@@ -204,8 +212,8 @@ impl Sm {
             samples: 0,
             sum_data_resident: 0,
             sum_meta_resident: 0,
-            hart_base: 0,
-            device_threads: cfg.threads(),
+            hart_base,
+            device_threads,
             scalarise: true,
             suppressed: Vec::new(),
             bufs: Some(LaneBufs::new()),
@@ -215,7 +223,7 @@ impl Sm {
     }
 
     /// The configuration.
-    pub fn config(&self) -> &SmConfig {
+    pub(crate) fn config(&self) -> &SmConfig {
         &self.cfg
     }
 
@@ -232,30 +240,8 @@ impl Sm {
     }
 
     /// Set a special capability register (host side, at launch).
-    pub fn set_scr(&mut self, index: u8, cap: CapMem) {
+    pub(crate) fn set_scr(&mut self, index: u8, cap: CapMem) {
         self.scrs[index as usize] = cap;
-    }
-
-    /// Place this SM at `hart_base` within a device: `MHARTID` reads
-    /// `hart_base + warp × lanes + lane`.
-    pub fn set_hart_base(&mut self, hart_base: u32) {
-        self.hart_base = hart_base;
-    }
-
-    /// First global hart id on this SM.
-    pub fn hart_base(&self) -> u32 {
-        self.hart_base
-    }
-
-    /// Override what `SIMT_NUM_THREADS` reads (the device-wide hardware
-    /// thread count on a multi-SM device). Defaults to this SM's own
-    /// thread count.
-    pub fn set_device_threads(&mut self, threads: u32) {
-        assert!(
-            threads >= self.cfg.threads() && threads.is_multiple_of(self.cfg.threads()),
-            "device threads must be a whole number of SMs"
-        );
-        self.device_threads = threads;
     }
 
     /// Attach a structured event sink: the pipeline stages will emit
@@ -277,11 +263,6 @@ impl Sm {
     /// tracing. Use [`EventSink::as_any`] to downcast to the concrete sink.
     pub fn take_sink(&mut self) -> Option<Box<dyn EventSink>> {
         self.sink.take()
-    }
-
-    /// Is a structured event sink attached?
-    pub fn has_sink(&self) -> bool {
-        self.sink.is_some()
     }
 
     /// Enable or disable the warp-wide execute fast path over compact
@@ -310,13 +291,13 @@ impl Sm {
 
     /// Install (or clear) a GPUShield-style bounds table for the next run
     /// — the comparator of Section 5.2. Ignored under CHERI.
-    pub fn set_bounds_table(&mut self, table: Option<crate::shield::BoundsTable>) {
+    pub(crate) fn set_bounds_table(&mut self, table: Option<crate::shield::BoundsTable>) {
         self.bounds_table = table;
     }
 
     /// Tell the SM where the per-thread stack arena lives, so the
     /// compressed stack cache (when enabled) only filters spill traffic.
-    pub fn set_stack_region(&mut self, base: u32, size: u32) {
+    pub(crate) fn set_stack_region(&mut self, base: u32, size: u32) {
         self.stack_region = Some((base, size));
     }
 
@@ -325,7 +306,7 @@ impl Sm {
     /// # Panics
     ///
     /// Panics unless the block size divides the warp count.
-    pub fn set_block_warps(&mut self, warps: u32) {
+    pub(crate) fn set_block_warps(&mut self, warps: u32) {
         assert!(warps >= 1 && self.cfg.warps.is_multiple_of(warps), "blocks must tile the SM");
         self.block_warps = warps;
     }
@@ -431,13 +412,7 @@ impl Sm {
             s.avg_data_vrf_resident = self.sum_data_resident as f64 / self.samples as f64;
             s.avg_meta_vrf_resident = self.sum_meta_resident as f64 / self.samples as f64;
         }
-        self.stats = s.clone();
         s
-    }
-
-    /// Read back the statistics of the last completed run.
-    pub fn stats(&self) -> &KernelStats {
-        &self.stats
     }
 
     /// Traps suppressed under `TrapPolicy::MaskLanes` during the current

@@ -97,22 +97,9 @@ pub struct Trap {
 }
 
 impl Trap {
-    /// A trap with a single faulting lane (the common case outside the
-    /// memory stage).
-    pub fn single(warp: u32, lane: u32, pc: u32, cause: TrapCause) -> Self {
-        Trap {
-            warp,
-            lane,
-            pc,
-            cause,
-            lane_mask: 1u64 << lane,
-            lane_causes: vec![LaneFault { lane, cause }],
-        }
-    }
-
     /// A warp-wide trap: every lane in `mask` faulted for the same reason
     /// (fetch/decode-stage causes that precede per-lane execution).
-    pub fn warp_wide(warp: u32, mask: u64, pc: u32, cause: TrapCause) -> Self {
+    pub(crate) fn warp_wide(warp: u32, mask: u64, pc: u32, cause: TrapCause) -> Self {
         let lane = mask.trailing_zeros().min(63);
         Trap {
             warp,
@@ -130,7 +117,7 @@ impl Trap {
     /// Build a trap from the per-lane faults collected by a check phase.
     /// Returns `None` if no lane faulted. Faults must be in ascending lane
     /// order (the natural order of a lane loop).
-    pub fn from_lane_faults(warp: u32, pc: u32, faults: Vec<LaneFault>) -> Option<Self> {
+    pub(crate) fn from_lane_faults(warp: u32, pc: u32, faults: Vec<LaneFault>) -> Option<Self> {
         let first = *faults.first()?;
         let mask = faults.iter().fold(0u64, |m, f| m | 1u64 << f.lane);
         Some(Trap {

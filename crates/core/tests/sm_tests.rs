@@ -438,7 +438,7 @@ fn ring_sink_captures_the_tail() {
     dev2.load_program(&b.assemble());
     dev2.reset();
     dev2.run(MAX).unwrap();
-    assert!(!dev2.sm_mut(0).has_sink());
+    assert!(dev2.sm_mut(0).take_sink().is_none());
 }
 
 #[test]

@@ -161,11 +161,6 @@ impl Assembler {
         }
         self.instrs.iter().map(|i| i.encode()).collect()
     }
-
-    /// The instruction list before encoding (for inspection/disassembly).
-    pub fn instrs(&self) -> &[Instr] {
-        &self.instrs
-    }
 }
 
 #[cfg(test)]

@@ -25,23 +25,23 @@ pub(crate) const OP_CUSTOM0: u32 = 0x0B;
 
 /// CHERI funct3 minor opcodes under `0x5B`.
 pub(crate) mod cheri_f3 {
-    pub const REG: u32 = 0; // R-type capability ops
-    pub const SET_BOUNDS_IMM: u32 = 1;
-    pub const INC_OFFSET_IMM: u32 = 2;
-    pub const CLC: u32 = 3;
-    pub const CSC: u32 = 4;
+    pub(crate) const REG: u32 = 0; // R-type capability ops
+    pub(crate) const SET_BOUNDS_IMM: u32 = 1;
+    pub(crate) const INC_OFFSET_IMM: u32 = 2;
+    pub(crate) const CLC: u32 = 3;
+    pub(crate) const CSC: u32 = 4;
 }
 
 /// CHERI funct7 codes for the R-type group.
 pub(crate) mod cheri_f7 {
-    pub const SET_BOUNDS: u32 = 0x01;
-    pub const SET_BOUNDS_EXACT: u32 = 0x02;
-    pub const SET_ADDR: u32 = 0x03;
-    pub const INC_OFFSET: u32 = 0x04;
-    pub const AND_PERM: u32 = 0x05;
-    pub const SET_FLAGS: u32 = 0x06;
-    pub const SPECIAL_RW: u32 = 0x08;
-    pub const UNARY: u32 = 0x7F; // rs2 field selects the operation
+    pub(crate) const SET_BOUNDS: u32 = 0x01;
+    pub(crate) const SET_BOUNDS_EXACT: u32 = 0x02;
+    pub(crate) const SET_ADDR: u32 = 0x03;
+    pub(crate) const INC_OFFSET: u32 = 0x04;
+    pub(crate) const AND_PERM: u32 = 0x05;
+    pub(crate) const SET_FLAGS: u32 = 0x06;
+    pub(crate) const SPECIAL_RW: u32 = 0x08;
+    pub(crate) const UNARY: u32 = 0x7F; // rs2 field selects the operation
 }
 
 pub(crate) fn unary_code(op: UnaryCapOp) -> u32 {

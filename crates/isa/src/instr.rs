@@ -292,27 +292,6 @@ pub enum Instr {
 }
 
 impl Instr {
-    /// The destination register, if the instruction writes one.
-    pub fn dest(self) -> Option<Reg> {
-        use Instr::*;
-        let rd = match self {
-            Lui { rd, .. } | Auipc { rd, .. } | Jal { rd, .. } | Jalr { rd, .. } => rd,
-            Load { rd, .. } | OpImm { rd, .. } | Op { rd, .. } | MulDiv { rd, .. } => rd,
-            Amo { rd, .. } | Csrrs { rd, .. } => rd,
-            FOp { rd, .. } | FSqrt { rd, .. } | FCmp { rd, .. } => rd,
-            FCvtWS { rd, .. } | FCvtSW { rd, .. } => rd,
-            CapUnary { rd, .. } => rd,
-            CAndPerm { cd, .. } | CSetFlags { cd, .. } | CSetAddr { cd, .. } => cd,
-            CIncOffset { cd, .. } | CIncOffsetImm { cd, .. } => cd,
-            CSetBounds { cd, .. } | CSetBoundsExact { cd, .. } | CSetBoundsImm { cd, .. } => cd,
-            Clc { cd, .. } | CSpecialRw { cd, .. } => cd,
-            Branch { .. } | Store { .. } | Csc { .. } | Fence | Ecall | Ebreak | Simt { .. } => {
-                return None
-            }
-        };
-        (!rd.is_zero()).then_some(rd)
-    }
-
     /// True for instructions that the optimised design executes in the
     /// shared function unit (`CGetBase`, `CGetLen`, `CSetBounds[..]`,
     /// `CRRL`, `CRAM` — Section 3.3).

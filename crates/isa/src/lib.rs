@@ -25,9 +25,6 @@
 //! assert_eq!(i.to_string(), "add a0, a1, a2");
 //! ```
 
-#![forbid(unsafe_code)]
-#![warn(missing_docs)]
-
 pub mod asm;
 pub mod csr;
 mod decode;

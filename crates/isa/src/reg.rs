@@ -63,7 +63,7 @@ impl Reg {
 
     /// The register's 5-bit encoding field.
     #[inline]
-    pub fn field(self) -> u32 {
+    pub(crate) fn field(self) -> u32 {
         self.0 as u32
     }
 
@@ -71,11 +71,6 @@ impl Reg {
     #[inline]
     pub fn is_zero(self) -> bool {
         self.0 == 0
-    }
-
-    /// Iterate over all 32 registers.
-    pub fn all() -> impl Iterator<Item = Reg> {
-        (0..32).map(Reg)
     }
 }
 
@@ -107,7 +102,6 @@ mod tests {
         assert_eq!(Reg::ZERO.to_string(), "zero");
         assert_eq!(Reg::SP.index(), 2);
         assert_eq!(Reg::new(31).to_string(), "t6");
-        assert_eq!(Reg::all().count(), 32);
     }
 
     #[test]

@@ -109,7 +109,7 @@ impl KernelBuilder {
     }
 
     /// `gridDim.x`
-    pub fn grid_dim(&self) -> Expr {
+    fn grid_dim(&self) -> Expr {
         Expr::Special(Special::GridDim)
     }
 
@@ -153,22 +153,7 @@ impl KernelBuilder {
 
     /// `atomicAdd(&ptr[index], value)` (result discarded).
     pub fn atomic_add(&mut self, ptr: &Expr, index: Expr, value: Expr) {
-        self.atomic(simt_isa::AmoOp::Add, ptr, index, value);
-    }
-
-    /// `atomicMin(&ptr[index], value)` (signed).
-    pub fn atomic_min(&mut self, ptr: &Expr, index: Expr, value: Expr) {
-        self.atomic(simt_isa::AmoOp::Min, ptr, index, value);
-    }
-
-    /// `atomicMax(&ptr[index], value)` (signed).
-    pub fn atomic_max(&mut self, ptr: &Expr, index: Expr, value: Expr) {
-        self.atomic(simt_isa::AmoOp::Max, ptr, index, value);
-    }
-
-    /// Generic atomic.
-    pub fn atomic(&mut self, op: simt_isa::AmoOp, ptr: &Expr, index: Expr, value: Expr) {
-        self.emit(Stmt::Atomic { op, ptr: ptr.clone(), index, value });
+        self.emit(Stmt::Atomic { op: simt_isa::AmoOp::Add, ptr: ptr.clone(), index, value });
     }
 
     /// `if cond { then }`.
@@ -278,7 +263,6 @@ mod tests {
         assert_eq!(e.ty(), Ty::F32);
         assert_eq!(p.offset(Expr::u32(4)).ty(), Ty::Ptr(Elem::F32));
         assert_eq!(Expr::u32(1).lt(Expr::u32(2)).ty(), Ty::U32);
-        assert_eq!(Expr::i32(-1).to_f32().ty(), Ty::F32);
     }
 
     #[test]

@@ -78,9 +78,9 @@ impl CompiledKernel {
     pub fn disassemble(&self) -> String {
         use core::fmt::Write as _;
         let mut out = String::with_capacity(self.words.len() * 48);
-        for (i, (w, ins)) in self.decoded().enumerate() {
+        for (i, &w) in self.words.iter().enumerate() {
             let pc = map::TCIM_BASE + 4 * i as u32;
-            match ins {
+            match Instr::decode(w) {
                 Some(ins) => {
                     let _ = writeln!(out, "{pc:08x}:  {w:08x}   {ins}");
                 }
@@ -90,13 +90,6 @@ impl CompiledKernel {
             }
         }
         out
-    }
-
-    /// The program as `(word, decoded instruction)` pairs, in fetch order —
-    /// the same decoding the SM's program ROM performs at launch. Words
-    /// that do not decode (e.g. embedded data) yield `None`.
-    pub fn decoded(&self) -> impl Iterator<Item = (u32, Option<Instr>)> + '_ {
-        self.words.iter().map(|&w| (w, Instr::decode(w)))
     }
 
     /// Static instruction count.
@@ -139,20 +132,7 @@ impl std::error::Error for CompileError {}
 ///
 /// See [`CompileError`].
 pub fn compile(kernel: &Kernel, mode: Mode) -> Result<CompiledKernel, CompileError> {
-    compile_with(kernel, mode, MemPlan::default())
-}
-
-/// Compile with an explicit memory plan.
-///
-/// # Errors
-///
-/// See [`CompileError`].
-pub fn compile_with(
-    kernel: &Kernel,
-    mode: Mode,
-    plan: MemPlan,
-) -> Result<CompiledKernel, CompileError> {
-    compile_capped(kernel, mode, plan, None)
+    compile_capped(kernel, mode, MemPlan::default(), None)
 }
 
 /// Compile with a limit on which registers may hold capabilities: in
@@ -254,7 +234,6 @@ fn ptr_role(e: &Expr) -> Option<PtrRole> {
         Expr::Shared(i, _) => Some(PtrRole::Shared(*i)),
         Expr::Var(i, _) => Some(PtrRole::Var(*i)),
         Expr::PtrOffset(p, _) => ptr_role(p),
-        Expr::Select(_, a, _) => ptr_role(a),
         _ => None,
     }
 }
@@ -271,11 +250,6 @@ fn var_weights(k: &Kernel) -> Vec<u64> {
                 expr(b, w, out);
             }
             Expr::Un(_, a) => expr(a, w, out),
-            Expr::Select(c, a, b) => {
-                expr(c, w, out);
-                expr(a, w, out);
-                expr(b, w, out);
-            }
             _ => {}
         }
     }
@@ -976,11 +950,7 @@ impl<'k> Codegen<'k> {
             }
             Expr::Param(id, _) => Ok(Val { loc: self.params[*id], owned: false }),
             Expr::Shared(id, _) => Ok(Val { loc: self.shared[*id], owned: false }),
-            Expr::Bin(..)
-            | Expr::Un(..)
-            | Expr::Load(..)
-            | Expr::PtrOffset(..)
-            | Expr::Select(..) => {
+            Expr::Bin(..) | Expr::Un(..) | Expr::Load(..) | Expr::PtrOffset(..) => {
                 let dst = self.alloc_for(e)?;
                 self.gen_expr_to(e, dst)?;
                 Ok(Val { loc: dst, owned: true })
@@ -1046,17 +1016,6 @@ impl<'k> Codegen<'k> {
             Expr::Un(op, a) => self.gen_un(*op, a, dst),
             Expr::Load(p, idx) => self.gen_load(p, idx, dst),
             Expr::PtrOffset(p, idx) => self.gen_ptr_offset(p, idx, dst),
-            Expr::Select(c, a, b) => {
-                let l_else = self.asm.label();
-                let end = self.asm.label();
-                self.gen_branch_if_false(c, l_else)?;
-                self.gen_expr_to(a, dst)?;
-                self.asm.jump(end);
-                self.asm.bind(l_else);
-                self.gen_expr_to(b, dst)?;
-                self.asm.bind(end);
-                Ok(())
-            }
             // Leaves: generate and move into dst.
             _ => {
                 let v = self.gen_expr(e)?;
@@ -1319,10 +1278,6 @@ impl<'k> Codegen<'k> {
             }
             UnOp::Not => self.opi(AluOp::Xor, d, ra, -1),
             UnOp::Sqrt => self.asm.push(Instr::FSqrt { rd: d, rs1: ra }),
-            UnOp::ToF32 => {
-                self.asm.push(Instr::FCvtSW { rd: d, rs1: ra, signed: a.ty() == Ty::I32 })
-            }
-            UnOp::ToI32 => self.asm.push(Instr::FCvtWS { rd: d, rs1: ra, signed: true }),
             UnOp::AsU32 | UnOp::AsI32 => self.mv(d, ra),
         }
         self.release(va);

@@ -57,7 +57,7 @@ pub enum Ty {
 
 impl Ty {
     /// Is this an integer type?
-    pub fn is_int(self) -> bool {
+    pub(crate) fn is_int(self) -> bool {
         matches!(self, Ty::I32 | Ty::U32)
     }
 }
@@ -115,10 +115,6 @@ pub enum UnOp {
     Not,
     /// `sqrtf`
     Sqrt,
-    /// Convert integer to float.
-    ToF32,
-    /// Convert float to integer (truncating).
-    ToI32,
     /// Reinterpret as unsigned / change integer signedness (no code).
     AsU32,
     /// Change integer signedness to signed (no code).
@@ -148,9 +144,6 @@ pub enum Expr {
     Load(Box<Expr>, Box<Expr>),
     /// `&ptr[index]` — pointer arithmetic yielding a derived pointer.
     PtrOffset(Box<Expr>, Box<Expr>),
-    /// `cond ? a : b` on scalars (compiled as a branchless or branchy
-    /// select depending on type).
-    Select(Box<Expr>, Box<Expr>, Box<Expr>),
 }
 
 impl Expr {
@@ -175,7 +168,7 @@ impl Expr {
     ///
     /// Panics on ill-typed trees (e.g. loading through a non-pointer); the
     /// builder API prevents such trees from being constructed.
-    pub fn ty(&self) -> Ty {
+    pub(crate) fn ty(&self) -> Ty {
         match self {
             Expr::Int(_, t) | Expr::Var(_, t) | Expr::Param(_, t) => *t,
             Expr::F32(_) => Ty::F32,
@@ -186,8 +179,8 @@ impl Expr {
                 _ => a.ty(),
             },
             Expr::Un(op, a) => match op {
-                UnOp::ToF32 | UnOp::Sqrt => Ty::F32,
-                UnOp::ToI32 | UnOp::AsI32 => Ty::I32,
+                UnOp::Sqrt => Ty::F32,
+                UnOp::AsI32 => Ty::I32,
                 UnOp::AsU32 => Ty::U32,
                 UnOp::Neg | UnOp::Not => a.ty(),
             },
@@ -196,7 +189,6 @@ impl Expr {
                 t => panic!("load through non-pointer {t:?}"),
             },
             Expr::PtrOffset(p, _) => p.ty(),
-            Expr::Select(_, a, _) => a.ty(),
         }
     }
 
@@ -264,16 +256,6 @@ impl Expr {
         Expr::Bin(BinOp::Max, Box::new(self), Box::new(rhs))
     }
 
-    /// Convert an integer to float.
-    pub fn to_f32(self) -> Expr {
-        Expr::Un(UnOp::ToF32, Box::new(self))
-    }
-
-    /// Convert a float to a (truncated) signed integer.
-    pub fn to_i32(self) -> Expr {
-        Expr::Un(UnOp::ToI32, Box::new(self))
-    }
-
     /// Reinterpret as unsigned.
     pub fn as_u32(self) -> Expr {
         Expr::Un(UnOp::AsU32, Box::new(self))
@@ -287,11 +269,6 @@ impl Expr {
     /// Square root (float).
     pub fn sqrt(self) -> Expr {
         Expr::Un(UnOp::Sqrt, Box::new(self))
-    }
-
-    /// `cond ? self : other`.
-    pub fn select_if(self, cond: Expr, other: Expr) -> Expr {
-        Expr::Select(Box::new(cond), Box::new(self), Box::new(other))
     }
 }
 
@@ -403,13 +380,13 @@ pub struct Kernel {
 impl Kernel {
     /// Total shared memory per block, in bytes (8-byte aligned per array so
     /// capabilities can bound each array exactly where possible).
-    pub fn shared_bytes(&self) -> u32 {
+    pub(crate) fn shared_bytes(&self) -> u32 {
         self.shared.iter().map(|s| (s.elem.bytes() * s.len).next_multiple_of(8)).sum()
     }
 
     /// Does the kernel use barriers or shared memory (requiring block-loop
     /// synchronisation)?
-    pub fn uses_shared_or_barrier(&self) -> bool {
+    pub(crate) fn uses_shared_or_barrier(&self) -> bool {
         fn stmts_use(b: &[Stmt]) -> bool {
             b.iter().any(|s| match s {
                 Stmt::Barrier => true,

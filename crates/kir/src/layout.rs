@@ -64,13 +64,13 @@ pub struct ArgLayout {
 }
 
 /// Offset of `gridDim.x`.
-pub const GRID_DIM_OFFSET: u32 = 0;
+pub(crate) const GRID_DIM_OFFSET: u32 = 0;
 /// Offset of `blockDim.x`.
-pub const BLOCK_DIM_OFFSET: u32 = 4;
+pub(crate) const BLOCK_DIM_OFFSET: u32 = 4;
 
 impl ArgLayout {
     /// Compute the layout of `kernel`'s arguments under `mode`.
-    pub fn new(kernel: &Kernel, mode: Mode) -> ArgLayout {
+    pub(crate) fn new(kernel: &Kernel, mode: Mode) -> ArgLayout {
         let mut off = 8u32;
         let mut slots = Vec::with_capacity(kernel.params.len());
         for p in &kernel.params {

@@ -40,9 +40,6 @@
 //! assert!(!compiled.words.is_empty());
 //! ```
 
-#![forbid(unsafe_code)]
-#![warn(missing_docs)]
-
 mod builder;
 mod compile;
 mod expr;
@@ -50,7 +47,7 @@ mod layout;
 mod pretty;
 
 pub use builder::KernelBuilder;
-pub use compile::{compile, compile_capped, compile_with, CompileError, CompiledKernel, MemPlan};
+pub use compile::{compile, compile_capped, CompileError, CompiledKernel, MemPlan};
 pub use expr::{BinOp, CmpOp, Elem, Expr, Kernel, ParamDecl, SharedDecl, Special, Stmt, Ty, UnOp};
 pub use layout::{ArgLayout, ArgSlot};
 
@@ -81,7 +78,7 @@ impl Mode {
     }
 
     /// Does this mode use fat (address + length) pointers?
-    pub fn fat_pointers(self) -> bool {
+    pub(crate) fn fat_pointers(self) -> bool {
         matches!(self, Mode::RustChecked | Mode::RustFull)
     }
 }

@@ -102,8 +102,6 @@ fn expr(e: &Expr, k: &Kernel, out: &mut String) {
                 out.push(')');
             }
             UnOp::Sqrt => call1("sqrtf", a, k, out),
-            UnOp::ToF32 => call1("(f32)", a, k, out),
-            UnOp::ToI32 => call1("(i32)", a, k, out),
             UnOp::AsU32 => call1("(u32)", a, k, out),
             UnOp::AsI32 => call1("(i32)", a, k, out),
         },
@@ -119,15 +117,6 @@ fn expr(e: &Expr, k: &Kernel, out: &mut String) {
             out.push('[');
             expr(i, k, out);
             out.push(']');
-        }
-        Expr::Select(c, a, b) => {
-            out.push('(');
-            expr(c, k, out);
-            out.push_str(" ? ");
-            expr(a, k, out);
-            out.push_str(" : ");
-            expr(b, k, out);
-            out.push(')');
         }
     }
 }

@@ -70,11 +70,6 @@ impl Dram {
         Dram { cfg, stats: DramStats::default(), free_at: 0, accessor: 0, last_accessor: None }
     }
 
-    /// The configured parameters.
-    pub fn config(&self) -> DramConfig {
-        self.cfg
-    }
-
     /// Tell the channel which SM is driving it from now on (device arbiter
     /// hook). Subsequent accesses from a *different* SM than the previous
     /// batch count towards the cross-SM contention statistics.

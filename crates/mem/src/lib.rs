@@ -9,7 +9,7 @@
 //!   the scratchpad: the two memories differ in timing only, so the
 //!   load/store/capability-transfer semantics exist once.
 //! * [`TagController`] — sits in front of DRAM, serving tag bits from a
-//!   reserved region through a small [`TagCache`] so that data+tag access
+//!   reserved region through a small `TagCache` so that data+tag access
 //!   appears atomic (Joannou et al., "Efficient Tagged Memory").
 //! * [`CoalescingUnit`] — packs per-lane requests into a small set of wide
 //!   (64-byte) DRAM transactions using Tesla-style same-block rules.
@@ -23,12 +23,9 @@
 //! 32-bit accesses, so the data-path width is unchanged at the cost of a
 //! two-cycle capability access time.
 
-#![forbid(unsafe_code)]
-#![warn(missing_docs)]
-
 mod coalesce;
 mod dram;
-pub mod inject;
+mod inject;
 pub mod map;
 mod scratch;
 mod tagcache;
@@ -37,7 +34,7 @@ pub use coalesce::{coalesce_blocks, Coalesced, CoalescingUnit, LaneRequest, TRAN
 pub use dram::{Dram, DramConfig, DramStats};
 pub use inject::{FaultInjector, Injection, InjectionKind};
 pub use scratch::{ScratchStats, Scratchpad};
-pub use tagcache::{TagCache, TagCacheConfig, TagCacheStats, TagController};
+pub use tagcache::{TagCacheConfig, TagCacheStats, TagController};
 
 use cheri_cap::CapMem;
 
@@ -109,17 +106,17 @@ impl MainMemory {
     }
 
     /// Base physical address.
-    pub fn base(&self) -> u32 {
+    pub(crate) fn base(&self) -> u32 {
         self.base
     }
 
     /// Size in bytes.
-    pub fn size(&self) -> u32 {
+    pub(crate) fn size(&self) -> u32 {
         self.data.len() as u32
     }
 
     /// Does `[addr, addr+len)` fall entirely inside this memory?
-    pub fn contains(&self, addr: u32, len: u32) -> bool {
+    pub(crate) fn contains(&self, addr: u32, len: u32) -> bool {
         let a = addr as u64;
         a >= self.base as u64 && a + len as u64 <= self.base as u64 + self.data.len() as u64
     }
@@ -191,7 +188,7 @@ impl MainMemory {
     }
 
     /// The tag bit of the 32-bit word containing `addr`.
-    pub fn tag(&self, addr: u32) -> bool {
+    pub(crate) fn tag(&self, addr: u32) -> bool {
         let w = self.off(addr & !3) / 4;
         self.tags[w / 64] & (1 << (w % 64)) != 0
     }
@@ -307,7 +304,7 @@ impl MainMemory {
     /// # Panics
     ///
     /// Panics if `addr` is outside this memory.
-    pub fn inject_set_tag(&mut self, addr: u32, tag: bool) {
+    pub(crate) fn inject_set_tag(&mut self, addr: u32, tag: bool) {
         assert!(self.contains(addr & !3, 4), "inject_set_tag out of range");
         self.set_tag(addr, tag);
     }
@@ -319,7 +316,7 @@ impl MainMemory {
     /// # Panics
     ///
     /// Panics if `addr` is outside this memory.
-    pub fn inject_corrupt_word(&mut self, addr: u32, xor: u32) {
+    pub(crate) fn inject_corrupt_word(&mut self, addr: u32, xor: u32) {
         let a = addr & !3;
         assert!(self.contains(a, 4), "inject_corrupt_word out of range");
         let o = self.off(a);
@@ -349,7 +346,7 @@ impl MainMemory {
 
     /// Addresses (8-aligned) of every validly-tagged capability currently
     /// in memory — the candidate set for tag/metadata injection.
-    pub fn tagged_cap_addrs(&self) -> Vec<u32> {
+    pub(crate) fn tagged_cap_addrs(&self) -> Vec<u32> {
         let mut out = Vec::new();
         let mut addr = self.base;
         while addr + 8 <= self.base + self.size() {

@@ -54,7 +54,7 @@ impl TagCacheStats {
 /// A direct-mapped tag cache model (timing/traffic only — tag *values* are
 /// stored functionally by [`crate::MainMemory`]).
 #[derive(Debug, Clone)]
-pub struct TagCache {
+pub(crate) struct TagCache {
     cfg: TagCacheConfig,
     /// Per line: the cached tag-region block index, or `u64::MAX` if empty,
     /// plus a dirty bit.
@@ -70,7 +70,7 @@ pub struct TagCache {
 
 impl TagCache {
     /// Create an empty cache.
-    pub fn new(cfg: TagCacheConfig) -> Self {
+    pub(crate) fn new(cfg: TagCacheConfig) -> Self {
         TagCache {
             cfg,
             lines: vec![(u64::MAX, false); cfg.lines as usize],
@@ -82,19 +82,19 @@ impl TagCache {
     }
 
     /// Cumulative statistics.
-    pub fn stats(&self) -> TagCacheStats {
+    pub(crate) fn stats(&self) -> TagCacheStats {
         self.stats
     }
 
     /// Tell the cache which SM is driving it from now on (device arbiter
     /// hook). Lookups evicting a line filled by a different SM count as
     /// cross-SM conflict evictions.
-    pub fn set_accessor(&mut self, sm: u32) {
+    pub(crate) fn set_accessor(&mut self, sm: u32) {
         self.accessor = sm;
     }
 
     /// Reset statistics and contents.
-    pub fn reset(&mut self) {
+    pub(crate) fn reset(&mut self) {
         self.stats = TagCacheStats::default();
         for l in &mut self.lines {
             *l = (u64::MAX, false);
@@ -104,14 +104,14 @@ impl TagCache {
     }
 
     /// Data bytes covered by one line.
-    pub fn data_bytes_per_line(&self) -> u32 {
+    pub(crate) fn data_bytes_per_line(&self) -> u32 {
         self.cfg.line_bytes * 32
     }
 
     /// Look up the tags for the data block containing `addr`; returns the
     /// number of DRAM tag transactions this lookup generated (0 on hit,
     /// 1 on clean miss, 2 on dirty miss). `write` marks the line dirty.
-    pub fn lookup(&mut self, addr: u32, write: bool) -> u32 {
+    pub(crate) fn lookup(&mut self, addr: u32, write: bool) -> u32 {
         if let Some(prev) = self.last_accessor {
             if prev != self.accessor {
                 self.stats.cross_sm_switches += 1;
@@ -142,7 +142,7 @@ impl TagCache {
     }
 }
 
-/// The tag controller: pairs a [`TagCache`] with the enable switch. With
+/// The tag controller: pairs a `TagCache` with the enable switch. With
 /// tagged memory disabled (the non-CHERI baseline), lookups are free.
 #[derive(Debug, Clone)]
 pub struct TagController {

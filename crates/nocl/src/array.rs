@@ -54,7 +54,7 @@ impl WordScalar for f32 {
 
 impl Gpu {
     fn array_geometry(&self, n: u32) -> Launch {
-        let bd = 256u32.min(self.sm().config().threads());
+        let bd = 256u32.min(self.device().config().threads());
         let grid = n.div_ceil(bd).clamp(1, 64);
         Launch::new(grid, bd)
     }
@@ -220,7 +220,7 @@ impl Gpu {
         identity: T,
         f: &dyn Fn(Expr, Expr) -> Expr,
     ) -> Result<Buffer<T>, LaunchError> {
-        let bd = 256u32.min(self.sm().config().threads());
+        let bd = 256u32.min(self.device().config().threads());
         let nblocks = input.len().div_ceil(bd);
         if nblocks > bd {
             return Err(LaunchError::Config(format!(

@@ -37,8 +37,8 @@ scalar!(f32, Elem::F32);
 
 /// A device buffer of `len` elements of `T` at a fixed device address.
 ///
-/// Buffers are plain handles: copying data in/out goes through
-/// [`crate::Gpu::write`] and [`crate::Gpu::read`].
+/// Buffers are plain handles: data goes in through
+/// [`crate::Gpu::alloc_from`] and comes out through [`crate::Gpu::read`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Buffer<T> {
     addr: u32,
@@ -57,17 +57,12 @@ impl<T: DeviceScalar> Buffer<T> {
     }
 
     /// Length in elements.
-    pub fn len(&self) -> u32 {
+    pub(crate) fn len(&self) -> u32 {
         self.len
     }
 
-    /// Is the buffer empty?
-    pub fn is_empty(&self) -> bool {
-        self.len == 0
-    }
-
     /// Size in bytes.
-    pub fn bytes(&self) -> u32 {
+    pub(crate) fn bytes(&self) -> u32 {
         self.len * T::ELEM.bytes()
     }
 }
@@ -91,6 +86,5 @@ mod tests {
     fn buffer_geometry() {
         let b: Buffer<u16> = Buffer::new(0x8000_0000, 10);
         assert_eq!(b.bytes(), 20);
-        assert!(!b.is_empty());
     }
 }

@@ -36,9 +36,6 @@
 //! assert!(stats.cycles > 0);
 //! ```
 
-#![forbid(unsafe_code)]
-#![warn(missing_docs)]
-
 mod array;
 mod buffer;
 mod error;
@@ -206,11 +203,6 @@ impl Gpu {
         self.pre_launch = Some(hook);
     }
 
-    /// Remove the pre-launch hook.
-    pub fn clear_pre_launch_hook(&mut self) {
-        self.pre_launch = None;
-    }
-
     /// Drain the accumulated fault log: every trap suppressed by completed
     /// launches (under [`cheri_simt::TrapPolicy::MaskLanes`]) plus the
     /// aborting trap of each failed launch, in delivery order.
@@ -229,11 +221,6 @@ impl Gpu {
         self
     }
 
-    /// The compilation mode.
-    pub fn mode(&self) -> Mode {
-        self.mode
-    }
-
     /// The underlying device (e.g. for per-SM statistics or tracing).
     pub fn device(&self) -> &Device {
         &self.device
@@ -244,20 +231,9 @@ impl Gpu {
         &mut self.device
     }
 
-    /// SM 0 (e.g. for its configuration or suppressed-trap log). Device
-    /// memory is reached through [`Gpu::device`] + [`Device::memory`].
-    pub fn sm(&self) -> &Sm {
-        self.device.sm(0)
-    }
-
     /// Mutable access to SM 0 (e.g. to attach an event sink).
     pub fn sm_mut(&mut self) -> &mut Sm {
         self.device.sm_mut(0)
-    }
-
-    /// Bytes of device heap remaining.
-    pub fn heap_remaining(&self) -> u32 {
-        self.heap_end - self.heap
     }
 
     /// Allocate an uninitialised (zeroed) device buffer of `len` elements.
@@ -276,7 +252,11 @@ impl Gpu {
     /// Allocate and initialise a buffer from host data.
     pub fn alloc_from<T: DeviceScalar>(&mut self, data: &[T]) -> Buffer<T> {
         let b = self.alloc::<T>(data.len() as u32);
-        self.write(&b, data);
+        let mut bytes = Vec::with_capacity(data.len() * T::ELEM.bytes() as usize);
+        for v in data {
+            v.extend_bytes(&mut bytes);
+        }
+        self.device.memory_mut().write_bytes(b.addr(), &bytes);
         b
     }
 
@@ -291,20 +271,6 @@ impl Gpu {
     /// pure-capability mode (there are no tags to sweep).
     pub fn free<T: DeviceScalar>(&mut self, buf: Buffer<T>) -> u32 {
         self.device.memory_mut().revoke_region(buf.addr(), buf.bytes())
-    }
-
-    /// Copy host data into a buffer.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `data` is longer than the buffer.
-    pub fn write<T: DeviceScalar>(&mut self, buf: &Buffer<T>, data: &[T]) {
-        assert!(data.len() as u32 <= buf.len(), "host data exceeds buffer");
-        let mut bytes = Vec::with_capacity(data.len() * T::ELEM.bytes() as usize);
-        for v in data {
-            v.extend_bytes(&mut bytes);
-        }
-        self.device.memory_mut().write_bytes(buf.addr(), &bytes);
     }
 
     /// Read a buffer back to the host.

@@ -77,7 +77,7 @@ fn use_after_free_traps() {
     // Write args once (creates tagged caps in the arg block), then revoke,
     // then run the same program without re-marshalling.
     gpu.launch(&kernel, launch, &[(&data).into(), (&out).into()]).unwrap();
-    let revoked = gpu.device_mut().memory_mut().revoke_region(data.addr(), data.bytes());
+    let revoked = gpu.free(data);
     assert!(revoked >= 1, "the argument block held a capability into data");
     // Re-run the resident program against the swept argument block.
     gpu.device_mut().reset();
@@ -97,8 +97,9 @@ fn revocation_is_precise() {
     let a = gpu.alloc::<i32>(16);
     let b = gpu.alloc::<i32>(16);
     let table = gpu.alloc::<i32>(16);
+    // Each buffer holds 16 four-byte elements.
     let cap = |buf: &nocl::Buffer<i32>| {
-        cheri_cap::CapPipe::almighty().set_addr(buf.addr()).set_bounds(buf.bytes()).0.to_mem()
+        cheri_cap::CapPipe::almighty().set_addr(buf.addr()).set_bounds(64).0.to_mem()
     };
     gpu.device_mut().memory_mut().write_cap(table.addr(), cap(&a)).unwrap();
     gpu.device_mut().memory_mut().write_cap(table.addr() + 8, cap(&b)).unwrap();

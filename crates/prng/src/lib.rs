@@ -21,13 +21,9 @@
 //! assert!((-100..100).contains(&x));
 //! ```
 
-#![forbid(unsafe_code)]
-#![warn(missing_docs)]
-
-/// One step of splitmix64 — also useful on its own for hashing a counter
-/// into a seed.
+/// One step of splitmix64.
 #[inline]
-pub fn splitmix64(state: &mut u64) -> u64 {
+fn splitmix64(state: &mut u64) -> u64 {
     *state = state.wrapping_add(0x9E37_79B9_7F4A_7C15);
     let mut z = *state;
     z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);

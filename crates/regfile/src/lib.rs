@@ -37,12 +37,9 @@
 //! assert_eq!(&out[..], &tid[..]);
 //! ```
 
-#![forbid(unsafe_code)]
-#![warn(missing_docs)]
-
 mod storage;
 
-pub use storage::{uncompressed_bits, RegFileStorage, SrfEntryBits};
+pub use storage::{uncompressed_bits, RegFileStorage};
 
 /// Configuration of one compressed register file.
 #[derive(Debug, Clone, Copy)]
@@ -109,7 +106,7 @@ impl RfConfig {
     }
 
     /// Total architectural vector registers.
-    pub fn total_regs(&self) -> u32 {
+    pub(crate) fn total_regs(&self) -> u32 {
         self.warps * self.arch_regs
     }
 }
@@ -150,12 +147,6 @@ pub enum OperandVec {
     /// Irregular: one element per lane (only the first `lanes` are live).
     Vector(Box<[u64]>),
 }
-
-/// The capability-metadata analogue of [`OperandVec`]: the metadata
-/// register file detects no affine vectors, so a metadata operand is only
-/// ever `Uniform` or `Vector` (an NVO `PartialNull` entry expands to
-/// `Vector` — its lanes differ).
-pub type MetaVec = OperandVec;
 
 impl OperandVec {
     /// Expand into `out` (one element per lane), following the lane
@@ -309,11 +300,6 @@ impl CompressedRegFile {
     /// to verify the §4.3 capability-register-limit forecast.
     pub fn nonnull_mask_union(&self) -> u32 {
         self.ever_nonnull.iter().fold(0, |a, m| a | m)
-    }
-
-    /// Storage accounting for this configuration.
-    pub fn storage(&self) -> RegFileStorage {
-        RegFileStorage::for_config(&self.cfg)
     }
 
     #[inline]

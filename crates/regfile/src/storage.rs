@@ -12,26 +12,6 @@
 
 use crate::RfConfig;
 
-/// Field widths of one SRF entry for a given configuration.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct SrfEntryBits {
-    /// Value field (base / metadata).
-    pub value: u32,
-    /// Stride field (0 when affine detection is off).
-    pub stride: u32,
-    /// Entry kind (scalar / vector-pointer / spilled).
-    pub kind: u32,
-    /// NVO lane mask (0 when NVO is off).
-    pub null_mask: u32,
-}
-
-impl SrfEntryBits {
-    /// Total bits per entry.
-    pub fn total(&self) -> u32 {
-        self.value + self.stride + self.kind + self.null_mask
-    }
-}
-
 /// Storage accounting for one register file instance.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct RegFileStorage {
@@ -46,15 +26,16 @@ pub struct RegFileStorage {
 impl RegFileStorage {
     /// Account for `cfg`.
     pub fn for_config(cfg: &RfConfig) -> Self {
-        let entry = SrfEntryBits {
-            value: if cfg.elem_bits > 32 { cfg.elem_bits } else { 32 },
-            stride: if cfg.detect_affine { 6 } else { 0 },
-            kind: 2,
-            null_mask: if cfg.null_value.is_some() { cfg.lanes } else { 0 },
-        };
+        // One SRF entry: the value field (base / metadata), the stride (0
+        // when affine detection is off), the 2-bit entry kind (scalar /
+        // vector-pointer / spilled) and the NVO lane mask (0 when NVO is off).
+        let entry_bits = cfg.elem_bits.max(32)
+            + if cfg.detect_affine { 6 } else { 0 }
+            + 2
+            + if cfg.null_value.is_some() { cfg.lanes } else { 0 };
         let slots = cfg.vrf_slots.max(1);
         RegFileStorage {
-            srf_bits: cfg.total_regs() as u64 * entry.total() as u64 * cfg.srf_copies as u64,
+            srf_bits: cfg.total_regs() as u64 * entry_bits as u64 * cfg.srf_copies as u64,
             vrf_bits: cfg.vrf_slots as u64 * cfg.lanes as u64 * cfg.elem_bits as u64,
             free_stack_bits: cfg.vrf_slots as u64
                 * (32 - (slots - 1).leading_zeros()).max(1) as u64,
@@ -62,7 +43,7 @@ impl RegFileStorage {
     }
 
     /// Total bits.
-    pub fn total_bits(&self) -> u64 {
+    pub(crate) fn total_bits(&self) -> u64 {
         self.srf_bits + self.vrf_bits + self.free_stack_bits
     }
 
@@ -72,7 +53,6 @@ impl RegFileStorage {
     }
 }
 
-#[allow(dead_code)] // used by the sim-area crate and tests
 /// Bits of an *uncompressed* register file of the same geometry — the
 /// denominator of Table 2's compression ratio.
 pub fn uncompressed_bits(warps: u32, lanes: u32, arch_regs: u32, elem_bits: u32) -> u64 {

@@ -9,7 +9,7 @@ use nocl::{Gpu, Launch};
 use nocl_kir::{Elem, Expr, Kernel, KernelBuilder};
 
 /// One compare-exchange phase over the whole array, grid-stride.
-pub struct BitonicLa;
+pub(super) struct BitonicLa;
 
 pub(crate) fn kernel() -> Kernel {
     let mut k = KernelBuilder::new("BitonicLa");

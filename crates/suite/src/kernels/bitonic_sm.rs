@@ -9,7 +9,7 @@ use nocl_kir::{Elem, Expr, Kernel, KernelBuilder};
 
 /// Each block sorts a `2×blockDim` segment of `u32` keys ascending; every
 /// thread handles two compare-exchange elements per step.
-pub struct BitonicSm;
+pub(super) struct BitonicSm;
 
 pub(crate) fn kernel(bd: u32) -> Kernel {
     let seg = 2 * bd;

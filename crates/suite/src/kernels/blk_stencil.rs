@@ -13,7 +13,7 @@ use nocl_kir::{Elem, Expr, Kernel, KernelBuilder};
 /// *selected* between a global and a shared buffer — the compiler transform
 /// the paper observed ("control-flow divergence into pointer-value
 /// divergence").
-pub struct BlkStencil;
+pub(super) struct BlkStencil;
 
 pub(crate) fn kernel(bd: u32) -> Kernel {
     let mut k = KernelBuilder::new(&format!("BlkStencil{bd}"));

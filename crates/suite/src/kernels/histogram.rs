@@ -10,7 +10,7 @@ use nocl_kir::{Elem, Expr, Kernel, KernelBuilder};
 /// The paper's Figure-3 kernel: zero the shared bins, accumulate with
 /// `atomicAdd`, copy the bins to global memory — with `__syncthreads`
 /// between the phases.
-pub struct Histogram;
+pub(super) struct Histogram;
 
 pub(crate) fn kernel() -> Kernel {
     let mut k = KernelBuilder::new("Histogram");
@@ -67,7 +67,7 @@ impl NoclBench for Histogram {
         let input = gpu.alloc_from(&xs);
         let out = gpu.alloc::<i32>(256);
         // A single thread block spanning the whole SM, as in the paper.
-        let bd = gpu.sm().config().threads();
+        let bd = gpu.device().config().threads();
         let stats =
             gpu.launch(&kernel(), Launch::new(1, bd), &[n.into(), (&input).into(), (&out).into()])?;
         check_eq("Histogram", &gpu.read(&out), &want)?;

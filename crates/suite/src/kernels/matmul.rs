@@ -8,7 +8,7 @@ use nocl_kir::{Elem, Expr, Kernel, KernelBuilder};
 
 /// Each block computes a `T×T` output tile; A- and B-tiles are staged
 /// through two shared arrays with barriers around the inner product.
-pub struct MatMul;
+pub(super) struct MatMul;
 
 pub(crate) fn kernel(tile: u32) -> Kernel {
     let t = tile;

@@ -7,7 +7,7 @@ use nocl::{Gpu, Launch};
 use nocl_kir::{Elem, Expr, Kernel, KernelBuilder};
 
 /// `y[r] = Σ_c A[r][c] * x[c]`, rows distributed grid-stride.
-pub struct MatVecMul;
+pub(super) struct MatVecMul;
 
 pub(crate) fn kernel() -> Kernel {
     let mut k = KernelBuilder::new("MatVecMul");

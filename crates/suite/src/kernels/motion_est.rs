@@ -12,7 +12,7 @@ const B: u32 = 4; // block size
 const R: i32 = 2; // search radius
 
 /// One thread per 4×4 block; output is `best_sad * 256 + (dx+R)*16 + (dy+R)`.
-pub struct MotionEst;
+pub(super) struct MotionEst;
 
 pub(crate) fn kernel() -> Kernel {
     let mut k = KernelBuilder::new("MotionEst");

@@ -8,7 +8,7 @@ use nocl_kir::{Elem, Expr, Kernel, KernelBuilder};
 
 /// Grid-stride accumulation, block tree reduction in shared memory, then
 /// one `atomicAdd` of the block partial into the result.
-pub struct Reduce;
+pub(super) struct Reduce;
 
 pub(crate) fn kernel(bd: u32) -> Kernel {
     let mut k = KernelBuilder::new(&format!("Reduce{bd}"));

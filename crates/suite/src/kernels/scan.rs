@@ -8,7 +8,7 @@ use nocl_kir::{Elem, Expr, Kernel, KernelBuilder};
 
 /// Each block scans its own `blockDim`-element segment using a
 /// double-buffered shared array.
-pub struct Scan;
+pub(super) struct Scan;
 
 pub(crate) fn kernel(bd: u32) -> Kernel {
     let mut k = KernelBuilder::new(&format!("Scan{bd}"));

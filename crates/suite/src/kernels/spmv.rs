@@ -9,7 +9,7 @@ use nocl_kir::{Elem, Kernel, KernelBuilder};
 
 /// `y[r] = Σ_{e in row r} val[e] * x[col[e]]` over a CSR matrix; irregular
 /// row lengths exercise control-flow divergence and gather accesses.
-pub struct Spmv;
+pub(super) struct Spmv;
 
 pub(crate) fn kernel() -> Kernel {
     let mut k = KernelBuilder::new("SPMV");

@@ -9,7 +9,7 @@ use nocl_kir::{Elem, Expr, Kernel, KernelBuilder};
 /// Three-point stencil without shared staging: each thread strides over the
 /// array, reading its three neighbours from global memory (the coalescing
 /// unit merges the overlap).
-pub struct StrStencil;
+pub(super) struct StrStencil;
 
 pub(crate) fn kernel() -> Kernel {
     let mut k = KernelBuilder::new("StrStencil");

@@ -10,7 +10,7 @@ use nocl_kir::{Elem, Expr, Kernel, KernelBuilder};
 /// (padded to `T×(T+1)` to dodge bank conflicts) so both the load and the
 /// store are coalesced. The 2D block/tile indices are derived from the 1D
 /// launch geometry.
-pub struct Transpose;
+pub(super) struct Transpose;
 
 pub(crate) fn kernel(tile: u32) -> Kernel {
     let t = tile;

@@ -7,7 +7,7 @@ use nocl::{Gpu, Launch};
 use nocl_kir::{Elem, Kernel, KernelBuilder};
 
 /// `c[i] = a[i] + b[i]` with a grid-stride loop.
-pub struct VecAdd;
+pub(super) struct VecAdd;
 
 pub(crate) fn kernel() -> Kernel {
     let mut k = KernelBuilder::new("VecAdd");

@@ -8,7 +8,7 @@ use nocl::{Gpu, Launch};
 use nocl_kir::{Elem, Expr, Kernel, KernelBuilder};
 
 /// `c[i] = gcd(a[i], b[i])` by Euclid's algorithm.
-pub struct VecGcd;
+pub(super) struct VecGcd;
 
 pub(crate) fn kernel() -> Kernel {
     let mut k = KernelBuilder::new("VecGCD");

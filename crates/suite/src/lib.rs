@@ -34,9 +34,6 @@
 //! assert!(stats.instrs > 0);
 //! ```
 
-#![forbid(unsafe_code)]
-#![warn(missing_docs)]
-
 mod kernels;
 mod util;
 

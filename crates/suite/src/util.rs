@@ -74,7 +74,7 @@ pub(crate) fn rand_f32s(seed: u64, n: usize) -> Vec<f32> {
 /// The largest power-of-two block size the SM supports, capped at `pref`.
 pub(crate) fn block_dim(gpu: &Gpu, pref: u32) -> u32 {
     debug_assert!(pref.is_power_of_two());
-    pref.min(gpu.sm().config().threads())
+    pref.min(gpu.device().config().threads())
 }
 
 /// Compare integer slices exactly.

@@ -4,7 +4,7 @@
 //!
 //! Supports the full JSON grammar except that numbers are parsed as `f64`
 //! (trace files only contain integers well within `f64`'s exact range) and
-//! arrays and objects nest at most [`MAX_DEPTH`] deep.
+//! arrays and objects nest at most 64 (`MAX_DEPTH`) deep.
 
 use std::collections::BTreeMap;
 
@@ -85,7 +85,7 @@ impl std::error::Error for ParseError {}
 /// at most 4 deep; the cap turns hostile input (say,
 /// 200,000 `[`) into a [`ParseError`] instead of a stack overflow in this
 /// recursive parser.
-pub const MAX_DEPTH: usize = 64;
+const MAX_DEPTH: usize = 64;
 
 struct Parser<'a> {
     bytes: &'a [u8],
@@ -100,7 +100,7 @@ struct Parser<'a> {
 /// # Errors
 ///
 /// Returns a [`ParseError`] locating the first syntax error, or the first
-/// array or object nested deeper than [`MAX_DEPTH`].
+/// array or object nested deeper than 64 (`MAX_DEPTH`).
 pub fn parse(input: &str) -> Result<Value, ParseError> {
     let mut p = Parser { bytes: input.as_bytes(), pos: 0, depth: 0 };
     p.skip_ws();

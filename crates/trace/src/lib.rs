@@ -27,9 +27,6 @@
 //! [`simt-mem`]: https://example.org/cheri-simt-rs
 //! [`simt-regfile`]: https://example.org/cheri-simt-rs
 
-#![forbid(unsafe_code)]
-#![warn(missing_docs)]
-
 use std::any::Any;
 use std::collections::VecDeque;
 
@@ -66,7 +63,7 @@ pub enum StallCause {
 impl StallCause {
     /// Stable lower-snake-case name used in exports (matches the
     /// `StallBreakdown` field name).
-    pub fn name(self) -> &'static str {
+    pub(crate) fn name(self) -> &'static str {
         match self {
             StallCause::CscSerialisation => "csc_serialisation",
             StallCause::SharedVrfConflict => "shared_vrf_conflict",
@@ -90,7 +87,7 @@ pub enum MemSpace {
 
 impl MemSpace {
     /// Stable name used in exports.
-    pub fn name(self) -> &'static str {
+    pub(crate) fn name(self) -> &'static str {
         match self {
             MemSpace::Dram => "dram",
             MemSpace::Scratch => "scratch",
@@ -116,7 +113,7 @@ pub enum IssueClass {
 
 impl IssueClass {
     /// Stable name used in exports.
-    pub fn name(self) -> &'static str {
+    pub(crate) fn name(self) -> &'static str {
         match self {
             IssueClass::Scalarised => "scalarised",
             IssueClass::PerLane => "per_lane",
@@ -135,7 +132,7 @@ pub enum RfKind {
 
 impl RfKind {
     /// Stable name used in exports.
-    pub fn name(self) -> &'static str {
+    pub(crate) fn name(self) -> &'static str {
         match self {
             RfKind::Data => "data",
             RfKind::Meta => "meta",
@@ -295,7 +292,7 @@ pub enum TraceEvent {
 
 impl TraceEvent {
     /// Stable lower-snake-case event-type name used in exports.
-    pub fn kind(&self) -> &'static str {
+    pub(crate) fn kind(&self) -> &'static str {
         match self {
             TraceEvent::Launch { .. } => "launch",
             TraceEvent::Issue { .. } => "issue",
@@ -328,7 +325,7 @@ impl TraceEvent {
 
     /// Warp the event is attributed to, if any ([`NO_WARP`] and launch
     /// markers yield `None`).
-    pub fn warp(&self) -> Option<u32> {
+    pub(crate) fn warp(&self) -> Option<u32> {
         let w = match *self {
             TraceEvent::Launch { .. } => NO_WARP,
             TraceEvent::Issue { warp, .. }
@@ -384,11 +381,6 @@ impl VecSink {
     pub fn events(&self) -> &[TraceEvent] {
         &self.events
     }
-
-    /// Consume the sink, returning the recorded events.
-    pub fn into_events(self) -> Vec<TraceEvent> {
-        self.events
-    }
 }
 
 impl EventSink for VecSink {
@@ -421,11 +413,6 @@ impl RingSink {
     /// The retained (most recent) events, oldest first.
     pub fn events(&self) -> impl Iterator<Item = &TraceEvent> {
         self.events.iter()
-    }
-
-    /// Consume the sink, returning the retained events oldest-first.
-    pub fn into_events(self) -> Vec<TraceEvent> {
-        self.events.into_iter().collect()
     }
 }
 

@@ -54,7 +54,7 @@ fn main() {
         let d_in = gpu.alloc_from(&input);
         let d_out = gpu.alloc::<i32>(256);
         // One block spanning the whole SM, as in the paper.
-        let bd = gpu.sm().config().threads();
+        let bd = gpu.device().config().threads();
         let stats = gpu
             .launch(
                 &histogram_kernel(),

@@ -32,7 +32,7 @@ fn main() {
     // Free the buffer: the revocation sweep finds every capability in
     // device memory pointing into it (here: the one in the kernel argument
     // block) and clears its tag.
-    let revoked = gpu.device_mut().memory_mut().revoke_region(buf.addr(), buf.bytes());
+    let revoked = gpu.free(buf);
     println!(
         "free(buf):    revocation sweep cleared {revoked} dangling capabilit{}",
         if revoked == 1 { "y" } else { "ies" }
