@@ -205,43 +205,56 @@ fn main() {
         }
 
         _ => {
+            // Every name resolves before anything runs: a typo late in the
+            // list must not cost a paper-scale simulation, nor leave output.
+            let runs: Vec<Experiment> = what
+                .iter()
+                .map(|w| {
+                    experiment(w)
+                        .unwrap_or_else(|| usage_error(&format!("unknown experiment: {w}")))
+                })
+                .collect();
             let mut h = if quick { Harness::quick() } else { Harness::paper() }
                 .verbose()
                 .with_jobs(jobs)
                 .with_sms(sms);
-            for w in what {
-                println!("{}", experiment(&mut h, w));
+            for run in runs {
+                println!("{}", run(&mut h));
             }
         }
     }
 }
 
-/// The experiments `all` runs, in order.
-const ALL: [&str; 13] = [
-    "table1", "table2", "table3", "fig6", "fig7", "fig10", "fig11", "fig12", "fig13", "fig14",
-    "fig15", "ablate", "multism",
+/// One experiment: its output for a harness.
+type Experiment = fn(&mut Harness) -> String;
+
+/// Every experiment by name; `all` runs the first [`ALL`], in order.
+const EXPERIMENTS: [(&str, Experiment); 16] = [
+    ("table1", |_| table1()),
+    ("table2", table2),
+    ("table3", |_| table3()),
+    ("fig6", fig6),
+    ("fig7", |_| fig7()),
+    ("fig10", fig10),
+    ("fig11", fig11),
+    ("fig12", fig12),
+    ("fig13", fig13),
+    ("fig14", fig14),
+    ("fig15", fig15),
+    ("ablate", ablate),
+    ("multism", multism),
+    ("vrfsweep", vrfsweep),
+    ("tagsweep", tagsweep),
+    ("scalarise", scalarise),
 ];
 
-/// One experiment's output, by name.
-fn experiment(h: &mut Harness, name: &str) -> String {
-    match name {
-        "table1" => table1(),
-        "table2" => table2(h),
-        "table3" => table3(),
-        "fig6" => fig6(h),
-        "fig7" => fig7(),
-        "fig10" => fig10(h),
-        "fig11" => fig11(h),
-        "fig12" => fig12(h),
-        "fig13" => fig13(h),
-        "fig14" => fig14(h),
-        "fig15" => fig15(h),
-        "ablate" => ablate(h),
-        "multism" => multism(h),
-        "vrfsweep" => vrfsweep(h),
-        "tagsweep" => tagsweep(h),
-        "scalarise" => scalarise(h),
-        "all" => ALL.iter().map(|w| experiment(h, w) + "\n").collect(),
-        other => usage_error(&format!("unknown experiment: {other}")),
+/// How many of [`EXPERIMENTS`] `all` runs.
+const ALL: usize = 13;
+
+/// The experiment called `name`, if there is one.
+fn experiment(name: &str) -> Option<Experiment> {
+    if name == "all" {
+        return Some(|h| EXPERIMENTS[..ALL].iter().map(|(_, run)| run(h) + "\n").collect());
     }
+    EXPERIMENTS.iter().find(|(n, _)| *n == name).map(|&(_, run)| run)
 }

@@ -25,6 +25,7 @@ fn unknown_arguments_print_usage_to_stderr() {
     for (args, msg) in [
         (&["--bogus"][..], "unknown option: --bogus"),
         (&["--quick", "bogus"][..], "unknown experiment: bogus"),
+        (&["--quick", "table1", "bogus"][..], "unknown experiment: bogus"),
         (&["-x"][..], "unknown experiment: -x"),
         (&["trace"][..], "trace takes one benchmark"),
         (&["disasm", "vecadd"][..], "disasm takes a benchmark and a mode"),

@@ -20,9 +20,12 @@
 //!
 //! The trap must be warp-precise: the full faulting-lane mask, one cause per
 //! faulting lane, the faulting instruction's PC, and — under `Abort` — no
-//! lane's store or AMO committed. The expected masks and causes were
-//! harvested at commit `29591a4`, while loads/stores and AMOs still had a
-//! check phase each; `print_table` regenerates them.
+//! lane's store or AMO committed. The expected masks and causes,
+//! `tests/golden/mem_faults.txt`, were harvested at commit `29591a4`, while
+//! loads/stores and AMOs still had a check phase each.
+
+#[path = "../../../tests/golden/mod.rs"]
+mod golden;
 
 use cheri_cap::{CapMem, CapPipe, Perms};
 use cheri_simt::shield::{BoundsTable, ID_MASK};
@@ -243,6 +246,14 @@ fn describe(t: &Trap) -> String {
     t.lane_causes.iter().map(|f| one(f.lane, f.cause)).collect::<Vec<_>>().join(" ")
 }
 
+/// One golden record: `label | fields…`, then the trap's per-lane causes
+/// (none for a clean run).
+fn record(label: &str, fields: &[String], trap: Option<&Trap>) -> String {
+    let causes = trap.map(describe).filter(|c| !c.is_empty());
+    let tokens: Vec<&str> = fields.iter().map(String::as_str).chain(causes.as_deref()).collect();
+    format!("{label} | {}", tokens.join(" "))
+}
+
 fn rows() -> Vec<(String, Instr, Region, Scheme, bool)> {
     let mut v = Vec::new();
     for (name, op, _, writes) in kinds() {
@@ -262,26 +273,13 @@ fn trap_of(label: &str, r: Result<(), RunError>) -> Trap {
     }
 }
 
-/// One-off harvest helper: prints the table in source form.
-/// Run with `cargo test -p cheri-simt --test mem_faults -- --ignored --nocapture`.
-#[test]
-#[ignore = "harvest helper, not a regression test"]
-fn print_table() {
-    for (label, op, region, scheme, _) in rows() {
-        let (_, r, _, _) = run_row(op, region, scheme, TrapPolicy::Abort);
-        let t = trap_of(&label, r);
-        println!("    (\"{label}\", {:#010b}, \"{}\"),", t.lane_mask, describe(&t));
-    }
-}
-
 #[test]
 fn traps_are_warp_precise_and_match_the_recorded_table() {
-    let rows = rows();
-    assert_eq!(rows.len(), GOLDEN.len(), "table covered");
-    for ((label, op, region, scheme, _), want) in rows.into_iter().zip(GOLDEN) {
+    let mut got = Vec::new();
+    for (label, op, region, scheme, _) in rows() {
         let (dev, r, before, idx) = run_row(op, region, scheme, TrapPolicy::Abort);
         let t = trap_of(&label, r);
-        assert_eq!((label.as_str(), t.lane_mask, describe(&t).as_str()), *want, "{label}");
+        got.push(record(&label, &[format!("mask={:#010b}", t.lane_mask)], Some(&t)));
         // The summary fields follow from the per-lane list.
         assert_eq!((t.warp, t.pc), (0, map::TCIM_BASE + 4 * idx as u32), "{label}: warp, pc");
         let mask = t.lane_causes.iter().fold(0u64, |m, f| m | 1 << f.lane);
@@ -292,6 +290,7 @@ fn traps_are_warp_precise_and_match_the_recorded_table() {
         assert_eq!(t.lane_mask & 0b0100_0001, 0, "{label}: clean lanes do not fault");
         assert_eq!(snapshot(&dev), before, "{label}: a lane committed under Abort");
     }
+    golden::check("mem_faults", include_str!("../../../tests/golden/mem_faults.txt"), &got);
 }
 
 /// The one legitimate difference between kinds: under the integer schemes a
@@ -358,72 +357,13 @@ fn mask_lanes_commits_exactly_the_clean_lanes() {
     }
 }
 
-/// `(row, faulting-lane mask, per-lane causes)`.
-#[rustfmt::skip]
-const GOLDEN: &[(&str, u64, &str)] = &[
-    ("LB Dram Baseline", 0b00001100, "2:mem:unmapped@00002000 3:mem:unmapped@00002003"),
-    ("LB Dram Purecap", 0b00111100, "2:mem:unmapped@00002000 3:mem:unmapped@00002003 4:cheri:bounds 5:cheri:tag"),
-    ("LB Dram Shield", 0b00011100, "2:mem:unmapped@00002000 3:mem:unmapped@00002003 4:region_bound@80002100"),
-    ("LB Scratch Baseline", 0b00001100, "2:mem:unmapped@00002000 3:mem:unmapped@00002003"),
-    ("LB Scratch Purecap", 0b00111100, "2:mem:unmapped@00002000 3:mem:unmapped@00002003 4:cheri:bounds 5:cheri:tag"),
-    ("LB Scratch Shield", 0b00011100, "2:mem:unmapped@00002000 3:mem:unmapped@00002003 4:region_bound@80002100"),
-    ("LH Dram Baseline", 0b00001110, "1:mem:misaligned@80002011 2:mem:unmapped@00002000 3:mem:misaligned@00002003"),
-    ("LH Dram Purecap", 0b00111110, "1:mem:misaligned@80002011 2:mem:unmapped@00002000 3:mem:unmapped@00002003 4:cheri:bounds 5:cheri:tag"),
-    ("LH Dram Shield", 0b00011110, "1:mem:misaligned@80002011 2:mem:unmapped@00002000 3:mem:misaligned@00002003 4:region_bound@80002100"),
-    ("LH Scratch Baseline", 0b00001110, "1:mem:misaligned@40000111 2:mem:unmapped@00002000 3:mem:misaligned@00002003"),
-    ("LH Scratch Purecap", 0b00111110, "1:mem:misaligned@40000111 2:mem:unmapped@00002000 3:mem:unmapped@00002003 4:cheri:bounds 5:cheri:tag"),
-    ("LH Scratch Shield", 0b00011110, "1:mem:misaligned@40000111 2:mem:unmapped@00002000 3:mem:misaligned@00002003 4:region_bound@80002100"),
-    ("LW Dram Baseline", 0b10001110, "1:mem:misaligned@80002011 2:mem:unmapped@00002000 3:mem:misaligned@00002003 7:mem:misaligned@800ffffe"),
-    ("LW Dram Purecap", 0b10111110, "1:mem:misaligned@80002011 2:mem:unmapped@00002000 3:mem:unmapped@00002003 4:cheri:bounds 5:cheri:tag 7:mem:unmapped@800ffffe"),
-    ("LW Dram Shield", 0b10011110, "1:mem:misaligned@80002011 2:mem:unmapped@00002000 3:mem:misaligned@00002003 4:region_bound@80002100 7:mem:misaligned@800ffffe"),
-    ("LW Scratch Baseline", 0b10001110, "1:mem:misaligned@40000111 2:mem:unmapped@00002000 3:mem:misaligned@00002003 7:mem:misaligned@4000fffe"),
-    ("LW Scratch Purecap", 0b10111110, "1:mem:misaligned@40000111 2:mem:unmapped@00002000 3:mem:unmapped@00002003 4:cheri:bounds 5:cheri:tag 7:mem:unmapped@4000fffe"),
-    ("LW Scratch Shield", 0b10011110, "1:mem:misaligned@40000111 2:mem:unmapped@00002000 3:mem:misaligned@00002003 4:region_bound@80002100 7:mem:misaligned@4000fffe"),
-    ("SB Dram Baseline", 0b00001100, "2:mem:unmapped@00002000 3:mem:unmapped@00002003"),
-    ("SB Dram Purecap", 0b00111100, "2:mem:unmapped@00002000 3:mem:unmapped@00002003 4:cheri:bounds 5:cheri:tag"),
-    ("SB Dram Shield", 0b00011100, "2:mem:unmapped@00002000 3:mem:unmapped@00002003 4:region_bound@80002100"),
-    ("SB Scratch Baseline", 0b00001100, "2:mem:unmapped@00002000 3:mem:unmapped@00002003"),
-    ("SB Scratch Purecap", 0b00111100, "2:mem:unmapped@00002000 3:mem:unmapped@00002003 4:cheri:bounds 5:cheri:tag"),
-    ("SB Scratch Shield", 0b00011100, "2:mem:unmapped@00002000 3:mem:unmapped@00002003 4:region_bound@80002100"),
-    ("SH Dram Baseline", 0b00001110, "1:mem:misaligned@80002011 2:mem:unmapped@00002000 3:mem:misaligned@00002003"),
-    ("SH Dram Purecap", 0b00111110, "1:mem:misaligned@80002011 2:mem:unmapped@00002000 3:mem:unmapped@00002003 4:cheri:bounds 5:cheri:tag"),
-    ("SH Dram Shield", 0b00011110, "1:mem:misaligned@80002011 2:mem:unmapped@00002000 3:mem:misaligned@00002003 4:region_bound@80002100"),
-    ("SH Scratch Baseline", 0b00001110, "1:mem:misaligned@40000111 2:mem:unmapped@00002000 3:mem:misaligned@00002003"),
-    ("SH Scratch Purecap", 0b00111110, "1:mem:misaligned@40000111 2:mem:unmapped@00002000 3:mem:unmapped@00002003 4:cheri:bounds 5:cheri:tag"),
-    ("SH Scratch Shield", 0b00011110, "1:mem:misaligned@40000111 2:mem:unmapped@00002000 3:mem:misaligned@00002003 4:region_bound@80002100"),
-    ("SW Dram Baseline", 0b10001110, "1:mem:misaligned@80002011 2:mem:unmapped@00002000 3:mem:misaligned@00002003 7:mem:misaligned@800ffffe"),
-    ("SW Dram Purecap", 0b10111110, "1:mem:misaligned@80002011 2:mem:unmapped@00002000 3:mem:unmapped@00002003 4:cheri:bounds 5:cheri:tag 7:mem:unmapped@800ffffe"),
-    ("SW Dram Shield", 0b10011110, "1:mem:misaligned@80002011 2:mem:unmapped@00002000 3:mem:misaligned@00002003 4:region_bound@80002100 7:mem:misaligned@800ffffe"),
-    ("SW Scratch Baseline", 0b10001110, "1:mem:misaligned@40000111 2:mem:unmapped@00002000 3:mem:misaligned@00002003 7:mem:misaligned@4000fffe"),
-    ("SW Scratch Purecap", 0b10111110, "1:mem:misaligned@40000111 2:mem:unmapped@00002000 3:mem:unmapped@00002003 4:cheri:bounds 5:cheri:tag 7:mem:unmapped@4000fffe"),
-    ("SW Scratch Shield", 0b10011110, "1:mem:misaligned@40000111 2:mem:unmapped@00002000 3:mem:misaligned@00002003 4:region_bound@80002100 7:mem:misaligned@4000fffe"),
-    ("CLC Dram Baseline", 0b10001110, "1:mem:misaligned@80002011 2:mem:unmapped@00002000 3:mem:misaligned@00002003 7:mem:misaligned@800ffffe"),
-    ("CLC Dram Purecap", 0b10111110, "1:cheri:alignment 2:mem:unmapped@00002000 3:cheri:alignment 4:cheri:bounds 5:cheri:tag 7:cheri:alignment"),
-    ("CLC Dram Shield", 0b10011110, "1:mem:misaligned@80002011 2:mem:unmapped@00002000 3:mem:misaligned@00002003 4:region_bound@80002100 7:mem:misaligned@800ffffe"),
-    ("CLC Scratch Baseline", 0b10001110, "1:mem:misaligned@40000111 2:mem:unmapped@00002000 3:mem:misaligned@00002003 7:mem:misaligned@4000fffe"),
-    ("CLC Scratch Purecap", 0b10111110, "1:cheri:alignment 2:mem:unmapped@00002000 3:cheri:alignment 4:cheri:bounds 5:cheri:tag 7:cheri:alignment"),
-    ("CLC Scratch Shield", 0b10011110, "1:mem:misaligned@40000111 2:mem:unmapped@00002000 3:mem:misaligned@00002003 4:region_bound@80002100 7:mem:misaligned@4000fffe"),
-    ("CSC Dram Baseline", 0b10001110, "1:mem:misaligned@80002011 2:mem:unmapped@00002000 3:mem:misaligned@00002003 7:mem:misaligned@800ffffe"),
-    ("CSC Dram Purecap", 0b10111110, "1:cheri:alignment 2:mem:unmapped@00002000 3:cheri:alignment 4:cheri:bounds 5:cheri:tag 7:cheri:alignment"),
-    ("CSC Dram Shield", 0b10011110, "1:mem:misaligned@80002011 2:mem:unmapped@00002000 3:mem:misaligned@00002003 4:region_bound@80002100 7:mem:misaligned@800ffffe"),
-    ("CSC Scratch Baseline", 0b10001110, "1:mem:misaligned@40000111 2:mem:unmapped@00002000 3:mem:misaligned@00002003 7:mem:misaligned@4000fffe"),
-    ("CSC Scratch Purecap", 0b10111110, "1:cheri:alignment 2:mem:unmapped@00002000 3:cheri:alignment 4:cheri:bounds 5:cheri:tag 7:cheri:alignment"),
-    ("CSC Scratch Shield", 0b10011110, "1:mem:misaligned@40000111 2:mem:unmapped@00002000 3:mem:misaligned@00002003 4:region_bound@80002100 7:mem:misaligned@4000fffe"),
-    ("AMO Dram Baseline", 0b10001110, "1:mem:misaligned@80002011 2:mem:unmapped@00002000 3:mem:unmapped@00002003 7:mem:unmapped@800ffffe"),
-    ("AMO Dram Purecap", 0b10111110, "1:mem:misaligned@80002011 2:mem:unmapped@00002000 3:mem:unmapped@00002003 4:cheri:bounds 5:cheri:tag 7:mem:unmapped@800ffffe"),
-    ("AMO Dram Shield", 0b10011110, "1:mem:misaligned@80002011 2:mem:unmapped@00002000 3:mem:unmapped@00002003 4:region_bound@80002100 7:mem:unmapped@800ffffe"),
-    ("AMO Scratch Baseline", 0b10001110, "1:mem:misaligned@40000111 2:mem:unmapped@00002000 3:mem:unmapped@00002003 7:mem:unmapped@4000fffe"),
-    ("AMO Scratch Purecap", 0b10111110, "1:mem:misaligned@40000111 2:mem:unmapped@00002000 3:mem:unmapped@00002003 4:cheri:bounds 5:cheri:tag 7:mem:unmapped@4000fffe"),
-    ("AMO Scratch Shield", 0b10011110, "1:mem:misaligned@40000111 2:mem:unmapped@00002000 3:mem:unmapped@00002003 4:region_bound@80002100 7:mem:unmapped@4000fffe"),
-];
-
 // ---- Memo-miss rows ----
 //
 // The check phase and the lane-wise capability ops may reuse one lane's
 // decoded capability for the next lane with the same metadata word. Two rows
 // pin the cases where that reuse must not change an answer. They were
-// harvested at commit `21555b6`, which decoded every lane from scratch;
-// `print_memo_rows` regenerates them.
+// harvested at commit `21555b6`, which decoded every lane from scratch, into
+// `tests/golden/mem_faults_memo.txt`.
 //
 // * `straddle`: every lane holds the same metadata word, tag included, but
 //   the addresses straddle the representable-region edge of a 256-byte
@@ -565,40 +505,22 @@ fn tag_mask(incs: &[CapMem]) -> u64 {
     incs.iter().enumerate().fold(0, |m, (lane, c)| m | u64::from(c.tag()) << lane)
 }
 
-/// One-off harvest helper: prints the memo rows in source form.
-/// Run with `cargo test -p cheri-simt --test mem_faults -- --ignored --nocapture`.
-#[test]
-#[ignore = "harvest helper, not a regression test"]
-fn print_memo_rows() {
-    for row in memo_rows() {
-        let (o, _) = run_memo_row(&row, true);
-        let bases: Vec<String> = o.bounds.iter().map(|(b, _)| format!("{b:#010x}")).collect();
-        let lens: Vec<String> = o.bounds.iter().map(|(_, l)| format!("{l:#x}")).collect();
-        println!(
-            "    (\"{}\", [{}], [{}], {:#010b}, {:#010b}, \"{}\"),",
-            row.name,
-            bases.join(", "),
-            lens.join(", "),
-            tag_mask(&o.incs),
-            o.trap.lane_mask,
-            describe(&o.trap)
-        );
-    }
-}
-
 #[test]
 fn memo_rows_match_the_recorded_table() {
-    let rows = memo_rows();
-    assert_eq!(rows.len(), MEMO_GOLDEN.len(), "table covered");
-    for (row, want) in rows.iter().zip(MEMO_GOLDEN) {
+    let mut got = Vec::new();
+    for row in &memo_rows() {
         let (o, idx) = run_memo_row(row, true);
         let (slow, _) = run_memo_row(row, false);
         assert_eq!(o, slow, "{}: scalarised and lane-wise runs disagree", row.name);
-        let bases: Vec<u32> = o.bounds.iter().map(|b| b.0).collect();
-        let lens: Vec<u32> = o.bounds.iter().map(|b| b.1).collect();
-        let got = (row.name, &bases[..], &lens[..], tag_mask(&o.incs), o.trap.lane_mask);
-        assert_eq!(got, (want.0, &want.1[..], &want.2[..], want.3, want.4), "{}", row.name);
-        assert_eq!(describe(&o.trap), want.5, "{}", row.name);
+        let bases: Vec<String> = o.bounds.iter().map(|(b, _)| format!("{b:#010x}")).collect();
+        let lens: Vec<String> = o.bounds.iter().map(|(_, l)| format!("{l:#x}")).collect();
+        let fields = [
+            format!("bases={}", bases.join(",")),
+            format!("lens={}", lens.join(",")),
+            format!("tags={:#010b}", tag_mask(&o.incs)),
+            format!("mask={:#010b}", o.trap.lane_mask),
+        ];
+        got.push(record(row.name, &fields, Some(&o.trap)));
         assert_eq!(o.trap.pc, map::TCIM_BASE + 4 * idx as u32, "{}: pc", row.name);
         // `CIncOffset` moves every lane to its operand, tagged or not.
         for (lane, c) in o.incs.iter().enumerate() {
@@ -612,6 +534,11 @@ fn memo_rows_match_the_recorded_table() {
             assert_eq!(c.meta(), src.meta(), "{} lane {lane}: metadata", row.name);
         }
     }
+    golden::check(
+        "mem_faults_memo",
+        include_str!("../../../tests/golden/mem_faults_memo.txt"),
+        &got,
+    );
 }
 
 /// The straddle row's claim in words: the far lanes, and only they, fault on
@@ -625,16 +552,6 @@ fn far_lanes_of_a_uniform_capability_fault_on_bounds_and_detag() {
     assert!(o.trap.lane_causes.iter().all(|f| f.cause == bounds), "{:?}", o.trap);
     assert_eq!(tag_mask(&o.incs), 0b0000_1111);
 }
-
-/// `(row, CGetBase per lane, CGetLen per lane, CIncOffset tag mask,
-/// faulting-lane mask, per-lane causes)`.
-type MemoGolden = (&'static str, [u32; 8], [u32; 8], u64, u64, &'static str);
-
-#[rustfmt::skip]
-const MEMO_GOLDEN: &[MemoGolden] = &[
-    ("straddle", [0x80002800, 0x80002800, 0x80002800, 0x80002800, 0x80002400, 0x80002400, 0x80002400, 0x80042800], [0x100, 0x100, 0x100, 0x100, 0x100, 0x100, 0x100, 0x100], 0b00001111, 0b11110000, "4:cheri:bounds 5:cheri:bounds 6:cheri:bounds 7:cheri:bounds"),
-    ("select", [0x80002800, 0x80002800, 0x40000200, 0x40000200, 0x80002800, 0x40000200, 0x80002800, 0x40000200], [0x40, 0x40, 0x40, 0x40, 0x40, 0x40, 0x40, 0x40], 0b11111101, 0b01101010, "1:cheri:tag 3:cheri:permit_load 5:cheri:bounds 6:cheri:bounds"),
-];
 
 // ---- Middle-of-span rows ----
 //
@@ -651,8 +568,8 @@ const MEMO_GOLDEN: &[MemoGolden] = &[
 // * `tag`: lane 3 holds its neighbours' capability with the tag cleared,
 //   which faults under purecap only (mask 0 is a clean run).
 //
-// They were harvested at commit `b43c58e`, which checked every lane;
-// `print_span_rows` regenerates them.
+// They were harvested at commit `b43c58e`, which checked every lane, into
+// `tests/golden/mem_faults_span.txt`.
 
 /// The faulty lane of every middle-of-span row.
 const MIDDLE: u32 = 3;
@@ -739,34 +656,17 @@ fn trap_or_clean(label: &str, r: Result<(), RunError>) -> Option<Trap> {
     }
 }
 
-/// One-off harvest helper: prints the middle-of-span rows in source form.
-/// Run with `cargo test -p cheri-simt --test mem_faults -- --ignored --nocapture`.
-#[test]
-#[ignore = "harvest helper, not a regression test"]
-fn print_span_rows() {
-    for (label, op, region, scheme, flaw, bytes, _) in span_rows() {
-        let (_, r, _) = run_span_row(op, region, scheme, flaw, bytes, TrapPolicy::Abort);
-        let t = trap_or_clean(&label, r);
-        let (mask, causes) = t.map_or((0, String::new()), |t| (t.lane_mask, describe(&t)));
-        println!("    (\"{label}\", {mask:#010b}, \"{causes}\"),");
-    }
-}
-
 /// Only the middle lane may fault, with exactly the recorded cause; under
 /// `Abort` a trapped warp commits nothing, and under `MaskLanes` exactly the
 /// clean lanes' stores and AMOs land.
 #[test]
 fn a_faulty_middle_lane_is_caught_between_clean_span_ends() {
-    let rows = span_rows();
-    assert_eq!(rows.len(), SPAN_GOLDEN.len(), "table covered");
-    for ((label, op, region, scheme, flaw, bytes, writes), want) in
-        rows.into_iter().zip(SPAN_GOLDEN)
-    {
+    let mut got = Vec::new();
+    for (label, op, region, scheme, flaw, bytes, writes) in span_rows() {
         let (dev, r, before) = run_span_row(op, region, scheme, flaw, bytes, TrapPolicy::Abort);
         let abort = trap_or_clean(&label, r);
-        let (mask, causes) =
-            abort.as_ref().map_or((0, String::new()), |t| (t.lane_mask, describe(t)));
-        assert_eq!((label.as_str(), mask, causes.as_str()), *want, "{label}");
+        let mask = abort.as_ref().map_or(0, |t| t.lane_mask);
+        got.push(record(&label, &[format!("mask={mask:#010b}")], abort.as_ref()));
         assert_eq!(mask & !(1 << MIDDLE), 0, "{label}: only the middle lane faults");
         if abort.is_some() {
             assert_eq!(snapshot(&dev), before, "{label}: a lane committed under Abort");
@@ -785,141 +685,9 @@ fn a_faulty_middle_lane_is_caught_between_clean_span_ends() {
         changed.sort_unstable();
         assert_eq!(changed, want, "{label}: exactly the clean lanes commit");
     }
+    golden::check(
+        "mem_faults_span",
+        include_str!("../../../tests/golden/mem_faults_span.txt"),
+        &got,
+    );
 }
-
-/// `(row, faulting-lane mask, per-lane causes)`; mask 0 is a clean run.
-#[rustfmt::skip]
-const SPAN_GOLDEN: &[(&str, u64, &str)] = &[
-    ("LB Dram Baseline Window", 0b00001000, "3:mem:unmapped@80002018"),
-    ("LB Dram Purecap Window", 0b00001000, "3:mem:unmapped@80002018"),
-    ("LB Dram Shield Window", 0b00001000, "3:mem:unmapped@80002018"),
-    ("LB Scratch Baseline Window", 0b00001000, "3:mem:unmapped@40000118"),
-    ("LB Scratch Purecap Window", 0b00001000, "3:mem:unmapped@40000118"),
-    ("LB Scratch Shield Window", 0b00001000, "3:mem:unmapped@40000118"),
-    ("LH Dram Baseline Window", 0b00001000, "3:mem:unmapped@80002018"),
-    ("LH Dram Purecap Window", 0b00001000, "3:mem:unmapped@80002018"),
-    ("LH Dram Shield Window", 0b00001000, "3:mem:unmapped@80002018"),
-    ("LH Scratch Baseline Window", 0b00001000, "3:mem:unmapped@40000118"),
-    ("LH Scratch Purecap Window", 0b00001000, "3:mem:unmapped@40000118"),
-    ("LH Scratch Shield Window", 0b00001000, "3:mem:unmapped@40000118"),
-    ("LW Dram Baseline Window", 0b00001000, "3:mem:unmapped@80002018"),
-    ("LW Dram Purecap Window", 0b00001000, "3:mem:unmapped@80002018"),
-    ("LW Dram Shield Window", 0b00001000, "3:mem:unmapped@80002018"),
-    ("LW Scratch Baseline Window", 0b00001000, "3:mem:unmapped@40000118"),
-    ("LW Scratch Purecap Window", 0b00001000, "3:mem:unmapped@40000118"),
-    ("LW Scratch Shield Window", 0b00001000, "3:mem:unmapped@40000118"),
-    ("SB Dram Baseline Window", 0b00001000, "3:mem:unmapped@80002018"),
-    ("SB Dram Purecap Window", 0b00001000, "3:mem:unmapped@80002018"),
-    ("SB Dram Shield Window", 0b00001000, "3:mem:unmapped@80002018"),
-    ("SB Scratch Baseline Window", 0b00001000, "3:mem:unmapped@40000118"),
-    ("SB Scratch Purecap Window", 0b00001000, "3:mem:unmapped@40000118"),
-    ("SB Scratch Shield Window", 0b00001000, "3:mem:unmapped@40000118"),
-    ("SH Dram Baseline Window", 0b00001000, "3:mem:unmapped@80002018"),
-    ("SH Dram Purecap Window", 0b00001000, "3:mem:unmapped@80002018"),
-    ("SH Dram Shield Window", 0b00001000, "3:mem:unmapped@80002018"),
-    ("SH Scratch Baseline Window", 0b00001000, "3:mem:unmapped@40000118"),
-    ("SH Scratch Purecap Window", 0b00001000, "3:mem:unmapped@40000118"),
-    ("SH Scratch Shield Window", 0b00001000, "3:mem:unmapped@40000118"),
-    ("SW Dram Baseline Window", 0b00001000, "3:mem:unmapped@80002018"),
-    ("SW Dram Purecap Window", 0b00001000, "3:mem:unmapped@80002018"),
-    ("SW Dram Shield Window", 0b00001000, "3:mem:unmapped@80002018"),
-    ("SW Scratch Baseline Window", 0b00001000, "3:mem:unmapped@40000118"),
-    ("SW Scratch Purecap Window", 0b00001000, "3:mem:unmapped@40000118"),
-    ("SW Scratch Shield Window", 0b00001000, "3:mem:unmapped@40000118"),
-    ("CLC Dram Baseline Window", 0b00001000, "3:mem:unmapped@80002018"),
-    ("CLC Dram Purecap Window", 0b00001000, "3:mem:unmapped@80002018"),
-    ("CLC Dram Shield Window", 0b00001000, "3:mem:unmapped@80002018"),
-    ("CLC Scratch Baseline Window", 0b00001000, "3:mem:unmapped@40000118"),
-    ("CLC Scratch Purecap Window", 0b00001000, "3:mem:unmapped@40000118"),
-    ("CLC Scratch Shield Window", 0b00001000, "3:mem:unmapped@40000118"),
-    ("CSC Dram Baseline Window", 0b00001000, "3:mem:unmapped@80002018"),
-    ("CSC Dram Purecap Window", 0b00001000, "3:mem:unmapped@80002018"),
-    ("CSC Dram Shield Window", 0b00001000, "3:mem:unmapped@80002018"),
-    ("CSC Scratch Baseline Window", 0b00001000, "3:mem:unmapped@40000118"),
-    ("CSC Scratch Purecap Window", 0b00001000, "3:mem:unmapped@40000118"),
-    ("CSC Scratch Shield Window", 0b00001000, "3:mem:unmapped@40000118"),
-    ("AMO Dram Baseline Window", 0b00001000, "3:mem:unmapped@80002018"),
-    ("AMO Dram Purecap Window", 0b00001000, "3:mem:unmapped@80002018"),
-    ("AMO Dram Shield Window", 0b00001000, "3:mem:unmapped@80002018"),
-    ("AMO Scratch Baseline Window", 0b00001000, "3:mem:unmapped@40000118"),
-    ("AMO Scratch Purecap Window", 0b00001000, "3:mem:unmapped@40000118"),
-    ("AMO Scratch Shield Window", 0b00001000, "3:mem:unmapped@40000118"),
-    ("LH Dram Baseline Misaligned", 0b00001000, "3:mem:misaligned@80002019"),
-    ("LH Dram Purecap Misaligned", 0b00001000, "3:mem:misaligned@80002019"),
-    ("LH Dram Shield Misaligned", 0b00001000, "3:mem:misaligned@80002019"),
-    ("LH Scratch Baseline Misaligned", 0b00001000, "3:mem:misaligned@40000119"),
-    ("LH Scratch Purecap Misaligned", 0b00001000, "3:mem:misaligned@40000119"),
-    ("LH Scratch Shield Misaligned", 0b00001000, "3:mem:misaligned@40000119"),
-    ("LW Dram Baseline Misaligned", 0b00001000, "3:mem:misaligned@8000201a"),
-    ("LW Dram Purecap Misaligned", 0b00001000, "3:mem:misaligned@8000201a"),
-    ("LW Dram Shield Misaligned", 0b00001000, "3:mem:misaligned@8000201a"),
-    ("LW Scratch Baseline Misaligned", 0b00001000, "3:mem:misaligned@4000011a"),
-    ("LW Scratch Purecap Misaligned", 0b00001000, "3:mem:misaligned@4000011a"),
-    ("LW Scratch Shield Misaligned", 0b00001000, "3:mem:misaligned@4000011a"),
-    ("CLC Dram Baseline Misaligned", 0b00001000, "3:mem:misaligned@8000201c"),
-    ("CLC Dram Purecap Misaligned", 0b00001000, "3:cheri:alignment"),
-    ("CLC Dram Shield Misaligned", 0b00001000, "3:mem:misaligned@8000201c"),
-    ("CLC Scratch Baseline Misaligned", 0b00001000, "3:mem:misaligned@4000011c"),
-    ("CLC Scratch Purecap Misaligned", 0b00001000, "3:cheri:alignment"),
-    ("CLC Scratch Shield Misaligned", 0b00001000, "3:mem:misaligned@4000011c"),
-    ("CSC Dram Baseline Misaligned", 0b00001000, "3:mem:misaligned@8000201c"),
-    ("CSC Dram Purecap Misaligned", 0b00001000, "3:cheri:alignment"),
-    ("CSC Dram Shield Misaligned", 0b00001000, "3:mem:misaligned@8000201c"),
-    ("CSC Scratch Baseline Misaligned", 0b00001000, "3:mem:misaligned@4000011c"),
-    ("CSC Scratch Purecap Misaligned", 0b00001000, "3:cheri:alignment"),
-    ("CSC Scratch Shield Misaligned", 0b00001000, "3:mem:misaligned@4000011c"),
-    ("LB Dram Baseline Tag", 0b00000000, ""),
-    ("LB Dram Purecap Tag", 0b00001000, "3:cheri:tag"),
-    ("LB Dram Shield Tag", 0b00000000, ""),
-    ("LB Scratch Baseline Tag", 0b00000000, ""),
-    ("LB Scratch Purecap Tag", 0b00001000, "3:cheri:tag"),
-    ("LB Scratch Shield Tag", 0b00000000, ""),
-    ("LH Dram Baseline Tag", 0b00000000, ""),
-    ("LH Dram Purecap Tag", 0b00001000, "3:cheri:tag"),
-    ("LH Dram Shield Tag", 0b00000000, ""),
-    ("LH Scratch Baseline Tag", 0b00000000, ""),
-    ("LH Scratch Purecap Tag", 0b00001000, "3:cheri:tag"),
-    ("LH Scratch Shield Tag", 0b00000000, ""),
-    ("LW Dram Baseline Tag", 0b00000000, ""),
-    ("LW Dram Purecap Tag", 0b00001000, "3:cheri:tag"),
-    ("LW Dram Shield Tag", 0b00000000, ""),
-    ("LW Scratch Baseline Tag", 0b00000000, ""),
-    ("LW Scratch Purecap Tag", 0b00001000, "3:cheri:tag"),
-    ("LW Scratch Shield Tag", 0b00000000, ""),
-    ("SB Dram Baseline Tag", 0b00000000, ""),
-    ("SB Dram Purecap Tag", 0b00001000, "3:cheri:tag"),
-    ("SB Dram Shield Tag", 0b00000000, ""),
-    ("SB Scratch Baseline Tag", 0b00000000, ""),
-    ("SB Scratch Purecap Tag", 0b00001000, "3:cheri:tag"),
-    ("SB Scratch Shield Tag", 0b00000000, ""),
-    ("SH Dram Baseline Tag", 0b00000000, ""),
-    ("SH Dram Purecap Tag", 0b00001000, "3:cheri:tag"),
-    ("SH Dram Shield Tag", 0b00000000, ""),
-    ("SH Scratch Baseline Tag", 0b00000000, ""),
-    ("SH Scratch Purecap Tag", 0b00001000, "3:cheri:tag"),
-    ("SH Scratch Shield Tag", 0b00000000, ""),
-    ("SW Dram Baseline Tag", 0b00000000, ""),
-    ("SW Dram Purecap Tag", 0b00001000, "3:cheri:tag"),
-    ("SW Dram Shield Tag", 0b00000000, ""),
-    ("SW Scratch Baseline Tag", 0b00000000, ""),
-    ("SW Scratch Purecap Tag", 0b00001000, "3:cheri:tag"),
-    ("SW Scratch Shield Tag", 0b00000000, ""),
-    ("CLC Dram Baseline Tag", 0b00000000, ""),
-    ("CLC Dram Purecap Tag", 0b00001000, "3:cheri:tag"),
-    ("CLC Dram Shield Tag", 0b00000000, ""),
-    ("CLC Scratch Baseline Tag", 0b00000000, ""),
-    ("CLC Scratch Purecap Tag", 0b00001000, "3:cheri:tag"),
-    ("CLC Scratch Shield Tag", 0b00000000, ""),
-    ("CSC Dram Baseline Tag", 0b00000000, ""),
-    ("CSC Dram Purecap Tag", 0b00001000, "3:cheri:tag"),
-    ("CSC Dram Shield Tag", 0b00000000, ""),
-    ("CSC Scratch Baseline Tag", 0b00000000, ""),
-    ("CSC Scratch Purecap Tag", 0b00001000, "3:cheri:tag"),
-    ("CSC Scratch Shield Tag", 0b00000000, ""),
-    ("AMO Dram Baseline Tag", 0b00000000, ""),
-    ("AMO Dram Purecap Tag", 0b00001000, "3:cheri:tag"),
-    ("AMO Dram Shield Tag", 0b00000000, ""),
-    ("AMO Scratch Baseline Tag", 0b00000000, ""),
-    ("AMO Scratch Purecap Tag", 0b00001000, "3:cheri:tag"),
-    ("AMO Scratch Shield Tag", 0b00000000, ""),
-];

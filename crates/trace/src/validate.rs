@@ -2,7 +2,9 @@
 //!
 //! Used by the `repro validate-trace` subcommand and the CI smoke test: a
 //! trace file is parsed with the built-in JSON parser and checked against
-//! the event schema documented in `docs/TRACING.md`.
+//! the event schema documented in `docs/TRACING.md`. Every real export
+//! holds at least one event, so a trace with none — an empty or truncated
+//! file, or a Chrome document of metadata only — is rejected too.
 
 use crate::json::{parse, Value};
 
@@ -69,7 +71,8 @@ fn check_typed(obj: &Value, ty: &str, ctx: &str) -> Result<(), String> {
 ///
 /// # Errors
 ///
-/// Returns a description of the first schema violation.
+/// Returns a description of the first schema violation, or `no events`
+/// when the trace holds none.
 pub fn validate_chrome(input: &str) -> Result<Summary, String> {
     let doc = parse(input).map_err(|e| e.to_string())?;
     let events = doc
@@ -131,7 +134,7 @@ pub fn validate_chrome(input: &str) -> Result<Summary, String> {
         }
     }
     summary.processes = pids.len() as u64;
-    Ok(summary)
+    non_empty(summary)
 }
 
 /// Validate a JSON-lines trace: every line is an object with string `cell`
@@ -140,7 +143,8 @@ pub fn validate_chrome(input: &str) -> Result<Summary, String> {
 ///
 /// # Errors
 ///
-/// Returns a description of the first schema violation.
+/// Returns a description of the first schema violation, or `no events`
+/// when the trace holds none.
 pub fn validate_jsonl(input: &str) -> Result<Summary, String> {
     let mut summary = Summary::default();
     for (lineno, line) in input.lines().enumerate() {
@@ -167,6 +171,14 @@ pub fn validate_jsonl(input: &str) -> Result<Summary, String> {
         }
         check_typed(&obj, &ty, &ctx)?;
         summary.events += 1;
+    }
+    non_empty(summary)
+}
+
+/// `summary`, unless it counted no event.
+fn non_empty(summary: Summary) -> Result<Summary, String> {
+    if summary.events == 0 {
+        return Err("no events".to_string());
     }
     Ok(summary)
 }
@@ -240,6 +252,15 @@ mod tests {
     #[test]
     fn rejects_bad_documents() {
         assert!(validate_chrome("{}").is_err());
+        for empty in ["", "\n"] {
+            assert_eq!(validate_jsonl(empty), Err("no events".to_string()), "{empty:?}");
+            assert!(validate_auto(empty).is_err(), "{empty:?}");
+        }
+        assert_eq!(validate_chrome(r#"{"traceEvents":[]}"#), Err("no events".to_string()));
+        let metadata_only =
+            r#"{"traceEvents":[{"ph":"M","pid":0,"name":"process_name","args":{"name":"c"}}]}"#;
+        assert_eq!(validate_chrome(metadata_only), Err("no events".to_string()));
+        assert!(validate_auto(metadata_only).is_err());
         assert!(validate_chrome(r#"{"traceEvents":[{"ph":"X"}]}"#).is_err());
         assert!(validate_jsonl("{\"type\":\"issue\"}\n").is_err()); // missing cell
         assert!(validate_jsonl("{\"cell\":\"c\",\"type\":\"bogus\"}\n").is_err());
