@@ -19,8 +19,8 @@ pub use faults::{
 };
 pub use runner::{default_jobs, run_indexed, run_suite_parallel_on, CellError};
 pub use trace::{
-    export_runs, reconcile, resolve_benches, trace_config, trace_suite_on, trace_summary,
-    TraceFormat, TracedRun,
+    export_runs, resolve_benches, trace_config, trace_suite_on, trace_summary, TraceFormat,
+    TracedRun,
 };
 
 use cheri_simt::{CheriMode, CheriOpts, KernelStats, SmConfig};

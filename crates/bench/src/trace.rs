@@ -9,7 +9,7 @@
 
 use crate::{run_indexed, Config, Geometry};
 use cheri_simt::trace::export::{to_chrome, to_jsonl, TraceCell};
-use cheri_simt::trace::{StallCause, TraceEvent, VecSink};
+use cheri_simt::trace::{TraceEvent, VecSink};
 use cheri_simt::KernelStats;
 use nocl::Gpu;
 use nocl_suite::{catalog, NoclBench};
@@ -99,8 +99,8 @@ pub fn resolve_benches(name: &str) -> Result<Vec<&'static dyn NoclBench>, String
 /// Run `benches` under `config` on devices of `sms` streaming
 /// multiprocessors, each cell on a fresh [`Gpu`] with a [`VecSink`] per SM,
 /// fanned over `jobs` workers. Every cell's event stream is
-/// [reconciled](reconcile) against its `KernelStats` before being accepted,
-/// so a trace this function returns is always exact.
+/// [reconciled](KernelStats::reconcile) against its `KernelStats` before
+/// being accepted, so a trace this function returns is always exact.
 ///
 /// With `sms == 1` a cell is labelled `"<bench> [<mode>]"`. With more SMs
 /// each SM becomes its own exported cell (labelled
@@ -143,7 +143,7 @@ pub fn trace_suite_on(
             })
             .collect();
         let all: Vec<TraceEvent> = per_sm.iter().flatten().copied().collect();
-        reconcile(&all, &stats).map_err(|e| format!("trace/stats mismatch: {e}"))?;
+        stats.reconcile(&all).map_err(|e| format!("trace/stats mismatch: {e}"))?;
         if sms == 1 {
             let events = per_sm.into_iter().next().expect("one SM");
             return Ok(vec![TracedRun { label: format!("{} [{tag}]", b.name()), events, stats }]);
@@ -166,108 +166,6 @@ pub fn trace_suite_on(
         }
     }
     Ok(out)
-}
-
-/// Check every reconciliation invariant between an event stream and the
-/// statistics of the run that produced it — the contract documented in
-/// `docs/TRACING.md`: issue events count `instrs`, their mask popcounts sum
-/// to `thread_instrs`, per-cause stall cycles sum to the `StallBreakdown`
-/// fields, and memory events sum to the DRAM/tag-cache/scratchpad counters.
-///
-/// # Errors
-///
-/// Returns the first violated invariant as `"name: events say X, counters
-/// say Y"`.
-pub fn reconcile(events: &[TraceEvent], stats: &KernelStats) -> Result<(), String> {
-    let check = |name: &str, got: u64, want: u64| {
-        if got == want {
-            Ok(())
-        } else {
-            Err(format!("{name}: events say {got}, counters say {want}"))
-        }
-    };
-    let (mut issues, mut threads, mut arrivals, mut sfu) = (0u64, 0u64, 0u64, 0u64);
-    let mut scalarised = 0u64;
-    let (mut tag_lookups, mut tag_hits, mut tag_writebacks) = (0u64, 0u64, 0u64);
-    let (mut dram_reads, mut dram_writes, mut dram_tags) = (0u64, 0u64, 0u64);
-    let (mut scratch_accesses, mut scratch_conflicts, mut stack_hits) = (0u64, 0u64, 0u64);
-    let (mut csc, mut vrf, mut spill, mut flit, mut idle) = (0u64, 0u64, 0u64, 0u64, 0u64);
-    let (mut traps, mut faulting_lanes, mut suppressed) = (0u64, 0u64, 0u64);
-    for e in events {
-        match *e {
-            TraceEvent::Issue { mask, class, .. } => {
-                issues += 1;
-                threads += u64::from(mask.count_ones());
-                scalarised += u64::from(class == cheri_simt::trace::IssueClass::Scalarised);
-            }
-            TraceEvent::Barrier { release: false, .. } => arrivals += 1,
-            TraceEvent::Sfu { .. } => sfu += 1,
-            TraceEvent::TagCache { hit, writeback, .. } => {
-                tag_lookups += 1;
-                tag_hits += u64::from(hit);
-                tag_writebacks += u64::from(writeback);
-            }
-            TraceEvent::Dram { reads, writes, tag_txns, .. } => {
-                dram_reads += u64::from(reads);
-                dram_writes += u64::from(writes);
-                dram_tags += u64::from(tag_txns);
-            }
-            TraceEvent::Mem { space, conflict_cycles, .. } => match space {
-                cheri_simt::trace::MemSpace::Scratch => {
-                    scratch_accesses += 1;
-                    scratch_conflicts += u64::from(conflict_cycles);
-                }
-                cheri_simt::trace::MemSpace::StackCache => stack_hits += 1,
-                cheri_simt::trace::MemSpace::Dram => {}
-            },
-            TraceEvent::Stall { cause, cycles, .. } => match cause {
-                StallCause::CscSerialisation => csc += cycles,
-                StallCause::SharedVrfConflict => vrf += cycles,
-                StallCause::SpillFill => spill += cycles,
-                StallCause::CapMultiFlit => flit += cycles,
-                StallCause::Idle => idle += cycles,
-            },
-            TraceEvent::Trap { mask, suppressed: s, .. } => {
-                traps += 1;
-                faulting_lanes += u64::from(mask.count_ones());
-                suppressed += u64::from(s);
-            }
-            TraceEvent::Launch { .. }
-            | TraceEvent::RfTransition { .. }
-            | TraceEvent::Barrier { release: true, .. } => {}
-        }
-    }
-    check("issue events vs instrs", issues, stats.instrs)?;
-    check("issue mask popcounts vs thread_instrs", threads, stats.thread_instrs)?;
-    check("scalarised issue events vs scalarised_issues", scalarised, stats.scalarised_issues)?;
-    check("barrier arrivals vs barriers", arrivals, stats.barriers)?;
-    check("sfu events vs sfu_requests", sfu, stats.sfu_requests)?;
-    check(
-        "tag lookups vs hits+misses",
-        tag_lookups,
-        stats.tag_cache.hits + stats.tag_cache.misses,
-    )?;
-    check("tag hit events vs hits", tag_hits, stats.tag_cache.hits)?;
-    check("tag writeback events vs writebacks", tag_writebacks, stats.tag_cache.writebacks)?;
-    check("dram read txns", dram_reads, stats.dram.read_transactions)?;
-    check("dram write txns", dram_writes, stats.dram.write_transactions)?;
-    check("dram tag txns", dram_tags, stats.dram.tag_transactions)?;
-    check("scratch accesses", scratch_accesses, stats.scratch.accesses)?;
-    check("scratch conflict cycles", scratch_conflicts, stats.scratch.conflict_cycles)?;
-    check("stack-cache hits", stack_hits, stats.stack_cache_hits)?;
-    check("csc_serialisation stall cycles", csc, stats.stalls.csc_serialisation)?;
-    check("shared_vrf_conflict stall cycles", vrf, stats.stalls.shared_vrf_conflict)?;
-    check("spill_fill stall cycles", spill, stats.stalls.spill_fill)?;
-    check("cap_multi_flit stall cycles", flit, stats.stalls.cap_multi_flit)?;
-    check("idle stall cycles", idle, stats.stalls.idle)?;
-    check("trap events vs faults.traps", traps, stats.faults.traps)?;
-    check(
-        "trap lane popcounts vs faults.faulting_lanes",
-        faulting_lanes,
-        stats.faults.faulting_lanes,
-    )?;
-    check("suppressed trap events vs faults.suppressed", suppressed, stats.faults.suppressed)?;
-    Ok(())
 }
 
 /// Serialise traced cells in suite order. The output is a pure function of

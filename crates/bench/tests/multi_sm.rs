@@ -1,8 +1,9 @@
 //! Multi-SM smoke tests (ISSUE 3 acceptance): at `--sms 2` and `--sms 4`
 //! every suite benchmark still passes its self-check, a multi-block
 //! benchmark is no slower than on a single SM, and the shared DRAM /
-//! tag-cache contention counters actually move — while at `--sms 1` they
-//! are provably zero.
+//! tag-cache contention counters actually move. That they are zero at
+//! `--sms 1` is recorded in every `tests/golden/suite_stats.txt` record
+//! (`xsm=0,0,0,0`).
 
 use cheri_simt::KernelStats;
 use nocl_suite::Scale;
@@ -19,16 +20,6 @@ fn suite_at(config: Config, sms: u32) -> Vec<(&'static str, KernelStats)> {
 
 fn cycles_of(results: &[(&'static str, KernelStats)], name: &str) -> u64 {
     results.iter().find(|(n, _)| *n == name).map(|(_, s)| s.cycles).unwrap()
-}
-
-#[test]
-fn single_sm_has_no_cross_sm_contention() {
-    for (name, s) in suite_at(Config::Base { eighths: 3 }, 1) {
-        assert_eq!(s.dram.cross_sm_switches, 0, "{name}");
-        assert_eq!(s.dram.cross_sm_wait_cycles, 0, "{name}");
-        assert_eq!(s.tag_cache.cross_sm_switches, 0, "{name}");
-        assert_eq!(s.tag_cache.cross_sm_conflict_evictions, 0, "{name}");
-    }
 }
 
 #[test]

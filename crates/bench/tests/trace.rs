@@ -6,9 +6,7 @@ use cheri_simt::trace::validate::validate_auto;
 use cheri_simt::trace::TraceEvent;
 use nocl::Gpu;
 use nocl_suite::{NoclBench, Scale};
-use repro::{
-    export_runs, reconcile, resolve_benches, trace_config, trace_suite_on, Geometry, TraceFormat,
-};
+use repro::{export_runs, resolve_benches, trace_config, trace_suite_on, Geometry, TraceFormat};
 
 fn benches(names: &[&str]) -> Vec<&'static dyn NoclBench> {
     names.iter().flat_map(|n| resolve_benches(n).unwrap()).collect()
@@ -41,7 +39,7 @@ fn multi_launch_stream_reconciles() {
         trace_suite_on(&benches, trace_config("purecap").unwrap(), Geometry::Small, 1, 1).unwrap();
     let launches = runs[0].events.iter().filter(|e| matches!(e, TraceEvent::Launch { .. })).count();
     assert!(launches > 1, "BitonicLa launches phase kernels ({launches} launches seen)");
-    reconcile(&runs[0].events, &runs[0].stats).unwrap();
+    runs[0].stats.reconcile(&runs[0].events).unwrap();
 }
 
 /// Attaching a sink must not perturb the simulation: the traced run's
@@ -116,5 +114,5 @@ fn stack_cache_stream_reconciles() {
         .count();
     assert_eq!((stats.stack_cache_hits, in_cache), (4, 4), "two warps, a store and a load each");
     assert_eq!(stats.dram.read_transactions, 2, "the loads past the arena go to DRAM");
-    reconcile(&events, &stats).unwrap();
+    stats.reconcile(&events).unwrap();
 }

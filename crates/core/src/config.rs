@@ -144,6 +144,9 @@ pub struct SmConfig {
     /// SIMTight's proof-of-concept *compressed stack cache* (Section 4.4):
     /// uniform/affine spill vectors are cached compactly instead of going
     /// to DRAM. Off by default, as in the paper's evaluated configurations.
+    /// Kir's integer spill slots reach it: on, MotionEst's stack traffic is
+    /// absorbed (at the quick geometry its Base3 run drops from 279,633 to
+    /// 189,546 cycles).
     pub stack_cache: bool,
     /// What to do when a warp traps (default: abort the kernel).
     pub trap_policy: TrapPolicy,

@@ -12,7 +12,8 @@
 //! and the golden-stats regression test in `crates/bench` pins its
 //! statistics to the pre-`Device` model for the whole benchmark suite.
 //! Beyond hart placement (below), no SM behaves differently for the SM
-//! count.
+//! count. The device's statistics merge the SMs' under each counter's
+//! declared SM rule ([`crate::COUNTERS`]).
 //!
 //! `Device` is the only public way to set up a launch: [`Device::new`]
 //! fixes each SM's hart placement, and [`Device::load_program`],
@@ -51,7 +52,7 @@
 //! SMs).
 
 use crate::config::SmConfig;
-use crate::counters::{FaultStats, KernelStats, StallBreakdown};
+use crate::counters::KernelStats;
 use crate::pipeline::StepOutcome;
 use crate::sm::Sm;
 use crate::trap::RunError;
@@ -75,6 +76,15 @@ impl MemSystem {
             mem: MainMemory::new(map::DRAM_BASE, cfg.dram_size),
             dram: Dram::new(cfg.dram),
             tags: TagController::new(cfg.tag_cache, cfg.cheri.enabled()),
+        }
+    }
+
+    /// The counters the memory system itself keeps, every other one zero.
+    pub(crate) fn stats(&self) -> KernelStats {
+        KernelStats {
+            dram: self.dram.stats(),
+            tag_cache: self.tags.stats(),
+            ..KernelStats::default()
         }
     }
 }
@@ -239,7 +249,8 @@ impl Device {
         for k in live {
             self.sm_stats[k] = Some(self.sms[k].finalise(&self.mem_system));
         }
-        self.stats = self.combine();
+        let snapshots: Vec<_> = self.sm_stats.iter().flatten().collect();
+        self.stats = KernelStats::combine(&self.sms, &snapshots, &self.mem_system.stats());
         result.map(|()| self.stats.clone())
     }
 
@@ -254,95 +265,6 @@ impl Device {
     /// Combined statistics of the last completed run.
     pub fn stats(&self) -> &KernelStats {
         &self.stats
-    }
-
-    /// Combine per-SM statistics into device totals: pipeline counters
-    /// sum, `cycles` is the slowest SM (the SMs run concurrently), peaks
-    /// take the maximum, the residency averages divide the SMs' summed
-    /// integer accumulators once (so a one-SM device reports exactly its
-    /// SM's own average), and the `dram`/`tag_cache` counters are read from
-    /// the memory system rather than summed across per-SM snapshots. SMs
-    /// without a snapshot (before any run) contribute nothing.
-    ///
-    /// Every `KernelStats` field is named here: a new field fails to
-    /// compile until it is given a combining rule.
-    fn combine(&self) -> KernelStats {
-        let mut out = KernelStats::default();
-        let (mut sum_data, mut sum_meta, mut samples) = (0u64, 0u64, 0u64);
-        for (sm, s) in self.sms.iter().zip(&self.sm_stats) {
-            let Some(s) = s else { continue };
-            let KernelStats {
-                cycles,
-                instrs,
-                thread_instrs,
-                cheri_histogram,
-                stalls:
-                    StallBreakdown {
-                        csc_serialisation,
-                        shared_vrf_conflict,
-                        spill_fill,
-                        cap_multi_flit,
-                        idle,
-                    },
-                dram: _,
-                tag_cache: _,
-                scratch,
-                data_rf,
-                meta_rf,
-                avg_data_vrf_resident: _,
-                avg_meta_vrf_resident: _,
-                peak_data_vrf_resident,
-                peak_meta_vrf_resident,
-                cap_regs_used,
-                cap_regs_mask,
-                sfu_requests,
-                barriers,
-                stack_cache_hits,
-                scalarised_issues,
-                faults: FaultStats { traps, faulting_lanes, suppressed },
-            } = s;
-            out.cycles = out.cycles.max(*cycles);
-            out.instrs += instrs;
-            out.thread_instrs += thread_instrs;
-            for (k, v) in cheri_histogram {
-                *out.cheri_histogram.entry(k).or_insert(0) += v;
-            }
-            out.stalls.csc_serialisation += csc_serialisation;
-            out.stalls.shared_vrf_conflict += shared_vrf_conflict;
-            out.stalls.spill_fill += spill_fill;
-            out.stalls.cap_multi_flit += cap_multi_flit;
-            out.stalls.idle += idle;
-            out.scratch.accesses += scratch.accesses;
-            out.scratch.conflict_cycles += scratch.conflict_cycles;
-            for (total, rf) in [(&mut out.data_rf, data_rf), (&mut out.meta_rf, meta_rf)] {
-                total.spills += rf.spills;
-                total.fills += rf.fills;
-                total.scalar_writes += rf.scalar_writes;
-                total.vector_writes += rf.vector_writes;
-                total.peak_resident = total.peak_resident.max(rf.peak_resident);
-            }
-            sum_data += sm.sum_data_resident;
-            sum_meta += sm.sum_meta_resident;
-            samples += sm.samples;
-            out.peak_data_vrf_resident = out.peak_data_vrf_resident.max(*peak_data_vrf_resident);
-            out.peak_meta_vrf_resident = out.peak_meta_vrf_resident.max(*peak_meta_vrf_resident);
-            out.cap_regs_used = out.cap_regs_used.max(*cap_regs_used);
-            out.cap_regs_mask |= cap_regs_mask;
-            out.sfu_requests += sfu_requests;
-            out.barriers += barriers;
-            out.stack_cache_hits += stack_cache_hits;
-            out.scalarised_issues += scalarised_issues;
-            out.faults.traps += traps;
-            out.faults.faulting_lanes += faulting_lanes;
-            out.faults.suppressed += suppressed;
-        }
-        if samples > 0 {
-            out.avg_data_vrf_resident = sum_data as f64 / samples as f64;
-            out.avg_meta_vrf_resident = sum_meta as f64 / samples as f64;
-        }
-        out.dram = self.mem_system.dram.stats();
-        out.tag_cache = self.mem_system.tags.stats();
-        out
     }
 }
 

@@ -57,7 +57,9 @@ mod trap;
 mod warp;
 
 pub use config::{CheriMode, CheriOpts, SmConfig, Timing, TrapPolicy};
-pub use counters::{FaultStats, KernelStats, StallBreakdown};
+pub use counters::{
+    Counter, CounterValue, FaultStats, KernelStats, StallBreakdown, COUNTERS, FINGERPRINT_KEYS,
+};
 pub use device::Device;
 /// Structured tracing: re-exported so consumers can name sinks and events
 /// without depending on `simt-trace` directly.

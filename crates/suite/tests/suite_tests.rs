@@ -6,13 +6,12 @@ use nocl::Gpu;
 use nocl_kir::Mode;
 use nocl_suite::{catalog, Scale};
 
-fn gpu_for(mode: Mode, opts: CheriOpts) -> Gpu {
-    let cheri = if mode.needs_cheri() { CheriMode::On(opts) } else { CheriMode::Off };
-    Gpu::new(SmConfig::small(cheri), mode)
+fn config_for(mode: Mode, opts: CheriOpts) -> SmConfig {
+    SmConfig::small(if mode.needs_cheri() { CheriMode::On(opts) } else { CheriMode::Off })
 }
 
 fn run_all(mode: Mode, opts: CheriOpts) {
-    let mut gpu = gpu_for(mode, opts);
+    let mut gpu = Gpu::new(config_for(mode, opts), mode);
     for b in catalog() {
         let stats =
             b.run(&mut gpu, Scale::Test).unwrap_or_else(|e| panic!("{} [{mode:?}]: {e}", b.name()));
@@ -79,7 +78,7 @@ fn blkstencil_diverges_metadata_but_nvo_keeps_the_rest_scalar() {
     // The paper's Section 4.3 observation: only BlkStencil occupies the VRF
     // with capability metadata; every other benchmark compresses fully
     // under NVO.
-    let mut gpu = gpu_for(Mode::PureCap, CheriOpts::optimised());
+    let mut gpu = Gpu::new(config_for(Mode::PureCap, CheriOpts::optimised()), Mode::PureCap);
     for b in catalog() {
         let stats = b.run(&mut gpu, Scale::Test).unwrap();
         if b.name() == "BlkStencil" {
@@ -95,5 +94,27 @@ fn blkstencil_diverges_metadata_but_nvo_keeps_the_rest_scalar() {
                 b.name()
             );
         }
+    }
+}
+
+/// `SmConfig::stack_cache` (the §4.4 compressed stack cache) is reachable
+/// from the suite: MotionEst's compiled kernel spills integer variables to
+/// per-thread stack slots. With the cache on, those warp-uniform/affine
+/// stack accesses are absorbed, the output still passes its check, and the
+/// kernel takes fewer cycles.
+#[test]
+fn stack_cache_absorbs_motionest_spills() {
+    let bench = catalog().iter().find(|b| b.name() == "MotionEst").expect("MotionEst");
+    for mode in [Mode::Baseline, Mode::RustChecked] {
+        let run = |stack_cache| {
+            let cfg = SmConfig { stack_cache, ..config_for(mode, CheriOpts::optimised()) };
+            bench
+                .run(&mut Gpu::new(cfg, mode), Scale::Test)
+                .unwrap_or_else(|e| panic!("[{mode:?}] {e}"))
+        };
+        let (off, on) = (run(false), run(true));
+        assert_eq!(off.stack_cache_hits, 0, "[{mode:?}]");
+        assert!(on.stack_cache_hits > 0, "[{mode:?}] no stack-cache hits");
+        assert!(on.cycles < off.cycles, "[{mode:?}] {} cycles on, {} off", on.cycles, off.cycles);
     }
 }
