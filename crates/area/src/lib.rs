@@ -128,18 +128,7 @@ fn bram_kilobits(cfg: &SmConfig) -> f64 {
             let meta =
                 RegFileStorage::for_config(&RfConfig::meta(cfg.warps, cfg.lanes, 0, opts.nvo));
             kb += meta.srf_bits as f64 / 1024.0;
-            if opts.shared_vrf {
-                kb += (cfg.vrf_slots as u64 * cfg.lanes as u64) as f64 / 1024.0;
-            // +1 bit/elem
-            } else {
-                let meta_vrf = RegFileStorage::for_config(&RfConfig::meta(
-                    cfg.warps,
-                    cfg.lanes,
-                    cfg.vrf_slots,
-                    opts.nvo,
-                ));
-                kb += meta_vrf.vrf_bits as f64 / 1024.0;
-            }
+            kb += (cfg.vrf_slots as u64 * cfg.lanes as u64) as f64 / 1024.0; // +1 bit/elem
         } else {
             // Naive: a full uncompressed 33-bit metadata register file.
             kb += uncompressed_bits(cfg.warps, cfg.lanes, 32, 33) as f64 / 1024.0;

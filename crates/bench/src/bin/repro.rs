@@ -15,7 +15,8 @@
 //!
 //! `--sms N` simulates a device of N streaming multiprocessors sharing one
 //! DRAM channel and tag controller (default 1, which is bit-identical to
-//! the classic single-SM model). Every experiment honours it. In `trace`
+//! the classic single-SM model). Every experiment honours it except
+//! `multism`, which sweeps devices of 1, 2 and 4 SMs itself. In `trace`
 //! mode each SM becomes its own Perfetto process.
 //!
 //! `trace` runs benchmarks with the structured event sink attached and
@@ -52,6 +53,7 @@ usage: repro [--quick] [--jobs N] [--sms N] [table1|table2|table3|fig6..fig15|ab
        repro trace <benchmark|all> [--mode M] [--format chrome|jsonl] [--trace-out FILE] [--paper] [--jobs N] [--sms N]
        repro validate-trace <file>
        repro faults [benchmark|all] [--quick] [--jobs N] [--seed S]
+(multism sweeps 1, 2 and 4 SMs whatever --sms says)
 ";
 
 /// Report a command-line error, then the synopsis, on stderr and exit 2.

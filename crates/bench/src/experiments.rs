@@ -1,6 +1,7 @@
 //! One generator per table/figure of the evaluation section.
 
 use crate::{geomean, trace_config, Config, Geometry, Harness, SuiteResults};
+use cheri_simt::{CheriMode, CheriOpts, KernelStats, SmConfig};
 use nocl_suite::catalog;
 use simt_regfile::{uncompressed_bits, RegFileStorage, RfConfig};
 use std::fmt::Write as _;
@@ -23,42 +24,52 @@ pub fn table1() -> String {
 /// 1/4-size VRFs — storage, compression ratio, cycle overhead and
 /// memory-access overhead relative to an uncompressed register file.
 pub fn table2(h: &mut Harness) -> String {
-    let reference: Vec<(u64, u64)> = h
-        .results(Config::BaseUncompressed)
-        .iter()
-        .map(|(_, st)| (st.cycles, st.dram.total_bytes()))
-        .collect();
-    let (full_cfg, _) = Config::Base { eighths: 3 }.instantiate(h.geometry());
-    let uncompressed_kb = uncompressed_bits(full_cfg.warps, full_cfg.lanes, 32, 32) as f64 / 1024.0;
-
     let mut s = String::from("Table 2: baseline register-file compression\n");
     let _ = writeln!(
         s,
         "{:<18} {:>12} {:>10} {:>12} {:>12}   (paper: 1202/937/672 Kb; 0.57/0.45/0.32; 0.8/0.9/4.3%; 0.1/2.2/39.9%)",
         "VRF size", "Storage(Kb)", "Ratio", "CycleOvhd", "MemOvhd"
     );
-    for (eighths, label) in [(4u32, "1/2"), (3, "3/8"), (2, "1/4")] {
-        let (cfg, _) = Config::Base { eighths }.instantiate(h.geometry());
+    s + &vrf_rows(h, &[(4, "1/2"), (3, "3/8"), (2, "1/4")], 18, |label, slots| {
+        format!("{label} ({slots} slots)")
+    })
+}
+
+/// One row per baseline VRF size `(eighths, label)`, in Table 2's columns:
+/// storage, compression ratio, and the cycle and memory-access overheads
+/// relative to the full-size (uncompressed) register file. The first
+/// column is `name(label, slots)`, `width` characters wide.
+fn vrf_rows(
+    h: &mut Harness,
+    sizes: &[(u32, &str)],
+    width: usize,
+    name: impl Fn(&str, u32) -> String,
+) -> String {
+    let reference = h.results(Config::Base { eighths: 8 }).clone();
+    let (full_cfg, _) = Config::Base { eighths: 3 }.instantiate(h.geometry);
+    let uncompressed_kb = uncompressed_bits(full_cfg.warps, full_cfg.lanes, 32, 32) as f64 / 1024.0;
+    let mut s = String::new();
+    for &(eighths, label) in sizes {
+        let (cfg, _) = Config::Base { eighths }.instantiate(h.geometry);
         let storage =
             RegFileStorage::for_config(&RfConfig::data(cfg.warps, cfg.lanes, cfg.vrf_slots));
-        let results = h.results(Config::Base { eighths }).clone();
-        let cycle_ovhd = geomean(
-            results.iter().zip(&reference).map(|((_, st), (c, _))| st.cycles as f64 / *c as f64),
-        ) - 1.0;
-        let mem_ovhd = geomean(
-            results
-                .iter()
-                .zip(&reference)
-                .map(|((_, st), (_, b))| st.dram.total_bytes() as f64 / (*b).max(1) as f64),
-        ) - 1.0;
+        let results = h.results(Config::Base { eighths });
+        let overhead = |metric: fn(&KernelStats) -> u64| {
+            geomean(
+                results
+                    .iter()
+                    .zip(&reference)
+                    .map(|((_, st), (_, r))| metric(st) as f64 / metric(r).max(1) as f64),
+            ) - 1.0
+        };
         let _ = writeln!(
             s,
-            "{:<18} {:>12.0} {:>10.2} {:>12} {:>12}",
-            format!("{} ({} slots)", label, cfg.vrf_slots),
+            "{:<width$} {:>12.0} {:>10.2} {:>12} {:>12}",
+            name(label, cfg.vrf_slots),
             storage.kilobits(),
             storage.kilobits() / uncompressed_kb,
-            pct(cycle_ovhd),
-            pct(mem_ovhd),
+            pct(overhead(|st| st.cycles)),
+            pct(overhead(|st| st.dram.total_bytes())),
         );
     }
     s
@@ -314,11 +325,18 @@ pub fn fig15(h: &mut Harness) -> String {
 
 /// Ablation: each optimisation of Section 3 toggled individually on top of
 /// the naive CHERI configuration (extension beyond the paper's three
-/// configurations).
+/// configurations), then §4.4's compressed stack cache on both sides.
 pub fn ablate(h: &mut Harness) -> String {
-    use cheri_simt::{CheriMode, CheriOpts, SmConfig};
-    let base: Vec<u64> =
-        h.results(Config::Base { eighths: 3 }).iter().map(|(_, st)| st.cycles).collect();
+    let (base_cfg, base_mode) = Config::Base { eighths: 3 }.instantiate(h.geometry);
+    let (cheri_cfg, mode) = Config::CheriOpt.instantiate(h.geometry);
+    let sms = h.sms;
+    let mut cycles = |cfg, mode| -> Vec<u64> {
+        h.suite(cfg, mode, sms).iter().map(|(_, st)| st.cycles).collect()
+    };
+    let overhead = |of: &[u64], to: &[u64]| {
+        geomean(of.iter().zip(to).map(|(c, b)| *c as f64 / *b as f64)) - 1.0
+    };
+    let base = cycles(base_cfg, base_mode);
     let mut s = String::from("Ablation: CHERI cost-amelioration techniques\n");
     let _ = writeln!(
         s,
@@ -329,38 +347,39 @@ pub fn ablate(h: &mut Harness) -> String {
         ("naive CHERI", CheriOpts::naive()),
         (
             "+ compressed metadata RF (+NVO)",
-            CheriOpts { compress_meta: true, nvo: true, shared_vrf: true, ..CheriOpts::naive() },
+            CheriOpts { compress_meta: true, nvo: true, ..CheriOpts::naive() },
         ),
         (
             "+ SFU capability ops",
-            CheriOpts {
-                compress_meta: true,
-                nvo: true,
-                shared_vrf: true,
-                sfu_cap_ops: true,
-                ..CheriOpts::naive()
-            },
+            CheriOpts { compress_meta: true, nvo: true, sfu_cap_ops: true, ..CheriOpts::naive() },
         ),
         ("+ static PC metadata (= optimised)", CheriOpts::optimised()),
     ];
-    let overhead = |results: &SuiteResults| {
-        geomean(results.iter().zip(&base).map(|((_, st), b)| st.cycles as f64 / *b as f64)) - 1.0
-    };
     for (name, opts) in variants {
-        let (cfg, mode) = Config::CheriOpt.instantiate(h.geometry());
-        let cfg = SmConfig { cheri: CheriMode::On(opts), ..cfg };
-        // The two endpoints are cached configurations; the middle rows are not.
-        let ovhd = if opts == CheriOpts::naive() {
-            overhead(h.results(Config::CheriNaive))
-        } else if opts == CheriOpts::optimised() {
-            overhead(h.results(Config::CheriOpt))
-        } else {
-            overhead(&h.run(cfg, mode))
-        };
+        let cfg = SmConfig { cheri: CheriMode::On(opts), ..cheri_cfg };
+        let ovhd = overhead(&cycles(cfg, mode), &base);
         let area = sim_area::synthesise(&cfg);
         let _ =
             writeln!(s, "{:<34} {:>12} {:>12} {:>12.0}", name, pct(ovhd), area.alms, area.bram_kb);
     }
+    // The area model has no stack cache, so its columns stay empty.
+    let cheri = cycles(cheri_cfg, mode);
+    let base_sc = cycles(SmConfig { stack_cache: true, ..base_cfg }, base_mode);
+    let cheri_sc = cycles(SmConfig { stack_cache: true, ..cheri_cfg }, mode);
+    let _ = writeln!(
+        s,
+        "{:<34} {:>12} {:>12} {:>12}",
+        "+ compressed stack cache (§4.4)",
+        pct(overhead(&cheri_sc, &base_sc)),
+        "—",
+        "—"
+    );
+    let _ = writeln!(
+        s,
+        "(stack cache on both sides; its own effect on geomean cycles: baseline {}, CHERI (Optimised) {})",
+        pct(overhead(&base_sc, &base)),
+        pct(overhead(&cheri_sc, &cheri))
+    );
     s
 }
 
@@ -368,44 +387,14 @@ pub fn ablate(h: &mut Harness) -> String {
 /// overheads relative to the uncompressed register file, from 1/8 to the
 /// full size, locating the knee that made the paper pick 3/8.
 pub fn vrfsweep(h: &mut Harness) -> String {
-    let reference: Vec<(u64, u64)> = h
-        .results(Config::BaseUncompressed)
-        .iter()
-        .map(|(_, st)| (st.cycles, st.dram.total_bytes()))
-        .collect();
     let mut s = String::from("VRF-size sweep (extension of Table 2)\n");
     let _ = writeln!(
         s,
         "{:<10} {:>12} {:>10} {:>12} {:>12}",
         "VRF", "Storage(Kb)", "Ratio", "CycleOvhd", "MemOvhd"
     );
-    let (full_cfg, _) = Config::Base { eighths: 3 }.instantiate(h.geometry());
-    let uncompressed_kb = uncompressed_bits(full_cfg.warps, full_cfg.lanes, 32, 32) as f64 / 1024.0;
-    for eighths in [1u32, 2, 3, 4, 6, 8] {
-        let (cfg, _) = Config::Base { eighths }.instantiate(h.geometry());
-        let storage =
-            RegFileStorage::for_config(&RfConfig::data(cfg.warps, cfg.lanes, cfg.vrf_slots));
-        let results = h.results(Config::Base { eighths }).clone();
-        let cyc = geomean(
-            results.iter().zip(&reference).map(|((_, st), (c, _))| st.cycles as f64 / *c as f64),
-        ) - 1.0;
-        let mem = geomean(
-            results
-                .iter()
-                .zip(&reference)
-                .map(|((_, st), (_, b))| st.dram.total_bytes() as f64 / (*b).max(1) as f64),
-        ) - 1.0;
-        let _ = writeln!(
-            s,
-            "{:<10} {:>12.0} {:>10.2} {:>12} {:>12}",
-            format!("{eighths}/8"),
-            storage.kilobits(),
-            storage.kilobits() / uncompressed_kb,
-            pct(cyc),
-            pct(mem)
-        );
-    }
-    s
+    let sizes = [(1, "1/8"), (2, "2/8"), (3, "3/8"), (4, "4/8"), (6, "6/8"), (8, "8/8")];
+    s + &vrf_rows(h, &sizes, 10, |label, _| label.to_string())
 }
 
 /// Disassembly listing of one benchmark's kernel under one mode (any mode
@@ -433,37 +422,50 @@ pub fn disasm(bench: &str, mode_name: &str) -> Result<String, String> {
     ))
 }
 
-/// Multi-SM projection (Section 4.4): the paper argues that, because DRAM
+/// Multi-SM simulation (Section 4.4): the paper argues that, because DRAM
 /// bandwidth usage is unaffected by CHERI, a multi-SM memory subsystem
-/// would be similarly unaffected. Test the projection by shrinking each
-/// SM's share of channel bandwidth (1, 1/2, 1/4 — as if 1/2/4 SMs shared
-/// the channel) and checking that the CHERI overhead stays flat.
+/// would be similarly unaffected. Simulate devices of 1, 2 and 4 SMs
+/// sharing one DRAM channel and tag controller — whatever the harness's
+/// own SM count — and report the CHERI overhead, the traffic ratio and the
+/// cross-SM contention each configuration meets, summed over the suite.
 pub fn multism(h: &mut Harness) -> String {
+    let (base_cfg, base_mode) = Config::Base { eighths: 3 }.instantiate(h.geometry);
+    let (cheri_cfg, cheri_mode) = Config::CheriOpt.instantiate(h.geometry);
     let mut s = String::from(
-        "Multi-SM projection: CHERI overhead vs per-SM DRAM bandwidth share (Section 4.4)
-",
+        "Multi-SM simulation: CHERI overhead on devices sharing one DRAM channel (Section 4.4)\n",
     );
-    let _ =
-        writeln!(s, "{:<22} {:>14} {:>14}", "SMs sharing channel", "CHERI ovhd", "traffic ratio");
-    for n in [1u32, 2, 4] {
-        let run = |config: Config| {
-            let (mut cfg, mode) = config.instantiate(h.geometry());
-            cfg.dram.cycles_per_transaction *= n;
-            h.run(cfg, mode)
-        };
-        let base = run(Config::Base { eighths: 3 });
-        let cheri = run(Config::CheriOpt);
+    let _ = writeln!(
+        s,
+        "{:<6} {:>12} {:>14} {:>24} {:>24}",
+        "SMs", "CHERI ovhd", "traffic ratio", "DRAM wait (base/CHERI)", "tag evictions (CHERI)"
+    );
+    for sms in [1u32, 2, 4] {
+        let base = h.suite(base_cfg, base_mode, sms).clone();
+        let cheri = h.suite(cheri_cfg, cheri_mode, sms);
         let ovhd = geomean(
-            base.iter().zip(&cheri).map(|((_, b), (_, c))| c.cycles as f64 / b.cycles as f64),
+            base.iter().zip(cheri).map(|((_, b), (_, c))| c.cycles as f64 / b.cycles as f64),
         ) - 1.0;
-        let traffic = geomean(base.iter().zip(&cheri).map(|((_, b), (_, c))| {
+        let traffic = geomean(base.iter().zip(cheri).map(|((_, b), (_, c))| {
             c.dram.total_bytes() as f64 / b.dram.total_bytes().max(1) as f64
         }));
-        let _ = writeln!(s, "{:<22} {:>14} {:>14.3}", n, pct(ovhd), traffic);
+        let wait = |r: &SuiteResults| -> u64 {
+            r.iter().map(|(_, st)| st.dram.cross_sm_wait_cycles).sum()
+        };
+        let evictions: u64 =
+            cheri.iter().map(|(_, st)| st.tag_cache.cross_sm_conflict_evictions).sum();
+        let _ = writeln!(
+            s,
+            "{:<6} {:>12} {:>14.3} {:>24} {:>24}",
+            sms,
+            pct(ovhd),
+            traffic,
+            format!("{}/{}", wait(&base), wait(cheri)),
+            evictions
+        );
     }
     let _ = writeln!(
         s,
-        "(flat overhead across bandwidth shares supports the paper's multi-SM projection)"
+        "(cross-SM counters: channel cycles one SM queued behind another's transactions, and tag-cache lines evicted by another SM)"
     );
     s
 }
@@ -478,9 +480,9 @@ pub fn tagsweep(h: &mut Harness) -> String {
     let base: Vec<u64> =
         h.results(Config::Base { eighths: 3 }).iter().map(|(_, st)| st.cycles).collect();
     for lines in [8u32, 32, 128, 512] {
-        let (mut cfg, mode) = Config::CheriOpt.instantiate(h.geometry());
+        let (mut cfg, mode) = Config::CheriOpt.instantiate(h.geometry);
         cfg.tag_cache.lines = lines;
-        let results = h.run(cfg, mode);
+        let results = h.suite(cfg, mode, h.sms);
         let miss = geomean(results.iter().map(|(_, st)| st.tag_cache.miss_rate().max(1e-6)));
         let share = geomean(results.iter().map(|(_, st)| {
             st.dram.tag_transactions as f64

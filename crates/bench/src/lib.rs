@@ -1,11 +1,12 @@
 //! The reproduction harness: regenerates every table and figure of the
 //! paper's evaluation section (see DESIGN.md §4 for the index).
 //!
-//! The [`Harness`] lazily runs the benchmark suite under each SM/compiler
-//! configuration an experiment needs and caches the results, so `repro all`
-//! simulates each configuration exactly once. Every suite an experiment
-//! runs, cached or not, goes through the harness, so each one runs at the
-//! harness's geometry, worker count and SM count.
+//! The [`Harness`] lazily runs the benchmark suite on each machine an
+//! experiment needs and caches the results, keyed by the machine itself —
+//! SM configuration, compiler mode and SM count — so `repro all` simulates
+//! each machine exactly once, whichever experiment or [`Config`] label asks
+//! for it first. Every suite an experiment runs goes through that one
+//! cache, at the harness's geometry and worker count.
 
 mod experiments;
 mod faults;
@@ -26,7 +27,6 @@ pub use trace::{
 use cheri_simt::{CheriMode, CheriOpts, KernelStats, SmConfig};
 use nocl_kir::Mode;
 use nocl_suite::Scale;
-use std::collections::BTreeMap;
 
 /// SM geometry for a harness run.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -48,12 +48,11 @@ impl Geometry {
 }
 
 /// One experimental configuration (SM + compiler mode).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Config {
-    /// Baseline with an uncompressed (full-size-VRF) register file — the
-    /// reference point of Table 2.
-    BaseUncompressed,
-    /// Baseline with a compressed register file; VRF size `num/8`.
+    /// Baseline with a compressed register file; VRF size `num/8`. At
+    /// `eighths: 8` every register fits the VRF: the uncompressed reference
+    /// point of Table 2.
     Base {
         /// VRF capacity in eighths of the architectural register count.
         eighths: u32,
@@ -81,7 +80,6 @@ impl Config {
             Geometry::Small => SmConfig::small(cheri),
         };
         match self {
-            Config::BaseUncompressed => (base(CheriMode::Off).vrf_slots_frac(8, 8), Mode::Baseline),
             Config::Base { eighths } => {
                 (base(CheriMode::Off).vrf_slots_frac(eighths, 8), Mode::Baseline)
             }
@@ -101,12 +99,16 @@ impl Config {
 /// Suite results under one configuration, keyed by benchmark name.
 pub type SuiteResults = Vec<(&'static str, KernelStats)>;
 
+/// One simulated machine: SM configuration, compiler mode and SM count.
+type Machine = (SmConfig, Mode, u32);
+
 /// The experiment driver.
 #[derive(Debug)]
 pub struct Harness {
     geometry: Geometry,
-    cache: BTreeMap<Config, SuiteResults>,
-    /// Print a progress line to stderr per simulated configuration.
+    /// Suite results per simulated machine, in the order first asked for.
+    cache: Vec<(Machine, SuiteResults)>,
+    /// Print a progress line to stderr per simulated machine.
     verbose: bool,
     /// Worker threads for the parallel suite runner.
     jobs: usize,
@@ -116,7 +118,7 @@ pub struct Harness {
 
 impl Harness {
     fn at(geometry: Geometry) -> Self {
-        Harness { geometry, cache: BTreeMap::new(), verbose: false, jobs: default_jobs(), sms: 1 }
+        Harness { geometry, cache: Vec::new(), verbose: false, jobs: default_jobs(), sms: 1 }
     }
 
     /// A harness at the paper's geometry and dataset scale.
@@ -144,17 +146,10 @@ impl Harness {
 
     /// Simulate devices of `sms` streaming multiprocessors instead of the
     /// default single SM (`sms = 1` is bit-identical to the classic model).
-    /// Clears any cached results.
     pub fn with_sms(mut self, sms: u32) -> Self {
         assert!(sms >= 1, "a device needs at least one SM");
         self.sms = sms;
-        self.cache.clear();
         self
-    }
-
-    /// The geometry in use.
-    pub(crate) fn geometry(&self) -> Geometry {
-        self.geometry
     }
 
     /// Run (or fetch cached) suite results under `config`, at the harness's
@@ -165,28 +160,41 @@ impl Harness {
     /// Panics if a benchmark fails its self-check — the harness is only
     /// meaningful over verified runs.
     pub fn results(&mut self, config: Config) -> &SuiteResults {
-        if !self.cache.contains_key(&config) {
-            if self.verbose {
-                eprintln!("[repro] simulating {config:?} on {} worker(s) ...", self.jobs);
-            }
-            let (cfg, mode) = config.instantiate(self.geometry);
-            let results = self.run(cfg, mode);
-            self.cache.insert(config, results);
-        }
-        &self.cache[&config]
+        let (cfg, mode) = config.instantiate(self.geometry);
+        self.suite(cfg, mode, self.sms)
     }
 
-    /// Run the suite under `cfg`/`mode` without caching, at the harness's
-    /// dataset scale and SM count, fanning the suite's cells over its
-    /// worker pool — one fresh `Gpu` per benchmark, so results do not
-    /// depend on the worker count. Every experiment runs its suites here.
+    /// Run (or fetch cached) suite results on one machine — `cfg`/`mode` on
+    /// devices of `sms` SMs — at the harness's dataset scale, fanning the
+    /// suite's cells over its worker pool: one fresh `Gpu` per benchmark,
+    /// so results do not depend on the worker count.
     ///
     /// # Panics
     ///
     /// Panics if a benchmark fails its self-check.
-    pub(crate) fn run(&self, cfg: SmConfig, mode: Mode) -> SuiteResults {
-        run_suite_parallel_on(self.jobs, cfg, mode, self.geometry.scale(), self.sms)
-            .unwrap_or_else(|e| panic!("suite failed under {mode:?}: {e}"))
+    pub(crate) fn suite(&mut self, cfg: SmConfig, mode: Mode, sms: u32) -> &SuiteResults {
+        let machine = (cfg, mode, sms);
+        let i = match self.cache.iter().position(|(m, _)| *m == machine) {
+            Some(i) => i,
+            None => {
+                if self.verbose {
+                    eprintln!(
+                        "[repro] simulating {mode:?}, {:?}, {} VRF slots, {} tag lines{}, {sms} SM(s) on {} worker(s) ...",
+                        cfg.cheri,
+                        cfg.vrf_slots,
+                        cfg.tag_cache.lines,
+                        if cfg.stack_cache { ", stack cache" } else { "" },
+                        self.jobs
+                    );
+                }
+                let results =
+                    run_suite_parallel_on(self.jobs, cfg, mode, self.geometry.scale(), sms)
+                        .unwrap_or_else(|e| panic!("suite failed under {mode:?}: {e}"));
+                self.cache.push((machine, results));
+                self.cache.len() - 1
+            }
+        };
+        &self.cache[i].1
     }
 
     /// Total architectural vector registers at this geometry.
@@ -225,7 +233,6 @@ mod tests {
     #[test]
     fn configs_instantiate() {
         for c in [
-            Config::BaseUncompressed,
             Config::Base { eighths: 3 },
             Config::CheriNaive,
             Config::CheriOpt,
@@ -247,18 +254,23 @@ mod tests {
         // Second call hits the cache (same pointer contents, no panic).
         let n2 = h.results(Config::Base { eighths: 3 }).len();
         assert_eq!(n2, 14);
+        // The same machine reached another way is the same entry.
+        let (cfg, mode) = Config::Base { eighths: 3 }.instantiate(h.geometry);
+        assert_eq!(h.suite(cfg, mode, 1).len(), 14);
+        assert_eq!(h.cache.len(), 1);
     }
 
-    /// The uncached path that `ablate`, `multism` and `tagsweep` use runs on
-    /// the harness's SM count, exactly like the cached one.
+    /// `results` runs on the harness's SM count, and the machine lookup on
+    /// the count it is given; both share the one cache.
     #[test]
     fn run_honours_the_sm_count() {
         let mut h = Harness::quick().with_sms(2);
-        let (cfg, mode) = Config::CheriOpt.instantiate(h.geometry());
-        let ran = h.run(cfg, mode);
-        assert_eq!(&ran, h.results(Config::CheriOpt));
-        let one_sm = Harness::quick().run(cfg, mode);
+        let (cfg, mode) = Config::CheriOpt.instantiate(h.geometry);
+        let two = h.suite(cfg, mode, 2).clone();
+        assert_eq!(&two, h.results(Config::CheriOpt));
+        let one = h.suite(cfg, mode, 1).clone();
+        assert_eq!(h.cache.len(), 2);
         let vecadd = |r: &SuiteResults| r.iter().find(|(n, _)| *n == "VecAdd").unwrap().1.cycles;
-        assert_ne!(vecadd(&ran), vecadd(&one_sm), "sms=2 must not simulate one SM");
+        assert_ne!(vecadd(&two), vecadd(&one), "sms=2 must not simulate one SM");
     }
 }

@@ -70,7 +70,7 @@ pub fn trace_config(mode_name: &str) -> Result<Config, String> {
 /// The mode tag used in cell labels, the inverse of [`trace_config`].
 fn mode_tag(config: Config) -> &'static str {
     match config {
-        Config::BaseUncompressed | Config::Base { .. } => "baseline",
+        Config::Base { .. } => "baseline",
         Config::CheriNaive => "naive",
         Config::CheriOpt | Config::CheriOptNoNvo => "purecap",
         Config::RustChecked => "rust",

@@ -75,10 +75,11 @@ fn validator_accepts_real_traces_and_rejects_corruption() {
     assert!(validate_auto(&chrome[..chrome.len() - 2]).is_err());
 }
 
-/// The §4.4 compressed stack cache is off in every shipped configuration,
-/// so no suite trace contains a `mem` event in the `stack_cache` space;
-/// this one does, and it must reconcile (`stack_cache_hits` against the
-/// event count, DRAM transactions against the `dram` events that remain).
+/// The §4.4 compressed stack cache is off in every configuration `repro
+/// trace` runs, so no suite trace contains a `mem` event in the
+/// `stack_cache` space; this one does, and it must reconcile
+/// (`stack_cache_hits` against the event count, DRAM transactions against
+/// the `dram` events that remain).
 #[test]
 fn stack_cache_stream_reconciles() {
     use cheri_simt::trace::{MemSpace, VecSink};

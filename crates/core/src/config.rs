@@ -1,6 +1,6 @@
 //! SM configuration, including the paper's three evaluation configurations.
 
-use simt_mem::{map, DramConfig, TagCacheConfig};
+use simt_mem::{map, TagCacheConfig};
 
 /// How CHERI is provisioned in the SM.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -31,15 +31,13 @@ impl CheriMode {
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct CheriOpts {
     /// Compress the capability-metadata register file (detect uniform
-    /// metadata vectors and store them in a metadata SRF). When off, the
-    /// metadata register file stores full 33-bit vectors for every register
-    /// (the naive "CHERI" configuration, 103% register-file overhead).
+    /// metadata vectors and store them in a metadata SRF) and share one VRF
+    /// between the data and metadata register files: accessing a register
+    /// whose data *and* metadata are both uncompressed costs an extra cycle
+    /// (serialised read). When off, the metadata register file stores full
+    /// 33-bit vectors for every register (the naive "CHERI" configuration,
+    /// 103% register-file overhead).
     pub compress_meta: bool,
-    /// Share one VRF between the data and metadata register files; accessing
-    /// a register whose data *and* metadata are both uncompressed costs an
-    /// extra cycle (serialised read), and `CSC` pays an extra operand-fetch
-    /// cycle against the single-read-port metadata SRF.
-    pub shared_vrf: bool,
     /// Null-value optimisation in the metadata SRF.
     pub nvo: bool,
     /// Execute `CGetBase`, `CGetLen`, `CSetBounds[..]`, `CRRL` and `CRAM` in
@@ -54,24 +52,12 @@ pub struct CheriOpts {
 impl CheriOpts {
     /// The paper's unoptimised **CHERI** configuration.
     pub fn naive() -> Self {
-        CheriOpts {
-            compress_meta: false,
-            shared_vrf: false,
-            nvo: false,
-            sfu_cap_ops: false,
-            static_pcc: false,
-        }
+        CheriOpts { compress_meta: false, nvo: false, sfu_cap_ops: false, static_pcc: false }
     }
 
     /// The paper's **CHERI (Optimised)** configuration.
     pub fn optimised() -> Self {
-        CheriOpts {
-            compress_meta: true,
-            shared_vrf: true,
-            nvo: true,
-            sfu_cap_ops: true,
-            static_pcc: true,
-        }
+        CheriOpts { compress_meta: true, nvo: true, sfu_cap_ops: true, static_pcc: true }
     }
 }
 
@@ -93,36 +79,23 @@ pub enum TrapPolicy {
     MaskLanes,
 }
 
-/// Timing constants of the pipeline model, kept together for calibration.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct Timing {
-    /// Scratchpad access latency (network + SRAM), excluding conflicts.
-    pub scratch_latency: u32,
-    /// Integer divide/remainder latency (iterative divider).
-    pub div_latency: u32,
-    /// Shared-function-unit fixed latency (pipeline depth), on top of the
-    /// one-lane-per-cycle serialisation.
-    pub sfu_latency: u32,
-    /// Extra issue cycles for the second flit of a capability access.
-    pub cap_access_extra: u32,
-    /// Pipeline cycles consumed per register spill or fill.
-    pub spill_cycles: u32,
-}
+// Pipeline timing constants, kept together for calibration. No experiment
+// varies them.
 
-impl Default for Timing {
-    fn default() -> Self {
-        Timing {
-            scratch_latency: 4,
-            div_latency: 16,
-            sfu_latency: 12,
-            cap_access_extra: 1,
-            spill_cycles: 4,
-        }
-    }
-}
+/// Scratchpad access latency (network + SRAM), excluding conflicts.
+pub(crate) const SCRATCH_LATENCY: u32 = 4;
+/// Integer divide/remainder latency (iterative divider).
+pub(crate) const DIV_LATENCY: u32 = 16;
+/// Shared-function-unit fixed latency (pipeline depth), on top of the
+/// one-lane-per-cycle serialisation.
+pub(crate) const SFU_LATENCY: u32 = 12;
+/// Extra issue cycles for the second flit of a capability access.
+pub(crate) const CAP_ACCESS_EXTRA: u32 = 1;
+/// Pipeline cycles consumed per register spill or fill.
+pub(crate) const SPILL_CYCLES: u32 = 4;
 
 /// Full SM configuration.
-#[derive(Debug, Clone, Copy)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct SmConfig {
     /// Number of resident warps (64 in the evaluation).
     pub warps: u32,
@@ -133,20 +106,17 @@ pub struct SmConfig {
     pub vrf_slots: u32,
     /// CHERI provisioning.
     pub cheri: CheriMode,
-    /// DRAM channel model.
-    pub dram: DramConfig,
     /// DRAM size in bytes.
     pub dram_size: u32,
     /// Tag cache geometry.
     pub tag_cache: TagCacheConfig,
-    /// Pipeline timing constants.
-    pub timing: Timing,
     /// SIMTight's proof-of-concept *compressed stack cache* (Section 4.4):
     /// uniform/affine spill vectors are cached compactly instead of going
     /// to DRAM. Off by default, as in the paper's evaluated configurations.
     /// Kir's integer spill slots reach it: on, MotionEst's stack traffic is
     /// absorbed (at the quick geometry its Base3 run drops from 279,633 to
-    /// 189,546 cycles).
+    /// 189,546 cycles). `repro ablate`'s stack-cache row turns it on for
+    /// both the baseline and CHERI.
     pub stack_cache: bool,
     /// What to do when a warp traps (default: abort the kernel).
     pub trap_policy: TrapPolicy,
@@ -172,10 +142,8 @@ impl SmConfig {
             lanes,
             vrf_slots: total_regs * 3 / 8,
             cheri,
-            dram: DramConfig::default(),
             dram_size: map::DRAM_DEFAULT_SIZE,
             tag_cache: TagCacheConfig::default(),
-            timing: Timing::default(),
             stack_cache: false,
             trap_policy: TrapPolicy::default(),
         }
@@ -197,6 +165,7 @@ impl SmConfig {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::counters::tests::{assert_documented, doc_column};
 
     #[test]
     fn paper_configurations() {
@@ -209,5 +178,39 @@ mod tests {
         assert!(!CheriOpts::naive().compress_meta);
         let half = SmConfig::full(CheriMode::Off).vrf_slots_frac(1, 2);
         assert_eq!(half.vrf_slots, 1024);
+    }
+
+    /// `Type::field` for every field of a struct, from a pattern that
+    /// destructures `$value` without `..`: a new field does not compile
+    /// until it is listed.
+    macro_rules! fields {
+        ($value:expr, $ty:ident { $($field:ident),* }) => {{
+            let $ty { $($field: _),* } = $value;
+            [$(concat!(stringify!($ty), "::", stringify!($field))),*]
+        }};
+    }
+
+    /// DESIGN.md's "Model knobs" table names every `SmConfig` and
+    /// `CheriOpts` field, and no other, in its first column.
+    #[test]
+    fn design_knob_table_names_every_field() {
+        let sm = fields!(
+            SmConfig::small(CheriMode::Off),
+            SmConfig {
+                warps,
+                lanes,
+                vrf_slots,
+                cheri,
+                dram_size,
+                tag_cache,
+                stack_cache,
+                trap_policy
+            }
+        );
+        let opts =
+            fields!(CheriOpts::naive(), CheriOpts { compress_meta, nvo, sfu_cap_ops, static_pcc });
+        let knobs = sm.iter().chain(&opts).map(|f| f.to_string()).collect();
+        let documented = doc_column(include_str!("../../../DESIGN.md"), "### 3.6 Model knobs", 0);
+        assert_documented("DESIGN.md", &documented, &knobs);
     }
 }

@@ -148,8 +148,9 @@ pub struct KernelStats {
     pub barriers: u64,
     /// Warp accesses absorbed by the compressed stack cache: zero unless
     /// the Section-4.4 proof-of-concept feature, `SmConfig::stack_cache`, is
-    /// enabled. No shipped configuration or experiment enables it; when it
-    /// is on, kir's stack spill slots hit it (MotionEst in the suite).
+    /// enabled. The paper's configurations leave it off; `repro ablate`'s
+    /// stack-cache row turns it on, and kir's stack spill slots hit it
+    /// (MotionEst in the suite).
     pub stack_cache_hits: u64,
     /// Warp-instructions the execute stage ran once per warp over compact
     /// (uniform/affine) operands instead of lane by lane — the dynamic
@@ -506,7 +507,7 @@ counters! {
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
     use crate::{CheriMode, SmConfig};
     use std::collections::BTreeSet;
@@ -638,33 +639,56 @@ mod tests {
             .collect()
     }
 
+    /// The `backquoted` names in column `column` of the first table after
+    /// `heading` in `doc`, brace groups expanded.
+    pub(crate) fn doc_column(doc: &str, heading: &str, column: usize) -> BTreeSet<String> {
+        let section = doc.split(heading).nth(1).unwrap_or_else(|| panic!("no {heading}"));
+        section
+            .lines()
+            .skip_while(|l| !l.starts_with('|'))
+            .take_while(|l| l.starts_with('|'))
+            .filter_map(|row| row.split('|').nth(column + 1))
+            .flat_map(|cell| {
+                cell.split('`').skip(1).step_by(2).flat_map(expand).collect::<Vec<_>>()
+            })
+            .collect()
+    }
+
+    /// `documented` and `declared` name the same things; the message names
+    /// the difference both ways.
+    #[track_caller]
+    pub(crate) fn assert_documented(
+        doc: &str,
+        documented: &BTreeSet<String>,
+        declared: &BTreeSet<String>,
+    ) {
+        let undocumented: Vec<_> = declared.difference(documented).collect();
+        let undeclared: Vec<_> = documented.difference(declared).collect();
+        assert!(
+            undocumented.is_empty() && undeclared.is_empty(),
+            "missing from {doc}: {undocumented:?}; not declared: {undeclared:?}"
+        );
+    }
+
     /// EXPERIMENTS.md's "Counters → figures contract" table names every
     /// declared counter, and no other, in its first column (brace groups
     /// expanded).
     #[test]
     fn experiments_contract_table_names_every_counter() {
         let doc = include_str!("../../../EXPERIMENTS.md");
-        let section = doc.split("## Counters → figures contract").nth(1).expect("the section");
-        let section = section.split("\n## ").next().unwrap_or(section);
-        let documented: BTreeSet<String> = section
-            .lines()
-            .filter_map(|l| l.strip_prefix("| `"))
-            .flat_map(|row| {
-                let cell = row.split('|').next().unwrap_or_default();
-                format!("`{cell}")
-                    .split('`')
-                    .skip(1)
-                    .step_by(2)
-                    .flat_map(expand)
-                    .collect::<Vec<_>>()
-            })
-            .collect();
-        let declared: BTreeSet<String> = COUNTERS.iter().map(|c| c.name.to_string()).collect();
-        let undocumented: Vec<_> = declared.difference(&documented).collect();
-        let undeclared: Vec<_> = documented.difference(&declared).collect();
-        assert!(
-            undocumented.is_empty() && undeclared.is_empty(),
-            "missing from EXPERIMENTS.md: {undocumented:?}; not declared: {undeclared:?}"
-        );
+        let documented = doc_column(doc, "## Counters → figures contract", 0);
+        let declared = COUNTERS.iter().map(|c| c.name.to_string()).collect();
+        assert_documented("EXPERIMENTS.md", &documented, &declared);
+    }
+
+    /// TRACING.md's reconciliation table names, in its counter column,
+    /// exactly the declared counters that trace events count.
+    #[test]
+    fn tracing_reconciliation_table_names_every_traced_counter() {
+        let doc = include_str!("../../../docs/TRACING.md");
+        let documented = doc_column(doc, "## Reconciliation", 1);
+        let traced =
+            COUNTERS.iter().filter(|c| c.trace.is_some()).map(|c| c.name.to_string()).collect();
+        assert_documented("TRACING.md", &documented, &traced);
     }
 }

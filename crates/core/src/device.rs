@@ -57,7 +57,7 @@ use crate::pipeline::StepOutcome;
 use crate::sm::Sm;
 use crate::trap::RunError;
 use cheri_cap::CapMem;
-use simt_mem::{map, Dram, MainMemory, TagController};
+use simt_mem::{map, Dram, DramConfig, MainMemory, TagController};
 
 /// The memory system behind the SMs' coalescing units: functional DRAM
 /// contents, the DRAM channel timing model, and the tag controller. Owned
@@ -74,7 +74,7 @@ impl MemSystem {
     pub(crate) fn new(cfg: &SmConfig) -> Self {
         MemSystem {
             mem: MainMemory::new(map::DRAM_BASE, cfg.dram_size),
-            dram: Dram::new(cfg.dram),
+            dram: Dram::new(DramConfig::default()),
             tags: TagController::new(cfg.tag_cache, cfg.cheri.enabled()),
         }
     }

@@ -56,7 +56,7 @@ mod sm;
 mod trap;
 mod warp;
 
-pub use config::{CheriMode, CheriOpts, SmConfig, Timing, TrapPolicy};
+pub use config::{CheriMode, CheriOpts, SmConfig, TrapPolicy};
 pub use counters::{
     Counter, CounterValue, FaultStats, KernelStats, StallBreakdown, COUNTERS, FINGERPRINT_KEYS,
 };

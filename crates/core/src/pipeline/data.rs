@@ -21,6 +21,7 @@
 
 use super::scalar::linear2;
 use super::{active_lanes, Costs};
+use crate::config::DIV_LATENCY;
 use crate::exec;
 use crate::rom::{DataFn, DataOp, Post, SplatOp, SplatSrc, Src2};
 use crate::sm::{LaneBufs, Sm};
@@ -126,11 +127,14 @@ impl Sm {
         });
     }
 
+    // Out of line: `apply_data` has one instance per data function and
+    // driver, and inlining this into each grows `exec_data` by a third.
+    #[inline(never)]
     fn post_effect(&mut self, w: u32, sel: &Selection, post: Post) {
         match post {
             Post::None => {}
             Post::Divider => {
-                self.warps[w as usize].ready_at = self.cycle + self.cfg.timing.div_latency as u64;
+                self.warps[w as usize].ready_at = self.cycle + DIV_LATENCY as u64;
             }
             Post::Sfu => self.sfu_suspend(w, sel),
         }

@@ -17,7 +17,7 @@
 //! scalarised.
 
 use super::Costs;
-use crate::config::TrapPolicy;
+use crate::config::{TrapPolicy, CAP_ACCESS_EXTRA, SFU_LATENCY};
 use crate::device::MemSystem;
 use crate::rom::{pc_index, Decoded, MemOp, Op, SysOp};
 use crate::sm::Sm;
@@ -209,7 +209,7 @@ impl Sm {
         if m.kind.is_cap() {
             // The second flit of a capability-wide access on the 32-bit
             // datapath (Section 3.1).
-            let extra = self.cfg.timing.cap_access_extra;
+            let extra = CAP_ACCESS_EXTRA;
             self.stats.stalls.cap_multi_flit += extra as u64;
             self.emit_stall(w, StallCause::CapMultiFlit, extra as u64);
             costs.extra_cycles += extra;
@@ -247,7 +247,7 @@ impl Sm {
 
     pub(crate) fn sfu_suspend(&mut self, w: u32, sel: &Selection) {
         self.stats.sfu_requests += 1;
-        let lat = self.cfg.timing.sfu_latency as u64 + sel.mask.count_ones() as u64;
+        let lat = SFU_LATENCY as u64 + sel.mask.count_ones() as u64;
         if let Some(sink) = self.sink.as_deref_mut() {
             sink.emit(TraceEvent::Sfu {
                 cycle: self.cycle,

@@ -12,6 +12,7 @@
 
 use super::operands::CapMemo;
 use super::{active_lanes, Costs};
+use crate::config::SCRATCH_LATENCY;
 use crate::device::MemSystem;
 use crate::exec;
 use crate::rom::{MemKind, MemOp};
@@ -392,7 +393,7 @@ impl Sm {
                     scratch_reqs.iter().all(|r| r.addr == first.addr && r.bytes == first.bytes);
                 sink.emit(mem_event(MemSpace::Scratch, scratch_reqs, 0, uniform, cycles - 1));
             }
-            done_at = done_at.max(cycle + (self.cfg.timing.scratch_latency + cycles) as u64);
+            done_at = done_at.max(cycle + (SCRATCH_LATENCY + cycles) as u64);
         }
         let warp = &mut self.warps[w as usize];
         warp.ready_at = warp.ready_at.max(done_at);

@@ -46,7 +46,7 @@ pub(crate) mod scalar;
 pub(crate) mod schedule;
 pub(crate) mod writeback;
 
-use crate::config::SmConfig;
+use crate::config::{SmConfig, SPILL_CYCLES};
 
 /// What one scheduler step did (see [`schedule`]).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -81,7 +81,7 @@ impl Costs {
     /// vector apiece.
     pub(crate) fn add_spill_fill(&mut self, cfg: &SmConfig, fills: u32, spills: u32) {
         let txns = cfg.lanes.div_ceil(16); // lanes * 4 bytes / 64-byte blocks
-        self.spill_cycles += (fills + spills) * cfg.timing.spill_cycles;
+        self.spill_cycles += (fills + spills) * SPILL_CYCLES;
         self.dram_reads += fills * txns;
         self.dram_writes += spills * txns;
     }

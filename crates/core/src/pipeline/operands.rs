@@ -58,7 +58,7 @@ impl Sm {
         };
         let m = rf.read(w, reg.index() as u32, meta);
         costs.add_spill_fill(&self.cfg, m.fills, m.spills);
-        if d.from_vrf && m.from_vrf && self.opts.is_some_and(|o| o.shared_vrf) {
+        if d.from_vrf && m.from_vrf && self.opts.is_some_and(|o| o.compress_meta) {
             costs.extra_cycles += 1;
             self.stats.stalls.shared_vrf_conflict += 1;
             self.emit_stall(w, StallCause::SharedVrfConflict, 1);

@@ -7,7 +7,7 @@
 //! hold no capabilities at all.
 
 /// Tag cache geometry.
-#[derive(Debug, Clone, Copy)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct TagCacheConfig {
     /// Number of direct-mapped lines.
     pub lines: u32,

@@ -242,10 +242,14 @@ impl Gpu {
     ///
     /// Panics if the heap is exhausted.
     pub fn alloc<T: DeviceScalar>(&mut self, len: u32) -> Buffer<T> {
-        let bytes = (len * T::ELEM.bytes()).next_multiple_of(64);
-        assert!(self.heap + bytes <= self.heap_end, "device heap exhausted");
+        let end = len
+            .checked_mul(T::ELEM.bytes())
+            .and_then(|bytes| bytes.checked_next_multiple_of(64))
+            .and_then(|bytes| self.heap.checked_add(bytes))
+            .filter(|&end| end <= self.heap_end)
+            .expect("device heap exhausted");
         let addr = self.heap;
-        self.heap += bytes;
+        self.heap = end;
         Buffer::new(addr, len)
     }
 
@@ -313,6 +317,13 @@ impl Gpu {
             return Err(LaunchError::Config(format!(
                 "block dim {} must tile the {}-lane warps",
                 launch.block_dim, lanes
+            )));
+        }
+        let block_warps = (launch.block_dim / lanes).max(1);
+        if !cfg.warps.is_multiple_of(block_warps) {
+            return Err(LaunchError::Config(format!(
+                "blocks of {block_warps} warps must tile the SM's {} warps",
+                cfg.warps
             )));
         }
         if args.len() != kernel.params.len() {
@@ -386,7 +397,7 @@ impl Gpu {
         self.device.load_program(&compiled.words);
         let stack_arena = self.plan.sms * cfg.threads() * self.plan.stack_size;
         self.device.set_stack_region(self.plan.stack_top - stack_arena, stack_arena);
-        self.device.set_block_warps((launch.block_dim / lanes).max(1));
+        self.device.set_block_warps(block_warps);
         self.device.reset();
         if let Some(hook) = self.pre_launch.as_mut() {
             hook(&mut self.device);

@@ -283,6 +283,27 @@ fn launch_validation() {
     }
 }
 
+/// A block that tiles the warps but not the SM (3 warps of the small SM's
+/// 8) is a configuration error, not a panic.
+#[test]
+fn block_must_tile_the_sm() {
+    let mut gpu = gpu_for(Mode::Baseline);
+    let a = gpu.alloc::<i32>(24);
+    let args = [24u32.into(), (&a).into(), (&a).into(), (&a).into()];
+    match gpu.launch(&vecadd_kernel(), Launch::new(1, 24), &args) {
+        Err(LaunchError::Config(msg)) => assert!(msg.contains("tile the SM"), "{msg}"),
+        other => panic!("{other:?}"),
+    }
+}
+
+/// An allocation whose byte size wraps 32 bits does not alias the heap.
+#[test]
+#[should_panic(expected = "device heap exhausted")]
+fn oversized_alloc_exhausts_the_heap() {
+    let mut gpu = gpu_for(Mode::Baseline);
+    gpu.alloc::<i32>(0x4000_0001);
+}
+
 #[test]
 fn byte_and_half_buffers() {
     // Histogram-style byte loads: out[i] = in[i] (u8 -> i32 widening).
