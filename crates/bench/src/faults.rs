@@ -314,7 +314,7 @@ fn cheri_probe(target: CapException, seed: u64) -> ProbeResult {
     }
     a.terminate();
     let expect = TrapCause::Cheri(target).name();
-    let result = probe_sm(a.assemble(), |m| {
+    let result = probe_sm(a.assemble().expect("probe assembles"), |m| {
         FaultInjector::new(seed).sabotage(m, VICTIM, target);
     });
     grade_probe(expect, result)
@@ -331,7 +331,10 @@ fn mem_probe_unmapped() -> ProbeResult {
     a.push(Instr::Load { w: LoadWidth::W, rd: Reg::A1, rs1: Reg::T0, off: 0 });
     a.terminate();
     let expect = TrapCause::Mem(MemFault::Unmapped(0)).name();
-    grade_probe(expect, probe_sm(a.assemble(), |m| m.inject_unmap_window(hole, 64)))
+    grade_probe(
+        expect,
+        probe_sm(a.assemble().expect("probe assembles"), |m| m.inject_unmap_window(hole, 64)),
+    )
 }
 
 /// `mem:misaligned`: a word load at a `+2` address — the capability check
@@ -345,7 +348,7 @@ fn mem_probe_misaligned() -> ProbeResult {
     a.push(Instr::Load { w: LoadWidth::W, rd: Reg::A1, rs1: Reg::T0, off: 0 });
     a.terminate();
     let expect = TrapCause::Mem(MemFault::Misaligned(0)).name();
-    grade_probe(expect, probe_sm(a.assemble(), |_| {}))
+    grade_probe(expect, probe_sm(a.assemble().expect("probe assembles"), |_| {}))
 }
 
 /// `mem:bad_width`: the pipeline's width enum cannot encode an invalid

@@ -27,7 +27,7 @@ use crate::SuiteResults;
 use cheri_simt::{KernelStats, SmConfig};
 use nocl::Gpu;
 use nocl_kir::Mode;
-use nocl_suite::{suite_jobs, Scale};
+use nocl_suite::{catalog, Scale};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicUsize, Ordering};
 
@@ -133,17 +133,17 @@ pub fn run_suite_parallel_on(
     scale: Scale,
     sms: u32,
 ) -> Result<SuiteResults, CellError> {
-    let cells = suite_jobs();
+    let cells = catalog();
     let results = run_indexed(jobs, cells.len(), |i| {
         let mut gpu = Gpu::with_sms(cfg, mode, sms);
-        cells[i].bench.run(&mut gpu, scale).map_err(|e| e.to_string())
+        cells[i].run(&mut gpu, scale).map_err(|e| e.to_string())
     });
     let mut out = SuiteResults::with_capacity(cells.len());
-    for (job, r) in cells.iter().zip(results) {
+    for (bench, r) in cells.iter().zip(results) {
         match r {
-            Ok(Ok(stats)) => out.push((job.bench.name(), stats)),
+            Ok(Ok(stats)) => out.push((bench.name(), stats)),
             Ok(Err(message)) | Err(message) => {
-                return Err(CellError { bench: job.bench.name(), message });
+                return Err(CellError { bench: bench.name(), message });
             }
         }
     }

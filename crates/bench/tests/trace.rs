@@ -102,7 +102,7 @@ fn stack_cache_stream_reconciles() {
     let mut cfg = SmConfig::with_geometry(2, 8, CheriMode::Off);
     cfg.stack_cache = true;
     let mut dev = Device::new(cfg, 1);
-    dev.load_program(&a.assemble());
+    dev.load_program(&a.assemble().unwrap());
     dev.set_stack_region(arena, 0x400);
     dev.sm_mut(0).set_sink(Box::new(VecSink::new()));
     dev.reset();

@@ -165,7 +165,7 @@ mod tests {
         let cfg = SmConfig::small(CheriMode::Off);
         let mut sm = Sm::new(cfg, 0, cfg.threads());
         let mut ms = MemSystem::new(&cfg);
-        sm.load_program(&a.assemble());
+        sm.load_program(&a.assemble().unwrap());
         sm.reset();
         // Simulate the bug: every thread of warp 0 finished, yet the warp
         // is handed to issue() anyway.

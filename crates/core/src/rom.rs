@@ -497,7 +497,7 @@ mod tests {
         a.push(NOP); //        6
         a.push(NOP); //        7
         a.terminate(); //      8: SIMT control, non-straight
-        let mut words = a.assemble();
+        let mut words = a.assemble().unwrap();
         words[7] = 0xFFFF_FFFF; // undecodable: non-straight
         let rom = ProgramRom::build(&words, false);
         let straight: Vec<bool> = rom.ops.iter().map(|o| o.straight).collect();

@@ -56,7 +56,7 @@ fn inspection_instructions_read_the_right_fields() {
     }
     a.terminate();
     let cap = arg_cap();
-    let dev = run_with(a.assemble(), cap, CheriOpts::optimised()).unwrap();
+    let dev = run_with(a.assemble().unwrap(), cap, CheriOpts::optimised()).unwrap();
     let word = |slot: u32| dev.memory().read(OUT + slot * 4, 4).unwrap();
     assert_eq!(word(0), 1, "CGetTag");
     assert_eq!(word(1), map::DRAM_BASE + 0x1000, "CGetAddr");
@@ -79,7 +79,7 @@ fn crrl_and_cram_match_the_codec() {
         store_out(&mut a, Reg::A1, 2 * i as i32 + 1);
     }
     a.terminate();
-    let dev = run_with(a.assemble(), arg_cap(), CheriOpts::optimised()).unwrap();
+    let dev = run_with(a.assemble().unwrap(), arg_cap(), CheriOpts::optimised()).unwrap();
     for (i, len) in [100u32, 4096, 100_000].into_iter().enumerate() {
         let got_rl = dev.memory().read(OUT + 8 * i as u32, 4).unwrap();
         let got_mask = dev.memory().read(OUT + 8 * i as u32 + 4, 4).unwrap();
@@ -98,7 +98,7 @@ fn candperm_removes_rights_monotonically() {
     a.push(Instr::Load { w: LoadWidth::W, rd: Reg::A3, rs1: Reg::A2, off: 0 }); // load ok
     a.push(Instr::Store { w: StoreWidth::W, rs2: Reg::A3, rs1: Reg::A2, off: 0 }); // trap
     a.terminate();
-    match run_with(a.assemble(), arg_cap(), CheriOpts::optimised()) {
+    match run_with(a.assemble().unwrap(), arg_cap(), CheriOpts::optimised()) {
         Err(RunError::Trap(t)) => {
             assert_eq!(t.cause, TrapCause::Cheri(cheri_cap::CapException::PermitStoreViolation))
         }
@@ -119,7 +119,7 @@ fn csetflags_and_cmove_roundtrip() {
     a.push(Instr::CapUnary { op: UnaryCapOp::GetTag, rd: Reg::A4, cs1: Reg::A3 });
     store_out(&mut a, Reg::A4, 1);
     a.terminate();
-    let dev = run_with(a.assemble(), arg_cap(), CheriOpts::optimised()).unwrap();
+    let dev = run_with(a.assemble().unwrap(), arg_cap(), CheriOpts::optimised()).unwrap();
     assert_eq!(dev.memory().read(OUT, 4).unwrap(), 1, "flag set and preserved by CMove");
     assert_eq!(dev.memory().read(OUT + 4, 4).unwrap(), 1, "tag preserved by CMove");
 }
@@ -131,7 +131,7 @@ fn ccleartag_kills_the_capability() {
     a.push(Instr::CapUnary { op: UnaryCapOp::ClearTag, rd: Reg::A1, cs1: Reg::A0 });
     a.push(Instr::Load { w: LoadWidth::W, rd: Reg::A2, rs1: Reg::A1, off: 0 });
     a.terminate();
-    match run_with(a.assemble(), arg_cap(), CheriOpts::optimised()) {
+    match run_with(a.assemble().unwrap(), arg_cap(), CheriOpts::optimised()) {
         Err(RunError::Trap(t)) => {
             assert_eq!(t.cause, TrapCause::Cheri(cheri_cap::CapException::TagViolation))
         }
@@ -148,7 +148,7 @@ fn csetaddr_out_of_representable_range_detags() {
     a.push(Instr::CapUnary { op: UnaryCapOp::GetTag, rd: Reg::A3, cs1: Reg::A2 });
     store_out(&mut a, Reg::A3, 0);
     a.terminate();
-    let dev = run_with(a.assemble(), arg_cap(), CheriOpts::optimised()).unwrap();
+    let dev = run_with(a.assemble().unwrap(), arg_cap(), CheriOpts::optimised()).unwrap();
     assert_eq!(dev.memory().read(OUT, 4).unwrap(), 0, "unrepresentable CSetAddr clears the tag");
 }
 
@@ -163,7 +163,7 @@ fn csetbounds_exact_traps_on_imprecise_request() {
     a.li(Reg::A2, 1 << 20); // 1 MiB: needs coarse alignment
     a.push(Instr::CSetBoundsExact { cd: Reg::A3, cs1: Reg::A0, rs2: Reg::A2 });
     a.terminate();
-    match run_with(a.assemble(), arg_cap(), CheriOpts::optimised()) {
+    match run_with(a.assemble().unwrap(), arg_cap(), CheriOpts::optimised()) {
         Err(RunError::Trap(t)) => {
             assert_eq!(t.cause, TrapCause::Cheri(cheri_cap::CapException::InexactBounds));
             assert!(t.lane_mask != 0, "trap names the faulting lanes");
@@ -187,7 +187,7 @@ fn csetbounds_inexact_rounds_and_keeps_the_tag() {
     a.push(Instr::CapUnary { op: UnaryCapOp::GetBase, rd: Reg::A4, cs1: Reg::A3 });
     store_out(&mut a, Reg::A4, 1);
     a.terminate();
-    let dev = run_with(a.assemble(), arg_cap(), CheriOpts::optimised()).unwrap();
+    let dev = run_with(a.assemble().unwrap(), arg_cap(), CheriOpts::optimised()).unwrap();
     assert_eq!(dev.memory().read(OUT, 4).unwrap(), 1, "CSetBounds keeps the tag");
     let base = dev.memory().read(OUT + 4, 4).unwrap();
     assert!(base <= map::DRAM_BASE + 0x1001, "base rounded down");
@@ -226,7 +226,7 @@ fn cjalr_calls_through_sentries_and_returns() {
     a.terminate();
     // Dynamic PCC metadata: disable the static restriction.
     let opts = CheriOpts { static_pcc: false, ..CheriOpts::optimised() };
-    let dev = run_with(a.assemble(), arg_cap(), opts).unwrap();
+    let dev = run_with(a.assemble().unwrap(), arg_cap(), opts).unwrap();
     assert_eq!(dev.memory().read(OUT, 4).unwrap(), 7, "function body ran");
     assert_eq!(dev.memory().read(OUT + 4, 4).unwrap(), 9, "returned to the call site");
     assert_eq!(dev.memory().read(OUT + 8, 4).unwrap(), 1, "the target was sealed");
@@ -238,7 +238,7 @@ fn jumping_through_a_data_capability_traps() {
     a.push(Instr::CSpecialRw { cd: Reg::A0, cs1: Reg::ZERO, scr: scr::ARG });
     a.push(Instr::Jalr { rd: Reg::RA, rs1: Reg::A0, off: 0 });
     a.terminate();
-    match run_with(a.assemble(), arg_cap(), CheriOpts::optimised()) {
+    match run_with(a.assemble().unwrap(), arg_cap(), CheriOpts::optimised()) {
         Err(RunError::Trap(t)) => {
             assert_eq!(t.cause, TrapCause::Cheri(cheri_cap::CapException::PermitExecuteViolation))
         }
@@ -257,7 +257,7 @@ fn auipcc_derives_a_code_capability() {
     a.push(Instr::CapUnary { op: UnaryCapOp::GetPerm, rd: Reg::A1, cs1: Reg::A0 });
     store_out(&mut a, Reg::A1, 2);
     a.terminate();
-    let dev = run_with(a.assemble(), arg_cap(), CheriOpts::optimised()).unwrap();
+    let dev = run_with(a.assemble().unwrap(), arg_cap(), CheriOpts::optimised()).unwrap();
     assert_eq!(dev.memory().read(OUT, 4).unwrap(), 1, "AUIPCC result is tagged");
     assert_eq!(dev.memory().read(OUT + 4, 4).unwrap(), map::TCIM_BASE, "address = pc");
     let perms = Perms::from_bits(dev.memory().read(OUT + 8, 4).unwrap() as u16);
@@ -277,6 +277,6 @@ fn writes_to_rd_null_the_metadata() {
     a.push(Instr::CapUnary { op: UnaryCapOp::GetTag, rd: Reg::A1, cs1: Reg::A0 });
     store_out(&mut a, Reg::A1, 0);
     a.terminate();
-    let dev = run_with(a.assemble(), arg_cap(), CheriOpts::optimised()).unwrap();
+    let dev = run_with(a.assemble().unwrap(), arg_cap(), CheriOpts::optimised()).unwrap();
     assert_eq!(dev.memory().read(OUT, 4).unwrap(), 0, "integer write nulls the metadata");
 }

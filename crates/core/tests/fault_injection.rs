@@ -87,7 +87,7 @@ fn probe_program(target: CapException) -> (Vec<u32>, usize) {
         }
     };
     a.terminate();
-    (a.assemble(), fault_idx)
+    (a.assemble().unwrap(), fault_idx)
 }
 
 #[test]
@@ -136,7 +136,7 @@ fn per_lane_store_prog() -> Vec<u32> {
     a.li(Reg::A1, 0x5EED_5EED_u32 as i32 as u32);
     a.push(Instr::Store { w: StoreWidth::W, rs2: Reg::A1, rs1: Reg::A0, off: 0 });
     a.terminate();
-    a.assemble()
+    a.assemble().unwrap()
 }
 
 fn narrow_arg() -> CapPipe {

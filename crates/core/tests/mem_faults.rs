@@ -156,7 +156,7 @@ fn program(op: Instr) -> (Vec<u32>, usize) {
     let idx = a.len();
     a.push(op);
     a.terminate();
-    (a.assemble(), idx)
+    (a.assemble().unwrap(), idx)
 }
 
 /// `(slot address, bits, tag)` per 8-byte slot.
@@ -463,7 +463,7 @@ fn memo_program(row: &MemoRow) -> (Vec<u32>, usize) {
     let idx = a.len();
     a.push(Instr::Load { w: LoadWidth::W, rd: A3, rs1: A0, off: row.load_off });
     a.terminate();
-    (a.assemble(), idx)
+    (a.assemble().unwrap(), idx)
 }
 
 /// What one memo row produced: per-lane `(base, length)` of the pointer,

@@ -506,7 +506,7 @@ fn program(c: &Case) -> Vec<u32> {
         }
     }
     a.terminate();
-    a.assemble()
+    a.assemble().unwrap()
 }
 
 const SECTIONS: u32 = 2 * SHAPES.len() as u32;
@@ -643,7 +643,7 @@ fn inexact_bounds_trap_is_identical_on_both_drivers() {
         a.li(A1, 0x0012_3457);
         a.push(Instr::CSetBoundsExact { cd: A2, cs1: A0, rs2: A1 });
         a.terminate();
-        let prog = a.assemble();
+        let prog = a.assemble().unwrap();
         let fast = run(&prog, true, true);
         let slow = run(&prog, true, false);
         assert!(

@@ -49,7 +49,7 @@ fn divergent_if_else_reconverges() {
     a.push(Instr::Store { w: StoreWidth::W, rs2: Reg::A2, rs1: Reg::A3, off: 0 });
     a.terminate();
 
-    let (dev, r) = run_dev(SmConfig::small(CheriMode::Off), a.assemble());
+    let (dev, r) = run_dev(SmConfig::small(CheriMode::Off), a.assemble().unwrap());
     r.unwrap();
     for t in 0..64u32 {
         let want = t + if t % 2 == 1 { 20 } else { 10 };
@@ -77,7 +77,7 @@ fn loop_with_divergent_trip_counts() {
     a.push(Instr::Store { w: StoreWidth::W, rs2: Reg::A2, rs1: Reg::A3, off: 0 });
     a.terminate();
 
-    let (dev, r) = run_dev(SmConfig::small(CheriMode::Off), a.assemble());
+    let (dev, r) = run_dev(SmConfig::small(CheriMode::Off), a.assemble().unwrap());
     r.unwrap();
     for t in 0..64u32 {
         let n = t % 4;
@@ -95,7 +95,7 @@ fn atomic_histogram_in_dram() {
     a.terminate();
     let cfg = SmConfig::small(CheriMode::Off);
     let threads = cfg.threads();
-    let (dev, r) = run_dev(cfg, a.assemble());
+    let (dev, r) = run_dev(cfg, a.assemble().unwrap());
     r.unwrap();
     assert_eq!(dev.memory().read(map::DRAM_BASE + 0x100, 4).unwrap(), threads);
 }
@@ -122,7 +122,7 @@ fn barrier_synchronises_scratchpad() {
     a.terminate();
 
     let mut dev = Device::new(SmConfig::small(CheriMode::Off), 1);
-    dev.load_program(&a.assemble());
+    dev.load_program(&a.assemble().unwrap());
     dev.set_block_warps(8); // all 8 warps form one block
     dev.reset();
     let stats = dev.run(MAX).unwrap();
@@ -138,7 +138,7 @@ fn unmapped_access_faults() {
     a.li(Reg::A0, 0x0000_1000); // not TCIM, not scratch, not DRAM
     a.push(Instr::Load { w: LoadWidth::W, rd: Reg::A1, rs1: Reg::A0, off: 0 });
     a.terminate();
-    let (_, r) = run_dev(SmConfig::small(CheriMode::Off), a.assemble());
+    let (_, r) = run_dev(SmConfig::small(CheriMode::Off), a.assemble().unwrap());
     match r {
         Err(RunError::Trap(t)) => {
             assert_eq!(t.cause, TrapCause::Mem(MemFault::Unmapped(0x0000_1000)));
@@ -167,7 +167,7 @@ fn purecap_store_ids() -> Vec<u32> {
     a.push(Instr::CIncOffset { cd: Reg::A3, cs1: Reg::A1, rs2: Reg::A2 });
     a.push(Instr::Store { w: StoreWidth::W, rs2: Reg::A0, rs1: Reg::A3, off: 0 });
     a.terminate();
-    a.assemble()
+    a.assemble().unwrap()
 }
 
 #[test]
@@ -237,7 +237,7 @@ fn figure1_overread_demo() {
     a.li(Reg::A4, map::DRAM_BASE);
     a.push(Instr::Store { w: StoreWidth::W, rs2: Reg::A3, rs1: Reg::A4, off: 0 });
     a.terminate();
-    let (dev, r) = run_dev(SmConfig::small(CheriMode::Off), a.assemble());
+    let (dev, r) = run_dev(SmConfig::small(CheriMode::Off), a.assemble().unwrap());
     r.unwrap();
     assert_eq!(dev.memory().read(map::DRAM_BASE, 4).unwrap(), SECRET_VAL, "baseline leaks");
 
@@ -247,7 +247,7 @@ fn figure1_overread_demo() {
     a.push(Instr::Load { w: LoadWidth::W, rd: Reg::A3, rs1: Reg::A0, off: 4 }); // ptr[1]
     a.terminate();
     let mut dev = Device::new(cheri_cfg(), 1);
-    dev.load_program(&a.assemble());
+    dev.load_program(&a.assemble().unwrap());
     dev.memory_mut().write(DATA + 4, SECRET_VAL, 4).unwrap();
     dev.set_scr(scr::ARG, data_cap(DATA, 4).to_mem());
     dev.reset();
@@ -276,7 +276,7 @@ fn clc_csc_roundtrip_preserves_tags_and_forgery_fails() {
     a.terminate();
 
     let mut dev = Device::new(cheri_cfg(), 1);
-    dev.load_program(&a.assemble());
+    dev.load_program(&a.assemble().unwrap());
     dev.set_scr(scr::ARG, data_cap(map::DRAM_BASE, 16).to_mem());
     dev.reset();
     let stats = dev.run(MAX).unwrap();
@@ -297,7 +297,7 @@ fn clc_csc_roundtrip_preserves_tags_and_forgery_fails() {
     a.push(Instr::Load { w: LoadWidth::W, rd: Reg::A3, rs1: Reg::A1, off: 0 });
     a.terminate();
     let mut dev = Device::new(cheri_cfg(), 1);
-    dev.load_program(&a.assemble());
+    dev.load_program(&a.assemble().unwrap());
     dev.set_scr(scr::ARG, data_cap(map::DRAM_BASE, 16).to_mem());
     dev.reset();
     match dev.run(MAX) {
@@ -318,7 +318,7 @@ fn csetbounds_in_kernel_narrows() {
     a.push(Instr::Load { w: LoadWidth::W, rd: Reg::A2, rs1: Reg::A1, off: 8 }); // trap
     a.terminate();
     let mut dev = Device::new(cheri_cfg(), 1);
-    dev.load_program(&a.assemble());
+    dev.load_program(&a.assemble().unwrap());
     dev.set_scr(scr::ARG, data_cap(map::DRAM_BASE, 64).to_mem());
     dev.reset();
     match dev.run(MAX) {
@@ -386,7 +386,8 @@ fn branch_cond_coverage() {
         a.li(Reg::A3, map::DRAM_BASE);
         a.push(Instr::Store { w: StoreWidth::W, rs2: Reg::A2, rs1: Reg::A3, off: 0 });
         a.terminate();
-        let (dev, r) = run_dev(SmConfig::with_geometry(1, 1, CheriMode::Off), a.assemble());
+        let (dev, r) =
+            run_dev(SmConfig::with_geometry(1, 1, CheriMode::Off), a.assemble().unwrap());
         r.unwrap();
         assert_eq!(dev.memory().read(map::DRAM_BASE, 4).unwrap(), want, "cond #{i}");
     }
@@ -411,7 +412,7 @@ fn ring_sink_captures_the_tail() {
     }
     a.terminate();
     let mut dev = Device::new(SmConfig::with_geometry(1, 4, CheriMode::Off), 1);
-    dev.load_program(&a.assemble());
+    dev.load_program(&a.assemble().unwrap());
     dev.sm_mut(0).set_sink(Box::new(RingSink::new(4)));
     dev.reset();
     dev.run(MAX).unwrap();
@@ -435,7 +436,7 @@ fn ring_sink_captures_the_tail() {
     let mut dev2 = Device::new(SmConfig::with_geometry(1, 4, CheriMode::Off), 1);
     let mut b = Assembler::new();
     b.terminate();
-    dev2.load_program(&b.assemble());
+    dev2.load_program(&b.assemble().unwrap());
     dev2.reset();
     dev2.run(MAX).unwrap();
     assert!(dev2.sm_mut(0).take_sink().is_none());
@@ -455,7 +456,7 @@ fn structured_sink_reconciles_with_stats() {
     a.barrier();
     a.push(Instr::Load { w: LoadWidth::W, rd: Reg::A5, rs1: Reg::A3, off: 0 });
     a.terminate();
-    let prog = a.assemble();
+    let prog = a.assemble().unwrap();
 
     let mut dev = Device::new(SmConfig::small(CheriMode::Off), 1);
     dev.load_program(&prog);
@@ -545,7 +546,7 @@ fn out_of_range_pc_traps_as_fetch_oob_under_every_scheme() {
         let mut a = Assembler::new();
         a.push(Instr::OpImm { op: AluOp::Add, rd: Reg::A0, rs1: Reg::ZERO, imm: 1 });
         a.push(Instr::OpImm { op: AluOp::Add, rd: Reg::A0, rs1: Reg::A0, imm: 1 });
-        let prog = a.assemble();
+        let prog = a.assemble().unwrap();
         let bad = map::TCIM_BASE + 4 * prog.len() as u32;
         let (_, r) = run_dev(SmConfig::small(cheri), prog);
         let t = match r {

@@ -29,7 +29,7 @@ fn unhidden_memory_latency_is_idle() {
     a.push(Instr::Op { op: AluOp::Add, rd: Reg::A2, rs1: Reg::A1, rs2: Reg::A1 });
     a.terminate();
     let cfg = SmConfig::with_geometry(1, 4, CheriMode::Off);
-    let stats = run(cfg, a.assemble(), |_| {});
+    let stats = run(cfg, a.assemble().unwrap(), |_| {});
     let latency = DramConfig::default().latency as u64;
     assert!(stats.stalls.idle >= latency, "idle {} < latency {latency}", stats.stalls.idle);
 }
@@ -45,7 +45,7 @@ fn multithreading_hides_memory_latency() {
         a.push(Instr::Op { op: AluOp::Add, rd: Reg::A2, rs1: Reg::A1, rs2: Reg::A1 });
     }
     a.terminate();
-    let one = run(SmConfig::with_geometry(1, 4, CheriMode::Off), a.assemble(), |_| {});
+    let one = run(SmConfig::with_geometry(1, 4, CheriMode::Off), a.assemble().unwrap(), |_| {});
 
     let mut a = Assembler::new();
     a.li(Reg::A0, map::DRAM_BASE);
@@ -54,7 +54,7 @@ fn multithreading_hides_memory_latency() {
         a.push(Instr::Op { op: AluOp::Add, rd: Reg::A2, rs1: Reg::A1, rs2: Reg::A1 });
     }
     a.terminate();
-    let many = run(SmConfig::with_geometry(32, 4, CheriMode::Off), a.assemble(), |_| {});
+    let many = run(SmConfig::with_geometry(32, 4, CheriMode::Off), a.assemble().unwrap(), |_| {});
 
     // 32x the work in far less than 32x the time.
     assert!(many.cycles < one.cycles * 4, "one={} many={}", one.cycles, many.cycles);
@@ -77,7 +77,7 @@ fn sfu_serialises_lanes() {
             a.push(Instr::FOp { op: FpOp::Div, rd: Reg::A1, rs1: Reg::A0, rs2: Reg::A0 });
         }
         a.terminate();
-        a.assemble()
+        a.assemble().unwrap()
     };
     let cfg = SmConfig::with_geometry(1, 16, CheriMode::Off);
     let base = run(cfg, prog(1), |_| {});
@@ -99,7 +99,7 @@ fn csc_and_multi_flit_accounting() {
         a.push(Instr::Csc { cs2: Reg::A0, cs1: Reg::A0, off: 0 });
         a.push(Instr::Clc { cd: Reg::A1, cs1: Reg::A0, off: 0 });
         a.terminate();
-        a.assemble()
+        a.assemble().unwrap()
     };
     let setup = |dev: &mut Device| dev.set_scr(scr::ARG, data_cap(map::DRAM_BASE, 64));
 
@@ -130,7 +130,7 @@ fn scratchpad_conflicts_cost_cycles() {
             a.push(Instr::Store { w: StoreWidth::W, rs2: Reg::A0, rs1: Reg::A1, off: 0 });
         }
         a.terminate();
-        a.assemble()
+        a.assemble().unwrap()
     };
     let cfg = SmConfig::with_geometry(1, 8, CheriMode::Off);
     // Stride 4 bytes: conflict-free. Stride 8*4 bytes: all lanes same bank.
@@ -160,7 +160,7 @@ fn vrf_spills_are_accounted() {
     a.terminate();
     let mut cfg = SmConfig::with_geometry(4, 8, CheriMode::Off);
     cfg.vrf_slots = 8; // tiny VRF: 4 warps x 16 vectors >> 8 slots
-    let stats = run(cfg, a.assemble(), |_| {});
+    let stats = run(cfg, a.assemble().unwrap(), |_| {});
     assert!(stats.data_rf.spills > 0);
     assert!(stats.data_rf.fills > 0);
     assert!(stats.stalls.spill_fill > 0);
@@ -181,7 +181,7 @@ fn tag_cache_behaviour() {
             a.push(Instr::Load { w: LoadWidth::W, rd: Reg::A3, rs1: Reg::A2, off: i * 4 });
         }
         a.terminate();
-        a.assemble()
+        a.assemble().unwrap()
     };
     let stats = run(SmConfig::small(CheriMode::On(CheriOpts::optimised())), prog, |dev| {
         dev.set_scr(scr::ARG, data_cap(map::DRAM_BASE, 1 << 16))
@@ -194,7 +194,7 @@ fn tag_cache_behaviour() {
     a.li(Reg::A0, map::DRAM_BASE);
     a.push(Instr::Load { w: LoadWidth::W, rd: Reg::A1, rs1: Reg::A0, off: 0 });
     a.terminate();
-    let base = run(SmConfig::small(CheriMode::Off), a.assemble(), |_| {});
+    let base = run(SmConfig::small(CheriMode::Off), a.assemble().unwrap(), |_| {});
     assert_eq!(base.tag_cache.hits + base.tag_cache.misses, 0);
     assert_eq!(base.dram.tag_transactions, 0);
 }
@@ -229,7 +229,7 @@ fn stack_cache_absorbs_affine_and_uniform_arena_accesses() {
         a.push(Instr::Op { op: AluOp::Add, rd: Reg::A3, rs1: Reg::A2, rs2: Reg::A1 });
         a.push(Instr::Load { w: LoadWidth::W, rd: Reg::A4, rs1: Reg::A3, off: 0 });
         a.terminate();
-        a.assemble()
+        a.assemble().unwrap()
     };
     let run_traced = |stack_cache: bool| {
         let mut cfg = SmConfig::with_geometry(1, 8, CheriMode::Off);

@@ -15,27 +15,54 @@
 //! a.jump(loop_top);
 //! a.bind(done);
 //! a.terminate();
-//! let words = a.assemble();
+//! let words = a.assemble().unwrap();
 //! assert_eq!(words.len(), 5);
 //! ```
 
 use crate::{BranchCond, Instr, Reg, SimtOp};
+use core::fmt;
 
 /// A forward-referenceable code label.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct Label(usize);
 
-#[derive(Debug, Clone, Copy)]
-enum Patch {
-    Branch(Label),
-    Jal(Label),
+/// Why [`Assembler::assemble`] could not resolve the branch or jump at
+/// instruction index `at`.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum AsmError {
+    /// Its target label was never bound.
+    UnboundLabel {
+        /// Instruction index of the branch or jump.
+        at: usize,
+    },
+    /// Its byte offset to the target does not fit the instruction.
+    OutOfRange {
+        /// Instruction index of the branch or jump.
+        at: usize,
+        /// The byte offset to the target.
+        off: i64,
+    },
 }
+
+impl fmt::Display for AsmError {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match self {
+            AsmError::UnboundLabel { at } => write!(f, "instruction {at} targets an unbound label"),
+            AsmError::OutOfRange { at, off } => {
+                write!(f, "instruction {at} branches {off} bytes, out of its range")
+            }
+        }
+    }
+}
+
+impl std::error::Error for AsmError {}
 
 /// The assembler: a growing instruction list plus pending label fixups.
 #[derive(Debug, Default)]
 pub struct Assembler {
     instrs: Vec<Instr>,
-    patches: Vec<(usize, Patch)>,
+    /// `(instruction index, target)` of every branch and jump.
+    patches: Vec<(usize, Label)>,
     /// `labels[l] = Some(instruction index)` once bound.
     labels: Vec<Option<usize>>,
 }
@@ -86,7 +113,7 @@ impl Assembler {
 
     /// Conditional branch to a label.
     pub fn branch(&mut self, cond: BranchCond, rs1: Reg, rs2: Reg, target: Label) {
-        self.patches.push((self.instrs.len(), Patch::Branch(target)));
+        self.patches.push((self.instrs.len(), target));
         self.instrs.push(Instr::Branch { cond, rs1, rs2, off: 0 });
     }
 
@@ -102,7 +129,7 @@ impl Assembler {
 
     /// Unconditional jump to a label (`jal zero`).
     pub fn jump(&mut self, target: Label) {
-        self.patches.push((self.instrs.len(), Patch::Jal(target)));
+        self.patches.push((self.instrs.len(), target));
         self.instrs.push(Instr::Jal { rd: Reg::ZERO, off: 0 });
     }
 
@@ -133,33 +160,27 @@ impl Assembler {
 
     /// Resolve labels and encode to instruction words.
     ///
-    /// # Panics
+    /// # Errors
     ///
-    /// Panics if a label is unbound or an offset does not fit its encoding.
-    pub fn assemble(mut self) -> Vec<u32> {
-        for (at, patch) in std::mem::take(&mut self.patches) {
-            let target = |l: Label| {
-                let t = self.labels[l.0].expect("unbound label");
-                (t as i64 - at as i64) * 4
+    /// Fails if a branch or jump targets an unbound label, or a label
+    /// beyond the reach of its offset field (±4 KiB for a branch, ±1 MiB
+    /// for a jump).
+    pub fn assemble(mut self) -> Result<Vec<u32>, AsmError> {
+        for (at, label) in std::mem::take(&mut self.patches) {
+            let t = self.labels[label.0].ok_or(AsmError::UnboundLabel { at })?;
+            let off = (t as i64 - at as i64) * 4;
+            let reach = match self.instrs[at] {
+                Instr::Branch { .. } => -4096..=4094,
+                _ => -(1 << 20)..=(1 << 20) - 1,
             };
-            match patch {
-                Patch::Branch(l) => {
-                    let off = target(l);
-                    assert!((-4096..=4094).contains(&off), "branch offset {off} out of range");
-                    if let Instr::Branch { off: o, .. } = &mut self.instrs[at] {
-                        *o = off as i32;
-                    }
-                }
-                Patch::Jal(l) => {
-                    let off = target(l);
-                    assert!((-(1 << 20)..(1 << 20)).contains(&off), "jump offset out of range");
-                    if let Instr::Jal { off: o, .. } = &mut self.instrs[at] {
-                        *o = off as i32;
-                    }
-                }
+            if !reach.contains(&off) {
+                return Err(AsmError::OutOfRange { at, off });
+            }
+            if let Instr::Branch { off: o, .. } | Instr::Jal { off: o, .. } = &mut self.instrs[at] {
+                *o = off as i32;
             }
         }
-        self.instrs.iter().map(|i| i.encode()).collect()
+        Ok(self.instrs.iter().map(|i| i.encode()).collect())
     }
 }
 
@@ -178,7 +199,7 @@ mod tests {
         a.jump(top);
         a.bind(end);
         a.terminate();
-        let words = a.assemble();
+        let words = a.assemble().unwrap();
         let decoded: Vec<Instr> = words.iter().map(|&w| Instr::decode(w).unwrap()).collect();
         assert_eq!(
             decoded[1],
@@ -192,7 +213,7 @@ mod tests {
         for v in [0u32, 1, 0x7FF, 0x800, 0xFFFF_FFFF, 0x8000_0000, 0x1234_5678] {
             let mut a = Assembler::new();
             a.li(Reg::A0, v);
-            let words = a.assemble();
+            let words = a.assemble().unwrap();
             // Emulate the two instructions to verify the constant.
             let mut r = 0u32;
             for w in words {
@@ -207,11 +228,23 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "unbound label")]
-    fn unbound_label_panics() {
+    fn unbound_label_is_an_error() {
         let mut a = Assembler::new();
+        a.terminate();
         let l = a.label();
         a.jump(l);
-        let _ = a.assemble();
+        assert_eq!(a.assemble(), Err(AsmError::UnboundLabel { at: 1 }));
+    }
+
+    #[test]
+    fn out_of_range_branch_is_an_error() {
+        let mut a = Assembler::new();
+        let far = a.label();
+        a.beqz(Reg::A0, far);
+        for _ in 0..1024 {
+            a.terminate();
+        }
+        a.bind(far);
+        assert_eq!(a.assemble(), Err(AsmError::OutOfRange { at: 0, off: 4100 }));
     }
 }

@@ -4,8 +4,10 @@ use crate::expr::*;
 
 /// Builds a [`Kernel`] with CUDA-style structure.
 ///
-/// Control flow is expressed with closures over the builder; the builder
-/// maintains a block stack so statements land in the innermost open block.
+/// Control flow is expressed with closures over the builder: each closure
+/// runs on a fresh body swapped in for the enclosing one, so statements land
+/// in the innermost open block. Misuse (assigning to a non-variable) is
+/// recorded, not panicked on; compiling the kernel reports it.
 #[derive(Debug)]
 pub struct KernelBuilder {
     name: String,
@@ -13,7 +15,8 @@ pub struct KernelBuilder {
     shared: Vec<SharedDecl>,
     vars: Vec<Ty>,
     var_names: Vec<String>,
-    blocks: Vec<Vec<Stmt>>,
+    body: Vec<Stmt>,
+    misuse: Option<String>,
 }
 
 impl KernelBuilder {
@@ -25,7 +28,8 @@ impl KernelBuilder {
             shared: Vec::new(),
             vars: Vec::new(),
             var_names: Vec::new(),
-            blocks: vec![Vec::new()],
+            body: Vec::new(),
+            misuse: None,
         }
     }
 
@@ -126,19 +130,28 @@ impl KernelBuilder {
     // ---- Statements ----
 
     fn emit(&mut self, s: Stmt) {
-        self.blocks.last_mut().expect("block stack").push(s);
+        self.body.push(s);
     }
 
-    /// `var = value`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `var` is not a `Var` expression.
+    /// Run `build` on a fresh body and return what it emitted.
+    fn block(&mut self, build: impl FnOnce(&mut Self)) -> Vec<Stmt> {
+        let outer = std::mem::take(&mut self.body);
+        build(self);
+        std::mem::replace(&mut self.body, outer)
+    }
+
+    /// `var = value`. A target other than a variable is a misuse, which
+    /// compiling the kernel reports as a type error.
     pub fn assign(&mut self, var: &Expr, value: Expr) {
         match var {
             Expr::Var(id, _) => self.emit(Stmt::Assign(*id, value)),
-            other => panic!("assign target must be a variable, got {other:?}"),
+            other => self.record_misuse(format!("assign target must be a variable, got {other:?}")),
         }
+    }
+
+    /// Record a misuse; compiling the kernel reports the first one.
+    fn record_misuse(&mut self, what: String) {
+        self.misuse.get_or_insert(what);
     }
 
     /// `ptr[index] = value`.
@@ -158,10 +171,8 @@ impl KernelBuilder {
 
     /// `if cond { then }`.
     pub fn if_(&mut self, cond: Expr, then_: impl FnOnce(&mut Self)) {
-        self.blocks.push(Vec::new());
-        then_(self);
-        let t = self.blocks.pop().unwrap();
-        self.emit(Stmt::If { cond, then_: t, else_: Vec::new() });
+        let then_ = self.block(then_);
+        self.emit(Stmt::If { cond, then_, else_: Vec::new() });
     }
 
     /// `if cond { then } else { else }`.
@@ -171,25 +182,20 @@ impl KernelBuilder {
         then_: impl FnOnce(&mut Self),
         else_: impl FnOnce(&mut Self),
     ) {
-        self.blocks.push(Vec::new());
-        then_(self);
-        let t = self.blocks.pop().unwrap();
-        self.blocks.push(Vec::new());
-        else_(self);
-        let e = self.blocks.pop().unwrap();
-        self.emit(Stmt::If { cond, then_: t, else_: e });
+        let then_ = self.block(then_);
+        let else_ = self.block(else_);
+        self.emit(Stmt::If { cond, then_, else_ });
     }
 
     /// `while cond { body }`.
     pub fn while_(&mut self, cond: Expr, body: impl FnOnce(&mut Self)) {
-        self.blocks.push(Vec::new());
-        body(self);
-        let b = self.blocks.pop().unwrap();
-        self.emit(Stmt::While { cond, body: b });
+        let body = self.block(body);
+        self.emit(Stmt::While { cond, body });
     }
 
     /// CUDA-style strided for loop: `for (var = init; var < bound; var +=
-    /// step) { body }` with an unsigned comparison.
+    /// step) { body }` with an unsigned comparison. A `var` other than a
+    /// variable is a misuse, as for [`Self::assign`].
     pub fn for_(
         &mut self,
         var: Expr,
@@ -198,32 +204,25 @@ impl KernelBuilder {
         step: Expr,
         body: impl FnOnce(&mut Self),
     ) {
-        self.assign(&var, init);
-        self.blocks.push(Vec::new());
-        body(self);
-        let mut b = self.blocks.pop().unwrap();
-        if let Expr::Var(id, _) = var {
-            b.push(Stmt::Assign(id, var.clone() + step));
-        } else {
-            panic!("loop variable must be a variable");
-        }
-        self.emit(Stmt::While { cond: var.lt(bound), body: b });
+        let Expr::Var(id, _) = var else {
+            return self.record_misuse(format!("loop variable must be a variable, got {var:?}"));
+        };
+        self.emit(Stmt::Assign(id, init));
+        let mut body = self.block(body);
+        body.push(Stmt::Assign(id, var.clone() + step));
+        self.emit(Stmt::While { cond: var.lt(bound), body });
     }
 
     /// Finish building.
-    ///
-    /// # Panics
-    ///
-    /// Panics if control-flow blocks are unbalanced.
-    pub fn finish(mut self) -> Kernel {
-        assert_eq!(self.blocks.len(), 1, "unbalanced control-flow blocks");
+    pub fn finish(self) -> Kernel {
         Kernel {
             name: self.name,
             params: self.params,
             shared: self.shared,
             vars: self.vars,
             var_names: self.var_names,
-            body: self.blocks.pop().unwrap(),
+            body: self.body,
+            misuse: self.misuse,
         }
     }
 }
@@ -266,10 +265,12 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "non-pointer")]
-    fn indexing_scalar_panics() {
+    fn indexing_scalar_is_a_type_error() {
         let mut k = KernelBuilder::new("t");
         let x = k.param_u32("x");
-        let _ = x.at(Expr::u32(0));
+        let v = k.var_u32("v");
+        k.assign(&v, x.at(Expr::u32(0)));
+        let err = crate::compile(&k.finish(), crate::Mode::Baseline).unwrap_err();
+        assert_eq!(err, crate::CompileError::Type("load through U32".into()));
     }
 }

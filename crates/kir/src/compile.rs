@@ -143,18 +143,27 @@ pub fn compile(kernel: &Kernel, mode: Mode) -> Result<CompiledKernel, CompileErr
 ///
 /// # Errors
 ///
-/// See [`CompileError`]; a too-small limit surfaces as register pressure.
+/// See [`CompileError`]. Builder misuse and ill-typed trees are type
+/// errors; a too-small or too-large limit is register pressure; a stack
+/// size that is not a power of two, or a kernel too long for its branches,
+/// is unsupported.
 pub fn compile_capped(
     kernel: &Kernel,
     mode: Mode,
     plan: MemPlan,
     cap_reg_limit: Option<u32>,
 ) -> Result<CompiledKernel, CompileError> {
+    if let Some(misuse) = &kernel.misuse {
+        return Err(CompileError::Type(misuse.clone()));
+    }
     let layout = ArgLayout::new(kernel, mode);
     let mut cg = Codegen::new(kernel, mode, plan, &layout, cap_reg_limit)?;
     cg.prologue()?;
     cg.block_loop()?;
-    let words = cg.asm.assemble();
+    let len = cg.asm.len();
+    let words = cg.asm.assemble().map_err(|e| {
+        CompileError::Unsupported(format!("kernel {} is {len} instructions long: {e}", kernel.name))
+    })?;
     Ok(CompiledKernel { words, layout, shared_bytes: kernel.shared_bytes(), mode, plan })
 }
 
@@ -315,36 +324,37 @@ impl<'k> Codegen<'k> {
             }
             _ => None,
         };
-        let take = |n: &mut Vec<Reg>| n.remove(0);
+        let take = |n: &mut Vec<Reg>| {
+            if n.is_empty() {
+                return Err(CompileError::RegisterPressure(format!(
+                    "kernel {} exhausts the register pool",
+                    k.name
+                )));
+            }
+            Ok(n.remove(0))
+        };
         let take_ptr = |cap: &mut Option<Vec<Reg>>, pool: &mut Vec<Reg>, what: &str| match cap {
             Some(c) if c.is_empty() => Err(CompileError::RegisterPressure(format!(
                 "capability-register limit exhausted pinning {what}"
             ))),
             Some(c) => Ok(c.remove(0)),
-            None => {
-                if pool.is_empty() {
-                    return Err(CompileError::RegisterPressure(format!(
-                        "register pool exhausted pinning {what}"
-                    )));
-                }
-                Ok(pool.remove(0))
-            }
+            None => take(pool),
         };
 
-        let r_thread_idx = take(&mut pool);
-        let r_block_idx = take(&mut pool);
-        let r_block_dim = take(&mut pool);
-        let r_grid_dim = take(&mut pool);
-        let r_blocks_per_sm = take(&mut pool);
+        let r_thread_idx = take(&mut pool)?;
+        let r_block_idx = take(&mut pool)?;
+        let r_block_dim = take(&mut pool)?;
+        let r_grid_dim = take(&mut pool)?;
+        let r_blocks_per_sm = take(&mut pool)?;
 
         // Pin parameters.
         let fat = mode.fat_pointers();
         let mut params = Vec::new();
         for p in &k.params {
             let loc = match (p.ty, fat) {
-                (Ty::Ptr(_), true) => Loc::Fat(take(&mut pool), take(&mut pool)),
+                (Ty::Ptr(_), true) => Loc::Fat(take(&mut pool)?, take(&mut pool)?),
                 (Ty::Ptr(_), false) => Loc::Reg(take_ptr(&mut cap_pool, &mut pool, &p.name)?),
-                _ => Loc::Reg(take(&mut pool)),
+                _ => Loc::Reg(take(&mut pool)?),
             };
             params.push(loc);
             if pool.len() < 8 {
@@ -359,7 +369,7 @@ impl<'k> Codegen<'k> {
         let mut shared = Vec::new();
         for s in &k.shared {
             let r =
-                if fat { take(&mut pool) } else { take_ptr(&mut cap_pool, &mut pool, &s.name)? };
+                if fat { take(&mut pool)? } else { take_ptr(&mut cap_pool, &mut pool, &s.name)? };
             shared.push(if fat { Loc::FatConst(r, s.len) } else { Loc::Reg(r) });
             if pool.len() < 8 {
                 return Err(CompileError::RegisterPressure(format!(
@@ -385,8 +395,8 @@ impl<'k> Codegen<'k> {
             let needs = if fat && is_ptr { 2 } else { 1 };
             if pool.len() >= 9 + needs {
                 vars[i] = match needs {
-                    2 => Loc::Fat(take(&mut pool), take(&mut pool)),
-                    _ => Loc::Reg(take(&mut pool)),
+                    2 => Loc::Fat(take(&mut pool)?, take(&mut pool)?),
+                    _ => Loc::Reg(take(&mut pool)?),
                 };
             } else if needs == 2 {
                 stack_bytes += 8;
@@ -479,28 +489,16 @@ impl<'k> Codegen<'k> {
 
     /// Return a scratch register to whichever pool it came from.
     fn free_scratch(&mut self, r: Reg) {
-        if self.cap_pool_owns(r) {
-            self.cap_pool.as_mut().expect("limit implies pool").push(r);
-        } else {
-            self.free.push(r);
+        match &mut self.cap_pool {
+            Some(c) if self.cap_limit.is_some_and(|l| (r.index() as u32) < l) => c.push(r),
+            _ => self.free.push(r),
         }
-    }
-
-    fn cap_pool_owns(&self, r: Reg) -> bool {
-        self.cap_limit.map(|l| (r.index() as u32) < l).unwrap_or(false)
     }
 
     fn release(&mut self, v: Val) {
         if v.owned {
             match v.loc {
-                Loc::Reg(r) | Loc::FatConst(r, _) => {
-                    // Registers from the capability pool go back to it.
-                    if self.cap_pool_owns(r) {
-                        self.cap_pool.as_mut().expect("limit implies pool").push(r);
-                        return;
-                    }
-                    self.free.push(r)
-                }
+                Loc::Reg(r) | Loc::FatConst(r, _) => self.free_scratch(r),
                 Loc::Fat(a, l) => {
                     self.free.push(a);
                     self.free.push(l);
@@ -737,7 +735,12 @@ impl<'k> Codegen<'k> {
     /// Per-thread stack pointer, only when variables spilled.
     fn prologue_stack(&mut self, t0: Reg, t1: Reg) -> Result<(), CompileError> {
         if self.stack_bytes > 0 {
-            assert!(self.plan.stack_size.is_power_of_two());
+            if !self.plan.stack_size.is_power_of_two() {
+                return Err(CompileError::Unsupported(format!(
+                    "stack size {} is not a power of two",
+                    self.plan.stack_size
+                )));
+            }
             let log2 = self.plan.stack_size.trailing_zeros() as i32;
             self.opi(AluOp::Sll, t1, t0, log2); // hart * stack_size
             if self.purecap() {
@@ -798,7 +801,7 @@ impl<'k> Codegen<'k> {
             }
             Stmt::Barrier => self.asm.barrier(),
             Stmt::Atomic { op, ptr, index, value } => {
-                let (addr, addr_owned) = self.gen_address(ptr, index, true)?;
+                let (addr, addr_owned) = self.gen_address(ptr, index)?;
                 let v = self.gen_expr(value)?;
                 let vr = self.scalar_reg(&v)?;
                 self.asm.push(Instr::Amo { op: *op, rd: ZERO, rs1: addr, rs2: vr });
@@ -914,7 +917,7 @@ impl<'k> Codegen<'k> {
                 };
                 Ok(Val { loc: Loc::Reg(r), owned: false })
             }
-            Expr::Var(id, ty) => {
+            Expr::Var(id, _) => {
                 let home = self.vars[*id];
                 match home {
                     Loc::Slot(off) => {
@@ -942,7 +945,6 @@ impl<'k> Codegen<'k> {
                             rs1: SP,
                             off: -(off as i32) + 4,
                         });
-                        let _ = ty;
                         Ok(Val { loc: Loc::Fat(a, l), owned: true })
                     }
                     loc => Ok(Val { loc, owned: false }),
@@ -1005,7 +1007,7 @@ impl<'k> Codegen<'k> {
                     rs1: SP,
                     off: -(off as i32) + 4,
                 });
-                self.release_fat_temp(v, a, l);
+                self.release_fat_temp(v, l);
                 return Ok(());
             }
             _ => {}
@@ -1038,7 +1040,7 @@ impl<'k> Codegen<'k> {
         }
     }
 
-    fn release_fat_temp(&mut self, v: Val, _a: Reg, l: Reg) {
+    fn release_fat_temp(&mut self, v: Val, l: Reg) {
         // If fat_regs materialised a length temp for a FatConst, free it.
         if matches!(v.loc, Loc::FatConst(..)) {
             self.free.push(l);
@@ -1289,12 +1291,7 @@ impl<'k> Codegen<'k> {
     /// Generate the address of `ptr[index]` into a register (a capability
     /// under CHERI). Emits the Rust bounds check when required. Returns the
     /// register and whether it is an owned temp.
-    fn gen_address(
-        &mut self,
-        ptr: &Expr,
-        index: &Expr,
-        _is_store: bool,
-    ) -> Result<(Reg, bool), CompileError> {
+    fn gen_address(&mut self, ptr: &Expr, index: &Expr) -> Result<(Reg, bool), CompileError> {
         let elem = match ptr.ty() {
             Ty::Ptr(e) => e,
             t => return Err(CompileError::Type(format!("address of non-pointer {t:?}"))),
@@ -1380,11 +1377,7 @@ impl<'k> Codegen<'k> {
             let off = i * sz as i64;
             if off == 0 {
                 // Use the pointer register directly.
-                let owned = vp.owned;
-                if owned {
-                    return Ok((pr, true));
-                }
-                return Ok((pr, false));
+                return Ok((pr, vp.owned));
             }
             if (-2048..=2047).contains(&off) {
                 let (addr, owned) = self.addr_temp(ptr)?;
@@ -1420,7 +1413,7 @@ impl<'k> Codegen<'k> {
             Loc::Reg(d) => d,
             other => return Err(CompileError::Type(format!("load into {other:?}"))),
         };
-        let (addr, owned) = self.gen_address(ptr, index, false)?;
+        let (addr, owned) = self.gen_address(ptr, index)?;
         let w = match elem {
             Elem::I8 => LoadWidth::B,
             Elem::U8 => LoadWidth::Bu,
@@ -1442,7 +1435,7 @@ impl<'k> Codegen<'k> {
         };
         let vv = self.gen_expr(value)?;
         let rv = self.scalar_reg(&vv)?;
-        let (addr, owned) = self.gen_address(ptr, index, true)?;
+        let (addr, owned) = self.gen_address(ptr, index)?;
         let w = match elem {
             Elem::I8 | Elem::U8 => StoreWidth::B,
             Elem::I16 | Elem::U16 => StoreWidth::H,
@@ -1489,7 +1482,7 @@ impl<'k> Codegen<'k> {
                     self.op(AluOp::Add, da, pa, ri);
                 }
                 self.op(AluOp::Sub, dl, pl, ri);
-                self.release_fat_temp(vp, pa, pl);
+                self.release_fat_temp(vp, pl);
                 self.release(vi);
                 return Ok(());
             }

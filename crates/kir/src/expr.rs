@@ -162,12 +162,8 @@ impl Expr {
         Expr::F32(v)
     }
 
-    /// The type of this expression.
-    ///
-    /// # Panics
-    ///
-    /// Panics on ill-typed trees (e.g. loading through a non-pointer); the
-    /// builder API prevents such trees from being constructed.
+    /// The type of this expression. A load through a non-pointer has its
+    /// operand's type; the code generator rejects it as a type error.
     pub(crate) fn ty(&self) -> Ty {
         match self {
             Expr::Int(_, t) | Expr::Var(_, t) | Expr::Param(_, t) => *t,
@@ -186,29 +182,19 @@ impl Expr {
             },
             Expr::Load(p, _) => match p.ty() {
                 Ty::Ptr(e) => e.loaded_ty(),
-                t => panic!("load through non-pointer {t:?}"),
+                t => t,
             },
             Expr::PtrOffset(p, _) => p.ty(),
         }
     }
 
     /// `self[index]`: load an element through a pointer expression.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `self` is not pointer-typed.
     pub fn at(&self, index: Expr) -> Expr {
-        assert!(matches!(self.ty(), Ty::Ptr(_)), "indexing a non-pointer");
         Expr::Load(Box::new(self.clone()), Box::new(index))
     }
 
     /// `&self[index]`: derived pointer.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `self` is not pointer-typed.
     pub fn offset(&self, index: Expr) -> Expr {
-        assert!(matches!(self.ty(), Ty::Ptr(_)), "offsetting a non-pointer");
         Expr::PtrOffset(Box::new(self.clone()), Box::new(index))
     }
 
@@ -375,6 +361,9 @@ pub struct Kernel {
     pub var_names: Vec<String>,
     /// Body.
     pub body: Vec<Stmt>,
+    /// The first misuse of the [`crate::KernelBuilder`] that built this
+    /// kernel; `compile` reports it as a type error.
+    pub(crate) misuse: Option<String>,
 }
 
 impl Kernel {

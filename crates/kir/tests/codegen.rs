@@ -1,6 +1,9 @@
-//! Code-generator structural tests: the instruction mix each mode emits.
+//! Code-generator tests: the instruction mix each mode emits, and the typed
+//! errors for kernels it cannot compile.
 
-use nocl_kir::{compile, Elem, Expr, Kernel, KernelBuilder, Mode};
+use nocl_kir::{
+    compile, compile_capped, CompileError, Elem, Expr, Kernel, KernelBuilder, MemPlan, Mode,
+};
 use simt_isa::Instr;
 
 fn vecadd() -> Kernel {
@@ -130,5 +133,107 @@ fn register_pressure_reports_cleanly() {
     match compile(&kernel, Mode::RustChecked) {
         Err(nocl_kir::CompileError::RegisterPressure(_)) => {}
         other => panic!("expected register-pressure error, got {other:?}"),
+    }
+}
+
+const MODES: [Mode; 5] =
+    [Mode::Baseline, Mode::PureCap, Mode::RustChecked, Mode::RustFull, Mode::GpuShield];
+
+/// Compile `kernel` in every mode and expect the same error each time.
+fn rejected_everywhere(kernel: &Kernel, want: &CompileError) {
+    for mode in MODES {
+        assert_eq!(compile(kernel, mode).err().as_ref(), Some(want), "{} {mode:?}", kernel.name);
+    }
+}
+
+/// A store of `value` to `out[0]`, with `out` a `u32` pointer and `x` a
+/// `u32` scalar the value may misuse.
+fn store_kernel(name: &str, value: impl FnOnce(&Expr, &Expr) -> Expr) -> Kernel {
+    let mut k = KernelBuilder::new(name);
+    let out = k.param_ptr("out", Elem::U32);
+    let x = k.param_u32("x");
+    let v = value(&out, &x);
+    k.store(&out, Expr::u32(0), v);
+    k.finish()
+}
+
+#[test]
+fn loads_through_non_pointers_are_type_errors() {
+    let want = CompileError::Type("load through U32".into());
+    let direct =
+        store_kernel("direct", |_, x| Expr::Load(Box::new(x.clone()), Box::new(Expr::u32(0))));
+    let at = store_kernel("at", |_, x| x.at(Expr::u32(0)));
+    let offset_at = store_kernel("offset_at", |_, x| x.offset(Expr::u32(1)).at(Expr::u32(0)));
+    let index = store_kernel("index", |out, x| out.at(x.at(Expr::u32(0))));
+    for kernel in [direct, at, offset_at, index] {
+        rejected_everywhere(&kernel, &want);
+    }
+}
+
+#[test]
+fn builder_misuse_is_a_type_error() {
+    let mut k = KernelBuilder::new("assign_param");
+    let x = k.param_u32("x");
+    k.assign(&x, Expr::u32(1));
+    rejected_everywhere(
+        &k.finish(),
+        &CompileError::Type("assign target must be a variable, got Param(0, U32)".into()),
+    );
+
+    let mut k = KernelBuilder::new("for_param");
+    let out = k.param_ptr("out", Elem::U32);
+    let n = k.param_u32("n");
+    k.for_(n.clone(), Expr::u32(0), Expr::u32(4), Expr::u32(1), |k| {
+        k.store(&out, Expr::u32(0), Expr::u32(7));
+    });
+    // Only the first misuse is reported.
+    k.assign(&out, Expr::u32(0));
+    rejected_everywhere(
+        &k.finish(),
+        &CompileError::Type("loop variable must be a variable, got Param(1, U32)".into()),
+    );
+}
+
+#[test]
+fn a_stack_size_that_is_not_a_power_of_two_is_unsupported() {
+    // Enough live variables that some spill to the stack.
+    let mut k = KernelBuilder::new("spills");
+    let out = k.param_ptr("out", Elem::U32);
+    let vars: Vec<Expr> = (0..40).map(|i| k.var_u32(&format!("v{i}"))).collect();
+    for (i, v) in vars.iter().enumerate() {
+        k.assign(v, k.thread_idx() + Expr::u32(i as u32));
+    }
+    for (i, v) in vars.iter().enumerate() {
+        k.store(&out, Expr::u32(i as u32), v.clone());
+    }
+    let kernel = k.finish();
+    let plan = MemPlan { stack_size: 500, ..MemPlan::default() };
+    for mode in MODES {
+        assert!(compile(&kernel, mode).is_ok(), "{mode:?}");
+        assert_eq!(
+            compile_capped(&kernel, mode, plan, None).err(),
+            Some(CompileError::Unsupported("stack size 500 is not a power of two".into())),
+            "{mode:?}"
+        );
+    }
+}
+
+#[test]
+fn a_kernel_too_long_for_its_branches_is_unsupported() {
+    // 2,000 stores: the block loop's exit branch cannot reach past them.
+    let mut k = KernelBuilder::new("long");
+    let out = k.param_ptr("out", Elem::U32);
+    for j in 0..2000 {
+        k.store(&out, Expr::u32(j), Expr::u32(j));
+    }
+    let kernel = k.finish();
+    for mode in MODES {
+        match compile(&kernel, mode) {
+            Err(CompileError::Unsupported(why)) => {
+                assert!(why.starts_with("kernel long is "), "{mode:?}: {why}");
+                assert!(why.contains("out of its range"), "{mode:?}: {why}");
+            }
+            other => panic!("{mode:?}: expected Unsupported, got {other:?}"),
+        }
     }
 }

@@ -59,10 +59,7 @@ impl Gpu {
         Launch::new(grid, bd)
     }
 
-    /// `out[i] = f(in[i])`.
-    ///
-    /// The kernel is cached under `name`; use a distinct name for each
-    /// distinct `f` (same-name different-body is a logic error).
+    /// `out[i] = f(in[i])`. `name` names the generated kernel.
     ///
     /// # Errors
     ///

@@ -49,7 +49,6 @@ use cheri_simt::{Device, KernelStats, RunError, Sm, SmConfig, Trap};
 use nocl_kir::{compile_capped, ArgSlot, CompiledKernel, Kernel, MemPlan, Mode};
 use simt_isa::scr;
 use simt_mem::map;
-use std::collections::HashMap;
 use std::fmt;
 
 /// Launch geometry: `<<<grid_dim, block_dim>>>`.
@@ -122,7 +121,11 @@ pub struct Gpu {
     plan: MemPlan,
     heap: u32,
     heap_end: u32,
-    cache: HashMap<(String, Mode), CompiledKernel>,
+    /// `sms × threads × stack_size` bytes of per-thread stacks, ending at
+    /// `plan.stack_top`.
+    stack_arena: u32,
+    /// Compiled kernels, keyed by the whole kernel: two may share a name.
+    cache: Vec<(Kernel, CompiledKernel)>,
     cap_reg_limit: Option<u32>,
     pre_launch: Option<PreLaunchHook>,
     fault_log: Vec<Trap>,
@@ -170,7 +173,6 @@ impl Gpu {
             mode.needs_cheri(),
             "SM CHERI mode must match the compilation mode"
         );
-        assert!(sms >= 1, "a GPU needs at least one SM");
         let usable = cfg.dram_size - map::tag_region_bytes(cfg.dram_size);
         let plan = MemPlan {
             arg_base: map::DRAM_BASE,
@@ -188,7 +190,8 @@ impl Gpu {
             plan,
             heap,
             heap_end,
-            cache: HashMap::new(),
+            stack_arena,
+            cache: Vec::new(),
             cap_reg_limit: None,
             pre_launch: None,
             fault_log: Vec::new(),
@@ -213,9 +216,10 @@ impl Gpu {
     /// Enable the §4.3 capability-register limit: pure-capability kernels
     /// are compiled so that only registers below `limit` ever hold
     /// capabilities, allowing a metadata SRF of `limit` entries (halving
-    /// the 14% storage overhead to 7% at `limit = 16`).
+    /// the 14% storage overhead to 7% at `limit = 16`). A limit that leaves
+    /// too few registers for pointers or for everything else fails each
+    /// launch with [`nocl_kir::CompileError::RegisterPressure`].
     pub fn with_cap_reg_limit(mut self, limit: u32) -> Self {
-        assert!((4..=32).contains(&limit), "limit out of range");
         self.cap_reg_limit = Some(limit);
         self.cache.clear();
         self
@@ -335,12 +339,11 @@ impl Gpu {
             )));
         }
 
-        let key = (kernel.name.clone(), self.mode);
-        let compiled = match self.cache.get(&key) {
-            Some(c) => c.clone(),
+        let compiled = match self.cache.iter().find(|(k, _)| k == kernel) {
+            Some((_, c)) => c.clone(),
             None => {
                 let c = compile_capped(kernel, self.mode, self.plan, self.cap_reg_limit)?;
-                self.cache.insert(key, c.clone());
+                self.cache.push((kernel.clone(), c.clone()));
                 c
             }
         };
@@ -388,15 +391,14 @@ impl Gpu {
                 c.to_mem()
             };
             self.device.set_scr(scr::ARG, data(self.plan.arg_base, compiled.layout.size));
-            let stack_arena = self.plan.sms * cfg.threads() * self.plan.stack_size;
-            self.device.set_scr(scr::STACK, data(self.plan.stack_top - stack_arena, stack_arena));
+            let stack_base = self.plan.stack_top - self.stack_arena;
+            self.device.set_scr(scr::STACK, data(stack_base, self.stack_arena));
             self.device.set_scr(scr::SHARED, data(map::SCRATCH_BASE, map::SCRATCH_SIZE));
             self.device.set_scr(scr::GLOBAL, CapPipe::almighty().and_perm(Perms::data()).to_mem());
         }
 
         self.device.load_program(&compiled.words);
-        let stack_arena = self.plan.sms * cfg.threads() * self.plan.stack_size;
-        self.device.set_stack_region(self.plan.stack_top - stack_arena, stack_arena);
+        self.device.set_stack_region(self.plan.stack_top - self.stack_arena, self.stack_arena);
         self.device.set_block_warps(block_warps);
         self.device.reset();
         if let Some(hook) = self.pre_launch.as_mut() {
@@ -421,40 +423,41 @@ impl Gpu {
     ) -> Result<(), LaunchError> {
         let base = self.plan.arg_base;
         let mem = self.device.memory_mut();
-        mem.write(base, launch.grid_dim, 4).expect("arg block in DRAM");
-        mem.write(base + 4, launch.block_dim, 4).expect("arg block in DRAM");
+        let mut written =
+            mem.write(base, launch.grid_dim, 4).and(mem.write(base + 4, launch.block_dim, 4));
         for (i, (slot, arg)) in compiled.layout.slots.iter().zip(args).enumerate() {
             let off = base + slot.offset();
-            match (slot, arg) {
-                (ArgSlot::Scalar { .. }, Arg::Scalar(v)) => {
-                    mem.write(off, *v, 4).expect("arg block");
-                }
+            let w = match (slot, arg) {
+                (ArgSlot::Scalar { .. }, Arg::Scalar(v)) => mem.write(off, *v, 4),
                 (ArgSlot::PtrRaw { .. }, Arg::Buf { addr, .. }) => {
                     let tagged = if shield_ids[i] != 0 {
                         cheri_simt::shield::BoundsTable::tag(*addr, shield_ids[i])
                     } else {
                         *addr
                     };
-                    mem.write(off, tagged, 4).expect("arg block");
+                    mem.write(off, tagged, 4)
                 }
                 (ArgSlot::PtrFat { .. }, Arg::Buf { addr, len, .. }) => {
-                    mem.write(off, *addr, 4).expect("arg block");
-                    mem.write(off + 4, *len, 4).expect("arg block");
+                    mem.write(off, *addr, 4).and(mem.write(off + 4, *len, 4))
                 }
                 (ArgSlot::PtrCap { .. }, Arg::Buf { addr, len, elem_bytes }) => {
                     let (cap, _) = CapPipe::almighty()
                         .and_perm(Perms::data())
                         .set_addr(*addr)
                         .set_bounds(len * elem_bytes);
-                    mem.write_cap(off, cap.to_mem()).expect("arg block");
+                    mem.write_cap(off, cap.to_mem())
                 }
                 (slot, arg) => {
                     return Err(LaunchError::Config(format!(
                         "argument {i}: {arg:?} does not fit parameter slot {slot:?}"
                     )));
                 }
-            }
+            };
+            written = written.and(w);
         }
+        // The block is DRAM's first page (the heap starts past it), and
+        // `compile` caps the parameter count, so every write lands.
+        written.expect("argument block within DRAM's first page");
         Ok(())
     }
 }

@@ -111,3 +111,19 @@ fn zip_map_length_mismatch_is_rejected() {
     let b = gpu.alloc::<u32>(11);
     assert!(gpu.zip_map("bad", &a, &b, |x, y| x + y).is_err());
 }
+
+#[test]
+fn same_name_different_kernels_do_not_share_a_compiled_program() {
+    for mode in MODES {
+        let mut gpu = gpu_for(mode);
+        let xs = gpu.alloc_from(&[1u32, 2, 3, 4]);
+        let doubled = gpu.map("f", &xs, |x| x * Expr::u32(2)).unwrap();
+        assert_eq!(gpu.read(&doubled), [2, 4, 6, 8], "{mode:?}");
+        let shifted = gpu.map("f", &xs, |x| x + Expr::u32(100)).unwrap();
+        assert_eq!(gpu.read(&shifted), [101, 102, 103, 104], "{mode:?}");
+        let sum = gpu.reduce("s", &xs, 0u32, |a, b| a + b).unwrap();
+        assert_eq!(sum, 10, "{mode:?}");
+        let product = gpu.reduce("s", &xs, 1u32, |a, b| a * b).unwrap();
+        assert_eq!(product, 24, "{mode:?}");
+    }
+}

@@ -4,9 +4,9 @@
 //! with no run-time cost.
 
 use cheri_simt::{CheriMode, CheriOpts, SmConfig};
-use nocl::Gpu;
-use nocl_kir::Mode;
-use nocl_suite::{catalog, Scale};
+use nocl::{Gpu, LaunchError};
+use nocl_kir::{CompileError, Mode};
+use nocl_suite::{catalog, BenchError, Scale};
 use simt_regfile::{RegFileStorage, RfConfig};
 
 const LIMIT: u32 = 16;
@@ -73,4 +73,24 @@ fn halved_metadata_srf_is_seven_percent() {
     let halved_ovhd = halved.srf_bits as f64 / 1024.0 / baseline;
     assert!((full_ovhd - 0.14).abs() < 0.01, "full {full_ovhd:.3}");
     assert!((halved_ovhd - 0.07).abs() < 0.01, "halved {halved_ovhd:.3}");
+}
+
+/// A limit that leaves too few registers — for pointers (0 and 3) or for
+/// everything else (32 and 33) — fails every suite kernel's launch with a
+/// typed register-pressure error.
+#[test]
+fn unusable_limits_are_register_pressure() {
+    for limit in [0, 3, 32, 33] {
+        let mut g = gpu(Some(limit));
+        for b in catalog() {
+            match b.run(&mut g, Scale::Test) {
+                Err(BenchError::Launch(LaunchError::Compile(CompileError::RegisterPressure(
+                    _,
+                )))) => {}
+                other => {
+                    panic!("limit {limit}, {}: expected register pressure, got {other:?}", b.name())
+                }
+            }
+        }
+    }
 }

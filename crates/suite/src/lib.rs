@@ -85,30 +85,11 @@ pub fn run_suite(
     Ok(out)
 }
 
-/// A `Send`-safe descriptor of one suite cell, for fanning benchmarks out
-/// across worker threads. The benchmark objects are `'static` and the
-/// [`NoclBench`] trait requires `Sync`, so the descriptor can be copied
-/// freely into a `thread::scope`; every benchmark seeds its input PRNG
-/// from a per-benchmark constant, so cells are order-independent.
-#[derive(Clone, Copy)]
-pub struct SuiteJob {
-    /// Position in Table-1 order — the reduction key that keeps parallel
-    /// suite output deterministic.
-    pub index: usize,
-    /// The benchmark to run.
-    pub bench: &'static dyn NoclBench,
-}
-
-/// All suite cells in Table-1 order.
-pub fn suite_jobs() -> Vec<SuiteJob> {
-    catalog().iter().enumerate().map(|(index, &bench)| SuiteJob { index, bench }).collect()
-}
-
-// The whole point of `SuiteJob` is crossing a `thread::scope`; keep that a
+// Suite cells cross a `thread::scope` in the parallel runner; keep that a
 // compile-time guarantee.
 const _: () = {
     const fn assert_send_sync<T: Send + Sync>() {}
-    assert_send_sync::<SuiteJob>();
+    assert_send_sync::<&'static dyn NoclBench>();
     assert_send_sync::<Scale>();
     assert_send_sync::<BenchError>();
 };
