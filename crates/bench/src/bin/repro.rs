@@ -4,6 +4,8 @@
 //! stdout. Every command-line error — an unknown option, experiment, mode
 //! or benchmark, a bad flag value, a subcommand given the wrong number of
 //! arguments — prints a message and the synopsis to stderr and exits 2.
+//! A failed write of the output (a full disk, a reader that closed the
+//! pipe) prints `writing <dest>: <error>` to stderr and exits 2 too.
 //!
 //! Without `--quick`, experiments run at the paper's geometry (64 warps ×
 //! 32 lanes) and dataset scale; expect minutes per configuration in a
@@ -20,11 +22,11 @@
 //! mode each SM becomes its own Perfetto process.
 //!
 //! `trace` runs benchmarks with the structured event sink attached and
-//! exports the stream (`--trace-out FILE`, or stdout). Unlike the
-//! experiments it defaults to the *quick* geometry — a paper-scale trace is
-//! hundreds of millions of events — with `--paper` as the opt-in. The
-//! default `--format chrome` opens directly in [Perfetto]; `--mode`
-//! defaults to `purecap`. See `docs/TRACING.md` for the schema.
+//! writes the stream (`--trace-out FILE`, or stdout). Unlike the
+//! experiments it defaults to the *quick* geometry — a paper-scale trace of
+//! the suite is 4.2 M events, 737 MB as Chrome — with `--paper` as the
+//! opt-in. The default `--format chrome` opens directly in [Perfetto];
+//! `--mode` defaults to `purecap`. See `docs/TRACING.md` for the schema.
 //!
 //! `faults` runs the CHERI fault-injection coverage experiment: every
 //! requested benchmark under every injection scheme × trap policy cell
@@ -40,11 +42,13 @@
 //! [Perfetto]: https://ui.perfetto.dev
 
 use repro::{
-    ablate, default_jobs, disasm, export_runs, faults_experiment, faults_summary, fig10, fig11,
-    fig12, fig13, fig14, fig15, fig6, fig7, multism, quick_fault_benches, resolve_benches,
-    scalarise, table1, table2, table3, tagsweep, trace_config, trace_suite_on, trace_summary,
-    vrfsweep, Geometry, Harness, TraceFormat,
+    ablate, default_jobs, disasm, faults_experiment, faults_summary, fig10, fig11, fig12, fig13,
+    fig14, fig15, fig6, fig7, multism, quick_fault_benches, resolve_benches, scalarise, table1,
+    table2, table3, tagsweep, trace_config, trace_suite_on, trace_summary, vrfsweep, write_runs,
+    Geometry, Harness, TraceFormat,
 };
+use std::fs::File;
+use std::io::{self, BufWriter, Write};
 
 /// The command-line synopsis.
 const USAGE: &str = "\
@@ -68,6 +72,17 @@ fn usage_error(msg: &str) -> ! {
 fn fail(code: i32, msg: &str) -> ! {
     eprintln!("{msg}");
     std::process::exit(code);
+}
+
+/// `result`'s value; a failed write to `dest` exits 2.
+fn written<T>(result: io::Result<T>, dest: &str) -> T {
+    result.unwrap_or_else(|e| fail(2, &format!("writing {dest}: {e}")))
+}
+
+/// Write `text` to stdout; a closed or failing stdout exits 2.
+fn out(text: &str) {
+    let mut stdout = io::stdout().lock();
+    written(stdout.write_all(text.as_bytes()).and_then(|()| stdout.flush()), "stdout");
 }
 
 fn main() {
@@ -118,7 +133,7 @@ fn main() {
                 "--quick" => quick = true,
                 "--paper" => paper = true,
                 "--help" | "-h" => {
-                    print!("{USAGE}");
+                    out(USAGE);
                     return;
                 }
                 other if other.starts_with("--") => {
@@ -136,7 +151,7 @@ fn main() {
             let [_, bench, mode] = what[..] else {
                 usage_error("disasm takes a benchmark and a mode")
             };
-            println!("{}", disasm(bench, mode).unwrap_or_else(|e| usage_error(&e)));
+            out(&(disasm(bench, mode).unwrap_or_else(|e| usage_error(&e)) + "\n"));
         }
 
         // Structured tracing. Defaults to the quick geometry (a paper-scale
@@ -155,14 +170,17 @@ fn main() {
             let runs = trace_suite_on(&benches, config, geometry, jobs, sms)
                 .unwrap_or_else(|e| fail(2, &e));
             eprint!("{}", trace_summary(&runs));
-            let out = export_runs(&runs, format);
             match &trace_out {
                 Some(path) => {
-                    std::fs::write(path, &out)
-                        .unwrap_or_else(|e| fail(2, &format!("writing {path}: {e}")));
-                    eprintln!("[repro] wrote {} bytes to {path}", out.len());
+                    let mut w = BufWriter::new(written(File::create(path), path));
+                    written(write_runs(&mut w, &runs, format), path);
+                    let bytes = written(w.get_ref().metadata(), path).len();
+                    eprintln!("[repro] wrote {bytes} bytes to {path}");
                 }
-                None => print!("{out}"),
+                None => written(
+                    write_runs(BufWriter::new(io::stdout().lock()), &runs, format),
+                    "stdout",
+                ),
             }
         }
 
@@ -172,10 +190,10 @@ fn main() {
             let input = std::fs::read_to_string(file)
                 .unwrap_or_else(|e| fail(2, &format!("reading {file}: {e}")));
             match cheri_simt::trace::validate::validate_auto(&input) {
-                Ok((format, s)) => println!(
-                    "{file}: valid {format} trace — {} events, {} metadata, {} counter samples, {} process(es)",
+                Ok((format, s)) => out(&format!(
+                    "{file}: valid {format} trace — {} events, {} metadata, {} counter samples, {} process(es)\n",
                     s.events, s.metadata, s.counters, s.processes
-                ),
+                )),
                 Err(e) => fail(1, &format!("{file}: INVALID — {e}")),
             }
         }
@@ -194,7 +212,7 @@ fn main() {
                 benches.len()
             );
             let report = faults_experiment(&benches, jobs, seed);
-            print!("{}", faults_summary(&report));
+            out(&faults_summary(&report));
             if !report.covered() {
                 fail(
                     1,
@@ -221,7 +239,7 @@ fn main() {
                 .with_jobs(jobs)
                 .with_sms(sms);
             for run in runs {
-                println!("{}", run(&mut h));
+                out(&(run(&mut h) + "\n"));
             }
         }
     }

@@ -20,7 +20,7 @@ pub use faults::{
 };
 pub use runner::{default_jobs, run_indexed, run_suite_parallel_on, CellError};
 pub use trace::{
-    export_runs, resolve_benches, trace_config, trace_suite_on, trace_summary, TraceFormat,
+    resolve_benches, trace_config, trace_suite_on, trace_summary, write_runs, TraceFormat,
     TracedRun,
 };
 

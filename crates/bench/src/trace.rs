@@ -8,11 +8,12 @@
 //! `crates/bench/tests/trace.rs`).
 
 use crate::{run_indexed, Config, Geometry};
-use cheri_simt::trace::export::{to_chrome, to_jsonl, TraceCell};
+use cheri_simt::trace::export::{write_chrome, write_jsonl, TraceCell};
 use cheri_simt::trace::{TraceEvent, VecSink};
 use cheri_simt::KernelStats;
 use nocl::Gpu;
 use nocl_suite::{catalog, NoclBench};
+use std::io::{self, Write};
 
 /// Export format for `repro trace`.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -105,8 +106,8 @@ pub fn resolve_benches(name: &str) -> Result<Vec<&'static dyn NoclBench>, String
 /// With `sms == 1` a cell is labelled `"<bench> [<mode>]"`. With more SMs
 /// each SM becomes its own exported cell (labelled
 /// `"<bench> [<mode>] · sm<k>"` — one Perfetto process per SM), so cross-SM
-/// interleaving is visible on separate tracks. The *concatenation* of the
-/// per-SM streams is reconciled against the combined device statistics
+/// interleaving is visible on separate tracks. The per-SM streams, taken
+/// together, are reconciled against the combined device statistics
 /// (per-SM statistics cannot reconcile alone: the DRAM and tag-cache
 /// counters live in the device memory system), and each per-SM cell carries
 /// those combined statistics.
@@ -142,8 +143,9 @@ pub fn trace_suite_on(
                     .to_vec()
             })
             .collect();
-        let all: Vec<TraceEvent> = per_sm.iter().flatten().copied().collect();
-        stats.reconcile(&all).map_err(|e| format!("trace/stats mismatch: {e}"))?;
+        stats
+            .reconcile(per_sm.iter().flatten())
+            .map_err(|e| format!("trace/stats mismatch: {e}"))?;
         if sms == 1 {
             let events = per_sm.into_iter().next().expect("one SM");
             return Ok(vec![TracedRun { label: format!("{} [{tag}]", b.name()), events, stats }]);
@@ -168,14 +170,19 @@ pub fn trace_suite_on(
     Ok(out)
 }
 
-/// Serialise traced cells in suite order. The output is a pure function of
-/// the cells, so it is byte-identical for every worker count.
-pub fn export_runs(runs: &[TracedRun], format: TraceFormat) -> String {
+/// Write traced cells in suite order into `w`, then flush it. The output
+/// is a pure function of the cells, so it is byte-identical for every
+/// worker count.
+///
+/// # Errors
+///
+/// The first error `w` returns.
+pub fn write_runs(w: impl Write, runs: &[TracedRun], format: TraceFormat) -> io::Result<()> {
     let cells: Vec<TraceCell> =
         runs.iter().map(|r| TraceCell { label: &r.label, events: &r.events }).collect();
     match format {
-        TraceFormat::Chrome => to_chrome(&cells),
-        TraceFormat::Jsonl => to_jsonl(&cells),
+        TraceFormat::Chrome => write_chrome(w, &cells),
+        TraceFormat::Jsonl => write_jsonl(w, &cells),
     }
 }
 
@@ -231,10 +238,15 @@ mod tests {
         assert_eq!(runs.len(), 1);
         assert!(runs[0].stats.instrs > 0);
         // `trace_suite_on` reconciled already; both exports must validate.
-        let (fmt, s) = validate_auto(&export_runs(&runs, TraceFormat::Chrome)).unwrap();
+        let export = |format| {
+            let mut buf = Vec::new();
+            write_runs(&mut buf, &runs, format).unwrap();
+            String::from_utf8(buf).unwrap()
+        };
+        let (fmt, s) = validate_auto(&export(TraceFormat::Chrome)).unwrap();
         assert_eq!(fmt, "chrome");
         assert!(s.events > 0);
-        let (fmt, _) = validate_auto(&export_runs(&runs, TraceFormat::Jsonl)).unwrap();
+        let (fmt, _) = validate_auto(&export(TraceFormat::Jsonl)).unwrap();
         assert_eq!(fmt, "jsonl");
     }
 }

@@ -1,8 +1,8 @@
 //! `repro`'s command-line contract: `--help`/`-h` print the synopsis to
 //! stdout and succeed; every command-line error prints it to stderr and
-//! exits 2.
+//! exits 2, and so does a failed write of the output.
 
-use std::process::{Command, Output};
+use std::process::{Command, Output, Stdio};
 
 fn repro(args: &[&str]) -> Output {
     Command::new(env!("CARGO_BIN_EXE_repro")).args(args).output().expect("run repro")
@@ -44,4 +44,22 @@ fn unknown_arguments_print_usage_to_stderr() {
         assert!(stderr.contains("usage: repro "), "{args:?}: {stderr}");
         assert!(out.stdout.is_empty(), "{args:?}");
     }
+}
+
+/// A reader that stops early (`repro trace … | head -c 100`) is a write
+/// error like any other: a message naming stdout and exit 2, not a panic.
+#[test]
+fn closed_stdout_exits_2_without_a_panic() {
+    let mut child = Command::new(env!("CARGO_BIN_EXE_repro"))
+        .args(["trace", "vecadd", "--format", "jsonl"])
+        .stdout(Stdio::piped())
+        .stderr(Stdio::piped())
+        .spawn()
+        .expect("run repro");
+    drop(child.stdout.take());
+    let out = child.wait_with_output().expect("wait for repro");
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(2), "{stderr}");
+    assert!(stderr.contains("writing stdout"), "{stderr}");
+    assert!(!stderr.contains("panicked"), "{stderr}");
 }

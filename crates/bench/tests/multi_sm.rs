@@ -8,7 +8,7 @@
 use cheri_simt::KernelStats;
 use nocl_suite::Scale;
 use repro::{
-    default_jobs, export_runs, resolve_benches, run_suite_parallel_on, trace_suite_on, Config,
+    default_jobs, resolve_benches, run_suite_parallel_on, trace_suite_on, write_runs, Config,
     Geometry, TraceFormat,
 };
 
@@ -45,14 +45,16 @@ fn multi_sm_trace_reconciles_with_one_process_per_sm() {
     use cheri_simt::trace::validate::validate_auto;
 
     let benches = resolve_benches("vecadd").unwrap();
-    // `trace_suite_on` reconciles the concatenated per-SM streams against
-    // the combined device statistics before returning.
+    // `trace_suite_on` reconciles the per-SM streams, taken together,
+    // against the combined device statistics before returning.
     let runs = trace_suite_on(&benches, Config::CheriOpt, Geometry::Small, 1, 2).unwrap();
     assert_eq!(runs.len(), 2, "one traced cell per SM");
     assert!(runs[0].label.ends_with("· sm0"), "{}", runs[0].label);
     assert!(runs[1].label.ends_with("· sm1"), "{}", runs[1].label);
     assert!(runs.iter().all(|r| !r.events.is_empty()), "both SMs emitted events");
-    let (fmt, s) = validate_auto(&export_runs(&runs, TraceFormat::Chrome)).unwrap();
+    let mut chrome = Vec::new();
+    write_runs(&mut chrome, &runs, TraceFormat::Chrome).unwrap();
+    let (fmt, s) = validate_auto(std::str::from_utf8(&chrome).unwrap()).unwrap();
     assert_eq!(fmt, "chrome");
     assert_eq!(s.processes, 2, "one Perfetto process per SM");
 }

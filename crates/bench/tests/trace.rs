@@ -6,10 +6,19 @@ use cheri_simt::trace::validate::validate_auto;
 use cheri_simt::trace::TraceEvent;
 use nocl::Gpu;
 use nocl_suite::{NoclBench, Scale};
-use repro::{export_runs, resolve_benches, trace_config, trace_suite_on, Geometry, TraceFormat};
+use repro::{
+    resolve_benches, trace_config, trace_suite_on, write_runs, Geometry, TraceFormat, TracedRun,
+};
 
 fn benches(names: &[&str]) -> Vec<&'static dyn NoclBench> {
     names.iter().flat_map(|n| resolve_benches(n).unwrap()).collect()
+}
+
+/// What `repro trace` writes for `runs` in `format`.
+fn export(runs: &[TracedRun], format: TraceFormat) -> String {
+    let mut buf = Vec::new();
+    write_runs(&mut buf, runs, format).unwrap();
+    String::from_utf8(buf).unwrap()
 }
 
 /// The tentpole determinism guarantee: tracing composes with the parallel
@@ -21,8 +30,8 @@ fn exports_are_byte_identical_across_worker_counts() {
     let serial = trace_suite_on(&benches, config, Geometry::Small, 1, 1).unwrap();
     let parallel = trace_suite_on(&benches, config, Geometry::Small, 8, 1).unwrap();
     for format in [TraceFormat::Chrome, TraceFormat::Jsonl] {
-        let a = export_runs(&serial, format);
-        let b = export_runs(&parallel, format);
+        let a = export(&serial, format);
+        let b = export(&parallel, format);
         assert!(a == b, "{format:?} export differs between --jobs 1 and --jobs 8");
         let (_, summary) = validate_auto(&a).unwrap_or_else(|e| panic!("{format:?}: {e}"));
         assert!(summary.events > 0);
@@ -64,8 +73,8 @@ fn validator_accepts_real_traces_and_rejects_corruption() {
     let benches = resolve_benches("vecadd").unwrap();
     let runs =
         trace_suite_on(&benches, trace_config("baseline").unwrap(), Geometry::Small, 1, 1).unwrap();
-    let chrome = export_runs(&runs, TraceFormat::Chrome);
-    let jsonl = export_runs(&runs, TraceFormat::Jsonl);
+    let chrome = export(&runs, TraceFormat::Chrome);
+    let jsonl = export(&runs, TraceFormat::Jsonl);
     assert_eq!(validate_auto(&chrome).unwrap().0, "chrome");
     assert_eq!(validate_auto(&jsonl).unwrap().0, "jsonl");
     // An unknown event type must be caught in either format.

@@ -5,8 +5,9 @@
 //! pin event/counter *sums*. Neither notices an event that moved, changed
 //! order or changed a field the counters do not sum (an `rf_transition`, a
 //! `dram` completion cycle). The table `tests/golden/trace_digests.txt`
-//! does: it holds the FNV-1a digest of the JSON-lines export of every
-//! per-SM stream for VecAdd (streaming), Histogram (scratchpad + atomics),
+//! does: it holds the FNV-1a digest of the JSON-lines bytes that
+//! `write_runs` (the writer behind `repro trace`) writes for every per-SM
+//! stream of VecAdd (streaming), Histogram (scratchpad + atomics),
 //! BlkStencil (metadata divergence) and BitonicSm (barriers, heavy VRF
 //! traffic) under baseline and purecap at the quick geometry, on one-, two-
 //! and three-SM devices.
@@ -24,7 +25,7 @@ mod golden;
 
 use golden::fnv1a;
 use repro::{
-    export_runs, resolve_benches, trace_config, trace_suite_on, Geometry, TraceFormat, TracedRun,
+    resolve_benches, trace_config, trace_suite_on, write_runs, Geometry, TraceFormat, TracedRun,
 };
 
 const BENCHES: &[&str] = &["VecAdd", "Histogram", "BlkStencil", "BitonicSm"];
@@ -33,7 +34,7 @@ const SMS: &[u32] = &[1, 2, 3];
 
 /// Every per-SM stream, in table order, as
 /// `<cell label> (sms=N) | events=… fnv=…` (the digest is FNV-1a of the
-/// stream's JSON-lines export).
+/// stream's JSON-lines bytes as written).
 #[test]
 fn trace_streams_match_recorded_digests() {
     let mut got = Vec::new();
@@ -46,8 +47,9 @@ fn trace_streams_match_recorded_digests() {
                         .unwrap_or_else(|e| panic!("{bench} [{mode}] sms={sms}: {e}"));
                 assert_eq!(runs.len(), sms as usize, "one stream per SM");
                 for run in runs {
-                    let jsonl = export_runs(std::slice::from_ref(&run), TraceFormat::Jsonl);
-                    let (events, digest) = (run.events.len(), fnv1a(jsonl.as_bytes()));
+                    let mut jsonl = Vec::new();
+                    write_runs(&mut jsonl, std::slice::from_ref(&run), TraceFormat::Jsonl).unwrap();
+                    let (events, digest) = (run.events.len(), fnv1a(&jsonl));
                     got.push(format!(
                         "{} (sms={sms}) | events={events} fnv={digest:#018x}",
                         run.label

@@ -213,13 +213,18 @@ impl KernelStats {
     /// Check the event stream of the run these statistics describe (the
     /// contract of `docs/TRACING.md`): folded into a shadow `KernelStats`
     /// with the increments the declaration gives, the events must equal
-    /// these statistics in every counter that trace events carry.
+    /// these statistics in every counter that trace events carry. The
+    /// stream may come in pieces, such as the per-SM streams of one device
+    /// run chained together: the fold only counts and sums.
     ///
     /// # Errors
     ///
     /// Names the first counter that differs, as `"<counter>: events say X,
     /// counters say Y"`.
-    pub fn reconcile(&self, events: &[TraceEvent]) -> Result<(), String> {
+    pub fn reconcile<'a>(
+        &self,
+        events: impl IntoIterator<Item = &'a TraceEvent>,
+    ) -> Result<(), String> {
         let traced: Vec<_> = COUNTERS.iter().filter_map(|c| Some((c, c.trace?))).collect();
         let mut shadow = KernelStats::default();
         for e in events {

@@ -1,11 +1,15 @@
 //! Trace exporters: JSON-lines and Chrome trace-event format.
 //!
-//! Both exporters are fully deterministic: the output is a pure function of
-//! the event streams passed in, so two runs of the same deterministic
-//! simulation produce byte-identical files regardless of how many worker
-//! threads collected the cells.
+//! Each format is one writer over [`std::io::Write`] — [`write_jsonl`] and
+//! [`write_chrome`] format every event straight into the writer, so a trace
+//! file never exists in memory as a whole; [`to_jsonl`] and [`to_chrome`]
+//! run the same writers into a buffer. Both formats are fully
+//! deterministic: the output is a pure function of the event streams passed
+//! in, so two runs of the same deterministic simulation produce
+//! byte-identical files regardless of how many worker threads collected the
+//! cells.
 //!
-//! The Chrome exporter emits the [trace-event format] consumed by Perfetto
+//! The Chrome writer emits the [trace-event format] consumed by Perfetto
 //! and `chrome://tracing`: one *process* per (cell, launch) pair and one
 //! *thread* track per warp, plus dedicated tracks for the scheduler, the
 //! DRAM channel and the tag cache, and a counter track for SFU occupancy.
@@ -14,8 +18,9 @@
 //!
 //! [trace-event format]: https://docs.google.com/document/d/1CvAClvFfyA5R-PhYUmn5OOQtYMH4h6I0nSsKchNAySU
 
-use crate::{StallCause, TraceEvent, NO_WARP};
-use std::fmt::Write as _;
+use crate::{TraceEvent, NO_WARP};
+use std::collections::BTreeSet;
+use std::io::{self, Write};
 
 /// One traced simulation cell: a labelled event stream (typically one
 /// benchmark run under one configuration).
@@ -27,82 +32,45 @@ pub struct TraceCell<'a> {
     pub events: &'a [TraceEvent],
 }
 
-/// Escape a string for inclusion in a JSON string literal.
-pub(crate) fn escape(s: &str, out: &mut String) {
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
-                let _ = write!(out, "\\u{:04x}", c as u32);
-            }
-            c => out.push(c),
+/// Write `s` escaped for inclusion in a JSON string literal.
+fn escape(w: &mut impl Write, s: &str) -> io::Result<()> {
+    let mut rest = s.as_bytes();
+    while let Some(i) = rest.iter().position(|&b| b == b'"' || b == b'\\' || b < 0x20) {
+        w.write_all(&rest[..i])?;
+        match rest[i] {
+            b'"' => w.write_all(b"\\\"")?,
+            b'\\' => w.write_all(b"\\\\")?,
+            b'\n' => w.write_all(b"\\n")?,
+            b'\r' => w.write_all(b"\\r")?,
+            b'\t' => w.write_all(b"\\t")?,
+            c => write!(w, "\\u{c:04x}")?,
         }
+        rest = &rest[i + 1..];
     }
+    w.write_all(rest)
 }
 
-fn push_kv_str(out: &mut String, key: &str, val: &str, first: &mut bool) {
-    if !*first {
-        out.push(',');
-    }
-    *first = false;
-    out.push('"');
-    out.push_str(key);
-    out.push_str("\":\"");
-    escape(val, out);
-    out.push('"');
-}
-
-fn push_kv_num(out: &mut String, key: &str, val: u64, first: &mut bool) {
-    if !*first {
-        out.push(',');
-    }
-    *first = false;
-    let _ = write!(out, "\"{key}\":{val}");
-}
-
-fn push_kv_bool(out: &mut String, key: &str, val: bool, first: &mut bool) {
-    if !*first {
-        out.push(',');
-    }
-    *first = false;
-    let _ = write!(out, "\"{key}\":{val}");
-}
-
-fn push_kv_hex(out: &mut String, key: &str, val: u64, first: &mut bool) {
-    if !*first {
-        out.push(',');
-    }
-    *first = false;
-    let _ = write!(out, "\"{key}\":\"0x{val:x}\"");
-}
-
-/// Serialise one event as a JSON object (without trailing newline). Shared
-/// by the JSON-lines exporter and the `args` payload of the Chrome exporter.
-fn event_fields(ev: &TraceEvent, out: &mut String, first: &mut bool) {
+/// Write one event's fields, each after a comma: the tail of a JSON-lines
+/// object and of a Chrome entry's `args`, both of which open with the
+/// event's `type`.
+fn write_fields(w: &mut impl Write, ev: &TraceEvent) -> io::Result<()> {
     match *ev {
-        TraceEvent::Launch { cycle, warps } => {
-            push_kv_num(out, "cycle", cycle, first);
-            push_kv_num(out, "warps", warps as u64, first);
-        }
+        TraceEvent::Launch { cycle, warps } => write!(w, ",\"cycle\":{cycle},\"warps\":{warps}"),
         TraceEvent::Issue { cycle, warp, pc, mask, mnemonic, class } => {
-            push_kv_num(out, "cycle", cycle, first);
-            push_kv_num(out, "warp", warp as u64, first);
-            push_kv_hex(out, "pc", pc as u64, first);
-            push_kv_hex(out, "mask", mask, first);
-            push_kv_str(out, "mnemonic", mnemonic, first);
-            push_kv_str(out, "class", class.name(), first);
+            write!(
+                w,
+                ",\"cycle\":{cycle},\"warp\":{warp},\"pc\":\"{pc:#x}\",\"mask\":\"{mask:#x}\""
+            )?;
+            w.write_all(b",\"mnemonic\":\"")?;
+            escape(w, mnemonic)?;
+            write!(w, "\",\"class\":\"{}\"", class.name())
         }
         TraceEvent::Stall { cycle, warp, cause, cycles } => {
-            push_kv_num(out, "cycle", cycle, first);
+            write!(w, ",\"cycle\":{cycle}")?;
             if warp != NO_WARP {
-                push_kv_num(out, "warp", warp as u64, first);
+                write!(w, ",\"warp\":{warp}")?;
             }
-            push_kv_str(out, "cause", cause.name(), first);
-            push_kv_num(out, "cycles", cycles, first);
+            write!(w, ",\"cause\":\"{}\",\"cycles\":{cycles}", cause.name())
         }
         TraceEvent::Mem {
             cycle,
@@ -113,77 +81,81 @@ fn event_fields(ev: &TraceEvent, out: &mut String, first: &mut bool) {
             transactions,
             uniform,
             conflict_cycles,
-        } => {
-            push_kv_num(out, "cycle", cycle, first);
-            push_kv_num(out, "warp", warp as u64, first);
-            push_kv_str(out, "space", space.name(), first);
-            push_kv_bool(out, "is_store", is_store, first);
-            push_kv_num(out, "lanes", lanes as u64, first);
-            push_kv_num(out, "transactions", transactions as u64, first);
-            push_kv_bool(out, "uniform", uniform, first);
-            push_kv_num(out, "conflict_cycles", conflict_cycles as u64, first);
-        }
+        } => write!(
+            w,
+            ",\"cycle\":{cycle},\"warp\":{warp},\"space\":\"{}\",\"is_store\":{is_store},\
+             \"lanes\":{lanes},\"transactions\":{transactions},\"uniform\":{uniform},\
+             \"conflict_cycles\":{conflict_cycles}",
+            space.name()
+        ),
         TraceEvent::TagCache { cycle, warp, hit, writeback } => {
-            push_kv_num(out, "cycle", cycle, first);
-            push_kv_num(out, "warp", warp as u64, first);
-            push_kv_bool(out, "hit", hit, first);
-            push_kv_bool(out, "writeback", writeback, first);
+            write!(w, ",\"cycle\":{cycle},\"warp\":{warp},\"hit\":{hit},\"writeback\":{writeback}")
         }
         TraceEvent::Dram { cycle, warp, reads, writes, tag_txns, done_at } => {
-            push_kv_num(out, "cycle", cycle, first);
+            write!(w, ",\"cycle\":{cycle}")?;
             if warp != NO_WARP {
-                push_kv_num(out, "warp", warp as u64, first);
+                write!(w, ",\"warp\":{warp}")?;
             }
-            push_kv_num(out, "reads", reads as u64, first);
-            push_kv_num(out, "writes", writes as u64, first);
-            push_kv_num(out, "tag_txns", tag_txns as u64, first);
-            push_kv_num(out, "done_at", done_at, first);
+            write!(
+                w,
+                ",\"reads\":{reads},\"writes\":{writes},\"tag_txns\":{tag_txns},\
+                 \"done_at\":{done_at}"
+            )
         }
         TraceEvent::Sfu { cycle, warp, lanes, latency } => {
-            push_kv_num(out, "cycle", cycle, first);
-            push_kv_num(out, "warp", warp as u64, first);
-            push_kv_num(out, "lanes", lanes as u64, first);
-            push_kv_num(out, "latency", latency, first);
+            write!(w, ",\"cycle\":{cycle},\"warp\":{warp},\"lanes\":{lanes},\"latency\":{latency}")
         }
-        TraceEvent::RfTransition { cycle, warp, rf, reg, to_vector } => {
-            push_kv_num(out, "cycle", cycle, first);
-            push_kv_num(out, "warp", warp as u64, first);
-            push_kv_str(out, "rf", rf.name(), first);
-            push_kv_num(out, "reg", reg as u64, first);
-            push_kv_bool(out, "to_vector", to_vector, first);
-        }
+        TraceEvent::RfTransition { cycle, warp, rf, reg, to_vector } => write!(
+            w,
+            ",\"cycle\":{cycle},\"warp\":{warp},\"rf\":\"{}\",\"reg\":{reg},\
+             \"to_vector\":{to_vector}",
+            rf.name()
+        ),
         TraceEvent::Barrier { cycle, warp, release } => {
-            push_kv_num(out, "cycle", cycle, first);
-            push_kv_num(out, "warp", warp as u64, first);
-            push_kv_bool(out, "release", release, first);
+            write!(w, ",\"cycle\":{cycle},\"warp\":{warp},\"release\":{release}")
         }
         TraceEvent::Trap { cycle, warp, pc, mask, cause, suppressed } => {
-            push_kv_num(out, "cycle", cycle, first);
-            push_kv_num(out, "warp", warp as u64, first);
-            push_kv_hex(out, "pc", pc as u64, first);
-            push_kv_hex(out, "mask", mask, first);
-            push_kv_str(out, "cause", cause, first);
-            push_kv_bool(out, "suppressed", suppressed, first);
+            write!(
+                w,
+                ",\"cycle\":{cycle},\"warp\":{warp},\"pc\":\"{pc:#x}\",\"mask\":\"{mask:#x}\""
+            )?;
+            w.write_all(b",\"cause\":\"")?;
+            escape(w, cause)?;
+            write!(w, "\",\"suppressed\":{suppressed}")
         }
     }
 }
 
-/// Export cells as JSON-lines: one JSON object per event, prefixed with the
+/// Write cells as JSON-lines: one JSON object per event, prefixed with the
 /// cell label and event type. Lines appear in cell order, then emission
-/// order — the canonical flat form of the trace.
-pub fn to_jsonl(cells: &[TraceCell]) -> String {
-    let mut out = String::new();
+/// order — the canonical flat form of the trace. Flushes `w` at the end.
+///
+/// # Errors
+///
+/// The first error `w` returns.
+pub fn write_jsonl<W: Write>(mut w: W, cells: &[TraceCell]) -> io::Result<()> {
     for cell in cells {
         for ev in cell.events {
-            out.push('{');
-            let mut first = true;
-            push_kv_str(&mut out, "cell", cell.label, &mut first);
-            push_kv_str(&mut out, "type", ev.kind(), &mut first);
-            event_fields(ev, &mut out, &mut first);
-            out.push_str("}\n");
+            w.write_all(b"{\"cell\":\"")?;
+            escape(&mut w, cell.label)?;
+            write!(w, "\",\"type\":\"{}\"", ev.kind())?;
+            write_fields(&mut w, ev)?;
+            w.write_all(b"}\n")?;
         }
     }
-    out
+    w.flush()
+}
+
+/// [`write_jsonl`] into a string.
+pub fn to_jsonl(cells: &[TraceCell]) -> String {
+    in_memory(|buf| write_jsonl(buf, cells))
+}
+
+/// What `write` writes into an in-memory buffer.
+fn in_memory(write: impl FnOnce(&mut Vec<u8>) -> io::Result<()>) -> String {
+    let mut buf = Vec::new();
+    write(&mut buf).expect("writing into a Vec cannot fail");
+    String::from_utf8(buf).expect("the writers copy `&str`s and format numbers: UTF-8")
 }
 
 /// Reserved Chrome-trace thread ids for non-warp tracks.
@@ -193,214 +165,168 @@ const TID_TAG: u32 = 1001;
 /// DRAM channel track.
 const TID_DRAM: u32 = 1002;
 
-#[allow(clippy::too_many_arguments)]
+/// Where an event goes on the Chrome timeline: its name, its track and, for
+/// a slice, its duration (`None` makes it an instant). Launch markers are
+/// structure, not entries.
+fn placement(ev: &TraceEvent) -> Option<(&'static str, u32, Option<u64>)> {
+    Some(match *ev {
+        TraceEvent::Launch { .. } => return None,
+        TraceEvent::Issue { warp, mnemonic, .. } => (mnemonic, warp, Some(1)),
+        TraceEvent::Stall { warp, cause, cycles, .. } => {
+            let tid = if warp == NO_WARP { TID_SCHED } else { warp };
+            (cause.name(), tid, Some(cycles.max(1)))
+        }
+        TraceEvent::Mem { warp, space, .. } => (space.name(), warp, None),
+        TraceEvent::TagCache { hit, .. } => {
+            (if hit { "tag hit" } else { "tag miss" }, TID_TAG, None)
+        }
+        TraceEvent::Dram { .. } => ("dram", TID_DRAM, None),
+        TraceEvent::Sfu { warp, latency, .. } => ("sfu", warp, Some(latency.max(1))),
+        TraceEvent::RfTransition { warp, to_vector, .. } => {
+            (if to_vector { "srf→vrf" } else { "vrf→srf" }, warp, None)
+        }
+        TraceEvent::Barrier { warp, release, .. } => {
+            (if release { "barrier release" } else { "barrier" }, warp, None)
+        }
+        TraceEvent::Trap { warp, cause, .. } => (cause, warp, None),
+    })
+}
+
+/// One timeline entry: a slice (`"X"`) when `dur` is given, else an instant
+/// (`"i"`), carrying the event's full payload under `args`.
 fn chrome_event(
-    out: &mut String,
-    ph: char,
+    w: &mut impl Write,
     name: &str,
     pid: u32,
     tid: u32,
-    ts: u64,
     dur: Option<u64>,
-    ev: Option<&TraceEvent>,
-) {
-    out.push_str("{\"ph\":\"");
-    out.push(ph);
-    out.push_str("\",\"name\":\"");
-    escape(name, out);
-    let _ = write!(out, "\",\"pid\":{pid},\"tid\":{tid},\"ts\":{ts}");
-    if let Some(d) = dur {
-        let _ = write!(out, ",\"dur\":{d}");
+    ev: &TraceEvent,
+) -> io::Result<()> {
+    let ph = if dur.is_some() { 'X' } else { 'i' };
+    write!(w, "{{\"ph\":\"{ph}\",\"name\":\"")?;
+    escape(w, name)?;
+    write!(w, "\",\"pid\":{pid},\"tid\":{tid},\"ts\":{}", ev.cycle())?;
+    match dur {
+        Some(d) => write!(w, ",\"dur\":{d}")?,
+        None => w.write_all(b",\"s\":\"t\"")?,
     }
-    if ph == 'i' {
-        out.push_str(",\"s\":\"t\"");
-    }
-    out.push_str(",\"args\":{");
-    if let Some(ev) = ev {
-        let mut first = true;
-        push_kv_str(out, "type", ev.kind(), &mut first);
-        event_fields(ev, out, &mut first);
-    }
-    out.push_str("}},\n");
+    write!(w, ",\"args\":{{\"type\":\"{}\"", ev.kind())?;
+    write_fields(w, ev)?;
+    w.write_all(b"}},\n")
 }
 
-fn chrome_meta(out: &mut String, kind: &str, pid: u32, tid: Option<u32>, name: &str) {
-    out.push_str("{\"ph\":\"M\",\"name\":\"");
-    out.push_str(kind);
-    let _ = write!(out, "\",\"pid\":{pid}");
+fn chrome_meta(
+    w: &mut impl Write,
+    kind: &str,
+    pid: u32,
+    tid: Option<u32>,
+    name: &str,
+) -> io::Result<()> {
+    write!(w, "{{\"ph\":\"M\",\"name\":\"{kind}\",\"pid\":{pid}")?;
     if let Some(t) = tid {
-        let _ = write!(out, ",\"tid\":{t}");
+        write!(w, ",\"tid\":{t}")?;
     }
-    out.push_str(",\"args\":{\"name\":\"");
-    escape(name, out);
-    out.push_str("\"}},\n");
+    w.write_all(b",\"args\":{\"name\":\"")?;
+    escape(w, name)?;
+    w.write_all(b"\"}},\n")
 }
 
-/// Export cells in Chrome trace-event format (a JSON object with a
+/// Write cells in Chrome trace-event format (a JSON object with a
 /// `traceEvents` array), viewable in Perfetto or `chrome://tracing`.
+/// Flushes `w` at the end.
 ///
 /// Layout: each (cell, launch) pair becomes one process; within it, each
 /// warp gets a thread track carrying issue slices, stall slices and
 /// memory/regfile/barrier instants; the scheduler (idle stalls), the tag
 /// cache and the DRAM channel get dedicated tracks; SFU occupancy is a
-/// counter track (`sfu_lanes`).
-pub fn to_chrome(cells: &[TraceCell]) -> String {
-    let mut out = String::from("{\"traceEvents\":[\n");
+/// counter track (`sfu_lanes`). A process's metadata precedes its events,
+/// so each launch is read twice: once for what the metadata names, once to
+/// write the events.
+///
+/// # Errors
+///
+/// The first error `w` returns.
+pub fn write_chrome<W: Write>(mut w: W, cells: &[TraceCell]) -> io::Result<()> {
+    w.write_all(b"{\"traceEvents\":[\n")?;
     let mut pid = 0u32;
     for cell in cells {
-        // Split the stream into launches at Launch markers; events before
-        // the first marker (none, in practice) belong to an implicit first
-        // launch.
-        let mut launches: Vec<&[TraceEvent]> = Vec::new();
-        let mut start = 0usize;
-        for (i, ev) in cell.events.iter().enumerate() {
-            if matches!(ev, TraceEvent::Launch { .. }) && i > start {
-                launches.push(&cell.events[start..i]);
-                start = i;
-            }
-        }
-        launches.push(&cell.events[start..]);
-        let launches: Vec<&[TraceEvent]> = launches.into_iter().filter(|l| !l.is_empty()).collect();
-
-        for (launch_idx, events) in launches.iter().enumerate() {
-            let mut body = String::new();
-            let mut warps_seen: Vec<u32> = Vec::new();
-            let mut used_sched = false;
-            let mut used_tag = false;
-            let mut used_dram = false;
+        // A launch runs from its `launch` marker to the next one; events
+        // before the first marker (none, in practice) form an implicit
+        // first launch. An empty cell has no launch.
+        let launches = cell.events.chunk_by(|_, next| !matches!(next, TraceEvent::Launch { .. }));
+        for (launch, events) in launches.enumerate() {
+            let mut warps = BTreeSet::new();
+            let (mut sched, mut tag, mut dram) = (false, false, false);
             // SFU occupancy deltas: (cycle, +lanes) and (cycle, -lanes).
-            let mut sfu_deltas: Vec<(u64, i64)> = Vec::new();
-            for ev in *events {
-                if let Some(w) = ev.warp() {
-                    if !warps_seen.contains(&w) {
-                        warps_seen.push(w);
-                    }
-                }
+            let mut sfu: Vec<(u64, i64)> = Vec::new();
+            for ev in events {
+                warps.extend(ev.warp());
                 match *ev {
-                    TraceEvent::Launch { .. } => {}
-                    TraceEvent::Issue { cycle, warp, mnemonic, .. } => {
-                        chrome_event(&mut body, 'X', mnemonic, pid, warp, cycle, Some(1), Some(ev));
+                    TraceEvent::Stall { warp: NO_WARP, .. } => sched = true,
+                    TraceEvent::TagCache { .. } => tag = true,
+                    TraceEvent::Dram { .. } => dram = true,
+                    TraceEvent::Sfu { cycle, lanes, latency, .. } => {
+                        sfu.extend([(cycle, lanes as i64), (cycle + latency, -(lanes as i64))]);
                     }
-                    TraceEvent::Stall { cycle, warp, cause, cycles } => {
-                        let tid = if warp == NO_WARP {
-                            used_sched = true;
-                            TID_SCHED
-                        } else {
-                            warp
-                        };
-                        let name = match cause {
-                            StallCause::Idle => "idle",
-                            c => c.name(),
-                        };
-                        chrome_event(
-                            &mut body,
-                            'X',
-                            name,
-                            pid,
-                            tid,
-                            cycle,
-                            Some(cycles.max(1)),
-                            Some(ev),
-                        );
-                    }
-                    TraceEvent::Mem { cycle, warp, space, .. } => {
-                        chrome_event(
-                            &mut body,
-                            'i',
-                            space.name(),
-                            pid,
-                            warp,
-                            cycle,
-                            None,
-                            Some(ev),
-                        );
-                    }
-                    TraceEvent::TagCache { cycle, hit, .. } => {
-                        used_tag = true;
-                        let name = if hit { "tag hit" } else { "tag miss" };
-                        chrome_event(&mut body, 'i', name, pid, TID_TAG, cycle, None, Some(ev));
-                    }
-                    TraceEvent::Dram { cycle, .. } => {
-                        used_dram = true;
-                        chrome_event(&mut body, 'i', "dram", pid, TID_DRAM, cycle, None, Some(ev));
-                    }
-                    TraceEvent::Sfu { cycle, warp, lanes, latency } => {
-                        chrome_event(
-                            &mut body,
-                            'X',
-                            "sfu",
-                            pid,
-                            warp,
-                            cycle,
-                            Some(latency.max(1)),
-                            Some(ev),
-                        );
-                        sfu_deltas.push((cycle, lanes as i64));
-                        sfu_deltas.push((cycle + latency, -(lanes as i64)));
-                    }
-                    TraceEvent::RfTransition { cycle, warp, to_vector, .. } => {
-                        let name = if to_vector { "srf→vrf" } else { "vrf→srf" };
-                        chrome_event(&mut body, 'i', name, pid, warp, cycle, None, Some(ev));
-                    }
-                    TraceEvent::Barrier { cycle, warp, release } => {
-                        let name = if release { "barrier release" } else { "barrier" };
-                        chrome_event(&mut body, 'i', name, pid, warp, cycle, None, Some(ev));
-                    }
-                    TraceEvent::Trap { cycle, warp, cause, .. } => {
-                        chrome_event(&mut body, 'i', cause, pid, warp, cycle, None, Some(ev));
-                    }
+                    _ => {}
                 }
-            }
-            // SFU occupancy counter track.
-            sfu_deltas.sort(); // by cycle, then delta (releases before acquires on ties is fine: both orders are deterministic)
-            let mut level = 0i64;
-            let mut i = 0;
-            while i < sfu_deltas.len() {
-                let cycle = sfu_deltas[i].0;
-                while i < sfu_deltas.len() && sfu_deltas[i].0 == cycle {
-                    level += sfu_deltas[i].1;
-                    i += 1;
-                }
-                let _ = writeln!(
-                    body,
-                    "{{\"ph\":\"C\",\"name\":\"sfu_lanes\",\"pid\":{pid},\"tid\":0,\"ts\":{cycle},\
-                     \"args\":{{\"lanes\":{level}}}}},"
-                );
             }
 
-            // Metadata: process + thread names, emitted before the body.
-            let pname = format!("{} · launch {}", cell.label, launch_idx);
-            chrome_meta(&mut out, "process_name", pid, None, &pname);
-            warps_seen.sort_unstable();
-            for w in &warps_seen {
-                chrome_meta(&mut out, "thread_name", pid, Some(*w), &format!("warp {w}"));
+            let pname = format!("{} · launch {launch}", cell.label);
+            chrome_meta(&mut w, "process_name", pid, None, &pname)?;
+            for warp in warps {
+                chrome_meta(&mut w, "thread_name", pid, Some(warp), &format!("warp {warp}"))?;
             }
-            if used_sched {
-                chrome_meta(&mut out, "thread_name", pid, Some(TID_SCHED), "scheduler");
+            for (used, tid, name) in [
+                (sched, TID_SCHED, "scheduler"),
+                (tag, TID_TAG, "tag cache"),
+                (dram, TID_DRAM, "dram"),
+            ] {
+                if used {
+                    chrome_meta(&mut w, "thread_name", pid, Some(tid), name)?;
+                }
             }
-            if used_tag {
-                chrome_meta(&mut out, "thread_name", pid, Some(TID_TAG), "tag cache");
+
+            for ev in events {
+                if let Some((name, tid, dur)) = placement(ev) {
+                    chrome_event(&mut w, name, pid, tid, dur, ev)?;
+                }
             }
-            if used_dram {
-                chrome_meta(&mut out, "thread_name", pid, Some(TID_DRAM), "dram");
+            // SFU occupancy counter track: one sample per cycle the level
+            // changes on.
+            sfu.sort_unstable();
+            let mut level = 0i64;
+            for same_cycle in sfu.chunk_by(|a, b| a.0 == b.0) {
+                level += same_cycle.iter().map(|&(_, delta)| delta).sum::<i64>();
+                writeln!(
+                    w,
+                    "{{\"ph\":\"C\",\"name\":\"sfu_lanes\",\"pid\":{pid},\"tid\":0,\"ts\":{},\
+                     \"args\":{{\"lanes\":{level}}}}},",
+                    same_cycle[0].0
+                )?;
             }
-            out.push_str(&body);
             pid += 1;
         }
     }
     // Terminate the array without a trailing comma: a harmless sentinel
-    // metadata event keeps the emitter single-pass.
-    out.push_str(
-        "{\"ph\":\"M\",\"name\":\"process_name\",\"pid\":4294967295,\"args\":{\"name\":\"end\"}}\n",
-    );
-    out.push_str("],\"displayTimeUnit\":\"ns\",\"otherData\":{\"generator\":\"repro trace\",\"clock\":\"cycles\"}}\n");
-    out
+    // metadata event spares the writer a lookahead for the last entry.
+    w.write_all(
+        b"{\"ph\":\"M\",\"name\":\"process_name\",\"pid\":4294967295,\"args\":{\"name\":\"end\"}}\n\
+          ],\"displayTimeUnit\":\"ns\",\
+          \"otherData\":{\"generator\":\"repro trace\",\"clock\":\"cycles\"}}\n",
+    )?;
+    w.flush()
+}
+
+/// [`write_chrome`] into a string.
+pub fn to_chrome(cells: &[TraceCell]) -> String {
+    in_memory(|buf| write_chrome(buf, cells))
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{IssueClass, MemSpace, RfKind};
+    use crate::{IssueClass, MemSpace, RfKind, StallCause};
 
     fn sample() -> Vec<TraceEvent> {
         vec![
@@ -489,10 +415,77 @@ mod tests {
         assert_eq!(to_jsonl(&cells), to_jsonl(&cells));
     }
 
+    /// The edge cases of the launch split and the SFU counter: an empty
+    /// cell takes no process and no pid; events before the first `launch`
+    /// marker form an implicit launch 0; a marker right after another one
+    /// is a launch of its own with no event; an SFU release and acquire on
+    /// the same cycle give one counter sample.
+    #[test]
+    fn edge_case_exports_are_pinned() {
+        let edges = vec![
+            TraceEvent::Stall { cycle: 0, warp: NO_WARP, cause: StallCause::Idle, cycles: 0 },
+            TraceEvent::Dram {
+                cycle: 0,
+                warp: NO_WARP,
+                reads: 1,
+                writes: 0,
+                tag_txns: 1,
+                done_at: 9,
+            },
+            TraceEvent::Launch { cycle: 0, warps: 1 },
+            TraceEvent::Launch { cycle: 0, warps: 2 },
+            TraceEvent::Sfu { cycle: 3, warp: 1, lanes: 4, latency: 2 },
+            TraceEvent::Sfu { cycle: 5, warp: 0, lanes: 2, latency: 1 },
+            TraceEvent::Trap {
+                cycle: 5,
+                warp: 0,
+                pc: 0x10,
+                mask: 0x3,
+                cause: "cheri:tag",
+                suppressed: true,
+            },
+        ];
+        let cells = [
+            TraceCell { label: "Empty", events: &[] },
+            TraceCell { label: "E\"dge", events: &edges },
+        ];
+        assert_eq!(to_chrome(&cells), EDGE_CHROME);
+        assert_eq!(to_jsonl(&cells), EDGE_JSONL);
+    }
+
+    const EDGE_CHROME: &str = r#"{"traceEvents":[
+{"ph":"M","name":"process_name","pid":0,"args":{"name":"E\"dge · launch 0"}},
+{"ph":"M","name":"thread_name","pid":0,"tid":1000,"args":{"name":"scheduler"}},
+{"ph":"M","name":"thread_name","pid":0,"tid":1002,"args":{"name":"dram"}},
+{"ph":"X","name":"idle","pid":0,"tid":1000,"ts":0,"dur":1,"args":{"type":"stall","cycle":0,"cause":"idle","cycles":0}},
+{"ph":"i","name":"dram","pid":0,"tid":1002,"ts":0,"s":"t","args":{"type":"dram","cycle":0,"reads":1,"writes":0,"tag_txns":1,"done_at":9}},
+{"ph":"M","name":"process_name","pid":1,"args":{"name":"E\"dge · launch 1"}},
+{"ph":"M","name":"process_name","pid":2,"args":{"name":"E\"dge · launch 2"}},
+{"ph":"M","name":"thread_name","pid":2,"tid":0,"args":{"name":"warp 0"}},
+{"ph":"M","name":"thread_name","pid":2,"tid":1,"args":{"name":"warp 1"}},
+{"ph":"X","name":"sfu","pid":2,"tid":1,"ts":3,"dur":2,"args":{"type":"sfu","cycle":3,"warp":1,"lanes":4,"latency":2}},
+{"ph":"X","name":"sfu","pid":2,"tid":0,"ts":5,"dur":1,"args":{"type":"sfu","cycle":5,"warp":0,"lanes":2,"latency":1}},
+{"ph":"i","name":"cheri:tag","pid":2,"tid":0,"ts":5,"s":"t","args":{"type":"trap","cycle":5,"warp":0,"pc":"0x10","mask":"0x3","cause":"cheri:tag","suppressed":true}},
+{"ph":"C","name":"sfu_lanes","pid":2,"tid":0,"ts":3,"args":{"lanes":4}},
+{"ph":"C","name":"sfu_lanes","pid":2,"tid":0,"ts":5,"args":{"lanes":2}},
+{"ph":"C","name":"sfu_lanes","pid":2,"tid":0,"ts":6,"args":{"lanes":0}},
+{"ph":"M","name":"process_name","pid":4294967295,"args":{"name":"end"}}
+],"displayTimeUnit":"ns","otherData":{"generator":"repro trace","clock":"cycles"}}
+"#;
+
+    const EDGE_JSONL: &str = r#"{"cell":"E\"dge","type":"stall","cycle":0,"cause":"idle","cycles":0}
+{"cell":"E\"dge","type":"dram","cycle":0,"reads":1,"writes":0,"tag_txns":1,"done_at":9}
+{"cell":"E\"dge","type":"launch","cycle":0,"warps":1}
+{"cell":"E\"dge","type":"launch","cycle":0,"warps":2}
+{"cell":"E\"dge","type":"sfu","cycle":3,"warp":1,"lanes":4,"latency":2}
+{"cell":"E\"dge","type":"sfu","cycle":5,"warp":0,"lanes":2,"latency":1}
+{"cell":"E\"dge","type":"trap","cycle":5,"warp":0,"pc":"0x10","mask":"0x3","cause":"cheri:tag","suppressed":true}
+"#;
+
     #[test]
     fn escape_handles_specials() {
-        let mut s = String::new();
-        escape("a\"b\\c\nd\u{1}", &mut s);
-        assert_eq!(s, "a\\\"b\\\\c\\nd\\u0001");
+        let mut s = Vec::new();
+        escape(&mut s, "a\"b\\c\nd\u{1}").unwrap();
+        assert_eq!(s, b"a\\\"b\\\\c\\nd\\u0001");
     }
 }

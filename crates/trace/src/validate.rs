@@ -74,7 +74,11 @@ fn check_typed(obj: &Value, ty: &str, ctx: &str) -> Result<(), String> {
 /// Returns a description of the first schema violation, or `no events`
 /// when the trace holds none.
 pub fn validate_chrome(input: &str) -> Result<Summary, String> {
-    let doc = parse(input).map_err(|e| e.to_string())?;
+    check_chrome(&parse(input).map_err(|e| e.to_string())?)
+}
+
+/// The schema check of [`validate_chrome`], on a parsed document.
+fn check_chrome(doc: &Value) -> Result<Summary, String> {
     let events = doc
         .get("traceEvents")
         .ok_or_else(|| "missing 'traceEvents' key".to_string())?
@@ -185,7 +189,8 @@ fn non_empty(summary: Summary) -> Result<Summary, String> {
 
 /// Validate a trace file of either format, auto-detected: a document whose
 /// first non-whitespace text parses as a whole and contains `traceEvents`
-/// is treated as Chrome format, otherwise as JSON-lines.
+/// is treated as Chrome format, otherwise as JSON-lines. A Chrome document
+/// is parsed once: the schema check reads the tree the detection built.
 ///
 /// # Errors
 ///
@@ -193,9 +198,7 @@ fn non_empty(summary: Summary) -> Result<Summary, String> {
 pub fn validate_auto(input: &str) -> Result<(&'static str, Summary), String> {
     if let Ok(doc) = parse(input) {
         if doc.get("traceEvents").is_some() {
-            return validate_chrome(input)
-                .map(|s| ("chrome", s))
-                .map_err(|e| format!("chrome: {e}"));
+            return check_chrome(&doc).map(|s| ("chrome", s)).map_err(|e| format!("chrome: {e}"));
         }
     }
     validate_jsonl(input).map(|s| ("jsonl", s)).map_err(|e| format!("jsonl: {e}"))
