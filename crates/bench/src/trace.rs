@@ -13,6 +13,7 @@ use cheri_simt::trace::{TraceEvent, VecSink};
 use cheri_simt::KernelStats;
 use nocl::Gpu;
 use nocl_suite::{catalog, NoclBench};
+use std::any::Any;
 use std::io::{self, Write};
 
 /// Export format for `repro trace`.
@@ -135,12 +136,9 @@ pub fn trace_suite_on(
         let stats = b.run(&mut gpu, scale).map_err(|e| e.to_string())?;
         let per_sm: Vec<Vec<TraceEvent>> = (0..sms as usize)
             .map(|k| {
-                let sink = gpu.device_mut().sm_mut(k).take_sink().expect("sink survives the run");
-                sink.as_any()
-                    .downcast_ref::<VecSink>()
-                    .expect("attached a VecSink")
-                    .events()
-                    .to_vec()
+                let sink: Box<dyn Any> =
+                    gpu.device_mut().sm_mut(k).take_sink().expect("sink survives the run");
+                sink.downcast::<VecSink>().expect("attached a VecSink").into_events()
             })
             .collect();
         stats

@@ -9,12 +9,14 @@
 //! with `Device`'s swap-install run loop.
 //!
 //! The fingerprint renders every counter of `cheri_simt::COUNTERS` in key
-//! order. The averages are bit patterns at `sms = 1` and 9 significant
-//! digits on a device, whose average is a quotient of sums over SMs. Keys
-//! the recording lacked (`xsm`, `scal`, `flt`) were appended later as added
-//! keys only, and the multi-launch BitonicLa device records' `xsm` group
-//! moved when `KernelStats::accumulate` began summing the cross-SM
-//! counters; every `sms = 1` record carries `xsm=0,0,0,0`.
+//! order; every counter is an integer, so a record is exact at any SM
+//! count. Keys the recording lacked (`xsm`, `scal`, `flt`) were appended
+//! later as added keys only, the multi-launch BitonicLa device records'
+//! `xsm` group moved when `KernelStats::accumulate` began summing the
+//! cross-SM counters, and the two VRF-residency averages (`avgd`, `avgm`)
+//! were removed with their counters; every `sms = 1` record carries
+//! `xsm=0,0,0,0`. Each `sms = 1` run also satisfies the cycle identity:
+//! every cycle issues or stalls for one cause.
 //!
 //! Both tables go through the shared checker of `tests/golden/mod.rs`,
 //! whose own rendering is pinned here, once, by `checker_names_what_moved`.
@@ -22,19 +24,16 @@
 #[path = "../../../tests/golden/mod.rs"]
 mod golden;
 
-use cheri_simt::{Counter, CounterValue, KernelStats, COUNTERS, FINGERPRINT_KEYS};
+use cheri_simt::{KernelStats, COUNTERS, FINGERPRINT_KEYS};
 use nocl_suite::Scale;
 use repro::{default_jobs, run_suite_parallel_on, Config, Geometry};
 
 /// Render every declared counter of one run as a stable one-line string,
-/// one `key=value,…` group per fingerprint key, with the two residency
-/// averages rendered by `avg`.
-fn fingerprint(s: &KernelStats, avg: impl Fn(f64) -> String) -> String {
-    let render = |c: &Counter| match c.value(s) {
-        CounterValue::Avg(x) => avg(x),
-        v => v.to_string(),
+/// one `key=value,…` group per fingerprint key.
+fn fingerprint(s: &KernelStats) -> String {
+    let group = |key| {
+        COUNTERS.iter().filter(|c| c.key == key).map(|c| c.value(s).to_string()).collect::<Vec<_>>()
     };
-    let group = |key| COUNTERS.iter().filter(|c| c.key == key).map(render).collect::<Vec<_>>();
     FINGERPRINT_KEYS
         .iter()
         .map(|&key| format!("{key}={}", group(key).join(",")))
@@ -52,7 +51,9 @@ const CONFIGS: &[(&str, Config)] = &[
 
 /// The 70 fingerprints predate every host-side fast path (scalarised
 /// execute, the program ROM, `Device::run`'s lookahead) and `Device`
-/// itself, so they are the independent oracle for all of them.
+/// itself, so they are the independent oracle for all of them. Each run's
+/// cycles are its issues plus its stall cycles by cause, checked here in
+/// release builds too, where `Sm::finalise`'s debug assertion is off.
 #[test]
 fn suite_stats_match_pre_refactor_golden() {
     let mut got = Vec::new();
@@ -60,9 +61,16 @@ fn suite_stats_match_pre_refactor_golden() {
         let (cfg, mode) = config.instantiate(Geometry::Small);
         let results = run_suite_parallel_on(default_jobs(), cfg, mode, Scale::Test, 1)
             .unwrap_or_else(|e| panic!("suite failed under {tag}: {e}"));
-        got.extend(results.iter().map(|(bench, s)| {
-            format!("{tag} {bench} | {}", fingerprint(s, |avg| format!("{:016x}", avg.to_bits())))
-        }));
+        for (bench, s) in &results {
+            let st = &s.stalls;
+            let causes = st.csc_serialisation
+                + st.shared_vrf_conflict
+                + st.spill_fill
+                + st.cap_multi_flit
+                + st.idle;
+            assert_eq!(s.cycles, s.instrs + causes, "{tag} {bench}: a cycle with no cause");
+            got.push(format!("{tag} {bench} | {}", fingerprint(s)));
+        }
     }
     golden::check("suite_stats", include_str!("../../../tests/golden/suite_stats.txt"), &got);
 }
@@ -81,12 +89,11 @@ fn multi_sm_stats_match_recorded_golden() {
         for sms in [2, 4] {
             let results = run_suite_parallel_on(default_jobs(), cfg, mode, Scale::Test, sms)
                 .unwrap_or_else(|e| panic!("suite failed under {tag} at sms={sms}: {e}"));
-            got.extend(results.iter().map(|(bench, s)| {
-                format!(
-                    "{tag} {bench} (sms={sms}) | {}",
-                    fingerprint(s, |avg| format!("{avg:.8e}"))
-                )
-            }));
+            got.extend(
+                results
+                    .iter()
+                    .map(|(bench, s)| format!("{tag} {bench} (sms={sms}) | {}", fingerprint(s))),
+            );
         }
     }
     golden::check("device_stats", include_str!("../../../tests/golden/device_stats.txt"), &got);

@@ -96,6 +96,7 @@ fn stack_cache_stream_reconciles() {
     use simt_isa::asm::Assembler;
     use simt_isa::{csr, AluOp, Instr, LoadWidth, Reg, StoreWidth};
     use simt_mem::map;
+    use std::any::Any;
 
     let arena = map::DRAM_BASE + 0x8000;
     let mut a = Assembler::new();
@@ -116,8 +117,8 @@ fn stack_cache_stream_reconciles() {
     dev.sm_mut(0).set_sink(Box::new(VecSink::new()));
     dev.reset();
     let stats = dev.run(1_000_000).unwrap();
-    let sink = dev.sm_mut(0).take_sink().unwrap();
-    let events = sink.as_any().downcast_ref::<VecSink>().unwrap().events().to_vec();
+    let sink: Box<dyn Any> = dev.sm_mut(0).take_sink().unwrap();
+    let events = sink.downcast::<VecSink>().unwrap().into_events();
     let in_cache = events
         .iter()
         .filter(|e| matches!(e, TraceEvent::Mem { space: MemSpace::StackCache, .. }))

@@ -14,7 +14,6 @@
 //! A field added to `KernelStats` or a nested stats struct does not compile
 //! until it is declared.
 
-use crate::sm::Sm;
 use simt_mem::{DramStats, ScratchStats, TagCacheStats};
 use simt_regfile::RfStats;
 use simt_trace::{IssueClass, MemSpace, StallCause, TraceEvent, TraceEvent as E};
@@ -73,9 +72,9 @@ pub struct FaultStats {
 
 /// Statistics of one kernel run.
 ///
-/// `PartialEq` (not `Eq` — two fields are time-averaged `f64`s) lets the
-/// parallel-runner determinism tests compare whole suites structurally.
-#[derive(Debug, Clone, Default, PartialEq)]
+/// Every counter is an integer, so `Eq` lets the parallel-runner
+/// determinism tests compare whole suites structurally.
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct KernelStats {
     /// Total cycles from launch to the last warp's termination. Models
     /// SIMTight's cycle counter (CSR `mcycle`); the numerator of every
@@ -119,14 +118,6 @@ pub struct KernelStats {
     /// Section 3.1 compressed capability-metadata file's counters; CHERI
     /// term of **Figure 10**.
     pub meta_rf: RfStats,
-    /// Time-averaged number of data vectors resident in the VRF. Models
-    /// SIMTight's vector-register residency counter (sampled per cycle);
-    /// the "average" series of **Figure 10**'s left half.
-    pub avg_data_vrf_resident: f64,
-    /// Time-averaged number of metadata vectors resident in the VRF — the
-    /// "average" series of **Figure 10**'s right half, and the quantity the
-    /// null-value optimisation (Section 3.2) shrinks.
-    pub avg_meta_vrf_resident: f64,
     /// Peak data vectors resident in the VRF. Sizes the VRF so dynamic
     /// spilling stays rare — the "peak" series of **Figure 10** (left).
     pub peak_data_vrf_resident: u32,
@@ -200,14 +191,14 @@ impl KernelStats {
     /// such as the global bitonic sorter's phase kernels): every counter
     /// merges under its declared launch rule (see [`COUNTERS`]).
     pub fn accumulate(&mut self, other: &KernelStats) {
-        *self = Parts { stats: &[self, other], sms: &[], shared: None }.merge(|c| c.launch);
+        *self = Parts { stats: &[self, other], shared: None }.merge(|c| c.launch);
     }
 
-    /// Merge the end-of-run statistics of `sms` (one each) under every
-    /// counter's declared SM rule; `shared` holds the memory system's own
-    /// counters.
-    pub(crate) fn combine(sms: &[Sm], stats: &[&KernelStats], shared: &KernelStats) -> Self {
-        Parts { stats, sms, shared: Some(shared) }.merge(|c| c.sm)
+    /// Merge the end-of-run statistics of a device's SMs, one each, under
+    /// every counter's declared SM rule; `shared` holds the memory system's
+    /// own counters.
+    pub(crate) fn combine(stats: &[&KernelStats], shared: &KernelStats) -> Self {
+        Parts { stats, shared: Some(shared) }.merge(|c| c.sm)
     }
 
     /// Check the event stream of the run these statistics describe (the
@@ -246,11 +237,6 @@ enum Merge {
     Sum,
     Max,
     Or,
-    /// Launches: the parts' average weighted by their `cycles`.
-    CycleWeighted,
-    /// SMs: the selected residency sum over every SM divided once by the
-    /// summed samples, so one SM reports exactly its own average.
-    Mean(fn(&Sm) -> u64),
     /// SMs: read from the memory system they share.
     Shared,
 }
@@ -258,7 +244,6 @@ enum Merge {
 /// What a merge reads: the parts and, for SMs, the memory system's counters.
 struct Parts<'a> {
     stats: &'a [&'a KernelStats],
-    sms: &'a [Sm],
     shared: Option<&'a KernelStats>,
 }
 
@@ -277,14 +262,12 @@ impl Parts<'_> {
 type Histogram = BTreeMap<&'static str, u64>;
 
 /// One counter's value, as [`Counter::value`] reads it.
-#[derive(Debug, Clone, Copy, PartialEq)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum CounterValue<'a> {
     /// An event count, cycle count or high-water mark.
     Count(u64),
     /// A bit mask (an OR-merged counter); displayed as `0x…`.
     Mask(u64),
-    /// A residency average.
-    Avg(f64),
     /// The CHERI-instruction histogram; displayed as `[mnemonic:n,…]`.
     Hist(&'a Histogram),
 }
@@ -294,7 +277,6 @@ impl std::fmt::Display for CounterValue<'_> {
         match self {
             CounterValue::Count(n) => write!(f, "{n}"),
             CounterValue::Mask(m) => write!(f, "{m:#x}"),
-            CounterValue::Avg(x) => write!(f, "{x}"),
             CounterValue::Hist(h) => {
                 let entries: Vec<String> = h.iter().map(|(k, v)| format!("{k}:{v}")).collect();
                 write!(f, "[{}]", entries.join(","))
@@ -322,32 +304,11 @@ impl<T: Int> Field for T {
             Merge::Max => all.max().unwrap_or_default(),
             Merge::Or => all.fold(T::default(), |a, b| a | b),
             Merge::Shared => *get(parts.shared.expect("an SM merge")),
-            Merge::CycleWeighted | Merge::Mean(_) => unreachable!("an integer counter"),
         }
     }
 
     fn value(&self) -> CounterValue<'_> {
         CounterValue::Count((*self).into())
-    }
-}
-
-impl Field for f64 {
-    fn merge(rule: Merge, parts: &Parts<'_>, get: impl Fn(&KernelStats) -> &Self) -> Self {
-        let (num, den) = match rule {
-            Merge::CycleWeighted => parts.stats.iter().fold((0.0, 0.0), |(num, den), s| {
-                (num + get(s) * s.cycles as f64, den + s.cycles as f64)
-            }),
-            Merge::Mean(sum) => parts
-                .sms
-                .iter()
-                .fold((0.0, 0.0), |(num, den), sm| (num + sum(sm) as f64, den + sm.samples as f64)),
-            _ => unreachable!("an average"),
-        };
-        num / f64::max(den, 1.0)
-    }
-
-    fn value(&self) -> CounterValue<'_> {
-        CounterValue::Avg(*self)
     }
 }
 
@@ -417,13 +378,13 @@ macro_rules! counters {
             $($(counters!(@one ($sub . $leaf) $leaf_rules),)*)*
         ];
     };
-    (@one ($($path:ident).+) ($key:ident, $launch:ident, $sm:ident $(($acc:expr))?
+    (@one ($($path:ident).+) ($key:ident, $launch:ident, $sm:ident
         $(, $event:pat => $n:expr)?)) => {
         Counter {
             name: stringify!($($path).+),
             key: stringify!($key),
             launch: Merge::$launch,
-            sm: Merge::$sm $(($acc))?,
+            sm: Merge::$sm,
             value: |s| Field::value(&s.$($path).+),
             merge: |rule, out, parts| out.$($path).+ = Field::merge(rule, parts, |s| &s.$($path).+),
             trace: counters!(@trace ($($path).+) $($event => $n)?),
@@ -441,15 +402,12 @@ macro_rules! counters {
 }
 
 counters! {
-    keys: cyc ins tins hist stall dram tag scr drf mrf avgd avgm pkd pkm capu capm sfu bar stk
-        xsm scal flt;
+    keys: cyc ins tins hist stall dram tag scr drf mrf pkd pkm capu capm sfu bar stk xsm scal flt;
     KernelStats {
         cycles: (cyc, Sum, Max);
         instrs: (ins, Sum, Sum, E::Issue { .. } => 1);
         thread_instrs: (tins, Sum, Sum, E::Issue { mask, .. } => mask.count_ones().into());
         cheri_histogram: (hist, Sum, Sum);
-        avg_data_vrf_resident: (avgd, CycleWeighted, Mean(|sm| sm.sum_data_resident));
-        avg_meta_vrf_resident: (avgm, CycleWeighted, Mean(|sm| sm.sum_meta_resident));
         peak_data_vrf_resident: (pkd, Max, Max);
         peak_meta_vrf_resident: (pkm, Max, Max);
         cap_regs_used: (capu, Max, Max);
@@ -514,7 +472,6 @@ counters! {
 #[cfg(test)]
 pub(crate) mod tests {
     use super::*;
-    use crate::{CheriMode, SmConfig};
     use std::collections::BTreeSet;
 
     #[test]
@@ -540,12 +497,6 @@ pub(crate) mod tests {
     impl Seed for u32 {
         fn seed(v: u64) -> Self {
             v as u32
-        }
-    }
-
-    impl Seed for f64 {
-        fn seed(v: u64) -> Self {
-            v as f64 + 0.25
         }
     }
 
@@ -580,15 +531,7 @@ pub(crate) mod tests {
         let (a, b, shared) = (distinct(1000), distinct(2000), distinct(3000));
         let mut launches = a.clone();
         launches.accumulate(&b);
-        let sm = |samples, sum_data_resident, sum_meta_resident| Sm {
-            samples,
-            sum_data_resident,
-            sum_meta_resident,
-            ..Sm::new(SmConfig::small(CheriMode::Off), 0, 1)
-        };
-        let sms = KernelStats::combine(&[sm(3, 10, 4), sm(5, 7, 9)], &[&a, &b], &shared);
-        let both = sm(8, 17, 13);
-        let (ca, cb) = (a.cycles as f64, b.cycles as f64);
+        let sms = KernelStats::combine(&[&a, &b], &shared);
         let mut wrong = Vec::new();
         for c in COUNTERS {
             for (rule, merged, parts) in [(c.launch, &launches, "launches"), (c.sm, &sms, "SMs")] {
@@ -603,12 +546,7 @@ pub(crate) mod tests {
                     (Merge::Sum, x, y) => CounterValue::Count(int(x) + int(y)),
                     (Merge::Max, x, y) => CounterValue::Count(int(x).max(int(y))),
                     (Merge::Or, x, y) => CounterValue::Mask(int(x) | int(y)),
-                    (Merge::CycleWeighted, CounterValue::Avg(x), CounterValue::Avg(y)) => {
-                        CounterValue::Avg((x * ca + y * cb) / (ca + cb))
-                    }
-                    (Merge::Mean(sum), ..) => CounterValue::Avg(sum(&both) as f64 / 8.0),
                     (Merge::Shared, ..) => c.value(&shared),
-                    (Merge::CycleWeighted, ..) => unreachable!("{}: not an average", c.name),
                 };
                 if c.value(merged) != want {
                     wrong.push(format!(

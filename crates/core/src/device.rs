@@ -250,7 +250,7 @@ impl Device {
             self.sm_stats[k] = Some(self.sms[k].finalise(&self.mem_system));
         }
         let snapshots: Vec<_> = self.sm_stats.iter().flatten().collect();
-        self.stats = KernelStats::combine(&self.sms, &snapshots, &self.mem_system.stats());
+        self.stats = KernelStats::combine(&snapshots, &self.mem_system.stats());
         result.map(|()| self.stats.clone())
     }
 
@@ -403,8 +403,7 @@ mod tests {
     }
 
     /// With one SM there is nothing to combine: the device totals are that
-    /// SM's own snapshot, field for field — the residency averages to the
-    /// bit, since both divide the same integer accumulators once.
+    /// SM's own snapshot, field for field.
     #[test]
     fn single_sm_device_totals_equal_sm_snapshot() {
         use simt_isa::MulOp;
@@ -412,7 +411,7 @@ mod tests {
         let prog: Vec<u32> = [
             Instr::Csrrs { rd: Reg::A0, csr: csr::MHARTID, rs1: Reg::ZERO },
             // hartid² is neither uniform nor affine: it occupies the VRF,
-            // so the residency averages are non-trivial.
+            // so the residency peak is non-trivial.
             Instr::MulDiv { op: MulOp::Mul, rd: Reg::A3, rs1: Reg::A0, rs2: Reg::A0 },
             Instr::OpImm { op: AluOp::Sll, rd: Reg::A1, rs1: Reg::A0, imm: 2 },
             Instr::Lui { rd: Reg::A2, imm: map::DRAM_BASE },
@@ -427,7 +426,7 @@ mod tests {
         dev.load_program(&prog);
         dev.reset();
         let stats = dev.run(100_000).expect("device run");
-        assert!(stats.avg_data_vrf_resident > 0.0, "the squares were VRF-resident");
+        assert!(stats.peak_data_vrf_resident > 0, "the squares were VRF-resident");
         assert_eq!(Some(&stats), dev.sm_stats(0));
         assert_eq!(stats.dram.cross_sm_switches, 0);
     }

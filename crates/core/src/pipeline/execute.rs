@@ -2,10 +2,10 @@
 //! op-class handlers.
 //!
 //! Owns instruction-issue accounting (`instrs`, `thread_instrs`,
-//! `scalarised_issues`, the `cheri_histogram` slots, the occupancy samples,
-//! the Issue trace event), the per-warp PCC fetch check, the memory-class
-//! handler with its CSC serialisation and capability multi-flit stalls,
-//! and the SFU suspension helpers shared by the op-class handlers.
+//! `scalarised_issues`, the `cheri_histogram` slots, the Issue trace
+//! event), the per-warp PCC fetch check, the memory-class handler with its
+//! CSC serialisation and capability multi-flit stalls, and the SFU
+//! suspension helpers shared by the op-class handlers.
 //!
 //! An issue indexes the program ROM, evaluates the slot's pre-bound
 //! scalarisation rule (see [`super::classify`]) and calls the handler of
@@ -140,11 +140,6 @@ impl Sm {
         self.stats.thread_instrs += sel.mask.count_ones() as u64;
         if class == IssueClass::Scalarised {
             self.stats.scalarised_issues += 1;
-        }
-        self.samples += 1;
-        self.sum_data_resident += self.data_rf.vrf_resident() as u64;
-        if let Some(m) = &self.meta_rf {
-            self.sum_meta_resident += m.vrf_resident() as u64;
         }
 
         let mut costs = Costs::default();

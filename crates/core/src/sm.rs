@@ -126,10 +126,6 @@ pub struct Sm {
     pub(crate) full_mask: u64,
     pub(crate) cycle: u64,
     pub(crate) rr: usize,
-    /// Occupancy sampling accumulators.
-    pub(crate) samples: u64,
-    pub(crate) sum_data_resident: u64,
-    pub(crate) sum_meta_resident: u64,
     /// First global hart id on this SM (`sm_index × threads_per_sm`).
     pub(crate) hart_base: u32,
     /// What `SIMT_NUM_THREADS` reads: the *device-wide* thread count, so
@@ -209,9 +205,6 @@ impl Sm {
             full_mask: u64::MAX >> (64 - cfg.lanes),
             cycle: 0,
             rr: 0,
-            samples: 0,
-            sum_data_resident: 0,
-            sum_meta_resident: 0,
             hart_base,
             device_threads,
             scalarise: true,
@@ -260,7 +253,10 @@ impl Sm {
     }
 
     /// Detach and return the current event sink, disabling structured
-    /// tracing. Use [`EventSink::as_any`] to downcast to the concrete sink.
+    /// tracing. It downcasts to the concrete sink by reference through
+    /// `as_any`, or by value as a `Box<dyn Any>`, from which
+    /// [`VecSink::into_events`](crate::trace::VecSink::into_events) takes
+    /// the events without a copy.
     pub fn take_sink(&mut self) -> Option<Box<dyn EventSink>> {
         self.sink.take()
     }
@@ -368,9 +364,6 @@ impl Sm {
         self.cheri_counts.fill(0);
         self.cycle = 0;
         self.rr = 0;
-        self.samples = 0;
-        self.sum_data_resident = 0;
-        self.sum_meta_resident = 0;
         self.suppressed.clear();
         // Conservative: let the first step scan once and lower the flag.
         self.maybe_parked = true;
@@ -408,10 +401,17 @@ impl Sm {
             s.cap_regs_used = m.max_nonnull_regs();
             s.cap_regs_mask = m.nonnull_mask_union();
         }
-        if self.samples > 0 {
-            s.avg_data_vrf_resident = self.sum_data_resident as f64 / self.samples as f64;
-            s.avg_meta_vrf_resident = self.sum_meta_resident as f64 / self.samples as f64;
-        }
+        let st = &s.stalls;
+        debug_assert_eq!(
+            s.cycles,
+            s.instrs
+                + st.csc_serialisation
+                + st.shared_vrf_conflict
+                + st.spill_fill
+                + st.cap_multi_flit
+                + st.idle,
+            "every cycle issues or stalls for one cause"
+        );
         s
     }
 

@@ -32,6 +32,7 @@ use simt_isa::{
     UnaryCapOp,
 };
 use simt_mem::map;
+use std::any::Any;
 
 const WARPS: u32 = 2;
 const LANES: u32 = 8;
@@ -553,8 +554,8 @@ fn run(prog: &[u32], purecap: bool, scalarise: bool) -> Outcome {
     dev.sm_mut(0).set_sink(Box::new(VecSink::new()));
     dev.reset();
     let result = dev.run(MAX_CYCLES);
-    let sink = dev.sm_mut(0).take_sink().expect("sink attached");
-    let events = sink.as_any().downcast_ref::<VecSink>().expect("VecSink").events().to_vec();
+    let sink: Box<dyn Any> = dev.sm_mut(0).take_sink().expect("sink attached");
+    let events = sink.downcast::<VecSink>().expect("VecSink").into_events();
     let jsonl = to_jsonl(&[TraceCell { label: "op_matrix", events: &events }]);
     let parts = |c: CapMem| (c.addr(), c.meta(), c.tag());
     let cap_at = |addr: u32| parts(dev.memory().read_cap(addr).unwrap());

@@ -445,6 +445,7 @@ fn ring_sink_captures_the_tail() {
 #[test]
 fn structured_sink_reconciles_with_stats() {
     use cheri_simt::trace::{StallCause, TraceEvent, VecSink};
+    use std::any::Any;
 
     // A kernel with stores (DRAM traffic), a barrier and divergence.
     let mut a = Assembler::new();
@@ -463,8 +464,8 @@ fn structured_sink_reconciles_with_stats() {
     dev.sm_mut(0).set_sink(Box::new(VecSink::new()));
     dev.reset();
     let stats = dev.run(MAX).unwrap();
-    let sink = dev.sm_mut(0).take_sink().expect("sink attached");
-    let events = sink.as_any().downcast_ref::<VecSink>().expect("VecSink").events().to_vec();
+    let sink: Box<dyn Any> = dev.sm_mut(0).take_sink().expect("sink attached");
+    let events = sink.downcast::<VecSink>().expect("VecSink").into_events();
 
     // Launch marker delimits the (single) launch.
     assert_eq!(

@@ -208,6 +208,7 @@ fn tag_cache_behaviour() {
 #[test]
 fn stack_cache_absorbs_affine_and_uniform_arena_accesses() {
     use cheri_simt::trace::{MemSpace, TraceEvent, VecSink};
+    use std::any::Any;
     const ARENA: u32 = map::DRAM_BASE + 0x8000;
     const OUTSIDE: u32 = map::DRAM_BASE + 0x1000;
     let prog = {
@@ -240,8 +241,8 @@ fn stack_cache_absorbs_affine_and_uniform_arena_accesses() {
         dev.sm_mut(0).set_sink(Box::new(VecSink::new()));
         dev.reset();
         let stats = dev.run(1_000_000).expect("run");
-        let sink = dev.sm_mut(0).take_sink().expect("sink attached");
-        let events = sink.as_any().downcast_ref::<VecSink>().expect("VecSink").events().to_vec();
+        let sink: Box<dyn Any> = dev.sm_mut(0).take_sink().expect("sink attached");
+        let events = sink.downcast::<VecSink>().expect("VecSink").into_events();
         // The store landed either way: the cache is a timing filter only.
         assert_eq!(dev.memory().read(ARENA + 4 * 5, 4).unwrap(), 5);
         let spaces: Vec<(MemSpace, bool, bool, u32)> = events

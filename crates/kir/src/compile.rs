@@ -143,18 +143,18 @@ pub fn compile(kernel: &Kernel, mode: Mode) -> Result<CompiledKernel, CompileErr
 ///
 /// # Errors
 ///
-/// See [`CompileError`]. Builder misuse and ill-typed trees are type
-/// errors; a too-small or too-large limit is register pressure; a stack
-/// size that is not a power of two, or a kernel too long for its branches,
-/// is unsupported.
+/// See [`CompileError`]. Builder misuse, ill-typed trees and ids the
+/// kernel does not declare are type errors; a too-small or too-large limit
+/// is register pressure; a stack size that is not a power of two, or a
+/// kernel too long for its branches, is unsupported.
 pub fn compile_capped(
     kernel: &Kernel,
     mode: Mode,
     plan: MemPlan,
     cap_reg_limit: Option<u32>,
 ) -> Result<CompiledKernel, CompileError> {
-    if let Some(misuse) = &kernel.misuse {
-        return Err(CompileError::Type(misuse.clone()));
+    if let Some(misuse) = kernel.misuse.clone().or_else(|| undeclared(kernel)) {
+        return Err(CompileError::Type(misuse));
     }
     let layout = ArgLayout::new(kernel, mode);
     let mut cg = Codegen::new(kernel, mode, plan, &layout, cap_reg_limit)?;
@@ -165,6 +165,42 @@ pub fn compile_capped(
         CompileError::Unsupported(format!("kernel {} is {len} instructions long: {e}", kernel.name))
     })?;
     Ok(CompiledKernel { words, layout, shared_bytes: kernel.shared_bytes(), mode, plan })
+}
+
+/// The first variable, parameter or shared array that `k` does not declare
+/// with that id and type, such as one taken from another kernel's builder;
+/// code generation indexes the declarations by these ids.
+fn undeclared(k: &Kernel) -> Option<String> {
+    fn expr(k: &Kernel, e: &Expr) -> Option<String> {
+        let declared = match e {
+            Expr::Var(i, t) => k.vars.get(*i) == Some(t),
+            Expr::Param(i, t) => k.params.get(*i).is_some_and(|p| p.ty == *t),
+            Expr::Shared(i, el) => k.shared.get(*i).is_some_and(|s| s.elem == *el),
+            Expr::Bin(_, a, b) | Expr::Load(a, b) | Expr::PtrOffset(a, b) => {
+                return expr(k, a).or_else(|| expr(k, b));
+            }
+            Expr::Un(_, a) => return expr(k, a),
+            Expr::Int(..) | Expr::F32(_) | Expr::Special(_) => true,
+        };
+        (!declared).then(|| format!("{e:?} is not declared in kernel {}", k.name))
+    }
+    fn stmts(k: &Kernel, body: &[Stmt]) -> Option<String> {
+        body.iter().find_map(|s| match s {
+            Stmt::Assign(i, _) if *i >= k.vars.len() => {
+                Some(format!("assignment to variable {i}, not declared in kernel {}", k.name))
+            }
+            Stmt::Assign(_, e) => expr(k, e),
+            Stmt::Store { ptr, index, value } | Stmt::Atomic { ptr, index, value, .. } => {
+                [ptr, index, value].into_iter().find_map(|e| expr(k, e))
+            }
+            Stmt::If { cond, then_, else_ } => {
+                expr(k, cond).or_else(|| stmts(k, then_)).or_else(|| stmts(k, else_))
+            }
+            Stmt::While { cond, body } => expr(k, cond).or_else(|| stmts(k, body)),
+            Stmt::Barrier => None,
+        })
+    }
+    stmts(k, &k.body)
 }
 
 /// Where a value lives.

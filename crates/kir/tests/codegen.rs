@@ -194,6 +194,42 @@ fn builder_misuse_is_a_type_error() {
     );
 }
 
+/// A variable, parameter or shared array from another builder has an id
+/// past this kernel's declarations, or one it declares with another type:
+/// a type error, not an index panic or a silent retyping.
+#[test]
+fn ids_from_another_kernel_are_type_errors() {
+    // The other kernel declares two of each, so each second id is foreign
+    // to a kernel that declares one of each.
+    let mut other = KernelBuilder::new("other");
+    let (_, x) = (other.param_ptr("p", Elem::U32), other.param_u32("x"));
+    let (_, s) = (other.shared("a", Elem::U32, 4), other.shared("b", Elem::U32, 4));
+    let (_, v) = (other.var_u32("u"), other.var_u32("v"));
+    let f = KernelBuilder::new("floats").var_f32("f");
+    let one_of_each = |name: &str, body: &dyn Fn(&mut KernelBuilder, &Expr)| {
+        let mut k = KernelBuilder::new(name);
+        let out = k.param_ptr("out", Elem::U32);
+        let tile = k.shared("tile", Elem::U32, 4);
+        let i = k.var_u32("i");
+        k.assign(&i, tile.at(Expr::u32(0)));
+        body(&mut k, &out);
+        k.finish()
+    };
+    let cases = [
+        (one_of_each("var", &|k, out| k.store(out, Expr::u32(0), v.clone())), "Var(1, U32)"),
+        (one_of_each("param", &|k, out| k.store(out, x.clone(), Expr::u32(1))), "Param(1, U32)"),
+        (one_of_each("shared", &|k, _| k.store(&s, Expr::u32(0), Expr::u32(1))), "Shared(1, U32)"),
+        (one_of_each("retyped", &|k, out| k.store(out, f.clone(), Expr::u32(1))), "Var(0, F32)"),
+    ];
+    for (kernel, id) in cases {
+        let want = format!("{id} is not declared in kernel {}", kernel.name);
+        rejected_everywhere(&kernel, &CompileError::Type(want));
+    }
+    let assigned = one_of_each("assign", &|k, _| k.assign(&v, Expr::u32(1)));
+    let want = "assignment to variable 1, not declared in kernel assign";
+    rejected_everywhere(&assigned, &CompileError::Type(want.into()));
+}
+
 #[test]
 fn a_stack_size_that_is_not_a_power_of_two_is_unsupported() {
     // Enough live variables that some spill to the stack.

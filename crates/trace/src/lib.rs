@@ -350,8 +350,10 @@ impl TraceEvent {
 ///
 /// Implementations must be cheap per call: the pipeline emits from its inner
 /// loop. `Send` is required because traced SMs cross thread boundaries in the
-/// parallel suite runner; `Debug` because the SM itself derives `Debug`.
-pub trait EventSink: Send + std::fmt::Debug {
+/// parallel suite runner; `Debug` because the SM itself derives `Debug`;
+/// `Any` so a detached sink downcasts back to its concrete type: by
+/// reference through `as_any`, or by value as a `Box<dyn Any>`.
+pub trait EventSink: Any + Send + std::fmt::Debug {
     /// Record one event.
     fn emit(&mut self, ev: TraceEvent);
 
@@ -359,10 +361,14 @@ pub trait EventSink: Send + std::fmt::Debug {
     fn dropped(&self) -> u64 {
         0
     }
+}
 
-    /// Downcasting support so callers can recover a concrete sink after
-    /// detaching it from the SM.
-    fn as_any(&self) -> &dyn Any;
+impl dyn EventSink {
+    /// The sink as `Any`, to downcast to the concrete sink after detaching
+    /// it from the SM.
+    pub fn as_any(&self) -> &dyn Any {
+        self
+    }
 }
 
 /// Unbounded sink that retains every event in emission order.
@@ -381,15 +387,16 @@ impl VecSink {
     pub fn events(&self) -> &[TraceEvent] {
         &self.events
     }
+
+    /// The recorded events, in emission order, without a copy.
+    pub fn into_events(self) -> Vec<TraceEvent> {
+        self.events
+    }
 }
 
 impl EventSink for VecSink {
     fn emit(&mut self, ev: TraceEvent) {
         self.events.push(ev);
-    }
-
-    fn as_any(&self) -> &dyn Any {
-        self
     }
 }
 
@@ -431,10 +438,6 @@ impl EventSink for RingSink {
 
     fn dropped(&self) -> u64 {
         self.dropped
-    }
-
-    fn as_any(&self) -> &dyn Any {
-        self
     }
 }
 
@@ -489,6 +492,9 @@ mod tests {
         sink.emit(issue(3));
         let vec = sink.as_any().downcast_ref::<VecSink>().unwrap();
         assert_eq!(vec.events().len(), 1);
+        assert!(sink.as_any().downcast_ref::<RingSink>().is_none());
+        let sink: Box<dyn Any> = sink;
+        assert_eq!(sink.downcast::<VecSink>().unwrap().into_events(), [issue(3)]);
     }
 
     #[test]
