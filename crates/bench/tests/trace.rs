@@ -68,6 +68,26 @@ fn tracing_causes_zero_stats_drift() {
 
 /// The validator accepts both exports of a real run and rejects the same
 /// bytes once corrupted.
+/// The JSON-lines example in `docs/TRACING.md` is real output: one of the
+/// lines `repro trace matmul --mode purecap --format jsonl` writes.
+#[test]
+fn tracing_doc_example_is_written_for_matmul() {
+    let doc = include_str!("../../../docs/TRACING.md");
+    let (_, rest) = doc.split_once("### JSON-lines format").unwrap();
+    let (_, rest) = rest.split_once("```json\n").unwrap();
+    let (example, _) = rest.split_once("\n```").unwrap();
+    let runs = trace_suite_on(
+        &resolve_benches("matmul").unwrap(),
+        trace_config("purecap").unwrap(),
+        Geometry::Small,
+        1,
+        1,
+    )
+    .unwrap();
+    let jsonl = export(&runs, TraceFormat::Jsonl);
+    assert!(jsonl.lines().any(|l| l == example), "not written for MatMul [purecap]: {example}");
+}
+
 #[test]
 fn validator_accepts_real_traces_and_rejects_corruption() {
     let benches = resolve_benches("vecadd").unwrap();

@@ -10,7 +10,7 @@
 //! (`stack_cache_hits`), coalescing, tag-cache lookups, DRAM and scratchpad
 //! timing, and the atomic-conflict serialisation model.
 
-use super::operands::CapMemo;
+use super::operands::{pack_meta, unpack_meta, CapMemo};
 use super::{active_lanes, Costs};
 use crate::config::SCRATCH_LATENCY;
 use crate::device::MemSystem;
@@ -19,7 +19,6 @@ use crate::rom::{MemKind, MemOp};
 use crate::sm::{LaneBufs, Sm};
 use crate::trap::{LaneFault, Trap, TrapCause};
 use crate::warp::Selection;
-use cheri_cap::CapMem;
 use simt_isa::LoadWidth;
 use simt_mem::{coalesce_blocks, map, LaneRequest, MainMemory, MemFault, TRANSACTION_BYTES};
 use simt_regfile::{MAX_LANES, NULL_META};
@@ -108,12 +107,9 @@ impl Sm {
                     MemKind::LoadCap => {
                         let c = store.read_cap(ea)?;
                         r[i] = c.addr() as u64;
-                        rm[i] = c.meta() as u64 | ((c.tag() as u64) << 32);
+                        rm[i] = pack_meta(c);
                     }
-                    MemKind::StoreCap => {
-                        let tag = bm[i] >> 32 & 1 == 1;
-                        store.write_cap(ea, CapMem::from_parts(bm[i] as u32, b[i] as u32, tag))?;
-                    }
+                    MemKind::StoreCap => store.write_cap(ea, unpack_meta(bm[i], b[i] as u32))?,
                     MemKind::Amo(f) => {
                         let old = store.read(ea, bytes)?;
                         store.write(ea, exec::amo(f, old, b[i] as u32), bytes)?;

@@ -93,14 +93,28 @@ impl Sm {
 
     #[inline]
     pub(crate) fn cap_of(meta: u64, addr: u64) -> CapPipe {
-        CapPipe::from_mem(CapMem::from_parts(meta as u32, addr as u32, meta >> 32 & 1 == 1))
+        CapPipe::from_mem(unpack_meta(meta, addr as u32))
     }
 
     #[inline]
     pub(crate) fn cap_parts(cap: CapPipe) -> (u64, u64) {
         let m = cap.to_mem();
-        (m.meta() as u64 | ((m.tag() as u64) << 32), m.addr() as u64)
+        (pack_meta(m), m.addr() as u64)
     }
+}
+
+/// A capability's 33-bit metadata word, `meta | tag << 32`: the form the
+/// metadata register file, the warps' PCC and `Sm::launch_pcc_meta` hold.
+#[inline]
+pub(crate) fn pack_meta(c: CapMem) -> u64 {
+    c.meta() as u64 | (c.tag() as u64) << 32
+}
+
+/// The capability whose metadata word is `meta` (see [`pack_meta`]) at
+/// address `addr`.
+#[inline]
+pub(crate) fn unpack_meta(meta: u64, addr: u32) -> CapMem {
+    CapMem::from_parts(meta as u32, addr, meta >> 32 & 1 == 1)
 }
 
 /// Where the memory check phase, the capability ops and `CJALR` get each

@@ -19,6 +19,7 @@
 use crate::config::{CheriOpts, SmConfig};
 use crate::counters::KernelStats;
 use crate::device::MemSystem;
+use crate::pipeline::operands::pack_meta;
 use crate::rom::{ProgramRom, CHERI_NAMES};
 use crate::trap::Trap;
 use crate::warp::Warp;
@@ -97,9 +98,10 @@ pub struct Sm {
     pub(crate) scrs: [CapMem; 32],
     /// PCC for kernel launch (code capability over the loaded program).
     pub(crate) launch_pcc: CapPipe,
-    /// The launch PCC in warp-metadata form (`meta | tag << 32`), for the
-    /// memoised fetch check: a warp still running on the launch PCC needs
-    /// no per-issue `check_fetch` once the whole program is known covered.
+    /// The launch PCC as a metadata word (`pack_meta`; 0 without CHERI):
+    /// every warp starts on it at `reset`, and it keys the memoised fetch
+    /// check: a warp still running on the launch PCC needs no per-issue
+    /// `check_fetch` once the whole program is known covered.
     pub(crate) launch_pcc_meta: u64,
     /// Verified at load time: `check_fetch` passes for **every** aligned
     /// PC of the loaded program under the launch PCC metadata, so the
@@ -325,8 +327,7 @@ impl Sm {
         // launch PCC metadata, exactly as the issue path would, so a warp
         // still running on that metadata skips the per-issue check.
         if self.cfg.cheri.enabled() {
-            let m = self.launch_pcc.to_mem();
-            self.launch_pcc_meta = m.meta() as u64 | ((m.tag() as u64) << 32);
+            self.launch_pcc_meta = pack_meta(self.launch_pcc.to_mem());
             self.pcc_fetch_ok = (0..words.len()).all(|i| {
                 let pc = map::TCIM_BASE + (i as u32) * 4;
                 Self::cap_of(self.launch_pcc_meta, pc as u64).check_fetch(pc).is_ok()
@@ -342,12 +343,7 @@ impl Sm {
     /// program and the scratchpad contents are preserved.
     pub(crate) fn reset(&mut self) {
         let static_pcc = self.opts.map(|o| o.static_pcc).unwrap_or(true);
-        let pcc_meta = if self.cfg.cheri.enabled() {
-            let m = self.launch_pcc.to_mem();
-            m.meta() as u64 | ((m.tag() as u64) << 32)
-        } else {
-            0
-        };
+        let pcc_meta = self.launch_pcc_meta;
         self.warps = (0..self.cfg.warps)
             .map(|_| Warp::new(self.cfg.lanes, map::TCIM_BASE, pcc_meta, static_pcc))
             .collect();

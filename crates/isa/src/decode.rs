@@ -1,6 +1,6 @@
 //! Binary decoding from 32-bit instruction words.
 
-use crate::encode::{cheri_f3, cheri_f7, unary_from_code, *};
+use crate::encode::*;
 use crate::instr::*;
 use crate::Reg;
 
@@ -64,170 +64,77 @@ fn imm_j(w: u32) -> i32 {
 
 impl Instr {
     /// Decode a 32-bit instruction word; `None` for unimplemented encodings.
-    #[allow(clippy::too_many_lines)] // one match arm per opcode, by design
     pub fn decode(w: u32) -> Option<Instr> {
         use Instr::*;
+        let (rd, rs1, rs2) = (rd(w), rs1(w), rs2(w));
         Some(match w & 0x7F {
-            OP_LUI => Lui { rd: rd(w), imm: imm_u(w) },
-            OP_AUIPC => Auipc { rd: rd(w), imm: imm_u(w) },
-            OP_JAL => Jal { rd: rd(w), off: imm_j(w) },
-            OP_JALR if funct3(w) == 0 => Jalr { rd: rd(w), rs1: rs1(w), off: imm_i(w) },
+            OP_LUI => Lui { rd, imm: imm_u(w) },
+            OP_AUIPC => Auipc { rd, imm: imm_u(w) },
+            OP_JAL => Jal { rd, off: imm_j(w) },
+            OP_JALR if funct3(w) == 0 => Jalr { rd, rs1, off: imm_i(w) },
             OP_BRANCH => {
-                let cond = match funct3(w) {
-                    0 => BranchCond::Eq,
-                    1 => BranchCond::Ne,
-                    4 => BranchCond::Lt,
-                    5 => BranchCond::Ge,
-                    6 => BranchCond::Ltu,
-                    7 => BranchCond::Geu,
-                    _ => return None,
-                };
-                Branch { cond, rs1: rs1(w), rs2: rs2(w), off: imm_b(w) }
+                Branch { cond: BranchCond::from_code(funct3(w))?, rs1, rs2, off: imm_b(w) }
             }
-            OP_LOAD => {
-                let lw = match funct3(w) {
-                    0 => LoadWidth::B,
-                    1 => LoadWidth::H,
-                    2 => LoadWidth::W,
-                    4 => LoadWidth::Bu,
-                    5 => LoadWidth::Hu,
-                    _ => return None,
-                };
-                Load { w: lw, rd: rd(w), rs1: rs1(w), off: imm_i(w) }
-            }
-            OP_STORE => {
-                let sw = match funct3(w) {
-                    0 => StoreWidth::B,
-                    1 => StoreWidth::H,
-                    2 => StoreWidth::W,
-                    _ => return None,
-                };
-                Store { w: sw, rs2: rs2(w), rs1: rs1(w), off: imm_s(w) }
-            }
+            OP_LOAD => Load { w: LoadWidth::from_code(funct3(w))?, rd, rs1, off: imm_i(w) },
+            OP_STORE => Store { w: StoreWidth::from_code(funct3(w))?, rs2, rs1, off: imm_s(w) },
             OP_OPIMM => {
-                let op = match funct3(w) {
-                    0 => AluOp::Add,
-                    1 => AluOp::Sll,
-                    2 => AluOp::Slt,
-                    3 => AluOp::Sltu,
-                    4 => AluOp::Xor,
-                    5 if funct7(w) == 0x20 => AluOp::Sra,
-                    5 => AluOp::Srl,
-                    6 => AluOp::Or,
-                    7 => AluOp::And,
-                    _ => return None,
+                // funct7 tells srai from srli; every other op ignores it.
+                let op = match AluOp::from_code((funct3(w), funct7(w))) {
+                    Some(AluOp::Sra) => AluOp::Sra,
+                    _ => AluOp::from_code((funct3(w), 0))?,
                 };
-                let imm = match op {
-                    AluOp::Sll | AluOp::Srl | AluOp::Sra => ((w >> 20) & 0x1F) as i32,
-                    _ => imm_i(w),
-                };
-                OpImm { op, rd: rd(w), rs1: rs1(w), imm }
+                let imm = if op.is_shift() { ((w >> 20) & 0x1F) as i32 } else { imm_i(w) };
+                OpImm { op, rd, rs1, imm }
             }
-            OP_OP if funct7(w) == 0x01 => {
-                let op = match funct3(w) {
-                    0 => MulOp::Mul,
-                    1 => MulOp::Mulh,
-                    2 => MulOp::Mulhsu,
-                    3 => MulOp::Mulhu,
-                    4 => MulOp::Div,
-                    5 => MulOp::Divu,
-                    6 => MulOp::Rem,
-                    _ => MulOp::Remu,
-                };
-                MulDiv { op, rd: rd(w), rs1: rs1(w), rs2: rs2(w) }
+            OP_OP if funct7(w) == F7_MULDIV => {
+                MulDiv { op: MulOp::from_code(funct3(w))?, rd, rs1, rs2 }
             }
-            OP_OP => {
-                let op = match (funct3(w), funct7(w)) {
-                    (0, 0x00) => AluOp::Add,
-                    (0, 0x20) => AluOp::Sub,
-                    (1, 0x00) => AluOp::Sll,
-                    (2, 0x00) => AluOp::Slt,
-                    (3, 0x00) => AluOp::Sltu,
-                    (4, 0x00) => AluOp::Xor,
-                    (5, 0x00) => AluOp::Srl,
-                    (5, 0x20) => AluOp::Sra,
-                    (6, 0x00) => AluOp::Or,
-                    (7, 0x00) => AluOp::And,
-                    _ => return None,
-                };
-                Op { op, rd: rd(w), rs1: rs1(w), rs2: rs2(w) }
-            }
-            OP_AMO if funct3(w) == 2 => {
-                let op = match funct7(w) >> 2 {
-                    0x00 => AmoOp::Add,
-                    0x01 => AmoOp::Swap,
-                    0x04 => AmoOp::Xor,
-                    0x08 => AmoOp::Or,
-                    0x0C => AmoOp::And,
-                    0x10 => AmoOp::Min,
-                    0x14 => AmoOp::Max,
-                    0x18 => AmoOp::Minu,
-                    0x1C => AmoOp::Maxu,
-                    _ => return None,
-                };
-                Amo { op, rd: rd(w), rs1: rs1(w), rs2: rs2(w) }
-            }
+            OP_OP => Op { op: AluOp::from_code((funct3(w), funct7(w)))?, rd, rs1, rs2 },
+            // funct7's low two bits are aq/rl, which the model ignores.
+            OP_AMO if funct3(w) == 2 => Amo { op: AmoOp::from_code(funct7(w) >> 2)?, rd, rs1, rs2 },
             OP_MISCMEM => Fence,
             OP_SYSTEM => match funct3(w) {
                 0 if imm_i(w) == 0 => Ecall,
                 0 if imm_i(w) == 1 => Ebreak,
-                2 => Csrrs { rd: rd(w), csr: ((w >> 20) & 0xFFF) as u16, rs1: rs1(w) },
+                2 => Csrrs { rd, csr: ((w >> 20) & 0xFFF) as u16, rs1 },
                 _ => return None,
             },
             OP_FP => match funct7(w) {
-                0x00 => FOp { op: FpOp::Add, rd: rd(w), rs1: rs1(w), rs2: rs2(w) },
-                0x04 => FOp { op: FpOp::Sub, rd: rd(w), rs1: rs1(w), rs2: rs2(w) },
-                0x08 => FOp { op: FpOp::Mul, rd: rd(w), rs1: rs1(w), rs2: rs2(w) },
-                0x0C => FOp { op: FpOp::Div, rd: rd(w), rs1: rs1(w), rs2: rs2(w) },
-                0x14 => {
-                    let op = if funct3(w) == 0 { FpOp::Min } else { FpOp::Max };
-                    FOp { op, rd: rd(w), rs1: rs1(w), rs2: rs2(w) }
+                fp_f7::SQRT => FSqrt { rd, rs1 },
+                fp_f7::CMP => FCmp { op: FcmpOp::from_code(funct3(w))?, rd, rs1, rs2 },
+                fp_f7::CVT_W_S => FCvtWS { rd, rs1, signed: (w >> 20) & 1 == 0 },
+                fp_f7::CVT_S_W => FCvtSW { rd, rs1, signed: (w >> 20) & 1 == 0 },
+                // funct3 is the rounding mode, except that any non-zero
+                // value turns fmin into fmax.
+                f7 => {
+                    let op = FpOp::from_code((f7, funct3(w).min(1)))
+                        .or_else(|| FpOp::from_code((f7, 0)))?;
+                    FOp { op, rd, rs1, rs2 }
                 }
-                0x2C => FSqrt { rd: rd(w), rs1: rs1(w) },
-                0x50 => {
-                    let op = match funct3(w) {
-                        0 => FcmpOp::Le,
-                        1 => FcmpOp::Lt,
-                        2 => FcmpOp::Eq,
-                        _ => return None,
-                    };
-                    FCmp { op, rd: rd(w), rs1: rs1(w), rs2: rs2(w) }
-                }
-                0x60 => FCvtWS { rd: rd(w), rs1: rs1(w), signed: (w >> 20) & 1 == 0 },
-                0x68 => FCvtSW { rd: rd(w), rs1: rs1(w), signed: (w >> 20) & 1 == 0 },
-                _ => return None,
             },
             OP_CHERI => match funct3(w) {
                 cheri_f3::REG => match funct7(w) {
                     cheri_f7::UNARY => {
-                        CapUnary { op: unary_from_code((w >> 20) & 0x1F)?, rd: rd(w), cs1: rs1(w) }
+                        CapUnary { op: UnaryCapOp::from_code(rs2.field())?, rd, cs1: rs1 }
                     }
-                    cheri_f7::AND_PERM => CAndPerm { cd: rd(w), cs1: rs1(w), rs2: rs2(w) },
-                    cheri_f7::SET_FLAGS => CSetFlags { cd: rd(w), cs1: rs1(w), rs2: rs2(w) },
-                    cheri_f7::SET_ADDR => CSetAddr { cd: rd(w), cs1: rs1(w), rs2: rs2(w) },
-                    cheri_f7::INC_OFFSET => CIncOffset { cd: rd(w), cs1: rs1(w), rs2: rs2(w) },
-                    cheri_f7::SET_BOUNDS => CSetBounds { cd: rd(w), cs1: rs1(w), rs2: rs2(w) },
-                    cheri_f7::SET_BOUNDS_EXACT => {
-                        CSetBoundsExact { cd: rd(w), cs1: rs1(w), rs2: rs2(w) }
-                    }
-                    cheri_f7::SPECIAL_RW => {
-                        CSpecialRw { cd: rd(w), cs1: rs1(w), scr: ((w >> 20) & 0x1F) as u8 }
-                    }
+                    cheri_f7::AND_PERM => CAndPerm { cd: rd, cs1: rs1, rs2 },
+                    cheri_f7::SET_FLAGS => CSetFlags { cd: rd, cs1: rs1, rs2 },
+                    cheri_f7::SET_ADDR => CSetAddr { cd: rd, cs1: rs1, rs2 },
+                    cheri_f7::INC_OFFSET => CIncOffset { cd: rd, cs1: rs1, rs2 },
+                    cheri_f7::SET_BOUNDS => CSetBounds { cd: rd, cs1: rs1, rs2 },
+                    cheri_f7::SET_BOUNDS_EXACT => CSetBoundsExact { cd: rd, cs1: rs1, rs2 },
+                    cheri_f7::SPECIAL_RW => CSpecialRw { cd: rd, cs1: rs1, scr: rs2.field() as u8 },
                     _ => return None,
                 },
                 cheri_f3::SET_BOUNDS_IMM => {
-                    CSetBoundsImm { cd: rd(w), cs1: rs1(w), imm: (w >> 20) & 0xFFF }
+                    CSetBoundsImm { cd: rd, cs1: rs1, imm: (w >> 20) & 0xFFF }
                 }
-                cheri_f3::INC_OFFSET_IMM => CIncOffsetImm { cd: rd(w), cs1: rs1(w), imm: imm_i(w) },
-                cheri_f3::CLC => Clc { cd: rd(w), cs1: rs1(w), off: imm_i(w) },
-                cheri_f3::CSC => Csc { cs2: rs2(w), cs1: rs1(w), off: imm_s(w) },
+                cheri_f3::INC_OFFSET_IMM => CIncOffsetImm { cd: rd, cs1: rs1, imm: imm_i(w) },
+                cheri_f3::CLC => Clc { cd: rd, cs1: rs1, off: imm_i(w) },
+                cheri_f3::CSC => Csc { cs2: rs2, cs1: rs1, off: imm_s(w) },
                 _ => return None,
             },
-            OP_CUSTOM0 if funct3(w) == 0 => match imm_i(w) {
-                0 => Simt { op: SimtOp::Terminate },
-                1 => Simt { op: SimtOp::Barrier },
-                _ => return None,
-            },
+            OP_CUSTOM0 if funct3(w) == 0 => Simt { op: SimtOp::from_code(imm_i(w))? },
             _ => return None,
         })
     }
@@ -248,6 +155,57 @@ mod tests {
         // Store with a negative offset.
         let s = Instr::Store { w: StoreWidth::W, rs2: Reg::A2, rs1: Reg::SP, off: -4 };
         assert_eq!(Instr::decode(s.encode()), Some(s));
+    }
+
+    /// An R-type word from raw fields: `rd = a0`, `rs1 = a1` and the given
+    /// `rs2` field, so a reserved field can hold any value.
+    fn raw(opcode: u32, f3: u32, f7: u32, rs2: u32) -> u32 {
+        (f7 << 25) | (rs2 << 20) | (11 << 15) | (f3 << 12) | (10 << 7) | opcode
+    }
+
+    /// The fields `decode` ignores or reads only in part: each word sets a
+    /// reserved field to a value `encode` never writes, and still decodes
+    /// to the instruction shown.
+    #[test]
+    fn reserved_fields_are_accepted() {
+        let (a0, a1, a2) = (Reg::A0, Reg::A1, Reg::A2);
+        let fop = |op| Instr::FOp { op, rd: a0, rs1: a1, rs2: a2 };
+        let cases = [
+            // fmax.s: any non-zero funct3 selects max.
+            (raw(OP_FP, 3, 0x14, 12), fop(FpOp::Max)),
+            (raw(OP_FP, 7, 0x14, 12), fop(FpOp::Max)),
+            // The rounding mode (funct3) of fadd/fsub/fmul/fdiv.
+            (raw(OP_FP, 7, 0x00, 12), fop(FpOp::Add)),
+            (raw(OP_FP, 1, 0x0C, 12), fop(FpOp::Div)),
+            // fsqrt.s: rounding mode and rs2.
+            (raw(OP_FP, 2, 0x2C, 7), Instr::FSqrt { rd: a0, rs1: a1 }),
+            // fcvt reads only bit 0 of rs2 (and ignores the rounding mode).
+            (raw(OP_FP, 0, 0x60, 3), Instr::FCvtWS { rd: a0, rs1: a1, signed: false }),
+            (raw(OP_FP, 5, 0x68, 2), Instr::FCvtSW { rd: a0, rs1: a1, signed: true }),
+            // AMO aq/rl bits (funct7's low two bits).
+            (raw(OP_AMO, 2, 0x03, 12), Instr::Amo { op: AmoOp::Add, rd: a0, rs1: a1, rs2: a2 }),
+            (
+                raw(OP_AMO, 2, (0x18 << 2) | 2, 12),
+                Instr::Amo { op: AmoOp::Minu, rd: a0, rs1: a1, rs2: a2 },
+            ),
+            // Any MISC-MEM word is `fence`.
+            (0xFFFF_FF8F, Instr::Fence),
+            (raw(OP_MISCMEM, 1, 0, 0), Instr::Fence),
+            // slli with any funct7; srli for every funct7 other than 0x20.
+            (raw(OP_OPIMM, 1, 0x7F, 5), Instr::OpImm { op: AluOp::Sll, rd: a0, rs1: a1, imm: 5 }),
+            (raw(OP_OPIMM, 1, 0x20, 3), Instr::OpImm { op: AluOp::Sll, rd: a0, rs1: a1, imm: 3 }),
+            (raw(OP_OPIMM, 5, 0x01, 4), Instr::OpImm { op: AluOp::Srl, rd: a0, rs1: a1, imm: 4 }),
+            (raw(OP_OPIMM, 5, 0x60, 9), Instr::OpImm { op: AluOp::Srl, rd: a0, rs1: a1, imm: 9 }),
+            (raw(OP_OPIMM, 5, 0x20, 9), Instr::OpImm { op: AluOp::Sra, rd: a0, rs1: a1, imm: 9 }),
+            // ecall/ebreak with any rd/rs1.
+            (raw(OP_SYSTEM, 0, 0, 0), Instr::Ecall),
+            (raw(OP_SYSTEM, 0, 0, 1), Instr::Ebreak),
+            // SIMT control with any rd/rs1.
+            (raw(OP_CUSTOM0, 0, 0, 1), Instr::Simt { op: SimtOp::Barrier }),
+        ];
+        for (word, want) in cases {
+            assert_eq!(Instr::decode(word), Some(want), "{word:#010x}");
+        }
     }
 
     #[test]

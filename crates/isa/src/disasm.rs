@@ -4,21 +4,6 @@ use crate::csr;
 use crate::instr::*;
 use core::fmt;
 
-fn alu_name(op: AluOp) -> &'static str {
-    match op {
-        AluOp::Add => "add",
-        AluOp::Sub => "sub",
-        AluOp::Sll => "sll",
-        AluOp::Slt => "slt",
-        AluOp::Sltu => "sltu",
-        AluOp::Xor => "xor",
-        AluOp::Srl => "srl",
-        AluOp::Sra => "sra",
-        AluOp::Or => "or",
-        AluOp::And => "and",
-    }
-}
-
 impl Instr {
     /// Bare mnemonic of the instruction, without operands — the compact
     /// per-issue label used by the structured trace (`simt-trace`) and the
@@ -30,107 +15,25 @@ impl Instr {
             Auipc { .. } => "auipcc",
             Jal { .. } => "cjal",
             Jalr { .. } => "cjalr",
-            Branch { cond, .. } => match cond {
-                BranchCond::Eq => "beq",
-                BranchCond::Ne => "bne",
-                BranchCond::Lt => "blt",
-                BranchCond::Ge => "bge",
-                BranchCond::Ltu => "bltu",
-                BranchCond::Geu => "bgeu",
-            },
-            Load { w, .. } => match w {
-                LoadWidth::B => "lb",
-                LoadWidth::H => "lh",
-                LoadWidth::W => "lw",
-                LoadWidth::Bu => "lbu",
-                LoadWidth::Hu => "lhu",
-            },
-            Store { w, .. } => match w {
-                StoreWidth::B => "sb",
-                StoreWidth::H => "sh",
-                StoreWidth::W => "sw",
-            },
-            OpImm { op, .. } => match op {
-                AluOp::Add => "addi",
-                AluOp::Sub => "subi",
-                AluOp::Sll => "slli",
-                AluOp::Slt => "slti",
-                AluOp::Sltu => "sltui",
-                AluOp::Xor => "xori",
-                AluOp::Srl => "srli",
-                AluOp::Sra => "srai",
-                AluOp::Or => "ori",
-                AluOp::And => "andi",
-            },
-            Op { op, .. } => alu_name(op),
-            MulDiv { op, .. } => match op {
-                MulOp::Mul => "mul",
-                MulOp::Mulh => "mulh",
-                MulOp::Mulhsu => "mulhsu",
-                MulOp::Mulhu => "mulhu",
-                MulOp::Div => "div",
-                MulOp::Divu => "divu",
-                MulOp::Rem => "rem",
-                MulOp::Remu => "remu",
-            },
-            Amo { op, .. } => match op {
-                AmoOp::Swap => "amoswap.w",
-                AmoOp::Add => "amoadd.w",
-                AmoOp::Xor => "amoxor.w",
-                AmoOp::Or => "amoor.w",
-                AmoOp::And => "amoand.w",
-                AmoOp::Min => "amomin.w",
-                AmoOp::Max => "amomax.w",
-                AmoOp::Minu => "amominu.w",
-                AmoOp::Maxu => "amomaxu.w",
-            },
+            Branch { cond, .. } => cond.name(),
+            Load { w, .. } => w.name(),
+            Store { w, .. } => w.name(),
+            OpImm { op, .. } => op.imm_name(),
+            Op { op, .. } => op.name(),
+            MulDiv { op, .. } => op.name(),
+            Amo { op, .. } => op.name(),
             Fence => "fence",
             Ecall => "ecall",
             Ebreak => "ebreak",
             Csrrs { .. } => "csrrs",
-            FOp { op, .. } => match op {
-                FpOp::Add => "fadd.s",
-                FpOp::Sub => "fsub.s",
-                FpOp::Mul => "fmul.s",
-                FpOp::Div => "fdiv.s",
-                FpOp::Min => "fmin.s",
-                FpOp::Max => "fmax.s",
-            },
+            FOp { op, .. } => op.name(),
             FSqrt { .. } => "fsqrt.s",
-            FCmp { op, .. } => match op {
-                FcmpOp::Eq => "feq.s",
-                FcmpOp::Lt => "flt.s",
-                FcmpOp::Le => "fle.s",
-            },
-            FCvtWS { signed, .. } => {
-                if signed {
-                    "fcvt.w.s"
-                } else {
-                    "fcvt.wu.s"
-                }
-            }
-            FCvtSW { signed, .. } => {
-                if signed {
-                    "fcvt.s.w"
-                } else {
-                    "fcvt.s.wu"
-                }
-            }
-            CapUnary { op, .. } => match op {
-                UnaryCapOp::GetTag => "cgettag",
-                UnaryCapOp::ClearTag => "ccleartag",
-                UnaryCapOp::GetPerm => "cgetperm",
-                UnaryCapOp::GetBase => "cgetbase",
-                UnaryCapOp::GetLen => "cgetlen",
-                UnaryCapOp::GetType => "cgettype",
-                UnaryCapOp::GetSealed => "cgetsealed",
-                UnaryCapOp::GetFlags => "cgetflags",
-                UnaryCapOp::GetAddr => "cgetaddr",
-                UnaryCapOp::Move => "cmove",
-                UnaryCapOp::SealEntry => "csealentry",
-                UnaryCapOp::Crrl => "crrl",
-                UnaryCapOp::Cram => "cram",
-            },
+            FCmp { op, .. } => op.name(),
+            FCvtWS { signed: true, .. } => "fcvt.w.s",
+            FCvtWS { signed: false, .. } => "fcvt.wu.s",
+            FCvtSW { signed: true, .. } => "fcvt.s.w",
+            FCvtSW { signed: false, .. } => "fcvt.s.wu",
+            CapUnary { op, .. } => op.name(),
             CAndPerm { .. } => "candperm",
             CSetFlags { .. } => "csetflags",
             CSetAddr { .. } => "csetaddr",
@@ -142,150 +45,50 @@ impl Instr {
             Clc { .. } => "clc",
             Csc { .. } => "csc",
             CSpecialRw { .. } => "cspecialrw",
-            Simt { op: SimtOp::Terminate } => "simt.terminate",
-            Simt { op: SimtOp::Barrier } => "simt.barrier",
+            Simt { op } => op.name(),
         }
     }
 }
 
+/// The mnemonic, then the operands: one arm per operand syntax. The one
+/// alias is `csrr <name>` for a read of a named CSR.
 impl fmt::Display for Instr {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         use Instr::*;
+        let m = self.mnemonic();
         match *self {
-            Lui { rd, imm } => write!(f, "lui {rd}, {:#x}", imm >> 12),
-            Auipc { rd, imm } => write!(f, "auipcc {rd}, {:#x}", imm >> 12),
-            Jal { rd, off } => write!(f, "cjal {rd}, {off}"),
-            Jalr { rd, rs1, off } => write!(f, "cjalr {rd}, {rs1}, {off}"),
-            Branch { cond, rs1, rs2, off } => {
-                let n = match cond {
-                    BranchCond::Eq => "beq",
-                    BranchCond::Ne => "bne",
-                    BranchCond::Lt => "blt",
-                    BranchCond::Ge => "bge",
-                    BranchCond::Ltu => "bltu",
-                    BranchCond::Geu => "bgeu",
-                };
-                write!(f, "{n} {rs1}, {rs2}, {off}")
-            }
-            Load { w, rd, rs1, off } => {
-                let n = match w {
-                    LoadWidth::B => "lb",
-                    LoadWidth::H => "lh",
-                    LoadWidth::W => "lw",
-                    LoadWidth::Bu => "lbu",
-                    LoadWidth::Hu => "lhu",
-                };
-                write!(f, "{n} {rd}, {off}({rs1})")
-            }
-            Store { w, rs2, rs1, off } => {
-                let n = match w {
-                    StoreWidth::B => "sb",
-                    StoreWidth::H => "sh",
-                    StoreWidth::W => "sw",
-                };
-                write!(f, "{n} {rs2}, {off}({rs1})")
-            }
-            OpImm { op, rd, rs1, imm } => {
-                let n = match op {
-                    AluOp::Sll => "slli",
-                    AluOp::Srl => "srli",
-                    AluOp::Sra => "srai",
-                    _ => return write!(f, "{}i {rd}, {rs1}, {imm}", alu_name(op)),
-                };
-                write!(f, "{n} {rd}, {rs1}, {imm}")
-            }
-            Op { op, rd, rs1, rs2 } => write!(f, "{} {rd}, {rs1}, {rs2}", alu_name(op)),
-            MulDiv { op, rd, rs1, rs2 } => {
-                let n = match op {
-                    MulOp::Mul => "mul",
-                    MulOp::Mulh => "mulh",
-                    MulOp::Mulhsu => "mulhsu",
-                    MulOp::Mulhu => "mulhu",
-                    MulOp::Div => "div",
-                    MulOp::Divu => "divu",
-                    MulOp::Rem => "rem",
-                    MulOp::Remu => "remu",
-                };
-                write!(f, "{n} {rd}, {rs1}, {rs2}")
-            }
-            Amo { op, rd, rs1, rs2 } => {
-                let n = match op {
-                    AmoOp::Swap => "amoswap.w",
-                    AmoOp::Add => "amoadd.w",
-                    AmoOp::Xor => "amoxor.w",
-                    AmoOp::Or => "amoor.w",
-                    AmoOp::And => "amoand.w",
-                    AmoOp::Min => "amomin.w",
-                    AmoOp::Max => "amomax.w",
-                    AmoOp::Minu => "amominu.w",
-                    AmoOp::Maxu => "amomaxu.w",
-                };
-                write!(f, "{n} {rd}, {rs2}, ({rs1})")
-            }
-            Fence => write!(f, "fence"),
-            Ecall => write!(f, "ecall"),
-            Ebreak => write!(f, "ebreak"),
+            Fence | Ecall | Ebreak | Simt { .. } => f.write_str(m),
+            Lui { rd, imm } | Auipc { rd, imm } => write!(f, "{m} {rd}, {:#x}", imm >> 12),
+            Jal { rd, off } => write!(f, "{m} {rd}, {off}"),
+            FSqrt { rd, rs1 }
+            | FCvtWS { rd, rs1, .. }
+            | FCvtSW { rd, rs1, .. }
+            | CapUnary { rd, cs1: rs1, .. } => write!(f, "{m} {rd}, {rs1}"),
+            Op { rd, rs1, rs2, .. }
+            | MulDiv { rd, rs1, rs2, .. }
+            | FOp { rd, rs1, rs2, .. }
+            | FCmp { rd, rs1, rs2, .. }
+            | CAndPerm { cd: rd, cs1: rs1, rs2 }
+            | CSetFlags { cd: rd, cs1: rs1, rs2 }
+            | CSetAddr { cd: rd, cs1: rs1, rs2 }
+            | CIncOffset { cd: rd, cs1: rs1, rs2 }
+            | CSetBounds { cd: rd, cs1: rs1, rs2 }
+            | CSetBoundsExact { cd: rd, cs1: rs1, rs2 } => write!(f, "{m} {rd}, {rs1}, {rs2}"),
+            Jalr { rd: a, rs1: b, off: imm }
+            | Branch { rs1: a, rs2: b, off: imm, .. }
+            | OpImm { rd: a, rs1: b, imm, .. }
+            | CIncOffsetImm { cd: a, cs1: b, imm } => write!(f, "{m} {a}, {b}, {imm}"),
+            CSetBoundsImm { cd, cs1, imm } => write!(f, "{m} {cd}, {cs1}, {imm}"),
+            Load { rd: r, rs1: base, off, .. }
+            | Store { rs2: r, rs1: base, off, .. }
+            | Clc { cd: r, cs1: base, off }
+            | Csc { cs2: r, cs1: base, off } => write!(f, "{m} {r}, {off}({base})"),
+            Amo { rd, rs1, rs2, .. } => write!(f, "{m} {rd}, {rs2}, ({rs1})"),
             Csrrs { rd, csr: c, rs1 } => match csr::name(c) {
                 Some(n) => write!(f, "csrr {rd}, {n}"),
-                None => write!(f, "csrrs {rd}, {c:#x}, {rs1}"),
+                None => write!(f, "{m} {rd}, {c:#x}, {rs1}"),
             },
-            FOp { op, rd, rs1, rs2 } => {
-                let n = match op {
-                    FpOp::Add => "fadd.s",
-                    FpOp::Sub => "fsub.s",
-                    FpOp::Mul => "fmul.s",
-                    FpOp::Div => "fdiv.s",
-                    FpOp::Min => "fmin.s",
-                    FpOp::Max => "fmax.s",
-                };
-                write!(f, "{n} {rd}, {rs1}, {rs2}")
-            }
-            FSqrt { rd, rs1 } => write!(f, "fsqrt.s {rd}, {rs1}"),
-            FCmp { op, rd, rs1, rs2 } => {
-                let n = match op {
-                    FcmpOp::Eq => "feq.s",
-                    FcmpOp::Lt => "flt.s",
-                    FcmpOp::Le => "fle.s",
-                };
-                write!(f, "{n} {rd}, {rs1}, {rs2}")
-            }
-            FCvtWS { rd, rs1, signed } => {
-                write!(f, "fcvt.w{}.s {rd}, {rs1}", if signed { "" } else { "u" })
-            }
-            FCvtSW { rd, rs1, signed } => {
-                write!(f, "fcvt.s.w{} {rd}, {rs1}", if signed { "" } else { "u" })
-            }
-            CapUnary { op, rd, cs1 } => {
-                let n = match op {
-                    UnaryCapOp::GetTag => "cgettag",
-                    UnaryCapOp::ClearTag => "ccleartag",
-                    UnaryCapOp::GetPerm => "cgetperm",
-                    UnaryCapOp::GetBase => "cgetbase",
-                    UnaryCapOp::GetLen => "cgetlen",
-                    UnaryCapOp::GetType => "cgettype",
-                    UnaryCapOp::GetSealed => "cgetsealed",
-                    UnaryCapOp::GetFlags => "cgetflags",
-                    UnaryCapOp::GetAddr => "cgetaddr",
-                    UnaryCapOp::Move => "cmove",
-                    UnaryCapOp::SealEntry => "csealentry",
-                    UnaryCapOp::Crrl => "crrl",
-                    UnaryCapOp::Cram => "cram",
-                };
-                write!(f, "{n} {rd}, {cs1}")
-            }
-            CAndPerm { cd, cs1, rs2 } => write!(f, "candperm {cd}, {cs1}, {rs2}"),
-            CSetFlags { cd, cs1, rs2 } => write!(f, "csetflags {cd}, {cs1}, {rs2}"),
-            CSetAddr { cd, cs1, rs2 } => write!(f, "csetaddr {cd}, {cs1}, {rs2}"),
-            CIncOffset { cd, cs1, rs2 } => write!(f, "cincoffset {cd}, {cs1}, {rs2}"),
-            CIncOffsetImm { cd, cs1, imm } => write!(f, "cincoffsetimm {cd}, {cs1}, {imm}"),
-            CSetBounds { cd, cs1, rs2 } => write!(f, "csetbounds {cd}, {cs1}, {rs2}"),
-            CSetBoundsExact { cd, cs1, rs2 } => write!(f, "csetboundsexact {cd}, {cs1}, {rs2}"),
-            CSetBoundsImm { cd, cs1, imm } => write!(f, "csetboundsimm {cd}, {cs1}, {imm}"),
-            Clc { cd, cs1, off } => write!(f, "clc {cd}, {off}({cs1})"),
-            Csc { cs2, cs1, off } => write!(f, "csc {cs2}, {off}({cs1})"),
-            CSpecialRw { cd, cs1, scr } => write!(f, "cspecialrw {cd}, scr{scr}, {cs1}"),
-            Simt { op: SimtOp::Terminate } => write!(f, "simt.terminate"),
-            Simt { op: SimtOp::Barrier } => write!(f, "simt.barrier"),
+            CSpecialRw { cd, cs1, scr } => write!(f, "{m} {cd}, scr{scr}, {cs1}"),
         }
     }
 }
@@ -295,21 +98,89 @@ mod tests {
     use super::*;
     use crate::Reg;
 
+    /// One instruction per row of every sub-op table (both forms of each
+    /// ALU op), plus every instruction without a sub-op.
+    fn every_op() -> Vec<Instr> {
+        use Instr::*;
+        let (rd, rs1, rs2, cd, cs1) = (Reg::A0, Reg::A1, Reg::A2, Reg::A3, Reg::A4);
+        let mut all = vec![
+            Lui { rd, imm: 0x1000 },
+            Auipc { rd, imm: 0x2000 },
+            Jal { rd, off: 8 },
+            Jalr { rd, rs1, off: -4 },
+            Fence,
+            Ecall,
+            Ebreak,
+            Csrrs { rd, csr: crate::csr::MHARTID, rs1: Reg::ZERO },
+            Csrrs { rd, csr: 0x123, rs1 },
+            FSqrt { rd, rs1 },
+            FCvtWS { rd, rs1, signed: true },
+            FCvtWS { rd, rs1, signed: false },
+            FCvtSW { rd, rs1, signed: true },
+            FCvtSW { rd, rs1, signed: false },
+            CAndPerm { cd, cs1, rs2 },
+            CSetFlags { cd, cs1, rs2 },
+            CSetAddr { cd, cs1, rs2 },
+            CIncOffset { cd, cs1, rs2 },
+            CIncOffsetImm { cd, cs1, imm: -16 },
+            CSetBounds { cd, cs1, rs2 },
+            CSetBoundsExact { cd, cs1, rs2 },
+            CSetBoundsImm { cd, cs1, imm: 64 },
+            Clc { cd, cs1, off: 8 },
+            Csc { cs2: cd, cs1, off: -8 },
+            CSpecialRw { cd, cs1: Reg::ZERO, scr: crate::scr::ARG },
+        ];
+        for &op in AluOp::ALL {
+            all.push(Op { op, rd, rs1, rs2 });
+            all.push(OpImm { op, rd, rs1, imm: 3 });
+        }
+        all.extend(MulOp::ALL.iter().map(|&op| MulDiv { op, rd, rs1, rs2 }));
+        all.extend(BranchCond::ALL.iter().map(|&cond| Branch { cond, rs1, rs2, off: -8 }));
+        all.extend(LoadWidth::ALL.iter().map(|&w| Load { w, rd, rs1, off: 4 }));
+        all.extend(StoreWidth::ALL.iter().map(|&w| Store { w, rs2, rs1, off: 4 }));
+        all.extend(AmoOp::ALL.iter().map(|&op| Amo { op, rd, rs1, rs2 }));
+        all.extend(FpOp::ALL.iter().map(|&op| FOp { op, rd, rs1, rs2 }));
+        all.extend(FcmpOp::ALL.iter().map(|&op| FCmp { op, rd, rs1, rs2 }));
+        all.extend(UnaryCapOp::ALL.iter().map(|&op| CapUnary { op, rd, cs1 }));
+        all.extend(SimtOp::ALL.iter().map(|&op| Simt { op }));
+        all
+    }
+
+    /// `Display` begins with `mnemonic()` for every op (a named CSR read
+    /// prints its `csrr` alias instead).
     #[test]
     fn mnemonics_match_display_heads() {
-        let cases = [
-            Instr::Load { w: LoadWidth::W, rd: Reg::A0, rs1: Reg::SP, off: 8 },
-            Instr::OpImm { op: AluOp::Add, rd: Reg::A0, rs1: Reg::A1, imm: 1 },
-            Instr::Op { op: AluOp::Xor, rd: Reg::A0, rs1: Reg::A1, rs2: Reg::A2 },
-            Instr::Clc { cd: Reg::A0, cs1: Reg::A1, off: 0 },
-            Instr::Simt { op: SimtOp::Barrier },
-            Instr::FCvtWS { rd: Reg::A0, rs1: Reg::A1, signed: false },
-        ];
-        for i in &cases {
+        for i in every_op() {
             let full = i.to_string();
             let head = full.split_whitespace().next().unwrap();
-            assert_eq!(i.mnemonic(), head, "mnemonic mismatch for '{full}'");
+            let want = if head == "csrr" { "csrrs" } else { head };
+            assert_eq!(i.mnemonic(), want, "mnemonic mismatch for '{full}'");
         }
+    }
+
+    /// Each table's `from_code` inverts its `code`, so no two rows of one
+    /// table share a code.
+    #[test]
+    fn codes_roundtrip() {
+        fn check<T: Copy + PartialEq + core::fmt::Debug, C>(
+            all: &[T],
+            code: fn(T) -> C,
+            from_code: fn(C) -> Option<T>,
+        ) {
+            for &x in all {
+                assert_eq!(from_code(code(x)), Some(x));
+            }
+        }
+        check(AluOp::ALL, AluOp::code, AluOp::from_code);
+        check(MulOp::ALL, MulOp::code, MulOp::from_code);
+        check(BranchCond::ALL, BranchCond::code, BranchCond::from_code);
+        check(LoadWidth::ALL, LoadWidth::code, LoadWidth::from_code);
+        check(StoreWidth::ALL, StoreWidth::code, StoreWidth::from_code);
+        check(AmoOp::ALL, AmoOp::code, AmoOp::from_code);
+        check(FpOp::ALL, FpOp::code, FpOp::from_code);
+        check(FcmpOp::ALL, FcmpOp::code, FcmpOp::from_code);
+        check(UnaryCapOp::ALL, UnaryCapOp::code, UnaryCapOp::from_code);
+        check(SimtOp::ALL, SimtOp::code, SimtOp::from_code);
     }
 
     #[test]

@@ -44,43 +44,15 @@ pub(crate) mod cheri_f7 {
     pub(crate) const UNARY: u32 = 0x7F; // rs2 field selects the operation
 }
 
-pub(crate) fn unary_code(op: UnaryCapOp) -> u32 {
-    use UnaryCapOp::*;
-    match op {
-        GetTag => 0,
-        ClearTag => 1,
-        GetPerm => 2,
-        GetBase => 3,
-        GetLen => 4,
-        GetType => 5,
-        GetSealed => 6,
-        GetFlags => 7,
-        GetAddr => 8,
-        Move => 9,
-        SealEntry => 10,
-        Crrl => 11,
-        Cram => 12,
-    }
-}
+/// funct7 of the M extension under `OP`.
+pub(crate) const F7_MULDIV: u32 = 0x01;
 
-pub(crate) fn unary_from_code(code: u32) -> Option<UnaryCapOp> {
-    use UnaryCapOp::*;
-    Some(match code {
-        0 => GetTag,
-        1 => ClearTag,
-        2 => GetPerm,
-        3 => GetBase,
-        4 => GetLen,
-        5 => GetType,
-        6 => GetSealed,
-        7 => GetFlags,
-        8 => GetAddr,
-        9 => Move,
-        10 => SealEntry,
-        11 => Crrl,
-        12 => Cram,
-        _ => return None,
-    })
+/// funct7 codes under `OP-FP` outside [`FpOp`]'s own.
+pub(crate) mod fp_f7 {
+    pub(crate) const SQRT: u32 = 0x2C;
+    pub(crate) const CMP: u32 = 0x50;
+    pub(crate) const CVT_W_S: u32 = 0x60;
+    pub(crate) const CVT_S_W: u32 = 0x68;
 }
 
 fn r_type(opcode: u32, funct3: u32, funct7: u32, rd: Reg, rs1: Reg, rs2f: u32) -> u32 {
@@ -142,27 +114,15 @@ fn j_type(opcode: u32, rd: Reg, off: i32) -> u32 {
         | opcode
 }
 
-fn alu_imm_f3(op: AluOp) -> u32 {
-    match op {
-        AluOp::Add => 0,
-        AluOp::Sll => 1,
-        AluOp::Slt => 2,
-        AluOp::Sltu => 3,
-        AluOp::Xor => 4,
-        AluOp::Srl | AluOp::Sra => 5,
-        AluOp::Or => 6,
-        AluOp::And => 7,
-        AluOp::Sub => panic!("subi does not exist"),
-    }
-}
-
 impl Instr {
     /// Encode to a 32-bit instruction word.
     ///
     /// # Panics
     ///
-    /// Panics (in debug builds) if an immediate operand does not fit its
-    /// encoding field; the code generator is responsible for range splitting.
+    /// Panics on `OpImm { op: AluOp::Sub, .. }`, which has no encoding, in
+    /// every build; and (in debug builds) if an immediate operand does not
+    /// fit its encoding field: the code generator is responsible for range
+    /// splitting.
     pub fn encode(self) -> u32 {
         use Instr::*;
         match self {
@@ -170,112 +130,38 @@ impl Instr {
             Auipc { rd, imm } => u_type(OP_AUIPC, rd, imm),
             Jal { rd, off } => j_type(OP_JAL, rd, off),
             Jalr { rd, rs1, off } => i_type(OP_JALR, 0, rd, rs1, off),
-            Branch { cond, rs1, rs2, off } => {
-                let f3 = match cond {
-                    BranchCond::Eq => 0,
-                    BranchCond::Ne => 1,
-                    BranchCond::Lt => 4,
-                    BranchCond::Ge => 5,
-                    BranchCond::Ltu => 6,
-                    BranchCond::Geu => 7,
-                };
-                b_type(OP_BRANCH, f3, rs1, rs2, off)
+            Branch { cond, rs1, rs2, off } => b_type(OP_BRANCH, cond.code(), rs1, rs2, off),
+            Load { w, rd, rs1, off } => i_type(OP_LOAD, w.code(), rd, rs1, off),
+            Store { w, rs2, rs1, off } => s_type(OP_STORE, w.code(), rs1, rs2, off),
+            OpImm { op, rd, rs1, imm } => {
+                assert!(op != AluOp::Sub, "subi does not exist");
+                let (f3, f7) = op.code();
+                let imm = if op.is_shift() { (imm & 0x1F) | (f7 << 5) as i32 } else { imm };
+                i_type(OP_OPIMM, f3, rd, rs1, imm)
             }
-            Load { w, rd, rs1, off } => {
-                let f3 = match w {
-                    LoadWidth::B => 0,
-                    LoadWidth::H => 1,
-                    LoadWidth::W => 2,
-                    LoadWidth::Bu => 4,
-                    LoadWidth::Hu => 5,
-                };
-                i_type(OP_LOAD, f3, rd, rs1, off)
-            }
-            Store { w, rs2, rs1, off } => {
-                let f3 = match w {
-                    StoreWidth::B => 0,
-                    StoreWidth::H => 1,
-                    StoreWidth::W => 2,
-                };
-                s_type(OP_STORE, f3, rs1, rs2, off)
-            }
-            OpImm { op, rd, rs1, imm } => match op {
-                AluOp::Sll => i_type_u(OP_OPIMM, 1, rd, rs1, (imm as u32) & 0x1F),
-                AluOp::Srl => i_type_u(OP_OPIMM, 5, rd, rs1, (imm as u32) & 0x1F),
-                AluOp::Sra => i_type_u(OP_OPIMM, 5, rd, rs1, ((imm as u32) & 0x1F) | 0x400),
-                _ => i_type(OP_OPIMM, alu_imm_f3(op), rd, rs1, imm),
-            },
             Op { op, rd, rs1, rs2 } => {
-                let (f3, f7) = match op {
-                    AluOp::Add => (0, 0x00),
-                    AluOp::Sub => (0, 0x20),
-                    AluOp::Sll => (1, 0x00),
-                    AluOp::Slt => (2, 0x00),
-                    AluOp::Sltu => (3, 0x00),
-                    AluOp::Xor => (4, 0x00),
-                    AluOp::Srl => (5, 0x00),
-                    AluOp::Sra => (5, 0x20),
-                    AluOp::Or => (6, 0x00),
-                    AluOp::And => (7, 0x00),
-                };
+                let (f3, f7) = op.code();
                 r_type(OP_OP, f3, f7, rd, rs1, rs2.field())
             }
             MulDiv { op, rd, rs1, rs2 } => {
-                let f3 = match op {
-                    MulOp::Mul => 0,
-                    MulOp::Mulh => 1,
-                    MulOp::Mulhsu => 2,
-                    MulOp::Mulhu => 3,
-                    MulOp::Div => 4,
-                    MulOp::Divu => 5,
-                    MulOp::Rem => 6,
-                    MulOp::Remu => 7,
-                };
-                r_type(OP_OP, f3, 0x01, rd, rs1, rs2.field())
+                r_type(OP_OP, op.code(), F7_MULDIV, rd, rs1, rs2.field())
             }
-            Amo { op, rd, rs1, rs2 } => {
-                let f5 = match op {
-                    AmoOp::Add => 0x00,
-                    AmoOp::Swap => 0x01,
-                    AmoOp::Xor => 0x04,
-                    AmoOp::Or => 0x08,
-                    AmoOp::And => 0x0C,
-                    AmoOp::Min => 0x10,
-                    AmoOp::Max => 0x14,
-                    AmoOp::Minu => 0x18,
-                    AmoOp::Maxu => 0x1C,
-                };
-                r_type(OP_AMO, 2, f5 << 2, rd, rs1, rs2.field())
-            }
+            Amo { op, rd, rs1, rs2 } => r_type(OP_AMO, 2, op.code() << 2, rd, rs1, rs2.field()),
             Fence => i_type(OP_MISCMEM, 0, Reg::ZERO, Reg::ZERO, 0),
             Ecall => i_type(OP_SYSTEM, 0, Reg::ZERO, Reg::ZERO, 0),
             Ebreak => i_type(OP_SYSTEM, 0, Reg::ZERO, Reg::ZERO, 1),
             Csrrs { rd, csr, rs1 } => i_type_u(OP_SYSTEM, 2, rd, rs1, csr as u32),
             FOp { op, rd, rs1, rs2 } => {
-                let (f7, f3) = match op {
-                    FpOp::Add => (0x00, 0),
-                    FpOp::Sub => (0x04, 0),
-                    FpOp::Mul => (0x08, 0),
-                    FpOp::Div => (0x0C, 0),
-                    FpOp::Min => (0x14, 0),
-                    FpOp::Max => (0x14, 1),
-                };
+                let (f7, f3) = op.code();
                 r_type(OP_FP, f3, f7, rd, rs1, rs2.field())
             }
-            FSqrt { rd, rs1 } => r_type(OP_FP, 0, 0x2C, rd, rs1, 0),
-            FCmp { op, rd, rs1, rs2 } => {
-                let f3 = match op {
-                    FcmpOp::Le => 0,
-                    FcmpOp::Lt => 1,
-                    FcmpOp::Eq => 2,
-                };
-                r_type(OP_FP, f3, 0x50, rd, rs1, rs2.field())
-            }
-            FCvtWS { rd, rs1, signed } => r_type(OP_FP, 0, 0x60, rd, rs1, !signed as u32),
-            FCvtSW { rd, rs1, signed } => r_type(OP_FP, 0, 0x68, rd, rs1, !signed as u32),
+            FSqrt { rd, rs1 } => r_type(OP_FP, 0, fp_f7::SQRT, rd, rs1, 0),
+            FCmp { op, rd, rs1, rs2 } => r_type(OP_FP, op.code(), fp_f7::CMP, rd, rs1, rs2.field()),
+            FCvtWS { rd, rs1, signed } => r_type(OP_FP, 0, fp_f7::CVT_W_S, rd, rs1, !signed as u32),
+            FCvtSW { rd, rs1, signed } => r_type(OP_FP, 0, fp_f7::CVT_S_W, rd, rs1, !signed as u32),
 
             CapUnary { op, rd, cs1 } => {
-                r_type(OP_CHERI, cheri_f3::REG, cheri_f7::UNARY, rd, cs1, unary_code(op))
+                r_type(OP_CHERI, cheri_f3::REG, cheri_f7::UNARY, rd, cs1, op.code())
             }
             CAndPerm { cd, cs1, rs2 } => {
                 r_type(OP_CHERI, cheri_f3::REG, cheri_f7::AND_PERM, cd, cs1, rs2.field())
@@ -306,13 +192,7 @@ impl Instr {
             CSpecialRw { cd, cs1, scr } => {
                 r_type(OP_CHERI, cheri_f3::REG, cheri_f7::SPECIAL_RW, cd, cs1, scr as u32)
             }
-            Simt { op } => {
-                let imm = match op {
-                    SimtOp::Terminate => 0,
-                    SimtOp::Barrier => 1,
-                };
-                i_type(OP_CUSTOM0, 0, Reg::ZERO, Reg::ZERO, imm)
-            }
+            Simt { op } => i_type(OP_CUSTOM0, 0, Reg::ZERO, Reg::ZERO, op.code()),
         }
     }
 }

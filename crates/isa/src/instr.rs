@@ -1,85 +1,156 @@
-//! The instruction enumeration.
+//! The instruction enumeration and the instruction table.
+//!
+//! Every sub-op enum below is declared through `sub_ops!`, one line per
+//! variant holding its encoding field value and its mnemonic. That line is
+//! the only place either is written: `encode`, `decode`,
+//! [`Instr::mnemonic`] and `Display` all read the table.
 
 use crate::Reg;
 use cheri_cap::AccessWidth;
 
-/// ALU operations shared by the register and immediate forms.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub enum AluOp {
-    /// Addition (`add`/`addi`). In capability mode the result of address
-    /// arithmetic flows through `setAddr` (Figure 8).
-    Add,
-    /// Subtraction (register form only).
-    Sub,
-    /// Logical left shift.
-    Sll,
-    /// Signed less-than.
-    Slt,
-    /// Unsigned less-than.
-    Sltu,
-    /// Bitwise exclusive-or.
-    Xor,
-    /// Logical right shift.
-    Srl,
-    /// Arithmetic right shift.
-    Sra,
-    /// Bitwise or.
-    Or,
-    /// Bitwise and.
-    And,
+/// Declares one public sub-op enum and its rows of the instruction table.
+///
+/// Each variant is `Name = code, "mnemonic";` (ALU ops add the mnemonic of
+/// their immediate form). The macro generates the enum and crate-private
+/// `code` (the encoding field that selects the op), `from_code` (its
+/// inverse, `None` for a reserved value) and `name` (the mnemonic).
+macro_rules! sub_ops {
+    ($(#[$doc:meta])* $E:ident: $C:ty {
+        $($(#[$vdoc:meta])* $V:ident = $code:tt, $name:literal, $imm:literal;)*
+    }) => {
+        sub_ops! { $(#[$doc])* $E: $C { $($(#[$vdoc])* $V = $code, $name;)* } }
+
+        impl $E {
+            /// Mnemonic of the immediate form.
+            pub(crate) fn imm_name(self) -> &'static str {
+                match self { $($E::$V => $imm,)* }
+            }
+        }
+    };
+    ($(#[$doc:meta])* $E:ident: $C:ty {
+        $($(#[$vdoc:meta])* $V:ident = $code:tt, $name:literal;)*
+    }) => {
+        $(#[$doc])*
+        #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+        pub enum $E { $($(#[$vdoc])* $V,)* }
+
+        impl $E {
+            /// Every variant, in declaration order.
+            #[cfg(test)]
+            pub(crate) const ALL: &'static [$E] = &[$($E::$V),*];
+
+            /// The encoding field value that selects this op.
+            pub(crate) fn code(self) -> $C {
+                match self { $($E::$V => $code,)* }
+            }
+
+            /// The op that an encoding field value selects.
+            pub(crate) fn from_code(code: $C) -> Option<$E> {
+                match code { $($code => Some($E::$V),)* _ => None }
+            }
+
+            /// The mnemonic.
+            pub(crate) fn name(self) -> &'static str {
+                match self { $($E::$V => $name,)* }
+            }
+        }
+    };
 }
 
-/// M-extension multiply/divide operations.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub enum MulOp {
-    /// Low 32 bits of the product.
-    Mul,
-    /// High 32 bits of signed × signed.
-    Mulh,
-    /// High 32 bits of signed × unsigned.
-    Mulhsu,
-    /// High 32 bits of unsigned × unsigned.
-    Mulhu,
-    /// Signed division.
-    Div,
-    /// Unsigned division.
-    Divu,
-    /// Signed remainder.
-    Rem,
-    /// Unsigned remainder.
-    Remu,
+sub_ops! {
+    /// ALU operations shared by the register and immediate forms.
+    // (funct3, funct7) under OP; OP-IMM takes funct3, and a shift puts
+    // funct7 above its 5-bit shift amount.
+    AluOp: (u32, u32) {
+        /// Addition (`add`/`addi`). In capability mode the result of address
+        /// arithmetic flows through `setAddr` (Figure 8).
+        Add = (0, 0x00), "add", "addi";
+        /// Subtraction (register form only).
+        // `subi` is what `mnemonic` and `Display` print; `encode` rejects it.
+        Sub = (0, 0x20), "sub", "subi";
+        /// Logical left shift.
+        Sll = (1, 0x00), "sll", "slli";
+        /// Signed less-than.
+        Slt = (2, 0x00), "slt", "slti";
+        /// Unsigned less-than.
+        Sltu = (3, 0x00), "sltu", "sltui";
+        /// Bitwise exclusive-or.
+        Xor = (4, 0x00), "xor", "xori";
+        /// Logical right shift.
+        Srl = (5, 0x00), "srl", "srli";
+        /// Arithmetic right shift.
+        Sra = (5, 0x20), "sra", "srai";
+        /// Bitwise or.
+        Or = (6, 0x00), "or", "ori";
+        /// Bitwise and.
+        And = (7, 0x00), "and", "andi";
+    }
 }
 
-/// Branch conditions.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub enum BranchCond {
-    /// Equal.
-    Eq,
-    /// Not equal.
-    Ne,
-    /// Signed less-than.
-    Lt,
-    /// Signed greater-or-equal.
-    Ge,
-    /// Unsigned less-than.
-    Ltu,
-    /// Unsigned greater-or-equal.
-    Geu,
+impl AluOp {
+    /// True for the shifts, whose immediate form takes a 5-bit amount.
+    pub(crate) fn is_shift(self) -> bool {
+        matches!(self, AluOp::Sll | AluOp::Srl | AluOp::Sra)
+    }
 }
 
-/// Load widths (with zero/sign extension).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub enum LoadWidth {
-    /// Sign-extended byte.
-    B,
-    /// Sign-extended half-word.
-    H,
-    /// Word.
-    W,
-    /// Zero-extended byte.
-    Bu,
-    /// Zero-extended half-word.
-    Hu,
+sub_ops! {
+    /// M-extension multiply/divide operations.
+    // funct3 under OP with funct7 = 0x01.
+    MulOp: u32 {
+        /// Low 32 bits of the product.
+        Mul = 0, "mul";
+        /// High 32 bits of signed × signed.
+        Mulh = 1, "mulh";
+        /// High 32 bits of signed × unsigned.
+        Mulhsu = 2, "mulhsu";
+        /// High 32 bits of unsigned × unsigned.
+        Mulhu = 3, "mulhu";
+        /// Signed division.
+        Div = 4, "div";
+        /// Unsigned division.
+        Divu = 5, "divu";
+        /// Signed remainder.
+        Rem = 6, "rem";
+        /// Unsigned remainder.
+        Remu = 7, "remu";
+    }
+}
+
+sub_ops! {
+    /// Branch conditions.
+    // funct3 under BRANCH.
+    BranchCond: u32 {
+        /// Equal.
+        Eq = 0, "beq";
+        /// Not equal.
+        Ne = 1, "bne";
+        /// Signed less-than.
+        Lt = 4, "blt";
+        /// Signed greater-or-equal.
+        Ge = 5, "bge";
+        /// Unsigned less-than.
+        Ltu = 6, "bltu";
+        /// Unsigned greater-or-equal.
+        Geu = 7, "bgeu";
+    }
+}
+
+sub_ops! {
+    /// Load widths (with zero/sign extension).
+    // funct3 under LOAD.
+    LoadWidth: u32 {
+        /// Sign-extended byte.
+        B = 0, "lb";
+        /// Sign-extended half-word.
+        H = 1, "lh";
+        /// Word.
+        W = 2, "lw";
+        /// Zero-extended byte.
+        Bu = 4, "lbu";
+        /// Zero-extended half-word.
+        Hu = 5, "lhu";
+    }
 }
 
 impl LoadWidth {
@@ -93,15 +164,17 @@ impl LoadWidth {
     }
 }
 
-/// Store widths.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub enum StoreWidth {
-    /// Byte.
-    B,
-    /// Half-word.
-    H,
-    /// Word.
-    W,
+sub_ops! {
+    /// Store widths.
+    // funct3 under STORE.
+    StoreWidth: u32 {
+        /// Byte.
+        B = 0, "sb";
+        /// Half-word.
+        H = 1, "sh";
+        /// Word.
+        W = 2, "sw";
+    }
 }
 
 impl StoreWidth {
@@ -115,97 +188,108 @@ impl StoreWidth {
     }
 }
 
-/// A-extension atomic memory operations (word-sized).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub enum AmoOp {
-    /// Atomic swap.
-    Swap,
-    /// Atomic add.
-    Add,
-    /// Atomic xor.
-    Xor,
-    /// Atomic or.
-    Or,
-    /// Atomic and.
-    And,
-    /// Atomic signed minimum.
-    Min,
-    /// Atomic signed maximum.
-    Max,
-    /// Atomic unsigned minimum.
-    Minu,
-    /// Atomic unsigned maximum.
-    Maxu,
+sub_ops! {
+    /// A-extension atomic memory operations (word-sized).
+    // funct5 (funct7 above the aq/rl bits) under AMO with funct3 = 2.
+    AmoOp: u32 {
+        /// Atomic swap.
+        Swap = 0x01, "amoswap.w";
+        /// Atomic add.
+        Add = 0x00, "amoadd.w";
+        /// Atomic xor.
+        Xor = 0x04, "amoxor.w";
+        /// Atomic or.
+        Or = 0x08, "amoor.w";
+        /// Atomic and.
+        And = 0x0C, "amoand.w";
+        /// Atomic signed minimum.
+        Min = 0x10, "amomin.w";
+        /// Atomic signed maximum.
+        Max = 0x14, "amomax.w";
+        /// Atomic unsigned minimum.
+        Minu = 0x18, "amominu.w";
+        /// Atomic unsigned maximum.
+        Maxu = 0x1C, "amomaxu.w";
+    }
 }
 
-/// Zfinx-style floating-point operations (operands in integer registers).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub enum FpOp {
-    /// `fadd.s`
-    Add,
-    /// `fsub.s`
-    Sub,
-    /// `fmul.s`
-    Mul,
-    /// `fdiv.s` — served by the shared-function unit in SIMTight.
-    Div,
-    /// `fmin.s`
-    Min,
-    /// `fmax.s`
-    Max,
+sub_ops! {
+    /// Zfinx-style floating-point operations (operands in integer registers).
+    // (funct7, funct3) under OP-FP; funct3 is the rounding mode, which
+    // `encode` writes as 0, except where it tells fmin (0) from fmax.
+    FpOp: (u32, u32) {
+        /// `fadd.s`
+        Add = (0x00, 0), "fadd.s";
+        /// `fsub.s`
+        Sub = (0x04, 0), "fsub.s";
+        /// `fmul.s`
+        Mul = (0x08, 0), "fmul.s";
+        /// `fdiv.s` — served by the shared-function unit in SIMTight.
+        Div = (0x0C, 0), "fdiv.s";
+        /// `fmin.s`
+        Min = (0x14, 0), "fmin.s";
+        /// `fmax.s`
+        Max = (0x14, 1), "fmax.s";
+    }
 }
 
-/// Floating-point comparisons writing 0/1 to an integer register.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub enum FcmpOp {
-    /// `feq.s`
-    Eq,
-    /// `flt.s`
-    Lt,
-    /// `fle.s`
-    Le,
+sub_ops! {
+    /// Floating-point comparisons writing 0/1 to an integer register.
+    // funct3 under OP-FP with funct7 = 0x50.
+    FcmpOp: u32 {
+        /// `feq.s`
+        Eq = 2, "feq.s";
+        /// `flt.s`
+        Lt = 1, "flt.s";
+        /// `fle.s`
+        Le = 0, "fle.s";
+    }
 }
 
-/// Unary CHERI inspection/manipulation operations (single `cs1` operand).
-///
-/// These map one-to-one onto the left column of Figure 4.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub enum UnaryCapOp {
-    /// `CGetTag rd, cs1`
-    GetTag,
-    /// `CClearTag cd, cs1`
-    ClearTag,
-    /// `CGetPerm rd, cs1`
-    GetPerm,
-    /// `CGetBase rd, cs1` — shared-function-unit op in the optimised design.
-    GetBase,
-    /// `CGetLen rd, cs1` — shared-function-unit op in the optimised design.
-    GetLen,
-    /// `CGetType rd, cs1`
-    GetType,
-    /// `CGetSealed rd, cs1`
-    GetSealed,
-    /// `CGetFlags rd, cs1`
-    GetFlags,
-    /// `CGetAddr rd, cs1`
-    GetAddr,
-    /// `CMove cd, cs1`
-    Move,
-    /// `CSealEntry cd, cs1`
-    SealEntry,
-    /// `CRRL rd, rs1` (representable rounded length) — SFU op.
-    Crrl,
-    /// `CRAM rd, rs1` (representable alignment mask) — SFU op.
-    Cram,
+sub_ops! {
+    /// Unary CHERI inspection/manipulation operations (single `cs1` operand).
+    ///
+    /// These map one-to-one onto the left column of Figure 4.
+    // The rs2 field of the CHERI R-type group's funct7 = 0x7F.
+    UnaryCapOp: u32 {
+        /// `CGetTag rd, cs1`
+        GetTag = 0, "cgettag";
+        /// `CClearTag cd, cs1`
+        ClearTag = 1, "ccleartag";
+        /// `CGetPerm rd, cs1`
+        GetPerm = 2, "cgetperm";
+        /// `CGetBase rd, cs1` — shared-function-unit op in the optimised design.
+        GetBase = 3, "cgetbase";
+        /// `CGetLen rd, cs1` — shared-function-unit op in the optimised design.
+        GetLen = 4, "cgetlen";
+        /// `CGetType rd, cs1`
+        GetType = 5, "cgettype";
+        /// `CGetSealed rd, cs1`
+        GetSealed = 6, "cgetsealed";
+        /// `CGetFlags rd, cs1`
+        GetFlags = 7, "cgetflags";
+        /// `CGetAddr rd, cs1`
+        GetAddr = 8, "cgetaddr";
+        /// `CMove cd, cs1`
+        Move = 9, "cmove";
+        /// `CSealEntry cd, cs1`
+        SealEntry = 10, "csealentry";
+        /// `CRRL rd, rs1` (representable rounded length) — SFU op.
+        Crrl = 11, "crrl";
+        /// `CRAM rd, rs1` (representable alignment mask) — SFU op.
+        Cram = 12, "cram";
+    }
 }
 
-/// Custom SIMT control operations (custom-0 opcode space).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub enum SimtOp {
-    /// The executing thread is finished with the kernel.
-    Terminate,
-    /// Block-level barrier (`__syncthreads`).
-    Barrier,
+sub_ops! {
+    /// Custom SIMT control operations (custom-0 opcode space).
+    // The I-type immediate under custom-0 with funct3 = 0.
+    SimtOp: i32 {
+        /// The executing thread is finished with the kernel.
+        Terminate = 0, "simt.terminate";
+        /// Block-level barrier (`__syncthreads`).
+        Barrier = 1, "simt.barrier";
+    }
 }
 
 /// A decoded instruction.

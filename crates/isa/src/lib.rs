@@ -14,6 +14,16 @@
 //! `CSC`, `CSpecialRW`, ...) get encodings of their own, under the CHERI
 //! opcode `0x5B`.
 //!
+//! # The instruction table
+//!
+//! Each sub-op enum ([`AluOp`], [`MulOp`], [`BranchCond`], [`LoadWidth`],
+//! [`StoreWidth`], [`AmoOp`], [`FpOp`], [`FcmpOp`], [`UnaryCapOp`],
+//! [`SimtOp`]) is declared once, in `instr.rs`, one line per variant
+//! holding the encoding field value that selects it and its mnemonic.
+//! [`Instr::encode`], [`Instr::decode`], [`Instr::mnemonic`] and `Display`
+//! all read that table; the major opcodes and the Xcheri minor opcodes
+//! they dispatch on are the constants of `encode.rs`.
+//!
 //! # Example
 //!
 //! ```
