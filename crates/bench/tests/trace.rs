@@ -2,13 +2,16 @@
 //! trace/counter reconciliation through the full `Gpu` launch path, and
 //! zero stats drift when tracing is disabled.
 
+use cheri_cap::CapException;
 use cheri_simt::trace::validate::validate_auto;
 use cheri_simt::trace::TraceEvent;
+use cheri_simt::TrapCause;
 use nocl::Gpu;
 use nocl_suite::{NoclBench, Scale};
 use repro::{
     resolve_benches, trace_config, trace_suite_on, write_runs, Geometry, TraceFormat, TracedRun,
 };
+use simt_mem::MemFault;
 
 fn benches(names: &[&str]) -> Vec<&'static dyn NoclBench> {
     names.iter().flat_map(|n| resolve_benches(n).unwrap()).collect()
@@ -66,8 +69,6 @@ fn tracing_causes_zero_stats_drift() {
     }
 }
 
-/// The validator accepts both exports of a real run and rejects the same
-/// bytes once corrupted.
 /// The JSON-lines example in `docs/TRACING.md` is real output: one of the
 /// lines `repro trace matmul --mode purecap --format jsonl` writes.
 #[test]
@@ -88,6 +89,49 @@ fn tracing_doc_example_is_written_for_matmul() {
     assert!(jsonl.lines().any(|l| l == example), "not written for MatMul [purecap]: {example}");
 }
 
+/// `docs/TRACING.md` lists every name a `trap` event's `cause` takes:
+/// `TrapCause::name` over every variant, in declaration order.
+#[test]
+fn tracing_doc_lists_every_trap_cause() {
+    let doc = include_str!("../../../docs/TRACING.md");
+    let (_, rest) =
+        doc.split_once("`trap.cause` is the stable trap-cause name (`TrapCause::name`):").unwrap();
+    let (list, _) = rest.split_once('.').unwrap();
+    let documented: Vec<&str> = list.split(',').map(|name| name.trim().trim_matches('`')).collect();
+    let every = CapException::ALL
+        .map(TrapCause::Cheri)
+        .into_iter()
+        .chain(
+            [MemFault::Unmapped(0), MemFault::Misaligned(0), MemFault::BadWidth(0)]
+                .map(TrapCause::Mem),
+        )
+        .chain([
+            TrapCause::IllegalInstr(0),
+            TrapCause::Environment,
+            TrapCause::FetchOutOfRange(0),
+            TrapCause::RegionBound(0),
+        ]);
+    let named: Vec<&str> = every
+        .map(|cause| {
+            // A new variant fails to compile here until it is listed above.
+            match cause {
+                TrapCause::Cheri(_)
+                | TrapCause::Mem(
+                    MemFault::Unmapped(_) | MemFault::Misaligned(_) | MemFault::BadWidth(_),
+                )
+                | TrapCause::IllegalInstr(_)
+                | TrapCause::Environment
+                | TrapCause::FetchOutOfRange(_)
+                | TrapCause::RegionBound(_) => cause.name(),
+            }
+        })
+        .collect();
+    assert_eq!(documented.len(), 17);
+    assert_eq!(documented, named);
+}
+
+/// The validator accepts both exports of a real run and rejects the same
+/// bytes once corrupted.
 #[test]
 fn validator_accepts_real_traces_and_rejects_corruption() {
     let benches = resolve_benches("vecadd").unwrap();
