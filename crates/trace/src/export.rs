@@ -20,6 +20,7 @@
 
 use crate::{TraceEvent, NO_WARP};
 use std::collections::BTreeSet;
+use std::fmt;
 use std::io::{self, Write};
 
 /// One traced simulation cell: a labelled event stream (typically one
@@ -32,96 +33,37 @@ pub struct TraceCell<'a> {
     pub events: &'a [TraceEvent],
 }
 
-/// Write `s` escaped for inclusion in a JSON string literal.
-fn escape(w: &mut impl Write, s: &str) -> io::Result<()> {
-    let mut rest = s.as_bytes();
-    while let Some(i) = rest.iter().position(|&b| b == b'"' || b == b'\\' || b < 0x20) {
-        w.write_all(&rest[..i])?;
-        match rest[i] {
-            b'"' => w.write_all(b"\\\"")?,
-            b'\\' => w.write_all(b"\\\\")?,
-            b'\n' => w.write_all(b"\\n")?,
-            b'\r' => w.write_all(b"\\r")?,
-            b'\t' => w.write_all(b"\\t")?,
-            c => write!(w, "\\u{c:04x}")?,
+/// A string that displays escaped for inclusion in a JSON string literal.
+pub(crate) struct Escaped<'a>(pub(crate) &'a str);
+
+impl fmt::Display for Escaped<'_> {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        let mut rest = self.0;
+        while let Some(i) = rest.bytes().position(|b| b == b'"' || b == b'\\' || b < 0x20) {
+            f.write_str(&rest[..i])?;
+            match rest.as_bytes()[i] {
+                b'"' => f.write_str("\\\"")?,
+                b'\\' => f.write_str("\\\\")?,
+                b'\n' => f.write_str("\\n")?,
+                b'\r' => f.write_str("\\r")?,
+                b'\t' => f.write_str("\\t")?,
+                c => write!(f, "\\u{c:04x}")?,
+            }
+            rest = &rest[i + 1..];
         }
-        rest = &rest[i + 1..];
+        f.write_str(rest)
     }
-    w.write_all(rest)
 }
 
-/// Write one event's fields, each after a comma: the tail of a JSON-lines
-/// object and of a Chrome entry's `args`, both of which open with the
-/// event's `type`.
-fn write_fields(w: &mut impl Write, ev: &TraceEvent) -> io::Result<()> {
-    match *ev {
-        TraceEvent::Launch { cycle, warps } => write!(w, ",\"cycle\":{cycle},\"warps\":{warps}"),
-        TraceEvent::Issue { cycle, warp, pc, mask, mnemonic, class } => {
-            write!(
-                w,
-                ",\"cycle\":{cycle},\"warp\":{warp},\"pc\":\"{pc:#x}\",\"mask\":\"{mask:#x}\""
-            )?;
-            w.write_all(b",\"mnemonic\":\"")?;
-            escape(w, mnemonic)?;
-            write!(w, "\",\"class\":\"{}\"", class.name())
-        }
-        TraceEvent::Stall { cycle, warp, cause, cycles } => {
-            write!(w, ",\"cycle\":{cycle}")?;
-            if warp != NO_WARP {
-                write!(w, ",\"warp\":{warp}")?;
-            }
-            write!(w, ",\"cause\":\"{}\",\"cycles\":{cycles}", cause.name())
-        }
-        TraceEvent::Mem {
-            cycle,
-            warp,
-            space,
-            is_store,
-            lanes,
-            transactions,
-            uniform,
-            conflict_cycles,
-        } => write!(
-            w,
-            ",\"cycle\":{cycle},\"warp\":{warp},\"space\":\"{}\",\"is_store\":{is_store},\
-             \"lanes\":{lanes},\"transactions\":{transactions},\"uniform\":{uniform},\
-             \"conflict_cycles\":{conflict_cycles}",
-            space.name()
-        ),
-        TraceEvent::TagCache { cycle, warp, hit, writeback } => {
-            write!(w, ",\"cycle\":{cycle},\"warp\":{warp},\"hit\":{hit},\"writeback\":{writeback}")
-        }
-        TraceEvent::Dram { cycle, warp, reads, writes, tag_txns, done_at } => {
-            write!(w, ",\"cycle\":{cycle}")?;
-            if warp != NO_WARP {
-                write!(w, ",\"warp\":{warp}")?;
-            }
-            write!(
-                w,
-                ",\"reads\":{reads},\"writes\":{writes},\"tag_txns\":{tag_txns},\
-                 \"done_at\":{done_at}"
-            )
-        }
-        TraceEvent::Sfu { cycle, warp, lanes, latency } => {
-            write!(w, ",\"cycle\":{cycle},\"warp\":{warp},\"lanes\":{lanes},\"latency\":{latency}")
-        }
-        TraceEvent::RfTransition { cycle, warp, rf, reg, to_vector } => write!(
-            w,
-            ",\"cycle\":{cycle},\"warp\":{warp},\"rf\":\"{}\",\"reg\":{reg},\
-             \"to_vector\":{to_vector}",
-            rf.name()
-        ),
-        TraceEvent::Barrier { cycle, warp, release } => {
-            write!(w, ",\"cycle\":{cycle},\"warp\":{warp},\"release\":{release}")
-        }
-        TraceEvent::Trap { cycle, warp, pc, mask, cause, suppressed } => {
-            write!(
-                w,
-                ",\"cycle\":{cycle},\"warp\":{warp},\"pc\":\"{pc:#x}\",\"mask\":\"{mask:#x}\""
-            )?;
-            w.write_all(b",\"cause\":\"")?;
-            escape(w, cause)?;
-            write!(w, "\",\"suppressed\":{suppressed}")
+/// A warp field that displays as `key` and the warp, or as nothing for
+/// [`NO_WARP`].
+pub(crate) struct WarpKey(pub(crate) &'static str, pub(crate) u32);
+
+impl fmt::Display for WarpKey {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match *self {
+            WarpKey(_, NO_WARP) => Ok(()),
+            WarpKey(key, warp) => write!(f, "{key}{warp}"),
         }
     }
 }
@@ -135,11 +77,10 @@ fn write_fields(w: &mut impl Write, ev: &TraceEvent) -> io::Result<()> {
 /// The first error `w` returns.
 pub fn write_jsonl<W: Write>(mut w: W, cells: &[TraceCell]) -> io::Result<()> {
     for cell in cells {
+        let head = format!("{{\"cell\":\"{}\",", Escaped(cell.label));
         for ev in cell.events {
-            w.write_all(b"{\"cell\":\"")?;
-            escape(&mut w, cell.label)?;
-            write!(w, "\",\"type\":\"{}\"", ev.kind())?;
-            write_fields(&mut w, ev)?;
+            w.write_all(head.as_bytes())?;
+            ev.write_json(&mut w)?;
             w.write_all(b"}\n")?;
         }
     }
@@ -203,15 +144,13 @@ fn chrome_event(
     ev: &TraceEvent,
 ) -> io::Result<()> {
     let ph = if dur.is_some() { 'X' } else { 'i' };
-    write!(w, "{{\"ph\":\"{ph}\",\"name\":\"")?;
-    escape(w, name)?;
-    write!(w, "\",\"pid\":{pid},\"tid\":{tid},\"ts\":{}", ev.cycle())?;
+    let (name, ts) = (Escaped(name), ev.cycle());
+    write!(w, "{{\"ph\":\"{ph}\",\"name\":\"{name}\",\"pid\":{pid},\"tid\":{tid},\"ts\":{ts}")?;
     match dur {
-        Some(d) => write!(w, ",\"dur\":{d}")?,
-        None => w.write_all(b",\"s\":\"t\"")?,
+        Some(d) => write!(w, ",\"dur\":{d},\"args\":{{")?,
+        None => w.write_all(b",\"s\":\"t\",\"args\":{")?,
     }
-    write!(w, ",\"args\":{{\"type\":\"{}\"", ev.kind())?;
-    write_fields(w, ev)?;
+    ev.write_json(w)?;
     w.write_all(b"}},\n")
 }
 
@@ -226,9 +165,7 @@ fn chrome_meta(
     if let Some(t) = tid {
         write!(w, ",\"tid\":{t}")?;
     }
-    w.write_all(b",\"args\":{\"name\":\"")?;
-    escape(w, name)?;
-    w.write_all(b"\"}},\n")
+    writeln!(w, ",\"args\":{{\"name\":\"{}\"}}}},", Escaped(name))
 }
 
 /// Write cells in Chrome trace-event format (a JSON object with a
@@ -484,8 +421,6 @@ mod tests {
 
     #[test]
     fn escape_handles_specials() {
-        let mut s = Vec::new();
-        escape(&mut s, "a\"b\\c\nd\u{1}").unwrap();
-        assert_eq!(s, b"a\\\"b\\\\c\\nd\\u0001");
+        assert_eq!(Escaped("a\"b\\c\nd\u{1}").to_string(), "a\\\"b\\\\c\\nd\\u0001");
     }
 }
