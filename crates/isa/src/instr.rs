@@ -73,7 +73,7 @@ sub_ops! {
         /// Signed less-than.
         Slt = (2, 0x00), "slt", "slti";
         /// Unsigned less-than.
-        Sltu = (3, 0x00), "sltu", "sltui";
+        Sltu = (3, 0x00), "sltu", "sltiu";
         /// Bitwise exclusive-or.
         Xor = (4, 0x00), "xor", "xori";
         /// Logical right shift.
