@@ -190,9 +190,10 @@ impl Sm {
         Ok(())
     }
 
-    /// Loads, stores, capability-wide transfers and atomics. Always
-    /// per-lane (addresses diverge); the memory pipeline proper lives in
-    /// [`super::memstage`].
+    /// Loads, stores, capability-wide transfers and atomics: the issue-time
+    /// stalls of a capability access, then the memory pipeline proper in
+    /// [`super::memstage`]. Memory issues are classified per-lane, but the
+    /// stage checks and commits a warp once where its addresses allow.
     fn exec_mem(
         &mut self,
         ms: &mut MemSystem,

@@ -5,10 +5,14 @@
 //! transfer and atomic — per-lane effective addresses, the CHERI /
 //! bounds-table / alignment / mapping checks (once per warp when the two
 //! ends of its address span vouch for every lane, lane by lane otherwise),
-//! then the commit against whichever store the address routes to. The rest
-//! of the module charges the access: the compressed stack cache filter
-//! (`stack_cache_hits`), coalescing, tag-cache lookups, DRAM and scratchpad
-//! timing, and the atomic-conflict serialisation model.
+//! then the commit against whichever store the address routes to. The
+//! commit trusts the check: it indexes the routed memory without checking
+//! again (routing once for a warp the span ends vouched for), and a load
+//! whose active lanes share one address reads it once and writes the
+//! destination compactly. The rest of the module charges the access: the
+//! compressed stack cache filter (`stack_cache_hits`), coalescing,
+//! tag-cache lookups, DRAM and scratchpad timing, and the atomic-conflict
+//! serialisation model.
 
 use super::operands::{pack_meta, unpack_meta, CapMemo};
 use super::{active_lanes, Costs};
@@ -21,8 +25,16 @@ use crate::trap::{LaneFault, Trap, TrapCause};
 use crate::warp::Selection;
 use simt_isa::LoadWidth;
 use simt_mem::{coalesce_blocks, map, LaneRequest, MainMemory, MemFault, TRANSACTION_BYTES};
-use simt_regfile::{MAX_LANES, NULL_META};
+use simt_regfile::{OperandVec, MAX_LANES, NULL_META};
 use simt_trace::{MemSpace, TraceEvent};
+
+/// What [`Sm::check_warp`] vouches for: the memory every active lane's
+/// access routes to, and whether every active lane accesses one address.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+struct Vouched {
+    region: map::Region,
+    uniform: bool,
+}
 
 impl Sm {
     /// One warp-wide memory access, check-then-commit, over the loaned
@@ -32,7 +44,8 @@ impl Sm {
     /// nulled for the non-CHERI capability-store corner) are fully
     /// overwritten by the operand reads before use; `eas` is written per
     /// active lane in the check phase; `r`/`rm` are written per active lane
-    /// in the commit phase and committed under the mask.
+    /// in the commit phase and committed under the mask, unless a broadcast
+    /// load commits its one value compactly.
     pub(crate) fn do_mem(
         &mut self,
         bufs: &mut LaneBufs,
@@ -42,14 +55,12 @@ impl Sm {
         op: &MemOp,
         costs: &mut Costs,
     ) -> Result<(), Box<Trap>> {
-        let MemOp { addr: addr_reg, reg, src, width, kind, .. } = *op;
-        let bytes = width.bytes();
+        let MemOp { addr: addr_reg, reg, src, kind, .. } = *op;
         let lanes = self.cfg.lanes as usize;
-        let dram_size = self.cfg.dram_size;
         let mask = sel.mask;
         let cheri = self.cheri();
         let (is_cap, amo) = (kind.is_cap(), matches!(kind, MemKind::Amo(_)));
-        let LaneBufs { a, am, b, bm, r, rm, eas, dram_reqs, scratch_reqs, .. } = bufs;
+        let LaneBufs { a, am, b, bm, .. } = bufs;
         // Operand reads, in each kind's own order (a read can fill and
         // spill, so the order is architecturally visible): an AMO reads its
         // operand before the address, a store after it.
@@ -78,68 +89,100 @@ impl Sm {
         // traps are warp-precise and carry the full faulting-lane set. A
         // warp the ends of its address span vouch for skips the per-lane
         // checks and routes once; any other warp checks every active lane.
-        let route = self.check_warp(ms, a, am, eas, mask, op);
-        if route.is_none() {
-            let faults = self.check_lanes(ms, a, am, eas, mask, op);
+        let vouched = self.check_warp(ms, &bufs.a, &bufs.am, &mut bufs.eas, mask, op);
+        if vouched.is_none() {
+            let faults = self.check_lanes(ms, &bufs.a, &bufs.am, &mut bufs.eas, mask, op);
             if let Some(t) = Trap::from_lane_faults(w, sel.pc, faults) {
                 return Err(t.into());
             }
         }
-
-        // Commit phase: functional access + request collection, in lane
-        // order (which defines the intra-warp atomicity order). The check
-        // phase vouched for every lane, so no access below can fault.
-        dram_reqs.clear();
-        scratch_reqs.clear();
-        for i in active_lanes(mask, lanes) {
-            let ea = eas[i];
-            let res: Result<(), MemFault> = (|| {
-                let region = route.unwrap_or_else(|| map::route(ea, dram_size));
-                let (store, reqs): (&mut MainMemory, _) = match region {
-                    map::Region::Dram => (&mut ms.mem, &mut *dram_reqs),
-                    map::Region::Scratch => (&mut self.scratch, &mut *scratch_reqs),
-                    _ => return Err(MemFault::Unmapped(ea)),
-                };
-                reqs.push(LaneRequest { addr: ea, bytes });
-                match kind {
-                    MemKind::Load(lw) => r[i] = sign_extend(store.read(ea, bytes)?, lw) as u64,
-                    MemKind::Store => store.write(ea, b[i] as u32, bytes)?,
-                    MemKind::LoadCap => {
-                        let c = store.read_cap(ea)?;
-                        r[i] = c.addr() as u64;
-                        rm[i] = pack_meta(c);
-                    }
-                    MemKind::StoreCap => store.write_cap(ea, unpack_meta(bm[i], b[i] as u32))?,
-                    MemKind::Amo(f) => {
-                        let old = store.read(ea, bytes)?;
-                        store.write(ea, exec::amo(f, old, b[i] as u32), bytes)?;
-                        r[i] = old as u64;
-                    }
-                }
-                Ok(())
-            })();
-            if let Err(f) = res {
-                unreachable!("memory fault escaped the check phase: {f}");
-            }
-        }
+        let broadcast = self.commit_mem(ms, bufs, vouched, mask, op);
 
         // Timing: an atomic is a read + write transaction per block, and
         // conflicting lanes serialise.
+        let LaneBufs { r, rm, dram_reqs, scratch_reqs, .. } = bufs;
         self.charge_memory(ms, w, dram_reqs, scratch_reqs, kind.writes());
         if amo {
             self.serialise_atomics(w, dram_reqs, scratch_reqs);
         }
-        if kind.has_dest() {
+        if let Some((val, meta)) = broadcast {
+            self.writeback_compact(w, reg, &OperandVec::Uniform(val), meta, mask, costs);
+        } else if kind.has_dest() {
             let meta = (kind == MemKind::LoadCap).then_some(&rm[..]);
             self.writeback(w, reg, &r[..], meta, mask, costs);
         }
         Ok(())
     }
 
-    /// The warp-wide check: `Some(region)` when every active lane's access
-    /// is clean and routes to `region`, decided from the two ends of the
-    /// warp's address span; `None` when [`Sm::check_lanes`] must decide.
-    /// Writes each active lane's effective address to `eas`.
+    /// The commit phase: the functional access of every active lane, in
+    /// lane order (which defines the intra-warp atomicity order), and its
+    /// DRAM or scratchpad request. The check phase vouched for every lane,
+    /// so the accesses index the routed memory without checking it again.
+    /// A load whose lanes all read one address reads it once and returns
+    /// the result, `(value, metadata of a CLC)`, for a compact writeback;
+    /// every other result is left per lane in `r`/`rm`.
+    fn commit_mem(
+        &mut self,
+        ms: &mut MemSystem,
+        bufs: &mut LaneBufs,
+        vouched: Option<Vouched>,
+        mask: u64,
+        op: &MemOp,
+    ) -> Option<(u64, Option<u64>)> {
+        let MemOp { width, kind, .. } = *op;
+        let bytes = width.bytes();
+        let dram_size = self.cfg.dram_size;
+        let LaneBufs { b, bm, r, rm, eas, dram_reqs, scratch_reqs, .. } = bufs;
+        dram_reqs.clear();
+        scratch_reqs.clear();
+        let broadcast = vouched.is_some_and(|v| v.uniform)
+            && matches!(kind, MemKind::Load(_) | MemKind::LoadCap);
+        for i in active_lanes(mask, self.cfg.lanes as usize) {
+            let ea = eas[i];
+            // The check phase routed every lane to DRAM or the scratchpad.
+            let region = vouched.map_or_else(|| map::route(ea, dram_size), |v| v.region);
+            let (store, reqs): (&mut MainMemory, _) = match region {
+                map::Region::Dram => (&mut ms.mem, &mut *dram_reqs),
+                _ => (&mut self.scratch, &mut *scratch_reqs),
+            };
+            if broadcast {
+                // Every active lane reads `ea`: one read, a request per lane.
+                let active = (mask & self.full_mask).count_ones() as usize;
+                reqs.resize(active, LaneRequest { addr: ea, bytes });
+                return Some(match kind {
+                    MemKind::Load(lw) => {
+                        (sign_extend(store.read_vouched(ea, bytes), lw).into(), None)
+                    }
+                    _ => {
+                        let c = store.read_cap_vouched(ea);
+                        (c.addr().into(), Some(pack_meta(c)))
+                    }
+                });
+            }
+            reqs.push(LaneRequest { addr: ea, bytes });
+            match kind {
+                MemKind::Load(lw) => r[i] = sign_extend(store.read_vouched(ea, bytes), lw).into(),
+                MemKind::Store => store.write_vouched(ea, b[i] as u32, bytes),
+                MemKind::LoadCap => {
+                    let c = store.read_cap_vouched(ea);
+                    r[i] = c.addr().into();
+                    rm[i] = pack_meta(c);
+                }
+                MemKind::StoreCap => store.write_cap_vouched(ea, unpack_meta(bm[i], b[i] as u32)),
+                MemKind::Amo(f) => {
+                    let old = store.read_vouched(ea, bytes);
+                    store.write_vouched(ea, exec::amo(f, old, b[i] as u32), bytes);
+                    r[i] = old.into();
+                }
+            }
+        }
+        None
+    }
+
+    /// The warp-wide check: `Some` when every active lane's access is clean
+    /// and routes to one memory, decided from the two ends of the warp's
+    /// address span; `None` when [`Sm::check_lanes`] must decide. Writes
+    /// each active lane's effective address to `eas`.
     ///
     /// One pass collects the address span `a_lo..=a_hi`, the
     /// effective-address span `e_lo..=e_hi`, the OR of the effective
@@ -167,7 +210,7 @@ impl Sm {
         eas: &mut [u32; MAX_LANES],
         mask: u64,
         op: &MemOp,
-    ) -> Option<map::Region> {
+    ) -> Option<Vouched> {
         if self.bounds_table.is_some() {
             return None;
         }
@@ -218,7 +261,9 @@ impl Sm {
             _ => return None,
         };
         let probe = |ea| if is_cap { mem.check_cap(ea) } else { mem.check(ea, bytes) }.is_ok();
-        (!mem.has_unmapped_windows() && probe(e_lo) && probe(e_hi)).then_some(region)
+        let uniform = e_lo == e_hi;
+        (!mem.has_unmapped_windows() && probe(e_lo) && probe(e_hi))
+            .then_some(Vouched { region, uniform })
     }
 
     /// The per-lane check phase: effective address, CHERI/bounds-table,
@@ -528,6 +573,108 @@ mod tests {
         }
     }
 
+    /// One generated warp-wide access: the op, the address operand and its
+    /// metadata, the selection mask and, sometimes, an unmapped window over
+    /// some active lane's access.
+    struct Draw {
+        op: MemOp,
+        a: [u64; MAX_LANES],
+        am: [u64; MAX_LANES],
+        mask: u64,
+        window: Option<(u32, u32)>,
+    }
+
+    /// A seeded warp of any target, address shape (uniform, affine or
+    /// scattered), mask, metadata shape and width, for an SM whose full
+    /// lane mask is `full_mask`.
+    fn draw(r: &mut Prng, full_mask: u64) -> Draw {
+        let (kind, width) = *r.choose(&mem_ops());
+        let obj = target(r);
+        let cap = capability(r, obj);
+        let region = cap.region();
+        let span = r.range_u32(0, 512);
+        // Where the lane addresses start: the object, its top, either
+        // edge of its representable region, or anywhere.
+        let mut base = match r.range_u32(0, 6) {
+            0 | 1 => cap.addr(),
+            2 => (cap.top() as u32).wrapping_sub(r.range_u32(0, 64)),
+            3 => region.lo.wrapping_sub(r.range_u32(0, span + 1)),
+            4 => region.last.wrapping_sub(r.range_u32(0, span + 1)),
+            _ => target(r),
+        };
+        if r.range_u32(0, 4) > 0 {
+            base &= !7;
+        }
+        let stride = *r.choose(&[0u32, 1, 2, 4, 8, 16, 4u32.wrapping_neg(), 64, 256]);
+        let scattered = r.next_bool();
+        let mut a = [0u64; MAX_LANES];
+        for (i, lane) in a.iter_mut().enumerate().take(LANES as usize) {
+            *lane = u64::from(if scattered {
+                base.wrapping_add(r.range_u32(0, span + 1) & !7)
+            } else {
+                base.wrapping_add(stride.wrapping_mul(i as u32))
+            });
+        }
+        // Sometimes one lane, anywhere in the warp, is misaligned.
+        if r.chance(1, 4) {
+            a[r.range_usize(0, LANES as usize)] += u64::from(r.range_u32(1, 8));
+        }
+        let mask = match r.range_u32(0, 4) {
+            0 | 1 => full_mask,
+            2 => r.next_u64() & full_mask,
+            _ => 1 << r.range_u32(0, LANES),
+        };
+        let active: Vec<usize> = active_lanes(mask, LANES as usize).collect();
+        let a_lo = active.iter().map(|&i| a[i] as u32).min().unwrap_or(0);
+        let off = match r.range_u32(0, 4) {
+            0 => 0,
+            1 => *r.choose(&[4, 8, 0x100, 4u32.wrapping_neg(), 0x100u32.wrapping_neg()]),
+            // Land the lowest lane's access inside the object.
+            2 => cap.base().wrapping_add(r.range_u32(0, 64)).wrapping_sub(a_lo) & !7,
+            _ => r.range_u32(0, 64),
+        };
+        // Uniform metadata, or a mix of the capability, its untagged
+        // twin, another object's capability and null.
+        let meta = Sm::cap_parts(cap).0;
+        let obj = target(r);
+        let other = Sm::cap_parts(capability(r, obj)).0;
+        let uniform = r.range_u32(0, 4) > 0;
+        let mut am = [0u64; MAX_LANES];
+        for m in am.iter_mut().take(LANES as usize) {
+            *m = if uniform {
+                meta
+            } else {
+                *r.choose(&[meta, meta & !(1 << 32), other, NULL_META])
+            };
+        }
+        // An injected window over some active lane's access.
+        let window = (!active.is_empty() && r.chance(1, 4)).then(|| {
+            let at = (a[*r.choose(&active)] as u32).wrapping_add(off) & !3;
+            (at, r.range_u32(1, 9))
+        });
+        let op = MemOp { addr: Reg::A0, reg: Reg::A1, src: Reg::A2, off, width, kind };
+        Draw { op, a, am, mask, window }
+    }
+
+    /// An SM and its memory system under one of [`schemes`].
+    fn rig(mode: CheriMode, table: bool) -> (Sm, MemSystem) {
+        let mut cfg = SmConfig::with_geometry(1, LANES, mode);
+        cfg.dram_size = DRAM_SIZE;
+        let mut sm = Sm::new(cfg, 0, cfg.threads());
+        if table {
+            sm.bounds_table = Some(BoundsTable::new(vec![(map::DRAM_BASE + 0x1000, 0x1000)]));
+        }
+        (sm, MemSystem::new(&cfg))
+    }
+
+    /// Install `window`, if any, in both memories of a rig.
+    fn inject(sm: &mut Sm, ms: &mut MemSystem, window: Option<(u32, u32)>) {
+        if let Some((at, len)) = window {
+            ms.mem.inject_unmap_window(at, len);
+            sm.scratch.inject_unmap_window(at, len);
+        }
+    }
+
     /// Oracle for the warp-wide check: over seeded warps of every target,
     /// address shape, mask, metadata shape and scheme, with and without
     /// injected windows, a *clean* verdict means the per-lane check phase
@@ -536,99 +683,27 @@ mod tests {
     #[test]
     fn a_clean_warp_has_no_faulting_lane() {
         let mut r = Prng::seed_from_u64(0x5EED_C0DE);
-        let mut rigs: Vec<(Sm, MemSystem)> = schemes()
-            .iter()
-            .map(|&(_, mode, table)| {
-                let mut cfg = SmConfig::with_geometry(1, LANES, mode);
-                cfg.dram_size = DRAM_SIZE;
-                let mut sm = Sm::new(cfg, 0, cfg.threads());
-                if table {
-                    sm.bounds_table =
-                        Some(BoundsTable::new(vec![(map::DRAM_BASE + 0x1000, 0x1000)]));
-                }
-                (sm, MemSystem::new(&cfg))
-            })
-            .collect();
-        let ops = mem_ops();
-        let (mut a, mut am) = ([0u64; MAX_LANES], [0u64; MAX_LANES]);
+        let mut rigs: Vec<(Sm, MemSystem)> =
+            schemes().iter().map(|&(_, mode, table)| rig(mode, table)).collect();
         let (mut eas, mut lane_eas) = ([0u32; MAX_LANES], [0u32; MAX_LANES]);
         let mut clean = [0usize; 5];
-        for draw in 0..DRAWS {
-            let s = draw % rigs.len();
+        for n in 0..DRAWS {
+            let s = n % rigs.len();
             let (sm, ms) = &mut rigs[s];
-            let (kind, width) = *r.choose(&ops);
-            let obj = target(&mut r);
-            let cap = capability(&mut r, obj);
-            let region = cap.region();
-            let span = r.range_u32(0, 512);
-            // Where the lane addresses start: the object, its top, either
-            // edge of its representable region, or anywhere.
-            let mut base = match r.range_u32(0, 6) {
-                0 | 1 => cap.addr(),
-                2 => (cap.top() as u32).wrapping_sub(r.range_u32(0, 64)),
-                3 => region.lo.wrapping_sub(r.range_u32(0, span + 1)),
-                4 => region.last.wrapping_sub(r.range_u32(0, span + 1)),
-                _ => target(&mut r),
-            };
-            if r.range_u32(0, 4) > 0 {
-                base &= !7;
-            }
-            let stride = *r.choose(&[0u32, 1, 2, 4, 8, 16, 4u32.wrapping_neg(), 64, 256]);
-            let scattered = r.next_bool();
-            for (i, lane) in a.iter_mut().enumerate().take(LANES as usize) {
-                *lane = u64::from(if scattered {
-                    base.wrapping_add(r.range_u32(0, span + 1) & !7)
-                } else {
-                    base.wrapping_add(stride.wrapping_mul(i as u32))
-                });
-            }
-            // Sometimes one lane, anywhere in the warp, is misaligned.
-            if r.chance(1, 4) {
-                a[r.range_usize(0, LANES as usize)] += u64::from(r.range_u32(1, 8));
-            }
-            let mask = match r.range_u32(0, 4) {
-                0 | 1 => sm.full_mask,
-                2 => r.next_u64() & sm.full_mask,
-                _ => 1 << r.range_u32(0, LANES),
-            };
-            let active: Vec<usize> = active_lanes(mask, LANES as usize).collect();
-            let a_lo = active.iter().map(|&i| a[i] as u32).min().unwrap_or(0);
-            let off = match r.range_u32(0, 4) {
-                0 => 0,
-                1 => *r.choose(&[4, 8, 0x100, 4u32.wrapping_neg(), 0x100u32.wrapping_neg()]),
-                // Land the lowest lane's access inside the object.
-                2 => cap.base().wrapping_add(r.range_u32(0, 64)).wrapping_sub(a_lo) & !7,
-                _ => r.range_u32(0, 64),
-            };
-            // Uniform metadata, or a mix of the capability, its untagged
-            // twin, another object's capability and null.
-            let meta = Sm::cap_parts(cap).0;
-            let obj = target(&mut r);
-            let other = Sm::cap_parts(capability(&mut r, obj)).0;
-            let uniform = r.range_u32(0, 4) > 0;
-            for m in am.iter_mut().take(LANES as usize) {
-                *m = if uniform {
-                    meta
-                } else {
-                    *r.choose(&[meta, meta & !(1 << 32), other, NULL_META])
-                };
-            }
-            // An injected window over some active lane's access.
-            if !active.is_empty() && r.chance(1, 4) {
-                let at = (a[*r.choose(&active)] as u32).wrapping_add(off) & !3;
-                let len = r.range_u32(1, 9);
-                ms.mem.inject_unmap_window(at, len);
-                sm.scratch.inject_unmap_window(at, len);
-            }
-            let op = MemOp { addr: Reg::A0, reg: Reg::A1, src: Reg::A2, off, width, kind };
-            if let Some(route) = sm.check_warp(ms, &a, &am, &mut eas, mask, &op) {
+            let Draw { op, a, am, mask, window } = draw(&mut r, sm.full_mask);
+            inject(sm, ms, window);
+            if let Some(Vouched { region, uniform }) =
+                sm.check_warp(ms, &a, &am, &mut eas, mask, &op)
+            {
                 clean[s] += 1;
                 let faults = sm.check_lanes(ms, &a, &am, &mut lane_eas, mask, &op);
-                let label = format!("draw {draw} ({}, {kind:?}, mask {mask:#x})", schemes()[s].0);
+                let label = format!("draw {n} ({}, {:?}, mask {mask:#x})", schemes()[s].0, op.kind);
                 assert_eq!(faults, [], "{label}: a clean warp faulted");
+                let active: Vec<usize> = active_lanes(mask, LANES as usize).collect();
                 for &i in &active {
                     assert_eq!(eas[i], lane_eas[i], "{label}: lane {i} address");
-                    assert_eq!(map::route(eas[i], DRAM_SIZE), route, "{label}: lane {i} route");
+                    assert_eq!(map::route(eas[i], DRAM_SIZE), region, "{label}: lane {i} route");
+                    assert!(!uniform || eas[i] == eas[active[0]], "{label}: lane {i} not uniform");
                 }
             }
             ms.mem.clear_unmapped_windows();
@@ -642,6 +717,202 @@ mod tests {
             } else {
                 assert!(n * 25 >= DRAWS / 5, "{name}: only {n} clean verdicts");
             }
+        }
+    }
+
+    /// The commit before the check phase was trusted, kept as the oracle's
+    /// reference: every active lane is routed and its access checked again,
+    /// and every result is written per lane.
+    fn checked_commit(sm: &mut Sm, ms: &mut MemSystem, bufs: &mut LaneBufs, mask: u64, op: &MemOp) {
+        let MemOp { width, kind, .. } = *op;
+        let bytes = width.bytes();
+        let LaneBufs { b, bm, r, rm, eas, dram_reqs, scratch_reqs, .. } = bufs;
+        dram_reqs.clear();
+        scratch_reqs.clear();
+        for i in active_lanes(mask, LANES as usize) {
+            let ea = eas[i];
+            let (store, reqs): (&mut MainMemory, _) = match map::route(ea, DRAM_SIZE) {
+                map::Region::Dram => (&mut ms.mem, &mut *dram_reqs),
+                map::Region::Scratch => (&mut sm.scratch, &mut *scratch_reqs),
+                region => panic!("lane {i} routes to {region:?}"),
+            };
+            reqs.push(LaneRequest { addr: ea, bytes });
+            let res = match kind {
+                MemKind::Load(lw) => {
+                    store.read(ea, bytes).map(|v| r[i] = sign_extend(v, lw).into())
+                }
+                MemKind::Store => store.write(ea, b[i] as u32, bytes),
+                MemKind::LoadCap => store.read_cap(ea).map(|c| {
+                    r[i] = c.addr().into();
+                    rm[i] = pack_meta(c);
+                }),
+                MemKind::StoreCap => store.write_cap(ea, unpack_meta(bm[i], b[i] as u32)),
+                MemKind::Amo(f) => store.read(ea, bytes).and_then(|old| {
+                    r[i] = old.into();
+                    store.write(ea, exec::amo(f, old, b[i] as u32), bytes)
+                }),
+            };
+            res.unwrap_or_else(|f| panic!("lane {i}: {f}"));
+        }
+    }
+
+    /// Seeded contents: random data, with tagged capabilities sprinkled
+    /// over both memories, so every load reads something distinct.
+    fn fill(sm: &mut Sm, ms: &mut MemSystem) {
+        let mut r = Prng::seed_from_u64(0xF111);
+        for (mem, base, size) in [
+            (&mut ms.mem, map::DRAM_BASE, DRAM_SIZE),
+            (&mut *sm.scratch, map::SCRATCH_BASE, map::SCRATCH_SIZE),
+        ] {
+            let bytes: Vec<u8> = (0..size).map(|_| r.next_u32() as u8).collect();
+            mem.write_bytes(base, &bytes);
+            for _ in 0..size / 256 {
+                let at = base + (r.range_u32(0, size) & !7);
+                let obj = target(&mut r);
+                mem.write_cap(at, capability(&mut r, obj).to_mem()).unwrap();
+            }
+        }
+    }
+
+    /// Oracle for the commit: over the same seeded warps, every warp the
+    /// check phase passes commits exactly as [`checked_commit`] does, run on
+    /// a twin rig kept in lockstep: the same memory and tags, the same
+    /// result in every active lane (a broadcast load's one value
+    /// included), the same DRAM and scratchpad requests, and the same
+    /// ascending block numbers from the coalescer.
+    #[test]
+    fn the_commit_matches_the_checked_per_lane_commit() {
+        let mut r = Prng::seed_from_u64(0xC0_3317);
+        let mut rigs: Vec<[(Sm, MemSystem); 2]> = schemes()
+            .iter()
+            .map(|&(_, mode, table)| [rig(mode, table), rig(mode, table)])
+            .collect();
+        for [(sm, ms), (twin, twin_ms)] in &mut rigs {
+            fill(sm, ms);
+            fill(twin, twin_ms);
+        }
+        // [vouched, per-lane, broadcast, broadcast led by a lane > 0,
+        //  unsorted DRAM blocks, scratchpad, windowed, CLC, CSC]
+        let mut seen = [0usize; 9];
+        for n in 0..DRAWS {
+            let s = n % rigs.len();
+            let [(sm, ms), (twin, twin_ms)] = &mut rigs[s];
+            let d = draw(&mut r, sm.full_mask);
+            let (mask, op) = (d.mask, d.op);
+            let (mut b, mut bm) = ([0u64; MAX_LANES], [0u64; MAX_LANES]);
+            for i in 0..LANES as usize {
+                b[i] = r.next_u32().into();
+                let junk = r.next_u64() & 0x1_FFFF_FFFF;
+                bm[i] = *r.choose(&[d.am[i], NULL_META, junk]);
+            }
+            inject(sm, ms, d.window);
+            inject(twin, twin_ms, d.window);
+            let load = |bufs: &mut LaneBufs| {
+                (bufs.a, bufs.am, bufs.b, bufs.bm) = (d.a, d.am, b, bm);
+            };
+            let got = sm.with_bufs(|sm, bufs| {
+                load(bufs);
+                let vouched = sm.check_warp(ms, &bufs.a, &bufs.am, &mut bufs.eas, mask, &op);
+                if vouched.is_none()
+                    && !sm.check_lanes(ms, &bufs.a, &bufs.am, &mut bufs.eas, mask, &op).is_empty()
+                {
+                    return None;
+                }
+                let res = sm.commit_mem(ms, bufs, vouched, mask, &op);
+                let reqs = (bufs.dram_reqs.clone(), bufs.scratch_reqs.clone());
+                Some((vouched, res, bufs.r, bufs.rm, bufs.eas, reqs))
+            });
+            let Some((vouched, res, r_got, rm_got, eas, (dram, scratch))) = got else {
+                ms.mem.clear_unmapped_windows();
+                sm.scratch.clear_unmapped_windows();
+                twin_ms.mem.clear_unmapped_windows();
+                twin.scratch.clear_unmapped_windows();
+                continue;
+            };
+            let want = twin.with_bufs(|twin, bufs| {
+                load(bufs);
+                assert_eq!(
+                    twin.check_lanes(twin_ms, &bufs.a, &bufs.am, &mut bufs.eas, mask, &op),
+                    []
+                );
+                checked_commit(twin, twin_ms, bufs, mask, &op);
+                (bufs.r, bufs.rm, bufs.dram_reqs.clone(), bufs.scratch_reqs.clone())
+            });
+            let (r_want, rm_want, dram_want, scratch_want) = want;
+            for (mem, twin_mem) in
+                [(&mut ms.mem, &mut twin_ms.mem), (&mut *sm.scratch, &mut *twin.scratch)]
+            {
+                mem.clear_unmapped_windows();
+                twin_mem.clear_unmapped_windows();
+            }
+            let label = format!("draw {n} ({}, {:?}, mask {mask:#x})", schemes()[s].0, op.kind);
+            let active: Vec<usize> = active_lanes(mask, LANES as usize).collect();
+
+            assert_eq!(dram, dram_want, "{label}: DRAM requests");
+            assert_eq!(scratch, scratch_want, "{label}: scratchpad requests");
+            let mut blocks = [0u32; MAX_LANES];
+            let co = coalesce_blocks(&dram, &mut blocks);
+            let mut blocks_want: Vec<u32> =
+                dram_want.iter().map(|q| q.addr / TRANSACTION_BYTES).collect();
+            seen[4] += usize::from(!blocks_want.is_sorted());
+            blocks_want.sort_unstable();
+            assert_eq!(blocks[..dram.len()], blocks_want, "{label}: block numbers");
+            blocks_want.dedup();
+            assert_eq!(co.transactions as usize, blocks_want.len(), "{label}: transactions");
+
+            let cap = op.kind == MemKind::LoadCap;
+            match res {
+                Some((val, meta)) => {
+                    assert_eq!(meta.is_some(), cap, "{label}: broadcast metadata");
+                    for &i in &active {
+                        assert_eq!(val, r_want[i], "{label}: broadcast lane {i}");
+                        assert_eq!(
+                            meta.unwrap_or(rm_want[i]),
+                            rm_want[i],
+                            "{label}: lane {i} meta"
+                        );
+                    }
+                    seen[2] += 1;
+                    seen[3] += usize::from(active[0] > 0);
+                }
+                None if op.kind.has_dest() => {
+                    for &i in &active {
+                        assert_eq!(r_got[i], r_want[i], "{label}: lane {i}");
+                        assert!(!cap || rm_got[i] == rm_want[i], "{label}: lane {i} meta");
+                    }
+                }
+                None => {}
+            }
+            for &i in &active {
+                let at = eas[i] & !7;
+                let (mem, twin_mem): (&MainMemory, &MainMemory) = match map::route(at, DRAM_SIZE) {
+                    map::Region::Dram => (&ms.mem, &twin_ms.mem),
+                    _ => (&sm.scratch, &twin.scratch),
+                };
+                assert_eq!(
+                    mem.read_bytes(at, 8),
+                    twin_mem.read_bytes(at, 8),
+                    "{label}: lane {i} data"
+                );
+                let tag = |m: &MainMemory| m.read_cap(at).map(|c| c.tag());
+                assert_eq!(tag(mem), tag(twin_mem), "{label}: lane {i} tags");
+            }
+            if n % 4096 == 0 {
+                assert!(ms.mem == twin_ms.mem && *sm.scratch == *twin.scratch, "{label}: memory");
+            }
+            seen[0] += usize::from(vouched.is_some());
+            seen[1] += usize::from(vouched.is_none());
+            seen[5] += usize::from(!scratch.is_empty());
+            seen[6] += usize::from(d.window.is_some());
+            seen[7] += usize::from(cap);
+            seen[8] += usize::from(op.kind == MemKind::StoreCap);
+        }
+        for [(sm, ms), (twin, twin_ms)] in &rigs {
+            assert!(ms.mem == twin_ms.mem && *sm.scratch == *twin.scratch, "final memory");
+        }
+        // Every path and shape the commit distinguishes is exercised.
+        for (k, n) in seen.into_iter().enumerate() {
+            assert!(n >= 250, "case {k} committed only {n} times: {seen:?}");
         }
     }
 }

@@ -25,8 +25,10 @@
 //!   form: both drivers commit them compactly.
 //! * [`memstage`] — the memory stage: one check-then-commit path for every
 //!   load, store, capability transfer and atomic against the tagged store
-//!   its address routes to, then the timing: coalescer → tag controller →
-//!   DRAM, the scratchpad's banks, the compressed stack cache filter.
+//!   its address routes to (checked once per warp where the address span
+//!   allows; the commit trusts the check, and a uniform load reads its
+//!   word once), then the timing: coalescer → tag controller → DRAM, the
+//!   scratchpad's banks, the compressed stack cache filter.
 //! * [`writeback`] — register writeback through two entry points, the lane
 //!   form and the compact form (spill/fill costing, `rf_transition`), and
 //!   PC/status commit.

@@ -340,13 +340,22 @@ impl Sm {
     }
 
     /// Reset warps, register files and statistics for a fresh launch. The
-    /// program and the scratchpad contents are preserved.
+    /// warps are reset in place. The register files are rebuilt: resetting
+    /// them in place too raised the peak RSS of a host that builds and
+    /// drops devices (simbench `multi_sm`: 38 → 81 MiB), because without
+    /// their per-launch allocations the host's later allocations pinned the
+    /// heap above a dropped device's DRAM, so the allocator handed that
+    /// dirty memory to the next device's zeroed DRAM. The program and the
+    /// scratchpad contents are preserved.
     pub(crate) fn reset(&mut self) {
         let static_pcc = self.opts.map(|o| o.static_pcc).unwrap_or(true);
-        let pcc_meta = self.launch_pcc_meta;
-        self.warps = (0..self.cfg.warps)
-            .map(|_| Warp::new(self.cfg.lanes, map::TCIM_BASE, pcc_meta, static_pcc))
-            .collect();
+        let (lanes, pcc_meta) = (self.cfg.lanes, self.launch_pcc_meta);
+        self.warps.resize_with(self.cfg.warps as usize, || {
+            Warp::new(lanes, map::TCIM_BASE, pcc_meta, static_pcc)
+        });
+        for warp in &mut self.warps {
+            warp.reset(lanes, map::TCIM_BASE, pcc_meta, static_pcc);
+        }
         self.data_rf = CompressedRegFile::new(RfConfig::data(
             self.cfg.warps,
             self.cfg.lanes,

@@ -72,16 +72,29 @@ impl Warp {
     /// A warp of `lanes` threads, all starting at `pc` with the given PCC
     /// metadata (`static_pcc` collapses the metadata to one copy).
     pub(crate) fn new(lanes: u32, pc: u32, pcc_meta: u64, static_pcc: bool) -> Self {
-        let active = u64::MAX.checked_shr(64 - lanes).unwrap_or(0);
-        Warp {
+        let mut warp = Warp {
             ready_at: 0,
-            active,
+            active: 0,
             parked: 0,
             faulted: 0,
-            groups: if active == 0 { Vec::new() } else { vec![(pc, active)] },
+            groups: Vec::new(),
             static_pcc,
             pcc_meta: [pcc_meta; MAX_LANES],
+        };
+        warp.reset(lanes, pc, pcc_meta, static_pcc);
+        warp
+    }
+
+    /// Restore the state [`Warp::new`] builds, reusing the group vector.
+    pub(crate) fn reset(&mut self, lanes: u32, pc: u32, pcc_meta: u64, static_pcc: bool) {
+        let active = u64::MAX.checked_shr(64 - lanes).unwrap_or(0);
+        (self.ready_at, self.active, self.parked, self.faulted) = (0, active, 0, 0);
+        self.groups.clear();
+        if active != 0 {
+            self.groups.push((pc, active));
         }
+        self.static_pcc = static_pcc;
+        self.pcc_meta.fill(pcc_meta);
     }
 
     /// Does any thread remain runnable?

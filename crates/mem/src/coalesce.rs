@@ -62,7 +62,8 @@ impl CoalescingUnit {
 /// number in `blocks[..reqs.len()]`, ascending: the one sort a warp-wide
 /// DRAM access needs, shared by the transaction count (the number of
 /// distinct blocks) and the tag controller's lookups (one per distinct
-/// block).
+/// block). Unit-stride and other ascending warps arrive sorted, so the sort
+/// runs only when a pair is out of order.
 ///
 /// # Panics
 ///
@@ -80,7 +81,9 @@ pub fn coalesce_blocks(reqs: &[LaneRequest], blocks: &mut [u32]) -> Coalesced {
     for (b, r) in blocks.iter_mut().zip(reqs) {
         *b = r.addr / TRANSACTION_BYTES;
     }
-    blocks.sort_unstable();
+    if !blocks.is_sorted() {
+        blocks.sort_unstable();
+    }
     let transactions = 1 + blocks.windows(2).filter(|w| w[0] != w[1]).count() as u32;
     Coalesced { transactions, uniform }
 }

@@ -68,17 +68,17 @@ impl std::error::Error for MemFault {}
 /// Timing and traffic are modelled separately by [`Dram`] and
 /// [`TagController`] (or the scratchpad's banking model); this type holds
 /// the bits.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct MainMemory {
     data: Vec<u8>,
     /// One tag bit per naturally-aligned 32-bit word.
     tags: Vec<u64>,
     base: u32,
     /// Fault-injected unmapped windows `(base, len)`. Consulted only by the
-    /// device-visible access paths ([`Self::read`], [`Self::write`] and,
-    /// through them, [`Self::read_cap`]/[`Self::write_cap`]) — never by the
-    /// host bulk-I/O helpers, so host readback of a trapped buffer keeps
-    /// working while the window is installed.
+    /// device-visible probes ([`Self::check`], [`Self::check_cap`] and,
+    /// through them, the checked accessors) — never by the host bulk-I/O
+    /// helpers, so host readback of a trapped buffer keeps working while
+    /// the window is installed.
     holes: Vec<(u32, u32)>,
 }
 
@@ -162,12 +162,7 @@ impl MainMemory {
     /// Fails on unsupported widths and unmapped or misaligned accesses.
     pub fn read(&self, addr: u32, width: u32) -> Result<u32, MemFault> {
         self.check(addr, width)?;
-        let o = self.off(addr);
-        Ok(match width {
-            1 => self.data[o] as u32,
-            2 => u16::from_le_bytes([self.data[o], self.data[o + 1]]) as u32,
-            _ => u32::from_le_bytes(self.data[o..o + 4].try_into().unwrap()),
-        })
+        Ok(self.read_vouched(addr, width))
     }
 
     /// Write `width` (1/2/4) bytes; clears the covering word's tag bit.
@@ -177,6 +172,29 @@ impl MainMemory {
     /// Fails on unsupported widths and unmapped or misaligned accesses.
     pub fn write(&mut self, addr: u32, value: u32, width: u32) -> Result<(), MemFault> {
         self.check(addr, width)?;
+        self.write_vouched(addr, value, width);
+        Ok(())
+    }
+
+    /// [`Self::read`] of an access whose [`Self::check`] the caller has
+    /// already passed: it only indexes the storage. The check is a debug
+    /// assertion, and slice indexing still bounds every access.
+    #[inline]
+    pub fn read_vouched(&self, addr: u32, width: u32) -> u32 {
+        debug_assert_eq!(self.check(addr, width), Ok(()));
+        let o = self.off(addr);
+        match width {
+            1 => self.data[o] as u32,
+            2 => u16::from_le_bytes([self.data[o], self.data[o + 1]]) as u32,
+            _ => u32::from_le_bytes(self.data[o..o + 4].try_into().unwrap()),
+        }
+    }
+
+    /// [`Self::write`] of an access whose [`Self::check`] the caller has
+    /// already passed (see [`Self::read_vouched`]).
+    #[inline]
+    pub fn write_vouched(&mut self, addr: u32, value: u32, width: u32) {
+        debug_assert_eq!(self.check(addr, width), Ok(()));
         let o = self.off(addr);
         match width {
             1 => self.data[o] = value as u8,
@@ -184,7 +202,6 @@ impl MainMemory {
             _ => self.data[o..o + 4].copy_from_slice(&value.to_le_bytes()),
         }
         self.set_tag(addr, false);
-        Ok(())
     }
 
     /// The tag bit of the 32-bit word containing `addr`.
@@ -210,13 +227,8 @@ impl MainMemory {
     ///
     /// Fails on unmapped or misaligned (non-8-byte-aligned) accesses.
     pub fn read_cap(&self, addr: u32) -> Result<CapMem, MemFault> {
-        if !addr.is_multiple_of(8) {
-            return Err(MemFault::Misaligned(addr));
-        }
-        let lo = self.read(addr, 4)?;
-        let hi = self.read(addr + 4, 4)?;
-        let tag = self.tag(addr) && self.tag(addr + 4);
-        Ok(CapMem::from_bits(((hi as u64) << 32) | lo as u64, tag))
+        self.check_cap(addr)?;
+        Ok(self.read_cap_vouched(addr))
     }
 
     /// Store a 64+1-bit capability (two atomic 32-bit flits plus tags).
@@ -225,14 +237,31 @@ impl MainMemory {
     ///
     /// Fails on unmapped or misaligned (non-8-byte-aligned) accesses.
     pub fn write_cap(&mut self, addr: u32, cap: CapMem) -> Result<(), MemFault> {
-        if !addr.is_multiple_of(8) {
-            return Err(MemFault::Misaligned(addr));
-        }
-        self.write(addr, cap.bits() as u32, 4)?;
-        self.write(addr + 4, (cap.bits() >> 32) as u32, 4)?;
+        self.check_cap(addr)?;
+        self.write_cap_vouched(addr, cap);
+        Ok(())
+    }
+
+    /// [`Self::read_cap`] of an access whose [`Self::check_cap`] the caller
+    /// has already passed (see [`Self::read_vouched`]).
+    #[inline]
+    pub fn read_cap_vouched(&self, addr: u32) -> CapMem {
+        debug_assert_eq!(self.check_cap(addr), Ok(()));
+        let lo = self.read_vouched(addr, 4);
+        let hi = self.read_vouched(addr + 4, 4);
+        let tag = self.tag(addr) && self.tag(addr + 4);
+        CapMem::from_bits(((hi as u64) << 32) | lo as u64, tag)
+    }
+
+    /// [`Self::write_cap`] of an access whose [`Self::check_cap`] the
+    /// caller has already passed (see [`Self::read_vouched`]).
+    #[inline]
+    pub fn write_cap_vouched(&mut self, addr: u32, cap: CapMem) {
+        debug_assert_eq!(self.check_cap(addr), Ok(()));
+        self.write_vouched(addr, cap.bits() as u32, 4);
+        self.write_vouched(addr + 4, (cap.bits() >> 32) as u32, 4);
         self.set_tag(addr, cap.tag());
         self.set_tag(addr + 4, cap.tag());
-        Ok(())
     }
 
     /// Bulk copy-in for the host runtime (clears covered tags).

@@ -406,17 +406,19 @@ impl CompressedRegFile {
 
     /// Ensure the entry at `idx` is VRF-resident; returns (fills, spills).
     fn fill(&mut self, idx: usize) -> (u32, u32) {
-        if let Entry::Spilled(data) = self.entries[idx].clone() {
-            let (slot, spills) = self.alloc_slot();
-            let lanes = self.cfg.lanes as usize;
-            let s = (slot * self.cfg.lanes) as usize;
-            self.vrf[s..s + lanes].copy_from_slice(&data);
-            self.entries[idx] = Entry::Vector { slot };
-            self.stats.fills += 1;
-            (1, spills)
-        } else {
-            (0, 0)
-        }
+        let Entry::Spilled(data) = &mut self.entries[idx] else {
+            return (0, 0);
+        };
+        // Move the spilled vector out; the entry stays `Spilled`, so the
+        // slot allocation below cannot pick it as a victim.
+        let data = std::mem::take(data);
+        let (slot, spills) = self.alloc_slot();
+        let lanes = self.cfg.lanes as usize;
+        let s = (slot * self.cfg.lanes) as usize;
+        self.vrf[s..s + lanes].copy_from_slice(&data);
+        self.entries[idx] = Entry::Vector { slot };
+        self.stats.fills += 1;
+        (1, spills)
     }
 
     /// Read a full vector register into `out` (one element per lane).

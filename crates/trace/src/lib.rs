@@ -135,10 +135,8 @@ pub(crate) enum Render {
     Hex,
     /// A string, escaped.
     Str,
-    /// The export name of a `named!` enum.
-    Name,
-    /// The export name of a `named!` enum, which must be one of these.
-    Checked(&'static [&'static str]),
+    /// The export name of a `named!` enum: one of these.
+    Name(&'static [&'static str]),
     /// The warp: a number, with the key left out for [`NO_WARP`].
     Warp,
 }
@@ -192,7 +190,7 @@ macro_rules! events {
             }
         }
     };
-    (@render Checked $t:ty) => { Render::Checked(<$t>::NAMES) };
+    (@render Name $t:ty) => { Render::Name(<$t>::NAMES) };
     (@render $r:ident $t:ty) => { Render::$r };
     (@warp warp $v:ident) => { Some($v) };
     (@warp $f:ident $v:ident) => {{
@@ -206,7 +204,6 @@ macro_rules! events {
     (@fmt $r:ident $f:ident) => { concat!(",\"", stringify!($f), "\":\"{}\"") };
     (@arg Str $v:ident) => { export::Escaped($v) };
     (@arg Name $v:ident) => { $v.name() };
-    (@arg Checked $v:ident) => { $v.name() };
     (@arg Warp $v:ident) => { export::WarpKey(concat!(",\"", stringify!($v), "\":"), $v) };
     (@arg $r:ident $v:ident) => { $v };
 }
@@ -241,7 +238,7 @@ events! {
             /// How execute ran it: warp-wide over compact operands
             /// (`Scalarised` issues mirror `KernelStats::scalarised_issues`)
             /// or lane-wise.
-            class: IssueClass => Checked,
+            class: IssueClass => Name,
         }
         /// Cycles lost to a pipeline stall, attributed to one cause.
         Stall = "stall" {

@@ -32,18 +32,19 @@ fn check_num(obj: &Value, key: &str, ctx: &str) -> Result<(), String> {
 }
 
 /// Check one event's payload against its type's row of [`SCHEMA`]: the
-/// type is known, a checked name is one of its enum's names (so the
-/// scalarisation rate is recoverable from any validated trace) and, with
-/// `numbers`, every numeric field is present.
-fn check_event(obj: &Value, ty: &str, numbers: bool, ctx: &str) -> Result<(), String> {
+/// type is known, every numeric field is present and every named field is
+/// one of its enum's names (so, for one, the scalarisation rate is
+/// recoverable from any validated trace). A JSON line and a Chrome entry's
+/// `args` carry the same payload, so both formats are checked alike.
+fn check_event(obj: &Value, ty: &str, ctx: &str) -> Result<(), String> {
     let (_, fields) = SCHEMA
         .iter()
         .find(|(name, _)| *name == ty)
         .ok_or_else(|| format!("{ctx}: unknown event type '{ty}'"))?;
     for &(key, render) in *fields {
         match render {
-            Render::Num if numbers => check_num(obj, key, ctx)?,
-            Render::Checked(names) => {
+            Render::Num => check_num(obj, key, ctx)?,
+            Render::Name(names) => {
                 let name = obj
                     .get(key)
                     .and_then(Value::as_str)
@@ -60,8 +61,8 @@ fn check_event(obj: &Value, ty: &str, numbers: bool, ctx: &str) -> Result<(), St
 
 /// Validate a Chrome trace-event file: a JSON object with a `traceEvents`
 /// array in which every entry has `ph`/`pid`/`name`, duration events have
-/// numeric `ts` (and `dur` for `"X"`), and `args` payloads of typed events
-/// carry a `type` tag.
+/// numeric `ts` (and `dur` for `"X"`), and the `args` payload of every
+/// event carries a `type` tag and that type's fields, as a JSON line does.
 ///
 /// # Errors
 ///
@@ -125,7 +126,7 @@ fn check_chrome(doc: &Value) -> Result<Summary, String> {
                 .get("type")
                 .and_then(Value::as_str)
                 .ok_or_else(|| format!("{ctx}: args missing 'type' tag"))?;
-            check_event(args, ty, false, &ctx)?;
+            check_event(args, ty, &ctx)?;
         }
     }
     summary.processes = pids.len() as u64;
@@ -133,8 +134,8 @@ fn check_chrome(doc: &Value) -> Result<Summary, String> {
 }
 
 /// Validate a JSON-lines trace: every line is an object with string `cell`
-/// and `type` fields, a known type name, and that type's required numeric
-/// fields.
+/// and `type` fields, a known type name, that type's numeric fields and
+/// names its enums declare.
 ///
 /// # Errors
 ///
@@ -155,7 +156,7 @@ pub fn validate_jsonl(input: &str) -> Result<Summary, String> {
             .get("type")
             .and_then(Value::as_str)
             .ok_or_else(|| format!("{ctx}: missing string 'type'"))?;
-        check_event(&obj, ty, true, &ctx)?;
+        check_event(&obj, ty, &ctx)?;
         summary.events += 1;
     }
     non_empty(summary)
@@ -327,6 +328,11 @@ mod tests {
             for field in required {
                 let err = validate_jsonl(&without(jsonl.trim_end(), field)).unwrap_err();
                 assert!(err.contains(&format!("'{field}'")), "{ty} without {field}: {err}");
+                // A Chrome entry's `args` carry the same payload.
+                if ty != "launch" {
+                    let err = validate_chrome(&without(&chrome, field)).unwrap_err();
+                    assert!(err.contains(&format!("'{field}'")), "chrome {ty} without {field}");
+                }
             }
             types.push(ty);
         }
@@ -341,6 +347,32 @@ mod tests {
             let err = validate_auto(&bad).unwrap_err();
             assert!(err.starts_with(format) && err.contains("'vector'"), "{err}");
         }
+    }
+
+    /// Every named field, not only `issue.class`, must be one of its enum's
+    /// names, and a Chrome entry needs its type's numeric fields.
+    #[test]
+    fn named_fields_and_chrome_payloads_are_checked() {
+        let stall = TraceEvent::Stall { cycle: 2, warp: 1, cause: StallCause::Idle, cycles: 3 };
+        let jsonl = to_jsonl(&[TraceCell { label: "t", events: &[stall] }]);
+        assert!(validate_jsonl(&jsonl).is_ok());
+        let err = validate_jsonl(&jsonl.replace("\"idle\"", "\"bogus\"")).unwrap_err();
+        assert!(err.contains("unknown stall cause 'bogus'"), "{err}");
+
+        let chrome = |args: &str| {
+            format!(
+                "{{\"traceEvents\":[{{\"ph\":\"i\",\"name\":\"mem\",\"pid\":0,\"tid\":1,\
+                 \"ts\":3,\"s\":\"t\",\"args\":{{{args}}}}}]}}"
+            )
+        };
+        let full = "\"type\":\"mem\",\"cycle\":3,\"warp\":1,\"space\":\"scratch\",\
+                    \"is_store\":true,\"lanes\":32,\"transactions\":0,\"uniform\":false,\
+                    \"conflict_cycles\":2";
+        assert_eq!(validate_chrome(&chrome(full)).map(|s| s.events), Ok(1));
+        let err = validate_chrome(&chrome(&full.replace("scratch", "nowhere"))).unwrap_err();
+        assert!(err.contains("unknown mem space 'nowhere'"), "{err}");
+        let err = validate_chrome(&chrome("\"type\":\"mem\",\"space\":\"nowhere\"")).unwrap_err();
+        assert!(err.contains("missing field 'cycle'"), "{err}");
     }
 
     #[test]
